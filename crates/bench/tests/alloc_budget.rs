@@ -20,7 +20,8 @@ use ble_phy::{
     AccessAddress, AccessFilter, Channel, Environment, NodeConfig, NodeCtx, Pdu, Position,
     RadioEvent, RadioListener, RawFrame, Simulation, TimerKey,
 };
-use simkit::{Duration, FaultPlan, SimRng};
+use ble_telemetry::{TelemetryEvent, TelemetryRecord, TelemetrySink};
+use simkit::{Duration, FaultPlan, Instant, InterferenceBurst, SimRng};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
@@ -131,11 +132,30 @@ impl RadioListener for Sink {
     }
 }
 
+/// Counts burst boundary records emitted inside the measured window.
+static BURST_EDGES: AtomicU64 = AtomicU64::new(0);
+
+/// A telemetry sink whose `emit` touches nothing but [`BURST_EDGES`].
+struct BurstEdges;
+
+impl TelemetrySink for BurstEdges {
+    fn emit(&mut self, record: &TelemetryRecord) {
+        if counting() && matches!(record.event, TelemetryEvent::FaultBurst { .. }) {
+            BURST_EDGES.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}
+
 /// Builds the beacon→sink scene, warms it up, then measures allocations
 /// over a steady-state delivery window. `faults` (when given) is installed
 /// before the warm-up; `spans` additionally installs a span clock and opens
-/// a span pair around every transmission (disabled path: no sink attached).
-fn measure_steady_state_with(faults: Option<FaultPlan>, spans: bool) -> (u64, u64) {
+/// a span pair around every transmission (disabled path unless `sink` is
+/// given); `sink` (when given) is attached before the plan is installed.
+fn measure_steady_state_with(
+    faults: Option<FaultPlan>,
+    spans: bool,
+    sink: Option<Box<dyn TelemetrySink>>,
+) -> (u64, u64) {
     let mut pdu = Pdu::new();
     pdu.try_extend_from_slice(&[0xC3; 22]).expect("22 B fits");
 
@@ -161,6 +181,9 @@ fn measure_steady_state_with(faults: Option<FaultPlan>, spans: bool) -> (u64, u6
         NodeConfig::new("sink", Position::new(2.0, 0.0)),
         Sink { received: 0 },
     );
+    if let Some(sink) = sink {
+        sim.add_telemetry_sink(sink);
+    }
     if let Some(plan) = faults {
         sim.install_faults(plan);
     }
@@ -192,7 +215,7 @@ fn measure_steady_state_with(faults: Option<FaultPlan>, spans: bool) -> (u64, u6
 }
 
 fn measure_steady_state(faults: Option<FaultPlan>) -> (u64, u64) {
-    measure_steady_state_with(faults, false)
+    measure_steady_state_with(faults, false, None)
 }
 
 #[test]
@@ -297,12 +320,44 @@ fn steady_state_host_queuing_allocates_nothing() {
 }
 
 #[test]
+fn burst_boundaries_reschedule_without_allocating() {
+    // A 1 ms-period burst train on a channel the beacon never uses: its
+    // boundary edges fire and schedule their successors all through the
+    // measured window. Each firing pops one queue entry and pushes one, so
+    // the heap's capacity is reused and the budget stays at zero.
+    let train = InterferenceBurst::duty_cycle(
+        9,
+        Instant::ZERO,
+        Duration::from_secs(1),
+        Duration::from_millis(1),
+        0.5,
+        -40.0,
+    );
+    let before = BURST_EDGES.load(Ordering::Relaxed);
+    let (delta, received) = measure_steady_state_with(
+        Some(FaultPlan::seeded(3).with_burst(train)),
+        false,
+        Some(Box::new(BurstEdges)),
+    );
+    let edges = BURST_EDGES.load(Ordering::Relaxed) - before;
+    assert!(
+        received >= 90,
+        "steady state must keep delivering: {received}"
+    );
+    assert!(edges > 50, "burst edges must fire in the window: {edges}");
+    assert_eq!(
+        delta, 0,
+        "rescheduling burst edges must not allocate ({delta} allocations over {received} deliveries)"
+    );
+}
+
+#[test]
 fn disabled_spans_with_an_installed_clock_allocate_nothing() {
     // The span layer's zero-cost claim: a span clock is installed (as the
     // experiment rig always does) but no sink is attached, so every
     // enter/exit pair on the delivery path must be a branch-and-return —
     // no id counter, no stack frame, no clock read, no heap.
-    let (delta, received) = measure_steady_state_with(None, true);
+    let (delta, received) = measure_steady_state_with(None, true, None);
     assert!(
         received >= 90,
         "steady state with spans must keep delivering: {received}"

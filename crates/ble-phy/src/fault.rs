@@ -1,9 +1,14 @@
 //! PHY-side interpreter for [`simkit::FaultPlan`]s.
 //!
 //! [`FaultState`] is the medium's resident copy of an installed plan: it
-//! owns the plan, a **private** RNG seeded from [`FaultPlan::seed`], the
-//! label→node resolution for drift excursions, and the pre-computed
-//! episode-boundary markers that the event queue replays for telemetry.
+//! owns the plan, a **private** RNG seeded from [`FaultPlan::seed`] and the
+//! label→node resolution for drift excursions.
+//!
+//! Episode boundaries reach telemetry as *edges* read lazily from the plan:
+//! [`FaultState::edge`] computes edge `n` of a plan item arithmetically, and
+//! the medium keeps at most one pending queue event per item, scheduling
+//! edge `n + 1` only when edge `n` fires. A burst train of any length costs
+//! one queue slot and no memory per window.
 //!
 //! Determinism contract (see the `simkit::fault` module docs): the fault
 //! layer never draws from the world or node RNG streams, and when no plan
@@ -15,31 +20,15 @@ use simkit::{Duration, FaultPlan, Instant, SimRng};
 
 use crate::radio::NodeId;
 
-/// One pre-computed episode boundary: when popped off the event queue the
-/// medium emits `event` attributed to `node`.
-#[derive(Debug, Clone)]
-pub(crate) struct FaultMarker {
-    pub(crate) at: Instant,
-    pub(crate) node: Option<NodeId>,
-    pub(crate) event: TelemetryEvent,
-}
-
-/// The installed fault plan plus its private RNG and resolved schedule.
+/// The installed fault plan plus its private RNG and resolved drift targets.
 #[derive(Debug)]
 pub(crate) struct FaultState {
     plan: FaultPlan,
     rng: SimRng,
     /// Drift excursions resolved to node ids: `(node, index into plan.drift)`.
     drift_targets: Vec<(NodeId, usize)>,
-    markers: Vec<FaultMarker>,
     enabled: bool,
 }
-
-/// Telemetry markers per burst train are capped so a degenerate plan (e.g.
-/// microsecond period over an hour of simulated time) cannot flood the
-/// event queue; the impairment itself is unaffected because burst overlap
-/// is evaluated arithmetically per frame, not from the markers.
-const MAX_MARKERS_PER_BURST: u32 = 4_096;
 
 impl FaultState {
     /// The no-plan state: every hot-path query is one branch.
@@ -48,7 +37,6 @@ impl FaultState {
             plan: FaultPlan::default(),
             rng: SimRng::seed_from(0),
             drift_targets: Vec::new(),
-            markers: Vec::new(),
             enabled: false,
         }
     }
@@ -58,72 +46,86 @@ impl FaultState {
     pub(crate) fn install(plan: FaultPlan, resolve: impl Fn(&str) -> Option<NodeId>) -> FaultState {
         let enabled = !plan.is_empty();
         let rng = SimRng::seed_from(plan.seed);
-        let mut drift_targets = Vec::new();
-        let mut markers = Vec::new();
-        if enabled {
-            for (i, d) in plan.drift.iter().enumerate() {
-                let Some(node) = resolve(&d.node_label) else {
-                    continue;
-                };
-                drift_targets.push((node, i));
-                for (at, active) in [(d.from, true), (d.until, false)] {
-                    markers.push(FaultMarker {
-                        at,
-                        node: Some(node),
-                        event: TelemetryEvent::FaultEpisode {
-                            kind: FaultKind::Drift,
-                            magnitude: d.extra_ppm,
-                            active,
-                        },
-                    });
-                }
-            }
-            for f in &plan.fading {
-                for (at, active) in [(f.from, true), (f.until, false)] {
-                    markers.push(FaultMarker {
-                        at,
-                        node: None,
-                        event: TelemetryEvent::FaultEpisode {
-                            kind: FaultKind::Fading,
-                            magnitude: f.extra_loss_db,
-                            active,
-                        },
-                    });
-                }
-            }
-            for b in &plan.bursts {
-                for k in 0..b.repeats.min(MAX_MARKERS_PER_BURST) {
-                    let Some(start) = b.window_start(k) else {
-                        break;
-                    };
-                    markers.push(FaultMarker {
-                        at: start,
-                        node: None,
-                        event: TelemetryEvent::FaultBurst {
-                            channel: b.channel,
-                            power_dbm: b.power_dbm,
-                            active: true,
-                        },
-                    });
-                    markers.push(FaultMarker {
-                        at: start.saturating_add(b.on_time),
-                        node: None,
-                        event: TelemetryEvent::FaultBurst {
-                            channel: b.channel,
-                            power_dbm: b.power_dbm,
-                            active: false,
-                        },
-                    });
-                }
-            }
-        }
+        let drift_targets = plan
+            .drift
+            .iter()
+            .enumerate()
+            .filter_map(|(i, d)| Some((resolve(&d.node_label)?, i)))
+            .collect();
         FaultState {
             plan,
             rng,
             drift_targets,
-            markers,
             enabled,
         }
+    }
+
+    /// Number of plan items with telemetry edges: resolved drift
+    /// excursions, then fading episodes, then burst trains — the item
+    /// numbering [`FaultState::edge`] uses.
+    pub(crate) fn item_count(&self) -> usize {
+        self.drift_targets.len() + self.plan.fading.len() + self.plan.bursts.len()
+    }
+
+    /// Edge `n` of plan item `item`: when it fires, the node it is
+    /// attributed to, and the telemetry it emits. `None` once the item has
+    /// no edge `n`.
+    ///
+    /// Even edges open an episode and odd edges close it. A drift excursion
+    /// or fading episode has exactly two edges; a burst train's edge `2k`
+    /// opens window `k` at [`simkit::InterferenceBurst::window_start`] and
+    /// edge `2k + 1` closes it `on_time` later (a zero-period train is a
+    /// single window, as in its overlap arithmetic). Edges of one item are
+    /// non-decreasing in time as long as the train's `period ≥ on_time`.
+    pub(crate) fn edge(
+        &self,
+        item: usize,
+        n: u64,
+    ) -> Option<(Instant, Option<NodeId>, TelemetryEvent)> {
+        let active = n.is_multiple_of(2);
+        let two_edges = |from: Instant, until: Instant| match n {
+            0 => Some(from),
+            1 => Some(until),
+            _ => None,
+        };
+        if let Some(&(node, idx)) = self.drift_targets.get(item) {
+            let d = self.plan.drift.get(idx)?;
+            let event = TelemetryEvent::FaultEpisode {
+                kind: FaultKind::Drift,
+                magnitude: d.extra_ppm,
+                active,
+            };
+            return Some((two_edges(d.from, d.until)?, Some(node), event));
+        }
+        let item = item.checked_sub(self.drift_targets.len())?;
+        if let Some(f) = self.plan.fading.get(item) {
+            let event = TelemetryEvent::FaultEpisode {
+                kind: FaultKind::Fading,
+                magnitude: f.extra_loss_db,
+                active,
+            };
+            return Some((two_edges(f.from, f.until)?, None, event));
+        }
+        let b = self
+            .plan
+            .bursts
+            .get(item.checked_sub(self.plan.fading.len())?)?;
+        let k = u32::try_from(n / 2).ok()?;
+        if k > 0 && b.period.is_zero() {
+            return None;
+        }
+        let start = b.window_start(k)?;
+        let at = if active {
+            start
+        } else {
+            start.saturating_add(b.on_time)
+        };
+        let event = TelemetryEvent::FaultBurst {
+            channel: b.channel,
+            power_dbm: b.power_dbm,
+            active,
+        };
+        Some((at, None, event))
     }
 
     /// Whether any impairment is installed. Hot paths gate on this before
@@ -131,11 +133,6 @@ impl FaultState {
     #[inline]
     pub(crate) fn enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// The pre-computed episode-boundary markers to schedule at install.
-    pub(crate) fn markers(&self) -> &[FaultMarker] {
-        &self.markers
     }
 
     /// Whether a frame arriving on `channel` at `at` is sacrificed to a

@@ -90,11 +90,17 @@ enum SimEvent {
         node: NodeId,
         key: TimerKey,
     },
-    /// Pre-computed fault-episode boundary: index into the installed
-    /// [`FaultState`]'s marker table (telemetry only — impairments are
-    /// evaluated arithmetically per frame, not from these events).
+    /// Edge `edge` of fault-plan item `item` (see [`FaultState::edge`]):
+    /// telemetry only — impairments are evaluated arithmetically per frame,
+    /// not from these events. Each item keeps at most one of these pending;
+    /// firing edge `n` schedules edge `n + 1`. So a boundary that falls at
+    /// exactly the same instant as an event scheduled after the previous
+    /// boundary fired fires after that event (a schedule queued in full at
+    /// install would fire it first). That orders JSONL lines at equal
+    /// timestamps only, never simulation state.
     Fault {
-        marker: usize,
+        item: usize,
+        edge: u64,
     },
 }
 
@@ -1198,6 +1204,13 @@ impl SimInner {
         self.queue.cancel(handle.0);
     }
 
+    /// Queues edge `edge` of fault-plan item `item`, if the item has one.
+    fn schedule_fault_edge(&mut self, item: usize, edge: u64) {
+        if let Some((at, ..)) = self.faults.edge(item, edge) {
+            self.queue.schedule_at(at, SimEvent::Fault { item, edge });
+        }
+    }
+
     fn gc(&mut self) {
         let now = self.now();
         self.txs.retain(|_, tx| tx.end + TX_RETENTION >= now);
@@ -1278,6 +1291,9 @@ impl World {
     /// own seeded RNG; an **empty** plan is a strict no-op — nothing is
     /// scheduled, no RNG stream is touched, and simulation output stays
     /// byte-identical to a world where this was never called.
+    ///
+    /// Episode boundaries are replayed lazily: each plan item holds at
+    /// most one pending event, whatever the length of its burst train.
     pub fn install_faults(&mut self, plan: FaultPlan) {
         let state = FaultState::install(plan, |label| {
             self.inner
@@ -1286,12 +1302,10 @@ impl World {
                 .position(|s| s.config.label == label)
                 .map(NodeId)
         });
-        for (i, m) in state.markers().iter().enumerate() {
-            self.inner
-                .queue
-                .schedule_at(m.at, SimEvent::Fault { marker: i });
-        }
         self.inner.faults = state;
+        for item in 0..self.inner.faults.item_count() {
+            self.inner.schedule_fault_edge(item, 0);
+        }
     }
 
     /// Enables the simulation trace (for debugging and assertions).
@@ -1359,6 +1373,12 @@ impl World {
     /// Current simulation time.
     pub fn now(&self) -> Instant {
         self.inner.now()
+    }
+
+    /// The deepest the event queue has been in this world's lifetime (see
+    /// [`EventQueue::high_water`]).
+    pub fn queue_high_water(&self) -> u64 {
+        self.inner.queue.high_water()
     }
 
     /// The environment (read-only).
@@ -1520,10 +1540,11 @@ impl World {
                     self.dispatch(node, RadioEvent::FrameReceived(frame));
                 }
             }
-            SimEvent::Fault { marker } => {
-                if let Some(m) = self.inner.faults.markers().get(marker).cloned() {
-                    self.inner.emit(at, m.node, || m.event);
+            SimEvent::Fault { item, edge } => {
+                if let Some((_, node, event)) = self.inner.faults.edge(item, edge) {
+                    self.inner.emit(at, node, || event);
                 }
+                self.inner.schedule_fault_edge(item, edge.saturating_add(1));
             }
         }
         true

@@ -621,7 +621,7 @@ impl ScenarioBuilder {
         }
 
         // After every node exists (drift excursions resolve labels here) and
-        // after bootstrap, so same-instant fault markers sort behind the
+        // after bootstrap, so same-instant fault boundaries sort behind the
         // nodes' first timers. The plan carries its own RNG seed, so the
         // frozen fork order above is untouched.
         if let Some(plan) = self.faults {
@@ -1065,6 +1065,45 @@ mod tests {
             .build();
         // dense_hall's exponent (3.4) is hotter than indoor (1.8).
         assert!(sc.world.env().path_loss_exponent > 3.0);
+    }
+
+    #[test]
+    fn long_burst_plans_keep_the_event_queue_shallow() {
+        // `ablation_faults`' burst plan: every data channel jammed for 20%
+        // of each 100 ms period over 95 s — 950 windows per train. Each
+        // train holds one pending boundary event, so the plan deepens the
+        // queue by at most one entry per train over the unimpaired world
+        // (whose own high water is mostly cancelled supervision timers
+        // waiting to be popped).
+        let span = Duration::from_secs(95);
+        let plan = (0..37u8).fold(FaultPlan::seeded(0xB0057), |plan, channel| {
+            plan.with_burst(simkit::InterferenceBurst::duty_cycle(
+                channel,
+                simkit::Instant::ZERO,
+                span,
+                Duration::from_millis(100),
+                0.2,
+                -42.0,
+            ))
+        });
+        let trains = u64::try_from(plan.bursts.len()).expect("train count fits");
+        let high_water = |plan: Option<FaultPlan>| {
+            let builder = ScenarioBuilder::attack_rig(11);
+            let mut sc = match plan {
+                Some(plan) => builder.faults(plan),
+                None => builder,
+            }
+            .build();
+            sc.run_for(Duration::from_secs(5));
+            sc.world.queue_high_water()
+        };
+        let unimpaired = high_water(None);
+        let impaired = high_water(Some(plan));
+        assert!(unimpaired < 64, "unimpaired queue high water {unimpaired}");
+        assert!(
+            impaired <= unimpaired + trains,
+            "queue high water {impaired} with the plan, {unimpaired} without"
+        );
     }
 
     #[test]

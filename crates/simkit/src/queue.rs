@@ -92,6 +92,7 @@ pub struct EventQueue<E> {
     cancelled: IdTombstones,
     next_id: u64,
     now: Instant,
+    high_water: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -117,6 +118,7 @@ impl<E> EventQueue<E> {
             cancelled: IdTombstones::default(),
             next_id: 0,
             now: Instant::ZERO,
+            high_water: 0,
         }
     }
 
@@ -135,6 +137,8 @@ impl<E> EventQueue<E> {
             id,
             event,
         });
+        let depth = u64::try_from(self.heap.len()).unwrap_or(u64::MAX);
+        self.high_water = self.high_water.max(depth);
         id
     }
 
@@ -205,6 +209,13 @@ impl<E> EventQueue<E> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// The deepest the underlying heap has been since construction,
+    /// counting cancelled entries not yet popped — the queue's memory
+    /// high-water mark.
+    pub fn high_water(&self) -> u64 {
+        self.high_water
+    }
 }
 
 #[cfg(test)]
@@ -272,6 +283,21 @@ mod tests {
         q.cancel(a);
         q.schedule_after(Duration::ZERO, "b");
         assert_eq!(q.pop().map(|(_, e)| e), Some("b"));
+    }
+
+    #[test]
+    fn high_water_tracks_the_deepest_heap() {
+        let mut q = EventQueue::new();
+        assert_eq!(q.high_water(), 0);
+        for i in 0..5u64 {
+            q.schedule_at(Instant::from_micros(i), i);
+        }
+        while q.pop().is_some() {}
+        q.schedule_at(Instant::from_micros(9), 9);
+        assert_eq!(q.high_water(), 5);
+        let a = q.schedule_at(Instant::from_micros(10), 10);
+        q.cancel(a);
+        assert_eq!(q.high_water(), 5, "a drained queue keeps its mark");
     }
 
     #[test]

@@ -116,10 +116,16 @@ const BINARIES: &[BinSpec] = &[
     },
 ];
 
-/// The per-push fast subset: one parallel sweep, one ablation, and the
-/// scenario acceptance binary — enough to catch a reintroduced
-/// nondeterminism source without the full sweep's wall time.
-const FAST_SUBSET: &[&str] = &["exp1_hop_interval", "ablation_phy2m", "scenarios"];
+/// The per-push fast subset: one parallel sweep, one ablation, the
+/// scenario acceptance binary and the fault ablation (the only binary that
+/// installs fault plans) — enough to catch a reintroduced nondeterminism
+/// source without the full sweep's wall time.
+const FAST_SUBSET: &[&str] = &[
+    "exp1_hop_interval",
+    "ablation_phy2m",
+    "scenarios",
+    "ablation_faults",
+];
 
 /// Binaries that additionally run through the streaming campaign path
 /// (`--campaign` with a fresh checkpoint directory). The campaign run must
