@@ -249,81 +249,15 @@ struct ActiveTx {
     scheduled: ScheduledSet,
 }
 
-/// Memoised per-pair mean received power, keyed by `(from, to)` node index
-/// in a flat table. The mean is a pure function of positions, transmit
-/// power and walls, all of which change rarely (experiments move nodes
-/// between trials, not per frame), while the delivery path recomputes it
-/// per scheduled edge, per lock attempt and per interference candidate —
-/// in dense worlds the same `log10` shows up millions of times.
-///
-/// Invalidation is by generation counter: [`World::set_node_position`] and
-/// [`World::env_mut`] bump the generation, instantly staling every entry
-/// without touching the table. The table is (re)sized lazily on the first
-/// lookup after a node-count change.
-struct PairCache {
-    generation: u64,
-    nodes: usize,
-    /// `(generation, mean_dbm)` at `from * nodes + to`.
-    entries: Vec<(u64, f64)>,
-}
-
-impl PairCache {
-    const fn new() -> Self {
-        PairCache {
-            generation: 1,
-            nodes: 0,
-            entries: Vec::new(),
-        }
-    }
-
-    /// Stales every cached mean (a position or the environment changed).
-    fn invalidate(&mut self) {
-        self.generation += 1;
-    }
-
-    /// Cached mean received power for `from → to`, computing and memoising
-    /// on miss. Exactly [`Environment::mean_received_power_dbm`] —
-    /// memoisation can only skip recomputation, never change a value, so
-    /// cached and uncached worlds are bit-identical.
-    fn mean_dbm(
-        &mut self,
-        env: &Environment,
-        nodes: &[NodeState],
-        from: NodeId,
-        to: NodeId,
-    ) -> f64 {
-        if self.nodes != nodes.len() {
-            self.nodes = nodes.len();
-            self.entries.clear();
-            self.entries.resize(self.nodes * self.nodes, (0, 0.0));
-        }
-        let idx = from.0 * self.nodes + to.0;
-        if let Some(&(generation, mean)) = self.entries.get(idx) {
-            if generation == self.generation {
-                return mean;
-            }
-        }
-        let (Some(tx), Some(rx)) = (nodes.get(from.0), nodes.get(to.0)) else {
-            return f64::NEG_INFINITY;
-        };
-        let mean = env.mean_received_power_dbm(
-            tx.config.tx_power_dbm,
-            tx.config.position,
-            rx.config.position,
-        );
-        if let Some(slot) = self.entries.get_mut(idx) {
-            *slot = (self.generation, mean);
-        }
-        mean
-    }
-}
-
 /// Internal simulation state shared between the driver and [`NodeCtx`].
 pub(crate) struct SimInner {
     queue: EventQueue<SimEvent>,
     env: Environment,
     nodes: Vec<NodeState>,
     txs: BTreeMap<u64, ActiveTx>,
+    /// Earliest `end + TX_RETENTION` over `txs` ([`Instant::MAX`] when
+    /// empty): until `now` passes it, [`SimInner::gc`] has nothing to drop.
+    gc_due: Instant,
     next_tx_id: u64,
     rng: SimRng,
     trace: Trace,
@@ -339,7 +273,6 @@ pub(crate) struct SimInner {
     /// reception); `finish_tx` and `handle_rx_end` never enter or leave
     /// `Rx`, so they leave the index alone.
     listeners: Vec<Vec<NodeId>>,
-    pair_cache: PairCache,
     /// Per-packet delivery ledger ([`World::enable_delivery_tracker`]);
     /// `None` costs one branch per hook.
     delivery: Option<DeliveryTracker>,
@@ -500,19 +433,15 @@ impl SimInner {
         }
     }
 
-    /// Mean received power for the `from → to` link, through the pair
-    /// cache.
-    fn mean_power_dbm(&mut self, from: NodeId, to: NodeId) -> f64 {
-        let SimInner {
-            env,
-            nodes,
-            pair_cache,
-            ..
-        } = self;
-        pair_cache.mean_dbm(env, nodes, from, to)
+    /// Mean received power for the `from → to` link.
+    fn mean_power_dbm(&self, from: NodeId, to: NodeId) -> f64 {
+        let tx = &self.node_state(from).config;
+        let rx = &self.node_state(to).config;
+        self.env
+            .mean_received_power_dbm(tx.tx_power_dbm, tx.position, rx.position)
     }
 
-    /// One per-frame received-power realisation on top of a (cached) mean:
+    /// One per-frame received-power realisation on top of a mean:
     /// a multipath fading draw, minus any fault-plan fading episode.
     fn received_power_from_mean(&mut self, mean: f64) -> f64 {
         let mut power = mean + self.env.fading_db(&mut self.rng);
@@ -584,20 +513,21 @@ impl SimInner {
                 scheduled: ScheduledSet::default(),
             },
         );
+        self.gc_due = self.gc_due.min(end + TX_RETENTION);
         self.queue.schedule_at(end, SimEvent::TxEnd { node });
         let from_pos = self.node_state(node).config.position;
+        let tx_power_dbm = self.node_state(node).config.tx_power_dbm;
         let mode = self.delivery_mode;
-        // Split-field borrow: arrival times read `env`/`nodes`, the cull
-        // reads the pair cache, scheduling writes `queue` — disjoint, so no
-        // intermediate collection needed. Both modes schedule receivers in
-        // ascending node order (the listener lists are sorted), keeping
-        // same-instant event ties identical between them.
+        // Split-field borrow: arrival times and the cull read `env`/`nodes`,
+        // scheduling writes `queue` — disjoint, so no intermediate
+        // collection needed. Both modes schedule receivers in ascending node
+        // order (the listener lists are sorted), keeping same-instant event
+        // ties identical between them.
         let SimInner {
             queue,
             env,
             nodes,
             listeners,
-            pair_cache,
             txs,
             delivery,
             ..
@@ -629,19 +559,23 @@ impl SimInner {
                         if other == node {
                             continue;
                         }
+                        let Some(state) = nodes.get(other.0) else {
+                            continue;
+                        };
                         // RNG-free reachability cull: a mean this far under
                         // the floor fails `try_lock`'s sensitivity check for
                         // every realistic fading draw, and the broadcast
                         // path applies the identical predicate before its
                         // draw — skipping here shifts no RNG stream.
-                        let mean = pair_cache.mean_dbm(env, nodes, node, other);
+                        let mean = env.mean_received_power_dbm(
+                            tx_power_dbm,
+                            from_pos,
+                            state.config.position,
+                        );
                         if !env.reachable_mean_dbm(mean) {
                             culled += 1;
                             continue;
                         }
-                        let Some(state) = nodes.get(other.0) else {
-                            continue;
-                        };
                         let arrival = now + env.propagation_delay(from_pos, state.config.position);
                         queue.schedule_at(arrival, SimEvent::RxStart { node: other, tx_id });
                         tx.scheduled.insert(other);
@@ -724,7 +658,6 @@ impl SimInner {
             env,
             nodes,
             queue,
-            pair_cache,
             delivery,
             ..
         } = self;
@@ -735,12 +668,17 @@ impl SimInner {
             let Some(tx_state) = nodes.get(tx.from.0) else {
                 continue;
             };
-            let delay = env.propagation_delay(tx_state.config.position, rx_pos);
+            let tx_cfg = &tx_state.config;
+            let delay = env.propagation_delay(tx_cfg.position, rx_pos);
             let arrival = tx.start + delay;
             if arrival > now {
                 if matches!(mode, DeliveryMode::Sharded)
                     && !tx.scheduled.contains(node)
-                    && env.reachable_mean_dbm(pair_cache.mean_dbm(env, nodes, tx.from, node))
+                    && env.reachable_mean_dbm(env.mean_received_power_dbm(
+                        tx_cfg.tx_power_dbm,
+                        tx_cfg.position,
+                        rx_pos,
+                    ))
                 {
                     queue.schedule_at(arrival, SimEvent::RxStart { node, tx_id });
                     tx.scheduled.insert(node);
@@ -877,7 +815,6 @@ impl SimInner {
             nodes,
             rng,
             faults,
-            pair_cache,
             ..
         } = self;
         let fault_fade_db = if faults.enabled() {
@@ -898,7 +835,8 @@ impl SimInner {
             let end = tx.end + delay;
             if arrival <= window_start && end > window_start {
                 let overlap = end.min(window_end) - window_start;
-                let mean = pair_cache.mean_dbm(env, nodes, tx.from, node);
+                let mean =
+                    env.mean_received_power_dbm(tx_cfg.tx_power_dbm, tx_cfg.position, rx_pos);
                 // Reachability cull, RNG-free and pre-draw: an inaudible
                 // interferer is skipped before its fading realisation, in
                 // both delivery modes alike.
@@ -1211,9 +1149,27 @@ impl SimInner {
         }
     }
 
+    /// Drops transmissions that ended more than [`TX_RETENTION`] ago. Lazy
+    /// but exact: while `now <= gc_due`, the earliest `end + TX_RETENTION`,
+    /// the `retain` below would keep every transmission, so it is skipped.
     fn gc(&mut self) {
         let now = self.now();
+        if now <= self.gc_due {
+            invariant!(
+                self.txs.values().all(|tx| tx.end + TX_RETENTION >= now),
+                "tx-gc",
+                "a transmission outlived its retention before {}",
+                self.gc_due
+            );
+            return;
+        }
         self.txs.retain(|_, tx| tx.end + TX_RETENTION >= now);
+        self.gc_due = self
+            .txs
+            .values()
+            .map(|tx| tx.end + TX_RETENTION)
+            .min()
+            .unwrap_or(Instant::MAX);
     }
 }
 
@@ -1244,6 +1200,7 @@ impl World {
                 env,
                 nodes: Vec::new(),
                 txs: BTreeMap::new(),
+                gc_due: Instant::MAX,
                 next_tx_id: 0,
                 rng,
                 trace: Trace::disabled(),
@@ -1251,7 +1208,6 @@ impl World {
                 faults: FaultState::disabled(),
                 delivery_mode: DeliveryMode::default(),
                 listeners: vec![Vec::new(); usize::from(Channel::COUNT)],
-                pair_cache: PairCache::new(),
                 delivery: None,
             },
             nodes: Vec::new(),
@@ -1387,10 +1343,10 @@ impl World {
     }
 
     /// Mutable access to the environment (e.g. to move walls mid-run).
-    /// Conservatively stales the pair cache — the caller may change
-    /// anything the mean power depends on.
+    /// Link means are computed when used, so every later power and cull
+    /// decision sees the change; arrivals already scheduled keep their
+    /// propagation delay.
     pub fn env_mut(&mut self) -> &mut Environment {
-        self.inner.pair_cache.invalidate();
         &mut self.inner.env
     }
 
@@ -1474,11 +1430,12 @@ impl World {
         self.inner.node_state(node).config.position
     }
 
-    /// Moves a node (used by the distance-sweep experiments). Stales the
-    /// pair cache so every link mean is recomputed on next use.
+    /// Moves a node (used by the distance-sweep experiments). Link means
+    /// are computed when used, so every later power and cull decision sees
+    /// the new position; arrivals already scheduled keep their propagation
+    /// delay.
     pub fn set_node_position(&mut self, node: NodeId, position: Position) {
         self.inner.node_state_mut(node).config.position = position;
-        self.inner.pair_cache.invalidate();
     }
 
     /// Runs a closure with a [`NodeCtx`] for `node` — the way device state

@@ -822,3 +822,54 @@ fn delivery_order_is_stable_across_identically_seeded_worlds() {
         );
     }
 }
+
+#[test]
+fn long_frame_still_interferes_after_a_later_short_frame_is_collected() {
+    // Frames end out of start order: a 255-byte frame (100..2204 µs) starts
+    // before a 1-byte one (200..272 µs). The short frame is collected once
+    // its retention passes (272 µs + 1 ms); the long one must survive that
+    // collection and corrupt a lock that opens at 1500 µs. Without the long
+    // frame the same lock is clean, so the corruption is its interference.
+    const AA2: AccessAddress = AccessAddress::new(0x71A4_0C5E);
+    let scenario = |mode: ble_phy::DeliveryMode, long_frame: bool| {
+        let mut sim = World::new(Environment::ideal(), SimRng::seed_from(5));
+        sim.set_delivery_mode(mode);
+        let mut long = Recorder::default();
+        if long_frame {
+            long.on_timer_tx.push((1, CH, frame(&[0x11; 255])));
+        }
+        let l = sim.add_node(NodeConfig::new("long", Position::new(0.5, 0.0)), long);
+        let mut short = Recorder::default();
+        short.on_timer_tx.push((1, CH, frame(&[0x22])));
+        let s = sim.add_node(NodeConfig::new("short", Position::new(0.0, 1.0)), short);
+        let mut victim = Recorder::default();
+        victim
+            .on_timer_tx
+            .push((1, CH, RawFrame::new(AA2, [0x33; 4], 0xABCDEF)));
+        let v = sim.add_node(NodeConfig::new("victim", Position::new(8.0, 0.0)), victim);
+        let mut rx = Recorder::default();
+        rx.on_timer_rx
+            .push((2, CH, AccessFilter::One(AA2), 0xABCDEF));
+        let r = sim.add_node(NodeConfig::new("rx", Position::ORIGIN), rx);
+        for (id, at_us) in [(l, 100), (s, 200), (v, 1_500)] {
+            sim.with_ctx(id, |ctx| {
+                ctx.set_timer_at(Instant::from_micros(at_us), TimerKey(1));
+            });
+        }
+        sim.with_ctx(r, |ctx| {
+            ctx.set_timer_at(Instant::from_micros(1_400), TimerKey(2));
+        });
+        sim.run_for(Duration::from_millis(3));
+        let rec = recorder(&sim, r);
+        assert_eq!(rec.received().len(), 1, "the victim frame is delivered");
+        assert_eq!(rec.received()[0].pdu.len(), 4, "the lock is on the victim");
+        assert_eq!(
+            rec.received()[0].crc_ok,
+            !long_frame,
+            "the long frame decides the lock's fate"
+        );
+        rx_log(&sim, r)
+    };
+    in_both_modes(|mode| scenario(mode, true));
+    in_both_modes(|mode| scenario(mode, false));
+}

@@ -11,7 +11,9 @@
 //! The oracle check runs randomized dense worlds — nodes that transmit,
 //! retune, and close their receivers at random times on random channels —
 //! under both modes at fixed seeds and compares the full telemetry trace
-//! plus every node's received-event log. Worlds use both the indoor
+//! plus every node's received-event log. Frames carry either a fixed
+//! payload or mixed 1–255 B payloads, so frames also end out of start
+//! order and are collected out of order. Worlds use both the indoor
 //! environment (cull never fires) and the dense hall at stadium scale (cull
 //! active on far pairs), so equivalence is pinned on both sides of the
 //! horizon.
@@ -33,13 +35,37 @@ const CRC_INIT: u32 = 0xABCDEF;
 /// RNG, so any divergence between delivery modes cascades into the log.
 struct Chatterbox {
     marker: u8,
+    payload: Payload,
     log: Vec<String>,
 }
 
+/// Payload lengths of a randomized world's frames.
+#[derive(Clone, Copy)]
+enum Payload {
+    /// Every frame carries 12 bytes, so frames end in the order they start.
+    Fixed,
+    /// Each frame draws 1–255 bytes (up to ~2.1 ms on air), so a long frame
+    /// outlives short ones that started after it.
+    Mixed,
+}
+
+impl Payload {
+    /// Spread of the gap between a node's actions. Mixed worlds act ten
+    /// times less often so that some ~1 ms locks complete before their
+    /// receiver retunes, transmits or closes.
+    fn max_gap_us(self) -> u64 {
+        match self {
+            Payload::Fixed => 300,
+            Payload::Mixed => 3_000,
+        }
+    }
+}
+
 impl Chatterbox {
-    fn new(marker: u8) -> Self {
+    fn new(marker: u8, payload: Payload) -> Self {
         Chatterbox {
             marker,
+            payload,
             log: Vec::new(),
         }
     }
@@ -52,7 +78,11 @@ impl RadioListener for Chatterbox {
             let channel = Channel::data_wrapped(u8::try_from(ctx.rng().below(37)).unwrap());
             match ctx.rng().below(10) {
                 0..=3 if !ctx.is_transmitting() => {
-                    let frame = RawFrame::new(AA, vec![self.marker; 12], CRC_INIT);
+                    let len = match self.payload {
+                        Payload::Fixed => 12,
+                        Payload::Mixed => 1 + usize::try_from(ctx.rng().below(255)).unwrap(),
+                    };
+                    let frame = RawFrame::new(AA, vec![self.marker; len], CRC_INIT);
                     ctx.transmit(channel, frame);
                 }
                 4..=7 if !ctx.is_transmitting() => {
@@ -61,7 +91,7 @@ impl RadioListener for Chatterbox {
                 8 => ctx.stop_rx(),
                 _ => {}
             }
-            let delay = 50 + ctx.rng().below(300);
+            let delay = 50 + ctx.rng().below(self.payload.max_gap_us());
             ctx.set_timer_local(Duration::from_micros(delay), TimerKey(1));
         }
     }
@@ -74,6 +104,7 @@ fn run_world(
     nodes: usize,
     span_m: f64,
     env: Environment,
+    payload: Payload,
     mode: DeliveryMode,
 ) -> Vec<String> {
     let mut sim = World::new(env, SimRng::seed_from(seed));
@@ -89,7 +120,7 @@ fn run_world(
         let marker = u8::try_from(i % 251).unwrap();
         ids.push(sim.add_node(
             NodeConfig::new(format!("n{i}"), Position::new(x, y)),
-            Chatterbox::new(marker),
+            Chatterbox::new(marker, payload),
         ));
     }
     // Staggered first ticks so transmissions overlap but never start in
@@ -118,31 +149,23 @@ fn run_world(
 fn sharded_delivery_matches_the_broadcast_oracle_indoors() {
     // Indoor scale: every pair is far inside the cull horizon, so this
     // pins pure scheduling equivalence (listener index + pending scan).
-    for seed in [3u64, 41, 1234] {
-        let broadcast = run_world(
-            seed,
-            16,
-            30.0,
-            Environment::indoor_default(),
-            DeliveryMode::FullBroadcast,
-        );
-        let sharded = run_world(
-            seed,
-            16,
-            30.0,
-            Environment::indoor_default(),
-            DeliveryMode::Sharded,
-        );
-        assert!(
-            broadcast
-                .iter()
-                .any(|l| l.contains("RxEnd") || l.contains("rx-end")),
-            "world must actually deliver frames (seed {seed})"
-        );
-        assert_eq!(
-            broadcast, sharded,
-            "sharded delivery diverged from the broadcast oracle (seed {seed})"
-        );
+    for payload in [Payload::Fixed, Payload::Mixed] {
+        for seed in [3u64, 41, 1234] {
+            let world =
+                |mode| run_world(seed, 16, 30.0, Environment::indoor_default(), payload, mode);
+            let broadcast = world(DeliveryMode::FullBroadcast);
+            let sharded = world(DeliveryMode::Sharded);
+            assert!(
+                broadcast
+                    .iter()
+                    .any(|l| l.contains("RxEnd") || l.contains("rx-end")),
+                "world must actually deliver frames (seed {seed})"
+            );
+            assert_eq!(
+                broadcast, sharded,
+                "sharded delivery diverged from the broadcast oracle (seed {seed})"
+            );
+        }
     }
 }
 
@@ -151,25 +174,15 @@ fn sharded_delivery_matches_the_broadcast_oracle_with_active_culling() {
     // Stadium scale in the dense hall: the ~300 m cull horizon cuts
     // through the node cloud, so both reachable and culled pairs are
     // exercised — the cull must fire identically in both modes.
-    for seed in [7u64, 99] {
-        let broadcast = run_world(
-            seed,
-            24,
-            800.0,
-            Environment::dense_hall(),
-            DeliveryMode::FullBroadcast,
-        );
-        let sharded = run_world(
-            seed,
-            24,
-            800.0,
-            Environment::dense_hall(),
-            DeliveryMode::Sharded,
-        );
-        assert_eq!(
-            broadcast, sharded,
-            "culling diverged between delivery modes (seed {seed})"
-        );
+    for payload in [Payload::Fixed, Payload::Mixed] {
+        for seed in [7u64, 99] {
+            let world = |mode| run_world(seed, 24, 800.0, Environment::dense_hall(), payload, mode);
+            assert_eq!(
+                world(DeliveryMode::FullBroadcast),
+                world(DeliveryMode::Sharded),
+                "culling diverged between delivery modes (seed {seed})"
+            );
+        }
     }
 }
 

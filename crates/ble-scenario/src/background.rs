@@ -69,7 +69,7 @@ impl RadioListener for BackgroundTx {
     fn on_event(&mut self, ctx: &mut NodeCtx<'_>, event: RadioEvent) {
         if let RadioEvent::Timer { .. } = event {
             if !ctx.is_transmitting() {
-                let frame = RawFrame::new(self.schedule.aa, vec![0x42; 22], self.schedule.crc_init);
+                let frame = RawFrame::new(self.schedule.aa, [0x42; 22], self.schedule.crc_init);
                 ctx.transmit(Channel::data_wrapped(self.channel), frame);
                 self.sent += 1;
             }

@@ -117,14 +117,16 @@ const BINARIES: &[BinSpec] = &[
 ];
 
 /// The per-push fast subset: one parallel sweep, one ablation, the
-/// scenario acceptance binary and the fault ablation (the only binary that
-/// installs fault plans) — enough to catch a reintroduced nondeterminism
+/// scenario acceptance binary, the fault ablation (the only binary that
+/// installs fault plans) and the dense band (the only one that drives the
+/// medium at ~1,000 nodes) — enough to catch a reintroduced nondeterminism
 /// source without the full sweep's wall time.
 const FAST_SUBSET: &[&str] = &[
     "exp1_hop_interval",
     "ablation_phy2m",
     "scenarios",
     "ablation_faults",
+    "exp6_dense_band",
 ];
 
 /// Binaries that additionally run through the streaming campaign path
