@@ -2,9 +2,9 @@
 //! per simulated second of a victim connection, and per complete injection
 //! trial — the numbers that size the Figure 9 sweeps.
 
-use bench::rig::{ExperimentRig, RigConfig};
 use bench::telemetry::TelemetryMode;
 use bench::trial::{run_trial, TrialConfig};
+use ble_scenario::ScenarioBuilder;
 use criterion::{criterion_group, criterion_main, Criterion};
 use simkit::Duration;
 
@@ -14,13 +14,13 @@ fn bench_connection_simulation(c: &mut Criterion) {
     group.bench_function("one_second_of_connection", |b| {
         b.iter_batched(
             || {
-                let mut rig = ExperimentRig::new(99, &RigConfig::default());
-                rig.wait_synchronised(Duration::from_secs(20));
-                rig
+                let mut sc = ScenarioBuilder::paper_rig(99).build();
+                sc.wait_synchronised(Duration::from_secs(20));
+                sc
             },
-            |mut rig| {
-                rig.scenario.run_for(Duration::from_secs(1));
-                std::hint::black_box(rig.scenario.now())
+            |mut sc| {
+                sc.run_for(Duration::from_secs(1));
+                std::hint::black_box(sc.now())
             },
             criterion::BatchSize::LargeInput,
         )
@@ -32,14 +32,16 @@ fn bench_full_injection_trial(c: &mut Criterion) {
     let mut group = c.benchmark_group("attack");
     group.sample_size(10);
     group.bench_function("injection_trial_to_first_success", |b| {
+        // Telemetry off: this benchmark prices the simulator itself and
+        // doubles as the no-regression check for disabled telemetry.
+        let cfg = TrialConfig {
+            telemetry: TelemetryMode::Off,
+            ..TrialConfig::default()
+        };
         let mut seed = 0u64;
         b.iter(|| {
             seed += 1;
-            // Telemetry off: this benchmark prices the simulator itself and
-            // doubles as the no-regression check for disabled telemetry.
-            let mut cfg = TrialConfig::new(7_000 + seed);
-            cfg.telemetry = TelemetryMode::Off;
-            std::hint::black_box(run_trial(&cfg))
+            std::hint::black_box(run_trial(ScenarioBuilder::paper_rig(7_000 + seed), &cfg))
         })
     });
     group.finish();

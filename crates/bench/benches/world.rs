@@ -8,11 +8,11 @@
 //! `dispatch_frames` adds the radio path (transmit → propagation → lock →
 //! delivery) between two nodes.
 
-use bench::rig::{ExperimentRig, RigConfig};
 use ble_phy::{
     AccessAddress, AccessFilter, Channel, Environment, NodeConfig, NodeCtx, Position, RadioEvent,
     RadioListener, RawFrame, Simulation, TimerKey,
 };
+use ble_scenario::ScenarioBuilder;
 use criterion::{criterion_group, criterion_main, Criterion};
 use simkit::{Duration, SimRng};
 
@@ -67,12 +67,11 @@ impl RadioListener for Sink {
 }
 
 fn bench_construct(c: &mut Criterion) {
-    let cfg = RigConfig::default();
     c.bench_function("world/construct_rig", |b| {
         let mut seed = 0u64;
         b.iter(|| {
             seed = seed.wrapping_add(1);
-            std::hint::black_box(ExperimentRig::new(seed, &cfg));
+            std::hint::black_box(ScenarioBuilder::paper_rig(seed).build());
         });
     });
 }

@@ -22,7 +22,8 @@
 //! abandoned by the attacker's bounded retry loop instead of idling out
 //! the whole simulation budget.
 
-use bench::{print_series, run_point, Cli, SeriesReport, TrialConfig};
+use bench::{print_series, run_point, run_trial, Cli, SeriesReport, TrialConfig};
+use ble_scenario::ScenarioBuilder;
 use injectable::ResyncPolicy;
 use simkit::{Duration, FaultPlan, FrameLossRule, Instant, InterferenceBurst};
 
@@ -38,13 +39,6 @@ fn tight_resync() -> ResyncPolicy {
         backoff_cap: Duration::from_secs(2),
         max_retries: 4,
     }
-}
-
-fn base_cfg(seed: u64) -> TrialConfig {
-    let mut cfg = TrialConfig::new(seed);
-    cfg.sim_budget = Duration::from_secs(60);
-    cfg.rig.resync = Some(tight_resync());
-    cfg
 }
 
 /// Jams all 37 data channels for `duty` of every 100 ms period, at a power
@@ -89,13 +83,28 @@ fn sweep(
     seed_base: u64,
     plan_for: impl Fn(f64) -> FaultPlan,
 ) -> Vec<SeriesReport> {
+    let cfg = TrialConfig {
+        sim_budget: Duration::from_secs(60),
+        ..TrialConfig::default()
+    };
     let mut rows = Vec::new();
     for (i, &level) in levels.iter().enumerate() {
-        let mut cfg = base_cfg(seed_base + i as u64);
-        if level > 0.0 {
-            cfg.rig.faults = Some(plan_for(level));
-        }
-        rows.push(run_point(cli, "ablation_faults", parameter, level, &cfg));
+        let plan = (level > 0.0).then(|| plan_for(level));
+        let rig = |seed| {
+            let rig = ScenarioBuilder::paper_rig(seed).attacker_resync(tight_resync());
+            match &plan {
+                Some(plan) => rig.faults(plan.clone()),
+                None => rig,
+            }
+        };
+        rows.push(run_point(
+            cli,
+            "ablation_faults",
+            parameter,
+            level,
+            seed_base + i as u64,
+            |seed| run_trial(rig(seed), &cfg),
+        ));
         eprintln!("{parameter} {level}: done");
     }
     rows

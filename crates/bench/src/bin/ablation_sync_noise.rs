@@ -7,22 +7,27 @@
 //! margin `w_slave − w_attacker`, which is only a few µs at small hop
 //! intervals. Better timestamps ⇒ cheaper attacks.
 
-use bench::{print_series_to, run_point, Cli, TrialConfig};
+use bench::{print_series_to, run_point, run_trial, Cli, TrialConfig};
+use ble_scenario::ScenarioBuilder;
 
 fn main() {
     let cli = Cli::parse(25);
     let base = cli.seed_base(13_000);
+    let cfg = TrialConfig::default();
     let mut rows = Vec::new();
     for noise_us in [0.5f64, 2.0, 4.0, 8.0, 16.0] {
-        let mut cfg = TrialConfig::new(base + (noise_us * 10.0) as u64);
-        cfg.rig.hop_interval = 25; // the tightest margin of experiment 1
-        cfg.rig.attacker_anchor_noise_us = Some(noise_us);
+        let rig = |seed| {
+            ScenarioBuilder::paper_rig(seed)
+                .hop_interval(25) // the tightest margin of experiment 1
+                .attacker_anchor_noise_us(noise_us)
+        };
         rows.push(run_point(
             &cli,
             "ablation_sync_noise",
             "noise_us",
             noise_us,
-            &cfg,
+            base + (noise_us * 10.0) as u64,
+            |seed| run_trial(rig(seed), &cfg),
         ));
         eprintln!("anchor noise {noise_us} µs: done");
     }

@@ -12,9 +12,10 @@
 //! the attacker's cost (attempts to first success, success rate within the
 //! budget) and the victim's health (connection drops during the campaign).
 
-use bench::rig::{ExperimentRig, RigConfig};
 use bench::stats::Summary;
 use bench::{Cli, SeriesReport, TrialOutcome};
+use ble_devices::Lightbulb;
+use ble_scenario::ScenarioBuilder;
 use injectable::Mission;
 use simkit::Duration;
 
@@ -36,36 +37,35 @@ fn run_point(scale: f64, trials: u64, base: u64) -> Row {
     // work is paid once instead of per trial.
     let payload = bench::trial::canonical_write_payload();
     for i in 0..trials {
-        let cfg = RigConfig {
-            widening_scale: scale,
-            ..RigConfig::default()
-        };
         let seed = base + i * 7 + (scale * 1000.0) as u64;
-        let mut rig = ExperimentRig::new(seed, &cfg);
-        if !rig.wait_synchronised(Duration::from_secs(30)) {
+        let mut sc = ScenarioBuilder::paper_rig(seed)
+            .widening_scale(scale)
+            .build();
+        if !sc.wait_synchronised(Duration::from_secs(30)) {
             continue;
         }
-        rig.attacker_mut().arm(Mission::InjectRaw {
+        sc.attacker_mut().arm(Mission::InjectRaw {
             llid: ble_link::Llid::StartOrComplete,
             payload: payload.clone(),
             wanted_successes: 1,
         });
-        let deadline = rig.scenario.now() + Duration::from_secs(60);
-        while rig.scenario.now() < deadline {
-            rig.scenario.run_for(Duration::from_millis(200));
-            if rig.attacker().stats().successes() >= 1 {
+        let deadline = sc.now() + Duration::from_secs(60);
+        while sc.now() < deadline {
+            sc.run_for(Duration::from_millis(200));
+            if sc.attacker().stats().successes() >= 1 {
                 break;
             }
         }
-        let first_success = rig.attacker().stats().attempts_to_first_success();
+        let first_success = sc.attacker().stats().attempts_to_first_success();
         if let Some(a) = first_success {
             attempts.push(a);
         }
-        victim_drops += rig.bulb().disconnections as u32;
+        let bulb = sc.victim::<Lightbulb>();
+        victim_drops += bulb.disconnections as u32;
         outcomes.push(TrialOutcome {
             attempts: first_success,
-            sim_seconds: rig.scenario.now().as_micros_f64() / 1e6,
-            effect_observed: rig.bulb().app.pings > 0,
+            sim_seconds: sc.now().as_micros_f64() / 1e6,
+            effect_observed: bulb.app.pings > 0,
             metrics: None,
             telemetry_downgraded: false,
         });

@@ -4,22 +4,25 @@
 //! 25 trials each.
 
 use bench::trial::raw_payload_of_len;
-use bench::{print_series_to, run_point, Cli, TrialConfig};
+use bench::{print_series_to, run_point, run_trial, Cli, TrialConfig};
+use ble_scenario::ScenarioBuilder;
 
 fn main() {
     let cli = Cli::parse(25);
     let base = cli.seed_base(2_000);
     let mut rows = Vec::new();
     for size in [4usize, 9, 14, 16] {
-        let mut cfg = TrialConfig::new(base + size as u64);
-        cfg.rig.hop_interval = 75;
-        cfg.payload = raw_payload_of_len(size);
+        let cfg = TrialConfig {
+            payload: raw_payload_of_len(size),
+            ..TrialConfig::default()
+        };
         rows.push(run_point(
             &cli,
             "exp2_payload_size",
             "payload_bytes",
             size as f64,
-            &cfg,
+            base + size as u64,
+            |seed| run_trial(ScenarioBuilder::paper_rig(seed).hop_interval(75), &cfg),
         ));
         eprintln!("payload {size} B: done");
     }

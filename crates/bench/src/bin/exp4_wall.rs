@@ -1,19 +1,32 @@
 //! Figure 9, wall experiment: injection attempts with the attacker behind
 //! a wall at 2–8 m (paper §VII-C, final paragraph).
 
-use bench::{print_series_to, run_point, Cli, TrialConfig};
+use bench::{print_series_to, run_point, run_trial, Cli, TrialConfig};
+use ble_scenario::ScenarioBuilder;
 
 fn main() {
     let cli = Cli::parse(25);
     let base = cli.seed_base(4_000);
+    let cfg = TrialConfig {
+        sim_budget: simkit::Duration::from_secs(240),
+        ..TrialConfig::default()
+    };
     let mut rows = Vec::new();
     for distance in [2.0f64, 4.0, 6.0, 8.0] {
-        let mut cfg = TrialConfig::new(base + distance as u64);
-        cfg.rig.hop_interval = 36;
-        cfg.rig.attacker_distance = distance;
-        cfg.rig.wall_db = Some(8.0);
-        cfg.sim_budget = simkit::Duration::from_secs(240);
-        rows.push(run_point(&cli, "exp4_wall", "distance_m", distance, &cfg));
+        let rig = |seed| {
+            ScenarioBuilder::paper_rig(seed)
+                .hop_interval(36)
+                .attacker_distance(distance)
+                .wall_db(8.0)
+        };
+        rows.push(run_point(
+            &cli,
+            "exp4_wall",
+            "distance_m",
+            distance,
+            base + distance as u64,
+            |seed| run_trial(rig(seed), &cfg),
+        ));
         eprintln!("wall distance {distance} m: done");
     }
     print_series_to(

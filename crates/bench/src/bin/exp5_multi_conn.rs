@@ -8,18 +8,22 @@
 //! Central, so the swept axis is "how many live connections share the
 //! Central's radio and packet pool while the attack runs".
 
-use bench::trial::{canonical_write_payload, trial_seed, TrialOutcome};
-use bench::{print_series_to, Cli, SeriesReport};
+use bench::trial::STALL_TICKS;
+use bench::{
+    attack, print_series_to, run_point, Bounce, Cli, StallWatchdog, TrialConfig, TrialOutcome,
+};
 use ble_devices::Lightbulb;
-use ble_link::Llid;
 use ble_scenario::ScenarioBuilder;
-use injectable::Mission;
 use simkit::Duration;
+
+/// Sync-phase ticks (100 ms each) without a followed connection before
+/// the target link is bounced.
+const UNFOLLOWED_TICKS: u32 = 30;
 
 /// One multi-connection trial: bring up `conns` concurrent connections,
 /// aim the attacker at the newest one, inject until the first confirmed
 /// success or the budget runs out.
-fn run_multi_conn_trial(seed: u64, conns: usize) -> TrialOutcome {
+fn run_multi_conn_trial(seed: u64, conns: usize, cfg: &TrialConfig) -> TrialOutcome {
     let mut sc = ScenarioBuilder::paper_rig(seed)
         .multi_peripheral(conns)
         .build();
@@ -33,104 +37,53 @@ fn run_multi_conn_trial(seed: u64, conns: usize) -> TrialOutcome {
         sc.central().conn_handles()[0]
     };
     assert!(sc.aim_attacker_at(target), "fresh handle cannot be stale");
-    let failed = |sc: &ble_scenario::Scenario| TrialOutcome {
-        attempts: None,
-        sim_seconds: sc.now().as_micros_f64() / 1e6,
-        effect_observed: false,
-        metrics: None,
-        telemetry_downgraded: false,
-    };
     // Serial establishment: every slot must hold a live connection before
     // the attack phase starts, or the row would not measure `conns`
     // concurrent connections at all.
-    if !sc.wait_connections(conns, Duration::from_secs(120)) {
-        return failed(&sc);
-    }
-    // Attacker synchronisation against the target connection. The sniffer
-    // scans one advertising channel at a time, so it usually misses the
-    // target's one CONNECT_IND during serial bring-up — and an established
-    // slot never sends another. Bounce the target link whenever the
-    // attacker has gone a while without following: the slot auto-reconnects
-    // with a fresh CONNECT_IND for the sniffer to latch.
-    let sync_deadline = sc.now() + Duration::from_secs(120);
-    let mut unfollowed_ticks = 0u32;
-    let synced = loop {
-        if sc.now() >= sync_deadline {
-            break false;
-        }
-        sc.run_for(Duration::from_millis(100));
-        let following = sc
-            .attacker()
-            .connection()
-            .map(|c| c.has_slave_seq())
-            .unwrap_or(false);
-        if following && sc.live_connections() >= conns {
-            break true;
-        }
-        if sc.attacker().connection().is_some() {
-            unfollowed_ticks = 0;
-        } else {
-            unfollowed_ticks += 1;
-            if unfollowed_ticks >= 30 {
-                unfollowed_ticks = 0;
-                // Each bounce releases the slot and bumps its generation:
-                // re-fetch the current handle instead of re-using the stale
-                // build-time one.
-                let slot = target.index();
-                if let Some(current) = sc.central().conn_manager().handle_at(slot) {
-                    sc.bounce_connection(current);
-                }
-                let attacker_id = sc.attacker_id.expect("paper rig has an attacker");
-                sc.world
-                    .with_node_ctx::<injectable::Attacker, _>(attacker_id, |a, ctx| {
-                        a.restart_resync(ctx)
-                    });
+    let mut synced = sc.wait_connections(conns, Duration::from_secs(120));
+    if synced {
+        // Attacker synchronisation against the target connection. The
+        // sniffer scans one advertising channel at a time, so it usually
+        // misses the target's one CONNECT_IND during serial bring-up — and
+        // an established slot never sends another. Bounce the target link
+        // whenever the attacker has gone a while without following: the
+        // slot auto-reconnects with a fresh CONNECT_IND for the sniffer.
+        let deadline = sc.now() + Duration::from_secs(120);
+        let mut watchdog = StallWatchdog::new(UNFOLLOWED_TICKS, Bounce::Slot(target.index()));
+        synced = loop {
+            if sc.now() >= deadline {
+                break false;
             }
-        }
-    };
-    if !synced {
-        return failed(&sc);
+            sc.run_for(Duration::from_millis(100));
+            let following = sc
+                .attacker()
+                .connection()
+                .map(|c| c.has_slave_seq())
+                .unwrap_or(false);
+            if following && sc.live_connections() >= conns {
+                break true;
+            }
+            watchdog.tick(&mut sc);
+        };
     }
-    sc.attacker_mut().arm(Mission::InjectRaw {
-        llid: Llid::StartOrComplete,
-        payload: canonical_write_payload(),
-        wanted_successes: 1,
-    });
-    let deadline = sc.now() + Duration::from_secs(120);
     let mut attempts = None;
-    let mut stalled_ticks = 0u32;
-    while sc.now() < deadline {
-        sc.run_for(Duration::from_millis(200));
-        if sc.attacker().stats().successes() >= 1 {
-            attempts = sc.attacker().stats().attempts_to_first_success();
-            break;
-        }
-        if sc.attacker().resync_exhausted() {
-            break;
-        }
+    let mut effect_observed = false;
+    if synced {
         // The Central re-establishes dropped slots on its own (fresh
         // CONNECT_IND), so a desynchronised attacker only needs its scan
-        // campaign restarted — no harness-side bounce.
-        if sc.attacker().connection().is_some() {
-            stalled_ticks = 0;
+        // restarted.
+        attempts = attack(
+            &mut sc,
+            cfg,
+            Some(StallWatchdog::new(STALL_TICKS, Bounce::Resync)),
+        );
+        // Observable effect on the *target* peripheral's application.
+        effect_observed = if conns > 1 {
+            sc.extra_peripheral::<Lightbulb>(conns - 2).app.pings > 0
         } else {
-            stalled_ticks += 1;
-            if stalled_ticks >= 10 {
-                stalled_ticks = 0;
-                let attacker_id = sc.attacker_id.expect("paper rig has an attacker");
-                sc.world
-                    .with_node_ctx::<injectable::Attacker, _>(attacker_id, |a, ctx| {
-                        a.restart_resync(ctx)
-                    });
-            }
-        }
+            sc.victim::<Lightbulb>().app.pings > 0
+        };
     }
-    // Observable effect on the *target* peripheral's application.
-    let effect_observed = if conns > 1 {
-        sc.extra_peripheral::<Lightbulb>(conns - 2).app.pings > 0
-    } else {
-        sc.victim::<Lightbulb>().app.pings > 0
-    };
     TrialOutcome {
         attempts,
         sim_seconds: sc.now().as_micros_f64() / 1e6,
@@ -143,19 +96,17 @@ fn run_multi_conn_trial(seed: u64, conns: usize) -> TrialOutcome {
 fn main() {
     let cli = Cli::parse(25);
     let base = cli.seed_base(5_000);
+    let cfg = TrialConfig::default();
     let mut rows = Vec::new();
     for conns in [1usize, 2, 4, 8] {
-        let row_start = bench::wallclock::Stopwatch::start();
-        // Serial trials: each builds an (up to) 9-node world, and the
-        // multi-connection scheduling is what the row measures — seed
-        // order is the artefact order either way.
-        let outcomes: Vec<TrialOutcome> = (0..cli.trials)
-            .map(|i| run_multi_conn_trial(trial_seed(base + conns as u64, i), conns))
-            .collect();
-        rows.push(
-            SeriesReport::from_outcomes("connections", conns as f64, &outcomes)
-                .with_throughput(row_start.elapsed_s()),
-        );
+        rows.push(run_point(
+            &cli,
+            "exp5_multi_conn",
+            "connections",
+            conns as f64,
+            base + conns as u64,
+            |seed| run_multi_conn_trial(seed, conns, &cfg),
+        ));
         eprintln!("connections {conns}: done");
     }
     print_series_to(

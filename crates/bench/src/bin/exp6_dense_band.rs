@@ -9,125 +9,84 @@
 //! medium schedules per frame (the quantity the channel-sharding rework
 //! keeps independent of world size).
 
-use bench::trial::{canonical_write_payload, trial_seed, TrialOutcome};
-use bench::{print_series_to, Cli, SeriesReport};
+use bench::trial::{STALL_TICKS, SYNC_BUDGET};
+use bench::{
+    attack, print_series_to, run_point, Bounce, Cli, StallWatchdog, TrialConfig, TrialMetrics,
+    TrialOutcome,
+};
 use ble_devices::Lightbulb;
-use ble_link::Llid;
 use ble_phy::Environment;
 use ble_scenario::{ScenarioBuilder, TelemetryMode};
-use injectable::Mission;
 use simkit::Duration;
-
-/// Sim-deterministic band statistics captured alongside one trial.
-struct BandStats {
-    /// Frames put on the air (every transmitter, attacker included).
-    tx_frames: u64,
-    /// `RxStart` events the medium scheduled.
-    scheduled_rx_starts: u64,
-    /// Receptions corrupted by an overlapping transmission.
-    collisions: u64,
-}
 
 /// One dense-band trial: paper rig plus `pairs` background pairs in the
 /// dense hall; inject until the first confirmed success or the budget runs
-/// out.
-fn run_dense_trial(seed: u64, pairs: usize) -> (TrialOutcome, BandStats) {
+/// out. The trial's band statistics ride along as counters: frames put on
+/// the air (every transmitter, attacker included), `RxStart` events the
+/// medium scheduled, and receptions corrupted by an overlapping frame.
+fn run_dense_trial(seed: u64, pairs: usize, cfg: &TrialConfig) -> TrialOutcome {
     let mut sc = ScenarioBuilder::paper_rig(seed)
         .environment(Environment::dense_hall())
         .background_pairs(pairs)
         .delivery_tracker(128)
         .telemetry(TelemetryMode::Metrics)
         .build();
-    let outcome = |sc: &mut ble_scenario::Scenario, attempts, effect_observed| {
-        sc.world.flush_telemetry();
-        let totals = sc.delivery_totals().expect("tracker was enabled");
-        let collisions = sc
-            .metrics()
-            .map(|reg| reg.lock().counter("phy.collision"))
-            .unwrap_or(0);
-        (
-            TrialOutcome {
-                attempts,
-                sim_seconds: sc.now().as_micros_f64() / 1e6,
-                effect_observed,
-                metrics: None,
-                telemetry_downgraded: false,
-            },
-            BandStats {
-                tx_frames: totals.tx_frames,
-                scheduled_rx_starts: totals.scheduled_rx_starts,
-                collisions,
-            },
-        )
-    };
-    if !sc.wait_synchronised(Duration::from_secs(30)) {
-        return outcome(&mut sc, None, false);
-    }
-    sc.attacker_mut().arm(Mission::InjectRaw {
-        llid: Llid::StartOrComplete,
-        payload: canonical_write_payload(),
-        wanted_successes: 1,
-    });
-    let deadline = sc.now() + Duration::from_secs(20);
     let mut attempts = None;
-    let mut stalled_ticks = 0u32;
-    while sc.now() < deadline {
-        sc.run_for(Duration::from_millis(200));
-        if sc.attacker().stats().successes() >= 1 {
-            attempts = sc.attacker().stats().attempts_to_first_success();
-            break;
-        }
-        if sc.attacker().resync_exhausted() {
-            break;
-        }
+    let mut effect_observed = false;
+    if sc.wait_synchronised(SYNC_BUDGET) {
         // Dense-band collisions can cycle the victim connection while the
         // attacker injects blind; the bulb re-advertises and the Central
         // reconnects on its own, so a stalled attacker only needs its scan
-        // campaign restarted.
-        if sc.attacker().connection().is_some() {
-            stalled_ticks = 0;
-        } else {
-            stalled_ticks += 1;
-            if stalled_ticks >= 10 {
-                stalled_ticks = 0;
-                let attacker_id = sc.attacker_id.expect("paper rig has an attacker");
-                sc.world
-                    .with_node_ctx::<injectable::Attacker, _>(attacker_id, |a, ctx| {
-                        a.restart_resync(ctx)
-                    });
-            }
-        }
+        // restarted.
+        attempts = attack(
+            &mut sc,
+            cfg,
+            Some(StallWatchdog::new(STALL_TICKS, Bounce::Resync)),
+        );
+        effect_observed = sc.victim::<Lightbulb>().app.pings > 0;
     }
-    let effect_observed = sc.victim::<Lightbulb>().app.pings > 0;
-    outcome(&mut sc, attempts, effect_observed)
+    sc.world.flush_telemetry();
+    let totals = sc.delivery_totals().expect("tracker was enabled");
+    let collisions = sc
+        .metrics()
+        .map(|reg| reg.lock().counter("phy.collision"))
+        .unwrap_or(0);
+    TrialOutcome {
+        attempts,
+        sim_seconds: sc.now().as_micros_f64() / 1e6,
+        effect_observed,
+        metrics: Some(TrialMetrics::from_counters(vec![
+            ("tx_frames", totals.tx_frames),
+            ("scheduled_rx_starts", totals.scheduled_rx_starts),
+            ("collisions", collisions),
+        ])),
+        telemetry_downgraded: false,
+    }
 }
 
 fn main() {
     let cli = Cli::parse(10);
     let base = cli.seed_base(6_000);
+    let cfg = TrialConfig {
+        sim_budget: Duration::from_secs(20),
+        ..TrialConfig::default()
+    };
     let mut rows = Vec::new();
     for pairs in [8usize, 32, 128, 512] {
-        let row_start = bench::wallclock::Stopwatch::start();
-        // Serial trials: the 512-pair worlds are large, and channel
-        // occupancy is what the row measures — seed order is the artefact
-        // order either way.
-        let mut outcomes = Vec::new();
-        let mut tx_frames = 0u64;
-        let mut scheduled = 0u64;
-        let mut collisions = 0u64;
-        for i in 0..cli.trials {
-            let (o, band) = run_dense_trial(trial_seed(base + pairs as u64, i), pairs);
-            outcomes.push(o);
-            tx_frames += band.tx_frames;
-            scheduled += band.scheduled_rx_starts;
-            collisions += band.collisions;
-        }
-        let frames = tx_frames.max(1) as f64;
+        let row = run_point(
+            &cli,
+            "exp6_dense_band",
+            "background_pairs",
+            pairs as f64,
+            base + pairs as u64,
+            |seed| run_dense_trial(seed, pairs, &cfg),
+        );
+        let frames = row.counter("tx_frames").max(1) as f64;
+        let collisions = row.counter("collisions") as f64 / frames;
+        let scheduled = row.counter("scheduled_rx_starts") as f64 / frames;
         rows.push(
-            SeriesReport::from_outcomes("background_pairs", pairs as f64, &outcomes)
-                .with_extra("co_channel_collision_rate", collisions as f64 / frames)
-                .with_extra("mean_scheduled_rx_starts", scheduled as f64 / frames)
-                .with_throughput(row_start.elapsed_s()),
+            row.with_extra("co_channel_collision_rate", collisions)
+                .with_extra("mean_scheduled_rx_starts", scheduled),
         );
         eprintln!("background_pairs {pairs}: done");
     }

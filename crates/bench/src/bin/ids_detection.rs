@@ -3,9 +3,11 @@
 //!
 //! Measures, over many independent runs: false-positive rate on clean
 //! traffic, and detection rate (+ alerts per attempt) under an InjectaBLE
-//! campaign.
+//! campaign. Run `i` uses seed `base + i` (`--seed` sets the base, default
+//! 11 000), with and without the attack.
 
-use bench::rig::{ExperimentRig, RigConfig};
+use ble_devices::Lightbulb;
+use ble_scenario::ScenarioBuilder;
 use injectable::{DetectorConfig, InjectionDetector, Mission};
 use simkit::Duration;
 
@@ -16,34 +18,30 @@ struct RunResult {
 }
 
 fn run(seed: u64, attack: bool) -> RunResult {
-    let mut rig = ExperimentRig::new(seed, &RigConfig::default());
-    let slave = rig.bulb().ll.address();
+    let mut sc = ScenarioBuilder::paper_rig(seed).build();
+    let slave = sc.victim::<Lightbulb>().ll.address();
     let detector = InjectionDetector::new(DetectorConfig::default()).for_slave(slave);
-    let id = rig.scenario.world.add_node(
+    let id = sc.world.add_node(
         ble_phy::NodeConfig::new("ids", ble_phy::Position::new(1.0, 1.0)),
         detector,
     );
-    rig.scenario.world.start(id);
-    rig.wait_synchronised(Duration::from_secs(30));
-    rig.scenario.run_for(Duration::from_secs(2));
+    sc.world.start(id);
+    sc.wait_synchronised(Duration::from_secs(30));
+    sc.run_for(Duration::from_secs(2));
     if attack {
-        rig.attacker_mut().set_inject_gap(2);
-        rig.attacker_mut().arm(Mission::InjectRaw {
+        sc.attacker_mut().set_inject_gap(2);
+        sc.attacker_mut().arm(Mission::InjectRaw {
             llid: ble_link::Llid::StartOrComplete,
             payload: bench::trial::canonical_write_payload(),
             wanted_successes: 5,
         });
     }
-    rig.scenario.run_for(Duration::from_secs(30));
+    sc.run_for(Duration::from_secs(30));
     let (events, alerts) = {
-        let d = rig
-            .scenario
-            .world
-            .node::<InjectionDetector>(id)
-            .expect("ids node");
+        let d = sc.world.node::<InjectionDetector>(id).expect("ids node");
         (d.events_observed(), d.alerts().len())
     };
-    let attempts = rig.attacker().stats().attempts_total;
+    let attempts = sc.attacker().stats().attempts_total;
     RunResult {
         events,
         alerts,
@@ -52,7 +50,9 @@ fn run(seed: u64, attack: bool) -> RunResult {
 }
 
 fn main() {
-    let runs = bench::Cli::parse(15).trials;
+    let cli = bench::Cli::parse(15);
+    let runs = cli.trials;
+    let base = cli.seed_base(11_000);
     println!();
     println!("=== IDS detection (paper §VIII, countermeasure 3) ===");
     println!();
@@ -62,7 +62,7 @@ fn main() {
         let mut total_events = 0u64;
         let mut total_attempts = 0u64;
         for i in 0..runs {
-            let r = run(11_000 + i, attack);
+            let r = run(base + i, attack);
             detected += u64::from(r.alerts > 0);
             total_alerts += r.alerts;
             total_events += u64::from(r.events);

@@ -25,6 +25,7 @@ use std::process::ExitCode;
 use bench::report::artefact_dir;
 use bench::telemetry::TelemetryMode;
 use bench::trial::{run_trial, TrialConfig};
+use ble_scenario::ScenarioBuilder;
 use ble_telemetry::{parse_line, SpanKind, TelemetryEvent, TelemetryRecord};
 
 fn main() -> ExitCode {
@@ -58,9 +59,11 @@ fn main() -> ExitCode {
     let trace_path = dir.join("profile-trial.jsonl");
 
     println!("[profile] one close-range trial (seed {seed}) with a JSONL sink…");
-    let mut cfg = TrialConfig::new(seed);
-    cfg.telemetry = TelemetryMode::Jsonl(trace_path.clone());
-    let outcome = run_trial(&cfg);
+    let cfg = TrialConfig {
+        telemetry: TelemetryMode::Jsonl(trace_path.clone()),
+        ..TrialConfig::default()
+    };
+    let outcome = run_trial(ScenarioBuilder::paper_rig(seed), &cfg);
     println!(
         "[profile] trial done: attempts={:?} sim_seconds={:.1}",
         outcome.attempts, outcome.sim_seconds

@@ -20,6 +20,7 @@ use std::process::ExitCode;
 use bench::report::artefact_dir;
 use bench::telemetry::TelemetryMode;
 use bench::trial::{run_trial, TrialConfig};
+use ble_scenario::ScenarioBuilder;
 use ble_telemetry::{parse_line, SpanKind, TelemetryEvent, TelemetryRecord};
 
 /// Default cap on rendered event rows (traces run to millions of events).
@@ -51,9 +52,11 @@ fn main() -> ExitCode {
     let path = if demo {
         let out = artefact_dir().join("timeline-demo.jsonl");
         println!("[demo] running one close-range trial with a JSONL sink…");
-        let mut cfg = TrialConfig::new(42);
-        cfg.telemetry = TelemetryMode::Jsonl(out.clone());
-        let outcome = run_trial(&cfg);
+        let cfg = TrialConfig {
+            telemetry: TelemetryMode::Jsonl(out.clone()),
+            ..TrialConfig::default()
+        };
+        let outcome = run_trial(ScenarioBuilder::paper_rig(42), &cfg);
         println!(
             "[demo] trial done: attempts={:?} sim_seconds={:.1}",
             outcome.attempts, outcome.sim_seconds

@@ -1,28 +1,30 @@
-//! Streaming sharded campaign runner: millions of trials, bounded memory.
+//! The campaign engine: every sweep point's trials stream through here.
 //!
-//! [`run_trials_parallel`](crate::trial::run_trials_parallel) materialises
-//! every [`TrialOutcome`] before any aggregation happens, which caps a
-//! series at whatever fits in RAM and loses panicked trials entirely. The
-//! campaign runner shards `count` trials into fixed-size chunks, fans the
-//! chunks out over worker threads, and folds each outcome into a
-//! [`SeriesAccumulator`] **in seed order** the moment its chunk is merged —
-//! no `Vec<TrialOutcome>` ever exists.
+//! [`run_point`] is how an experiment binary runs one sweep point. It
+//! shards the point's trials into chunks, fans the chunks out over worker
+//! threads, and folds each outcome into a [`SeriesAccumulator`] **in seed
+//! order** the moment its chunk is merged — no `Vec<TrialOutcome>` ever
+//! exists, so memory stays flat however many trials a point asks for.
 //!
 //! Determinism: workers may finish chunks in any order, but a reorder
 //! buffer hands chunks to the single merger strictly in ascending chunk
 //! order, and the accumulator folds trials within a chunk in seed order.
-//! Every floating-point sum is therefore evaluated in exactly the order the
-//! in-memory path ([`SeriesReport::from_outcomes`]) uses, so the final
-//! report is byte-identical at a fixed seed regardless of `BENCH_THREADS`.
+//! Every floating-point sum is therefore evaluated in the same order
+//! whatever the thread count, so the report is byte-identical at a fixed
+//! seed regardless of `BENCH_THREADS`. The chunk size is a function of the
+//! trial count alone ([`chunk_size_for`]), never of the thread count.
 //!
-//! Checkpointing: with [`CampaignConfig::checkpoint`] set, the accumulator
-//! plus the next-chunk cursor are appended to a JSONL sidecar every
+//! Checkpointing is opt-in: with [`CampaignConfig::checkpoint`] set (the
+//! binaries' `--checkpoint-dir`), the accumulator plus the next-chunk
+//! cursor are appended to a JSONL sidecar every
 //! [`CampaignConfig::checkpoint_every_chunks`] merged chunks (and once more
 //! when the run stops). A killed campaign resumes from the last complete
 //! line without re-running the chunks it covers; `f64` state is stored as
 //! IEEE-754 bit patterns so the resumed fold is bit-exact. A sidecar whose
 //! header (seed, trial count, chunk size, parameter) does not match the
 //! requested campaign is discarded with a warning, never silently merged.
+//! Without a checkpoint no sidecar is read or written, and every trial is
+//! recomputed.
 
 use std::collections::BTreeMap;
 use std::io::Write as _;
@@ -34,14 +36,20 @@ use crate::cli::Cli;
 use crate::report::SeriesReport;
 use crate::stats::Summary;
 use crate::telemetry::{merge_histogram, merge_phase_profile, HistRow, PhaseProfile};
-use crate::trial::{run_trial, trial_seed, TrialConfig, TrialOutcome};
-
-/// Default trials per chunk. Large enough that channel/reorder overhead is
-/// noise next to a real trial, small enough that a resume re-runs little.
-pub const DEFAULT_CHUNK_SIZE: u64 = 256;
+use crate::trial::{trial_seed, TrialOutcome};
 
 /// Default merged-chunk cadence between checkpoint lines.
 pub const DEFAULT_CHECKPOINT_EVERY: u64 = 16;
+
+/// Trials per chunk for a point of `count` trials: about 64 chunks, at
+/// least 1 and at most 256 trials each. Small points keep one trial per
+/// chunk, so slow trials still balance over the workers; large points
+/// amortise the channel and reorder overhead and re-run little on resume.
+/// A pure function of the count, so a sidecar resumes at any
+/// `BENCH_THREADS`.
+pub fn chunk_size_for(count: u64) -> u64 {
+    count.div_ceil(64).clamp(1, 256)
+}
 
 /// Worker-thread count for a fan-out over `max` parallelisable units:
 /// `BENCH_THREADS` when set (the determinism oracle pins 1 vs. N), else
@@ -68,10 +76,9 @@ pub fn bench_threads(max: u64) -> usize {
 /// `Vec<TrialOutcome>`.
 ///
 /// Fold order matters: `f64` addition is not associative, so byte-identity
-/// with the in-memory path requires folding trials in seed order. The
+/// across thread counts requires folding trials in seed order. The
 /// campaign engine guarantees that; [`SeriesReport::from_outcomes`] is
-/// itself implemented as a sequential fold through this type, so the two
-/// paths cannot drift apart.
+/// itself a sequential fold through this type.
 ///
 /// Memory: everything here is O(1) per trial except `raw`, which keeps one
 /// `u32` per *successful* trial because the artefact format publishes the
@@ -91,6 +98,7 @@ pub struct SeriesAccumulator {
     events_sum: f64,
     events_n: u64,
     phase_profile: Vec<PhaseProfile>,
+    counters: Vec<(String, u64)>,
 }
 
 impl SeriesAccumulator {
@@ -110,6 +118,7 @@ impl SeriesAccumulator {
             events_sum: 0.0,
             events_n: 0,
             phase_profile: Vec::new(),
+            counters: Vec::new(),
         }
     }
 
@@ -126,6 +135,12 @@ impl SeriesAccumulator {
             if m.events_per_sec > 0.0 {
                 self.events_sum += m.events_per_sec;
                 self.events_n = self.events_n.saturating_add(1);
+            }
+            for &(name, n) in &m.counters {
+                match self.counters.iter_mut().find(|(have, _)| have == name) {
+                    Some((_, sum)) => *sum = sum.saturating_add(n),
+                    None => self.counters.push((name.to_string(), n)),
+                }
             }
         }
         if o.unconfirmed_effect() {
@@ -183,6 +198,7 @@ impl SeriesAccumulator {
             telemetry_downgrades: self.telemetry_downgrades,
             panicked_trials: self.panicked,
             phase_profile: self.phase_profile.clone(),
+            counters: self.counters.clone(),
             extras: Vec::new(),
         }
     }
@@ -195,20 +211,22 @@ impl SeriesAccumulator {
 /// One chunk's outcomes in trial order; `None` marks a panicked trial.
 pub type ChunkOutcomes = Vec<Option<TrialOutcome>>;
 
-/// Shards trials `[start_chunk * chunk_size, count)` into chunks, runs them
-/// on worker threads, and hands each chunk to `on_chunk` **strictly in
-/// ascending chunk order**. Stops after merging `max_chunks` chunks when
-/// set (the kill-and-resume hook). Returns the number of chunks merged.
+/// Shards trials `[start_chunk * chunk_size, count)` into chunks, runs
+/// trial `i` as `runner(trial_seed(seed_base, i))` on worker threads, and
+/// hands each chunk to `on_chunk` **strictly in ascending chunk order**.
+/// Stops after merging `max_chunks` chunks when set (the kill-and-resume
+/// hook). Returns the number of chunks merged.
 ///
-/// All cursors are `u64`: a campaign larger than the platform's `usize`
-/// never truncates. The worker→merger channel is *bounded* (a few chunks
-/// per worker), so when trials are cheaper than folds the workers block
-/// instead of buffering the campaign — live outcomes stay at
-/// `O(chunk_size × workers)` regardless of `count`. A single-worker run
-/// skips the channel entirely and executes chunks inline on the caller's
-/// thread; the fold order is identical either way.
+/// A panicking trial is caught, reported on stderr with its seed, and
+/// handed on as `None`. All cursors are `u64`: a campaign larger than the
+/// platform's `usize` never truncates. The worker→merger channel is
+/// *bounded* (a few chunks per worker), so when trials are cheaper than
+/// folds the workers block instead of buffering the campaign — live
+/// outcomes stay at `O(chunk_size × workers)` regardless of `count`. A
+/// single-worker run skips the channel entirely and executes chunks inline
+/// on the caller's thread; the fold order is identical either way.
 pub(crate) fn run_chunked<F, G>(
-    base: &TrialConfig,
+    seed_base: u64,
     count: u64,
     chunk_size: u64,
     start_chunk: u64,
@@ -217,7 +235,7 @@ pub(crate) fn run_chunked<F, G>(
     mut on_chunk: G,
 ) -> u64
 where
-    F: Fn(&TrialConfig) -> TrialOutcome + Sync,
+    F: Fn(u64) -> TrialOutcome + Sync,
     G: FnMut(u64, ChunkOutcomes),
 {
     assert!(chunk_size > 0, "chunk_size must be positive");
@@ -231,15 +249,13 @@ where
     // Workers never claim past the merge target, so an early stop wastes at
     // most the chunks already in flight.
     let stop_chunk = start_chunk + target;
-    let run_one = |base: &TrialConfig, c: u64| -> ChunkOutcomes {
+    let run_one = |c: u64| -> ChunkOutcomes {
         let lo = c.saturating_mul(chunk_size);
         let hi = lo.saturating_add(chunk_size).min(count);
         let mut buf: ChunkOutcomes = Vec::with_capacity(usize::try_from(hi - lo).unwrap_or(0));
         for i in lo..hi {
-            let mut cfg = base.clone();
-            cfg.seed = trial_seed(base.seed, i);
-            let seed = cfg.seed;
-            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| runner(&cfg))) {
+            let seed = trial_seed(seed_base, i);
+            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| runner(seed))) {
                 Ok(outcome) => buf.push(Some(outcome)),
                 Err(_) => {
                     eprintln!(
@@ -260,7 +276,7 @@ where
         // allocates concurrently with the sim, which pushes glibc onto
         // extra malloc arenas and inflates peak RSS at every call.
         for c in start_chunk..stop_chunk {
-            on_chunk(c, run_one(base, c));
+            on_chunk(c, run_one(c));
             merged += 1;
         }
         return merged;
@@ -274,7 +290,6 @@ where
         for _ in 0..threads {
             let next = &next;
             let tx = tx.clone();
-            let base = base.clone();
             let run_one = &run_one;
             scope.spawn(move || loop {
                 let c = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -283,7 +298,7 @@ where
                 }
                 // A closed channel means the merger stopped early; drop the
                 // chunk and exit.
-                if tx.send((c, run_one(&base, c))).is_err() {
+                if tx.send((c, run_one(c))).is_err() {
                     break;
                 }
             });
@@ -312,12 +327,11 @@ where
 // Campaign driver
 // ---------------------------------------------------------------------
 
-/// Knobs for one campaign series.
+/// Checkpoint and stopping knobs for one campaign series.
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
-    /// Trials per chunk (scheduling and checkpoint granularity).
-    pub chunk_size: u64,
-    /// JSONL sidecar for checkpoint/resume; `None` disables checkpointing.
+    /// JSONL sidecar for checkpoint/resume; `None` (the default) neither
+    /// reads nor writes one.
     pub checkpoint: Option<PathBuf>,
     /// Merged chunks between checkpoint lines (a final line is always
     /// written when the run stops, so resume-after-kill only loses work
@@ -331,7 +345,6 @@ pub struct CampaignConfig {
 impl Default for CampaignConfig {
     fn default() -> Self {
         CampaignConfig {
-            chunk_size: DEFAULT_CHUNK_SIZE,
             checkpoint: None,
             checkpoint_every_chunks: DEFAULT_CHECKPOINT_EVERY,
             max_chunks: None,
@@ -339,7 +352,7 @@ impl Default for CampaignConfig {
     }
 }
 
-/// Result of one [`run_campaign`] invocation.
+/// Result of one [`run_campaign_with`] invocation.
 #[derive(Debug, Clone)]
 pub struct CampaignRun {
     /// The series row for everything folded so far (all requested trials
@@ -351,24 +364,12 @@ pub struct CampaignRun {
     pub resumed_at_chunk: Option<u64>,
 }
 
-/// Runs a campaign of `count` trials of `base` (trial `i` seeded with
-/// [`trial_seed`]) through [`run_trial`], streaming outcomes into a
-/// [`SeriesAccumulator`] with optional checkpoint/resume.
-pub fn run_campaign(
-    base: &TrialConfig,
-    count: u64,
-    parameter: &str,
-    value: f64,
-    cfg: &CampaignConfig,
-) -> CampaignRun {
-    run_campaign_with(base, count, parameter, value, cfg, run_trial)
-}
-
-/// [`run_campaign`] with an explicit trial runner — the soak and resume
-/// tests substitute a cheap deterministic synthetic runner so million-trial
-/// campaigns stay affordable.
+/// Runs a campaign of `count` trials, trial `i` as
+/// `runner(trial_seed(seed_base, i))`, streaming outcomes into a
+/// [`SeriesAccumulator`] in chunks of [`chunk_size_for`]`(count)`, with
+/// checkpoint/resume when `cfg.checkpoint` is set.
 pub fn run_campaign_with<F>(
-    base: &TrialConfig,
+    seed_base: u64,
     count: u64,
     parameter: &str,
     value: f64,
@@ -376,14 +377,14 @@ pub fn run_campaign_with<F>(
     runner: F,
 ) -> CampaignRun
 where
-    F: Fn(&TrialConfig) -> TrialOutcome + Sync,
+    F: Fn(u64) -> TrialOutcome + Sync,
 {
-    assert!(cfg.chunk_size > 0, "chunk_size must be positive");
-    let n_chunks = count.div_ceil(cfg.chunk_size);
+    let chunk_size = chunk_size_for(count);
+    let n_chunks = count.div_ceil(chunk_size);
     let header = CampaignHeader {
-        seed: base.seed,
+        seed: seed_base,
         count,
-        chunk_size: cfg.chunk_size,
+        chunk_size,
         parameter: parameter.to_string(),
         value,
     };
@@ -421,9 +422,9 @@ where
     let cadence = cfg.checkpoint_every_chunks.max(1);
     let mut merged_this_run = 0u64;
     let merged = run_chunked(
-        base,
+        seed_base,
         count,
-        cfg.chunk_size,
+        chunk_size,
         start_chunk,
         cfg.max_chunks,
         &runner,
@@ -466,44 +467,38 @@ where
 }
 
 /// Sidecar path for one campaign series point.
-pub fn checkpoint_path(dir: Option<&Path>, exp: &str, parameter: &str, value: f64) -> PathBuf {
-    let dir = dir
-        .map(Path::to_path_buf)
-        .unwrap_or_else(|| crate::report::artefact_dir().join("campaigns"));
+pub fn checkpoint_path(dir: &Path, exp: &str, parameter: &str, value: f64) -> PathBuf {
     dir.join(format!("{exp}_{parameter}_{value}.jsonl"))
 }
 
-/// Runs one sweep point the way every experiment binary does: the
-/// streaming campaign path under `--campaign`, the in-memory
-/// [`run_trials_parallel`](crate::trial::run_trials_parallel) path
-/// otherwise — the two produce byte-identical rows at a fixed seed — and
-/// prices the row's wall-clock throughput either way.
-pub fn run_point(
+/// Runs one sweep point of experiment `exp`: `cli.trials` trials, trial
+/// `i` as `trial(trial_seed(seed_base, i))`, streamed through the campaign
+/// engine. The sidecar lives under `--checkpoint-dir` when one is given
+/// and nowhere otherwise; `--campaign-max-chunks` stops the point early.
+/// The row is priced with its wall-clock throughput.
+pub fn run_point<F>(
     cli: &Cli,
     exp: &str,
     parameter: &str,
     value: f64,
-    base: &TrialConfig,
-) -> SeriesReport {
+    seed_base: u64,
+    trial: F,
+) -> SeriesReport
+where
+    F: Fn(u64) -> TrialOutcome + Sync,
+{
     let row_start = crate::wallclock::Stopwatch::start();
-    let report = if cli.campaign {
-        let ccfg = CampaignConfig {
-            chunk_size: cli.chunk_size.unwrap_or(DEFAULT_CHUNK_SIZE),
-            checkpoint: Some(checkpoint_path(
-                cli.checkpoint_dir.as_deref(),
-                exp,
-                parameter,
-                value,
-            )),
-            checkpoint_every_chunks: DEFAULT_CHECKPOINT_EVERY,
-            max_chunks: cli.campaign_max_chunks,
-        };
-        run_campaign(base, cli.trials, parameter, value, &ccfg).report
-    } else {
-        let series = crate::trial::run_trials_parallel(base, cli.trials);
-        SeriesReport::from_series(parameter, value, &series)
+    let cfg = CampaignConfig {
+        checkpoint: cli
+            .checkpoint_dir
+            .as_deref()
+            .map(|dir| checkpoint_path(dir, exp, parameter, value)),
+        max_chunks: cli.campaign_max_chunks,
+        ..CampaignConfig::default()
     };
-    report.with_throughput(row_start.elapsed_s())
+    run_campaign_with(seed_base, cli.trials, parameter, value, &cfg, trial)
+        .report
+        .with_throughput(row_start.elapsed_s())
 }
 
 // ---------------------------------------------------------------------
@@ -521,8 +516,8 @@ struct CampaignHeader {
     value: f64,
 }
 
-/// Sidecar format version.
-const CHECKPOINT_VERSION: u64 = 1;
+/// Sidecar format version (2 added the per-trial counters).
+const CHECKPOINT_VERSION: u64 = 2;
 
 fn f64_bits_hex(v: f64) -> String {
     format!("{:016x}", v.to_bits())
@@ -559,8 +554,9 @@ fn hist_checkpoint_json(h: Option<&HistogramUs>) -> String {
 
 fn checkpoint_line(header: &CampaignHeader, next_chunk: u64, acc: &SeriesAccumulator) -> String {
     debug_assert!(
-        !header.parameter.contains(['"', '\\']),
-        "parameter names are plain identifiers"
+        !header.parameter.contains(['"', '\\'])
+            && acc.counters.iter().all(|(n, _)| !n.contains(['"', '\\'])),
+        "parameter and counter names are plain identifiers"
     );
     let raw: Vec<String> = acc.raw.iter().map(u32::to_string).collect();
     let phases: Vec<String> = acc
@@ -574,12 +570,17 @@ fn checkpoint_line(header: &CampaignHeader, next_chunk: u64, acc: &SeriesAccumul
             )
         })
         .collect();
+    let counters: Vec<String> = acc
+        .counters
+        .iter()
+        .map(|(name, n)| format!("\"{name}\":{n}"))
+        .collect();
     format!(
         "{{\"v\":{CHECKPOINT_VERSION},\"seed\":{},\"count\":{},\"chunk_size\":{},\
          \"parameter\":\"{}\",\"value_bits\":\"{}\",\"next_chunk\":{next_chunk},\
          \"acc\":{{\"requested\":{},\"completed\":{},\"panicked\":{},\
          \"unconfirmed\":{},\"downgrades\":{},\"events_n\":{},\"events_sum_bits\":\"{}\",\
-         \"raw\":[{}],\"anchor\":{},\"lead\":{},\"phases\":[{}]}}}}",
+         \"raw\":[{}],\"anchor\":{},\"lead\":{},\"phases\":[{}],\"counters\":{{{}}}}}}}",
         header.seed,
         header.count,
         header.chunk_size,
@@ -596,6 +597,7 @@ fn checkpoint_line(header: &CampaignHeader, next_chunk: u64, acc: &SeriesAccumul
         hist_checkpoint_json(acc.anchor_error.as_ref()),
         hist_checkpoint_json(acc.lead_time.as_ref()),
         phases.join(","),
+        counters.join(","),
     )
 }
 
@@ -762,6 +764,11 @@ fn acc_from_json(v: &json::Val, header: &CampaignHeader) -> Option<SeriesAccumul
             .and_then(f64_from_bits_hex)?,
         events_n: json::get(obj, "events_n")?.as_u64()?,
         phase_profile,
+        counters: json::get(obj, "counters")?
+            .as_obj()?
+            .iter()
+            .map(|(name, n)| Some((name.clone(), n.as_u64()?)))
+            .collect::<Option<_>>()?,
     })
 }
 
@@ -986,9 +993,10 @@ mod tests {
     use crate::telemetry::TrialMetrics;
 
     /// Cheap deterministic synthetic outcome: a splitmix64-style scramble
-    /// of the trial seed decides success, attempts and a metric block.
-    fn synth_outcome(cfg: &TrialConfig) -> TrialOutcome {
-        let mut x = cfg.seed;
+    /// of the trial seed decides success, attempts, a metric block and two
+    /// per-trial counters.
+    fn synth_outcome(seed: u64) -> TrialOutcome {
+        let mut x = seed;
         x ^= x >> 30;
         x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
         x ^= x >> 27;
@@ -1001,6 +1009,7 @@ mod tests {
             events_total: x % 1000,
             events_per_sec: (x % 1000) as f64 / 3.0,
             lead_time: Some(lead),
+            counters: vec![("frames", x % 10_000), ("drops", x % 3)],
             ..TrialMetrics::default()
         };
         TrialOutcome {
@@ -1012,15 +1021,31 @@ mod tests {
         }
     }
 
-    fn base_cfg(seed: u64) -> TrialConfig {
-        TrialConfig::new(seed)
+    fn scratch(name: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("bench-campaign-{name}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    fn json_row(report: SeriesReport) -> String {
+        crate::report::rows_to_json(&[report])
+    }
+
+    #[test]
+    fn chunk_size_depends_on_the_count_alone() {
+        assert_eq!(chunk_size_for(0), 1);
+        assert_eq!(chunk_size_for(25), 1);
+        assert_eq!(chunk_size_for(64), 1);
+        assert_eq!(chunk_size_for(65), 2);
+        assert_eq!(chunk_size_for(5_000), 79);
+        assert_eq!(chunk_size_for(1_000_000), 256);
     }
 
     #[test]
     fn engine_merges_chunks_in_order_and_respects_max_chunks() {
-        let base = base_cfg(11);
         let mut seen = Vec::new();
-        let merged = run_chunked(&base, 103, 10, 0, None, &synth_outcome, |c, buf| {
+        let merged = run_chunked(11, 103, 10, 0, None, &synth_outcome, |c, buf| {
             seen.push((c, buf.len()));
         });
         assert_eq!(merged, 11);
@@ -1028,61 +1053,43 @@ mod tests {
         assert_eq!(chunks, (0..11).collect::<Vec<_>>(), "ascending chunk order");
         assert_eq!(seen.last(), Some(&(10, 3)), "tail chunk is short");
         // An early stop merges exactly `max_chunks` chunks...
-        let merged = run_chunked(&base, 103, 10, 0, Some(4), &synth_outcome, |_, _| {});
+        let merged = run_chunked(11, 103, 10, 0, Some(4), &synth_outcome, |_, _| {});
         assert_eq!(merged, 4);
         // ...and a resume picks up the remainder.
-        let merged = run_chunked(&base, 103, 10, 4, None, &synth_outcome, |_, _| {});
+        let merged = run_chunked(11, 103, 10, 4, None, &synth_outcome, |_, _| {});
         assert_eq!(merged, 7);
         // A fully-consumed campaign runs nothing.
         assert_eq!(
-            run_chunked(&base, 103, 10, 11, None, &synth_outcome, |_, _| {}),
+            run_chunked(11, 103, 10, 11, None, &synth_outcome, |_, _| {}),
             0
         );
     }
 
     #[test]
     fn accumulator_report_matches_the_in_memory_path() {
-        let base = base_cfg(77);
-        let outcomes: Vec<TrialOutcome> = (0..57)
-            .map(|i| {
-                let mut cfg = base.clone();
-                cfg.seed = trial_seed(base.seed, i);
-                synth_outcome(&cfg)
-            })
-            .collect();
+        let outcomes: Vec<TrialOutcome> =
+            (0..57).map(|i| synth_outcome(trial_seed(77, i))).collect();
         let expected = SeriesReport::from_outcomes("p", 4.0, &outcomes);
-        let mut acc = SeriesAccumulator::new(57);
-        for o in &outcomes {
-            acc.fold(o);
-        }
-        let got = acc.report("p", 4.0);
-        assert_eq!(
-            crate::report::rows_to_json(&[got]),
-            crate::report::rows_to_json(&[expected])
-        );
+        let run = run_campaign_with(77, 57, "p", 4.0, &CampaignConfig::default(), synth_outcome);
+        assert!(run.finished);
+        assert_eq!(run.report.counters, expected.counters);
+        assert_eq!(json_row(run.report), json_row(expected));
     }
 
     #[test]
     fn campaign_equals_in_memory_fold_regardless_of_chunk_size() {
-        let base = base_cfg(5);
-        let outcomes: Vec<TrialOutcome> = (0..101)
-            .map(|i| {
-                let mut cfg = base.clone();
-                cfg.seed = trial_seed(base.seed, i);
-                synth_outcome(&cfg)
-            })
-            .collect();
-        let expected =
-            crate::report::rows_to_json(&[SeriesReport::from_outcomes("p", 1.0, &outcomes)]);
+        let outcomes: Vec<TrialOutcome> =
+            (0..101).map(|i| synth_outcome(trial_seed(5, i))).collect();
+        let expected = json_row(SeriesReport::from_outcomes("p", 1.0, &outcomes));
         for chunk_size in [1u64, 7, 64, 200] {
-            let cfg = CampaignConfig {
-                chunk_size,
-                ..CampaignConfig::default()
-            };
-            let run = run_campaign_with(&base, 101, "p", 1.0, &cfg, synth_outcome);
-            assert!(run.finished);
+            let mut acc = SeriesAccumulator::new(101);
+            run_chunked(5, 101, chunk_size, 0, None, &synth_outcome, |_, buf| {
+                for o in buf.iter().flatten() {
+                    acc.fold(o);
+                }
+            });
             assert_eq!(
-                crate::report::rows_to_json(&[run.report]),
+                json_row(acc.report("p", 1.0)),
                 expected,
                 "chunk_size {chunk_size}"
             );
@@ -1101,12 +1108,9 @@ mod tests {
 
     #[test]
     fn checkpoint_line_round_trips_the_accumulator() {
-        let base = base_cfg(9);
         let mut acc = SeriesAccumulator::new(40);
         for i in 0..30 {
-            let mut cfg = base.clone();
-            cfg.seed = trial_seed(base.seed, i);
-            acc.fold(&synth_outcome(&cfg));
+            acc.fold(&synth_outcome(trial_seed(9, i)));
         }
         acc.fold_panicked();
         // A phase row exercises the SpanKind name round-trip.
@@ -1121,6 +1125,7 @@ mod tests {
                 self_wall_ns: 4,
             }],
         );
+        assert_eq!(acc.counters.len(), 2, "the fixture carries counters");
         let header = CampaignHeader {
             seed: 9,
             count: 40,
@@ -1139,8 +1144,7 @@ mod tests {
 
     #[test]
     fn load_checkpoint_takes_the_last_line_and_skips_torn_tails() {
-        let dir = std::env::temp_dir().join("bench-campaign-test-torn");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch("torn");
         let path = dir.join("sidecar.jsonl");
         let header = CampaignHeader {
             seed: 3,
@@ -1151,7 +1155,7 @@ mod tests {
         };
         let mut acc = SeriesAccumulator::new(20);
         write_checkpoint(&path, &header, 1, &acc);
-        acc.fold(&synth_outcome(&base_cfg(3)));
+        acc.fold(&synth_outcome(3));
         write_checkpoint(&path, &header, 2, &acc);
         // Simulate a kill mid-append: a torn final line.
         {
@@ -1160,7 +1164,7 @@ mod tests {
                 .append(true)
                 .open(&path)
                 .unwrap();
-            f.write_all(b"{\"v\":1,\"seed\":3,\"count\":20,\"chu")
+            f.write_all(b"{\"v\":2,\"seed\":3,\"count\":20,\"chu")
                 .unwrap();
         }
         match load_checkpoint(&path, &header) {
@@ -1181,87 +1185,139 @@ mod tests {
             load_checkpoint(&dir.join("absent.jsonl"), &header),
             Loaded::Fresh
         ));
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn interrupted_campaign_resumes_without_rerunning_chunks() {
-        let dir = std::env::temp_dir().join("bench-campaign-test-resume");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch("resume");
         let path = dir.join("resume.jsonl");
-        std::fs::remove_file(&path).ok();
-        let base = base_cfg(21);
-        let full_cfg = CampaignConfig {
-            chunk_size: 10,
-            ..CampaignConfig::default()
-        };
-        let uninterrupted = run_campaign_with(&base, 95, "p", 3.0, &full_cfg, synth_outcome);
+        // 95 trials → chunks of 2, 48 chunks.
+        let uninterrupted =
+            run_campaign_with(21, 95, "p", 3.0, &CampaignConfig::default(), synth_outcome);
         assert!(uninterrupted.finished);
-        // First invocation stops after 3 of 10 chunks.
+        // First invocation stops after 3 of 48 chunks.
         let mut cfg = CampaignConfig {
-            chunk_size: 10,
             checkpoint: Some(path.clone()),
             checkpoint_every_chunks: 2,
             max_chunks: Some(3),
         };
-        let first = run_campaign_with(&base, 95, "p", 3.0, &cfg, synth_outcome);
+        let first = run_campaign_with(21, 95, "p", 3.0, &cfg, synth_outcome);
         assert!(!first.finished);
         assert_eq!(first.resumed_at_chunk, None);
         assert_eq!(first.report.trials, 95, "denominator stays requested");
-        // Second invocation resumes at chunk 3 and finishes.
+        // Second invocation resumes at chunk 3 and finishes; a runner
+        // that refuses the first three chunks' seeds proves they are not
+        // re-run.
         cfg.max_chunks = None;
-        let resumed = run_campaign_with(&base, 95, "p", 3.0, &cfg, synth_outcome);
+        let done_seeds: Vec<u64> = (0..6).map(|i| trial_seed(21, i)).collect();
+        let resumed = run_campaign_with(21, 95, "p", 3.0, &cfg, |seed| {
+            assert!(!done_seeds.contains(&seed), "chunk re-run after resume");
+            synth_outcome(seed)
+        });
         assert!(resumed.finished);
         assert_eq!(resumed.resumed_at_chunk, Some(3));
+        assert_eq!(resumed.report.panicked_trials, 0);
         assert_eq!(
-            crate::report::rows_to_json(&[resumed.report]),
-            crate::report::rows_to_json(&[uninterrupted.report]),
+            json_row(resumed.report),
+            json_row(uninterrupted.report),
             "resumed campaign must be byte-identical to an uninterrupted one"
         );
         // A third invocation sees the completed checkpoint and runs nothing.
-        let done = run_campaign_with(&base, 95, "p", 3.0, &cfg, synth_outcome);
+        let done = run_campaign_with(21, 95, "p", 3.0, &cfg, synth_outcome);
         assert!(done.finished);
-        assert_eq!(done.resumed_at_chunk, Some(10));
-        std::fs::remove_file(&path).ok();
+        assert_eq!(done.resumed_at_chunk, Some(48));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn counters_survive_a_kill_and_resume_bit_exactly_at_any_thread_count() {
+        let dir = scratch("counters");
+        let reference =
+            run_campaign_with(61, 300, "p", 1.0, &CampaignConfig::default(), synth_outcome).report;
+        let frames = reference.counter("frames");
+        assert!(frames > 0 && reference.counter("drops") > 0);
+        let expected: u64 = (0..300)
+            .map(|i| synth_outcome(trial_seed(61, i)).metrics.unwrap().counters[0].1)
+            .sum();
+        assert_eq!(frames, expected, "counters are plain per-trial sums");
+        for threads in ["1", "4"] {
+            std::env::set_var("BENCH_THREADS", threads);
+            let path = dir.join(format!("t{threads}.jsonl"));
+            let mut cfg = CampaignConfig {
+                checkpoint: Some(path.clone()),
+                checkpoint_every_chunks: 1,
+                max_chunks: Some(5),
+            };
+            let killed = run_campaign_with(61, 300, "p", 1.0, &cfg, synth_outcome);
+            assert!(!killed.finished);
+            assert!(killed.report.counter("frames") < frames);
+            cfg.max_chunks = None;
+            let resumed = run_campaign_with(61, 300, "p", 1.0, &cfg, synth_outcome);
+            assert_eq!(resumed.resumed_at_chunk, Some(5), "threads {threads}");
+            assert_eq!(
+                resumed.report.counters, reference.counters,
+                "threads {threads}"
+            );
+            assert_eq!(json_row(resumed.report), json_row(reference.clone()));
+        }
+        std::env::remove_var("BENCH_THREADS");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn mismatched_sidecar_starts_fresh_and_resets_the_file() {
-        let dir = std::env::temp_dir().join("bench-campaign-test-mismatch");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch("mismatch");
         let path = dir.join("mismatch.jsonl");
-        std::fs::remove_file(&path).ok();
-        let base = base_cfg(31);
         let cfg = CampaignConfig {
-            chunk_size: 10,
             checkpoint: Some(path.clone()),
             ..CampaignConfig::default()
         };
-        let first = run_campaign_with(&base, 40, "p", 1.0, &cfg, synth_outcome);
+        let first = run_campaign_with(31, 40, "p", 1.0, &cfg, synth_outcome);
         assert!(first.finished);
         // Same sidecar, different seed: must not resume, must still finish.
-        let other = base_cfg(32);
-        let second = run_campaign_with(&other, 40, "p", 1.0, &cfg, synth_outcome);
+        let second = run_campaign_with(32, 40, "p", 1.0, &cfg, synth_outcome);
         assert!(second.finished);
         assert_eq!(second.resumed_at_chunk, None);
         assert_eq!(second.report.trials, 40);
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn plain_points_recompute_every_trial_and_checkpointed_points_resume() {
+        let dir = scratch("plain");
+        let ran = std::sync::atomic::AtomicU64::new(0);
+        let counting = |seed| {
+            ran.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            synth_outcome(seed)
+        };
+        let runs = |args: &[&str]| {
+            let cli = Cli::from_args(args.iter().map(|a| a.to_string()), 20);
+            run_point(&cli, "exp", "p", 1.0, 8, counting);
+            ran.swap(0, std::sync::atomic::Ordering::Relaxed)
+        };
+        assert_eq!(runs(&[]), 20);
+        assert_eq!(runs(&[]), 20, "no sidecar: a re-run recomputes everything");
+        let cp = ["--checkpoint-dir", dir.to_str().unwrap()];
+        assert_eq!(runs(&cp), 20);
+        assert!(checkpoint_path(&dir, "exp", "p", 1.0).is_file());
+        assert_eq!(runs(&cp), 0, "a finished sidecar resumes past every trial");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn panicking_trials_are_first_class_campaign_data() {
-        let base = base_cfg(51);
-        let panicky = |cfg: &TrialConfig| -> TrialOutcome {
-            if cfg.seed.is_multiple_of(3) {
+        let panicky = |seed: u64| -> TrialOutcome {
+            if seed.is_multiple_of(3) {
                 panic!("synthetic trial failure");
             }
-            synth_outcome(cfg)
+            synth_outcome(seed)
         };
         // Silence the default panic hook for the duration: the panics here
         // are the fixture, not noise worth printing backtraces for.
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let run = run_campaign_with(&base, 30, "p", 1.0, &CampaignConfig::default(), panicky);
+        let run = run_campaign_with(51, 30, "p", 1.0, &CampaignConfig::default(), panicky);
         std::panic::set_hook(prev);
         assert!(run.finished);
         let expected_panics = (0..30)
@@ -1285,9 +1341,7 @@ mod tests {
 
     #[test]
     fn checkpoint_paths_are_stable_per_point() {
-        let p = checkpoint_path(Some(Path::new("/tmp/cp")), "exp1", "hop_interval", 25.0);
+        let p = checkpoint_path(Path::new("/tmp/cp"), "exp1", "hop_interval", 25.0);
         assert_eq!(p, Path::new("/tmp/cp/exp1_hop_interval_25.jsonl"));
-        let default = checkpoint_path(None, "exp1", "hop_interval", 25.0);
-        assert!(default.ends_with("campaigns/exp1_hop_interval_25.jsonl"));
     }
 }

@@ -1,19 +1,16 @@
 //! Shared command-line parsing for the experiment binaries.
 //!
-//! Every `exp*`/`ablation*` binary takes the same small surface: an
+//! Every `exp*`/`ablation*` binary takes the same five arguments: an
 //! optional positional trial count, `--seed <n>` to shift the seed base,
-//! and `--json <path>` to write the `SeriesReport` rows to an extra
-//! artefact path (on top of the default `target/experiments/<name>.json`).
-//!
-//! The campaign flags switch a binary from the in-memory
-//! `run_trials_parallel` path to the streaming, checkpointable
-//! [`crate::campaign`] runner: `--campaign` enables it,
-//! `--chunk-size <n>` overrides the trials-per-chunk granularity,
-//! `--checkpoint-dir <path>` relocates the JSONL sidecars (default
-//! `target/experiments/campaigns/`), and `--campaign-max-chunks <n>`
-//! stops after merging `n` chunks (resume by re-running — CI smoke uses
-//! this to prove kill/resume works). Both paths produce byte-identical
-//! rows at a fixed seed.
+//! `--json <path>` to write the `SeriesReport` rows to an extra artefact
+//! path (on top of the default `target/experiments/<name>.json`), and two
+//! campaign controls. Every sweep point streams through the
+//! [`crate::campaign`] engine; `--checkpoint-dir <path>` makes it keep a
+//! JSONL resume sidecar per point in that directory (without it no sidecar
+//! is read or written), and `--campaign-max-chunks <n>` stops each point
+//! after merging `n` chunks — a simulated kill that a re-run with the same
+//! `--checkpoint-dir` resumes (the CI smoke job does exactly this). A
+//! resumed run's rows are byte-identical to an uninterrupted one's.
 
 use std::path::PathBuf;
 
@@ -26,11 +23,6 @@ pub struct Cli {
     pub seed: Option<u64>,
     /// Extra JSON artefact path (`--json`).
     pub json: Option<PathBuf>,
-    /// Run sweep points through the streaming campaign runner
-    /// (`--campaign`).
-    pub campaign: bool,
-    /// Campaign chunk size override (`--chunk-size`).
-    pub chunk_size: Option<u64>,
     /// Campaign checkpoint sidecar directory (`--checkpoint-dir`).
     pub checkpoint_dir: Option<PathBuf>,
     /// Stop each campaign point after merging this many chunks
@@ -52,8 +44,6 @@ impl Cli {
             trials: default_trials,
             seed: None,
             json: None,
-            campaign: false,
-            chunk_size: None,
             checkpoint_dir: None,
             campaign_max_chunks: None,
         };
@@ -69,11 +59,6 @@ impl Cli {
                     Some(v) => cli.json = Some(PathBuf::from(v)),
                     None => eprintln!("warning: --json expects a path; ignored"),
                 },
-                "--campaign" => cli.campaign = true,
-                "--chunk-size" => match args.next().and_then(|v| v.parse().ok()) {
-                    Some(v) if v > 0 => cli.chunk_size = Some(v),
-                    _ => eprintln!("warning: --chunk-size expects a positive integer; ignored"),
-                },
                 "--checkpoint-dir" => match args.next() {
                     Some(v) => cli.checkpoint_dir = Some(PathBuf::from(v)),
                     None => eprintln!("warning: --checkpoint-dir expects a path; ignored"),
@@ -84,6 +69,9 @@ impl Cli {
                         "warning: --campaign-max-chunks expects a positive integer; ignored"
                     ),
                 },
+                other if other.starts_with("--") => {
+                    eprintln!("warning: unrecognised flag {other:?}; ignored");
+                }
                 other => {
                     if !positional_taken {
                         positional_taken = true;
@@ -159,31 +147,26 @@ mod tests {
     #[test]
     fn campaign_flags_parse() {
         let cli = parse(&[]);
-        assert!(!cli.campaign);
-        assert_eq!(cli.chunk_size, None);
         assert_eq!(cli.checkpoint_dir, None);
         assert_eq!(cli.campaign_max_chunks, None);
-        let cli = parse(&[
-            "--campaign",
-            "--chunk-size",
-            "128",
-            "--checkpoint-dir",
-            "cp",
-            "--campaign-max-chunks",
-            "2",
-            "9",
-        ]);
-        assert!(cli.campaign);
-        assert_eq!(cli.chunk_size, Some(128));
+        let cli = parse(&["--checkpoint-dir", "cp", "--campaign-max-chunks", "2", "9"]);
         assert_eq!(
             cli.checkpoint_dir.as_deref(),
             Some(std::path::Path::new("cp"))
         );
         assert_eq!(cli.campaign_max_chunks, Some(2));
         assert_eq!(cli.trials, 9);
-        // Zero is not a usable chunk size or chunk budget.
-        let cli = parse(&["--chunk-size", "0", "--campaign-max-chunks", "0"]);
-        assert_eq!(cli.chunk_size, None);
-        assert_eq!(cli.campaign_max_chunks, None);
+        // Zero is not a usable chunk budget.
+        assert_eq!(
+            parse(&["--campaign-max-chunks", "0"]).campaign_max_chunks,
+            None
+        );
+    }
+
+    #[test]
+    fn unknown_flags_do_not_take_the_trial_count_slot() {
+        let cli = parse(&["--no-such-flag", "7"]);
+        assert_eq!(cli.trials, 7);
+        assert_eq!(cli, parse(&["7"]));
     }
 }

@@ -8,7 +8,9 @@
 //!
 //! The binaries in `src/bin/` regenerate each panel of Figure 9 plus the
 //! scenario/countermeasure tables; see `DESIGN.md` §4 for the index and
-//! `EXPERIMENTS.md` for recorded paper-vs-measured results.
+//! `EXPERIMENTS.md` for recorded paper-vs-measured results. Each sweep
+//! binary hands [`run_point`] a seed base and a trial closure per sweep
+//! point; the campaign engine does the rest.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -22,12 +24,9 @@ pub mod telemetry;
 pub mod trial;
 pub mod wallclock;
 
-pub use campaign::{
-    run_campaign, run_campaign_with, run_point, CampaignConfig, CampaignRun, SeriesAccumulator,
-};
+pub use campaign::{run_campaign_with, run_point, CampaignConfig, CampaignRun, SeriesAccumulator};
 pub use cli::Cli;
 pub use report::{print_series, print_series_to, SeriesReport};
-pub use rig::ExperimentRig;
 pub use stats::Summary;
 pub use telemetry::{HistRow, TelemetryMode, TrialMetrics};
-pub use trial::{run_trial, run_trials_parallel, TrialConfig, TrialOutcome, TrialSeries};
+pub use trial::{attack, run_trial, Bounce, StallWatchdog, TrialConfig, TrialOutcome};

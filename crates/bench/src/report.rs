@@ -8,7 +8,7 @@ use serde::Serialize;
 use crate::campaign::SeriesAccumulator;
 use crate::stats::Summary;
 use crate::telemetry::{HistRow, PhaseProfile};
-use crate::trial::{TrialOutcome, TrialSeries};
+use crate::trial::TrialOutcome;
 
 /// One row of an experiment series: a parameter value and its outcome
 /// distribution.
@@ -65,6 +65,11 @@ pub struct SeriesReport {
     /// byte-identity (neutralised by `cargo xtask determinism`); the
     /// sim-time fields are deterministic.
     pub phase_profile: Vec<PhaseProfile>,
+    /// Experiment-defined event counts summed over the row's trials
+    /// ([`crate::TrialMetrics::counters`]), in first-seen order. Not
+    /// serialised: a binary publishes what it needs from them through
+    /// [`Self::with_extra`].
+    pub counters: Vec<(String, u64)>,
     /// Extra sim-deterministic columns (`name`, `value`) an experiment
     /// attaches to the row — e.g. exp6's co-channel collision rate and
     /// mean scheduled-`RxStart` count. Emitted to JSON only when
@@ -74,14 +79,10 @@ pub struct SeriesReport {
 }
 
 impl SeriesReport {
-    /// Builds a row from trial outcomes. A row where no trial succeeded
-    /// gets an empty attempts summary instead of panicking, so a sweep
-    /// point at the edge of the attack's envelope still produces a row.
-    ///
-    /// Implemented as a sequential fold through
-    /// [`SeriesAccumulator`] — the same per-trial fold the
-    /// streaming campaign runner uses — so the in-memory and campaign
-    /// paths produce byte-identical rows by construction.
+    /// Builds a row from trial outcomes, folded in order through a
+    /// [`SeriesAccumulator`] — the fold the campaign engine streams every
+    /// sweep point through. A row where no trial succeeded gets an empty
+    /// attempts summary instead of panicking.
     pub fn from_outcomes(parameter: &str, value: f64, outcomes: &[TrialOutcome]) -> SeriesReport {
         let mut acc = SeriesAccumulator::new(outcomes.len() as u64);
         for o in outcomes {
@@ -90,18 +91,13 @@ impl SeriesReport {
         acc.report(parameter, value)
     }
 
-    /// Builds a row from a [`TrialSeries`]: like [`Self::from_outcomes`]
-    /// but with the requested-trial denominator and the panicked-trial
-    /// count the series carries.
-    pub fn from_series(parameter: &str, value: f64, series: &TrialSeries) -> SeriesReport {
-        let mut acc = SeriesAccumulator::new(series.requested);
-        for o in &series.outcomes {
-            acc.fold(o);
-        }
-        for _ in 0..series.panicked {
-            acc.fold_panicked();
-        }
-        acc.report(parameter, value)
+    /// The row's sum of the per-trial counter `name` (0 when no trial
+    /// reported it).
+    pub fn counter(&self, name: &str) -> u64 {
+        self.counters
+            .iter()
+            .find(|(have, _)| have == name)
+            .map_or(0, |(_, n)| *n)
     }
 
     /// Attaches one extra sim-deterministic column to the row (builder
@@ -509,13 +505,14 @@ mod tests {
 
     #[test]
     fn panicked_trials_surface_in_report_and_json() {
-        use crate::trial::TrialSeries;
-        let series = TrialSeries {
-            outcomes: outcomes(&[2, 4]),
-            requested: 5,
-            panicked: 3,
-        };
-        let r = SeriesReport::from_series("hop", 36.0, &series);
+        let mut acc = SeriesAccumulator::new(5);
+        for o in &outcomes(&[2, 4]) {
+            acc.fold(o);
+        }
+        for _ in 0..3 {
+            acc.fold_panicked();
+        }
+        let r = acc.report("hop", 36.0);
         assert_eq!(r.trials, 5, "denominator is requested, not returned");
         assert_eq!(r.succeeded, 2);
         assert_eq!(r.panicked_trials, 3);
@@ -665,6 +662,7 @@ mod tests {
                 sync_wall_s: 1.0,
                 attack_wall_s: 1.0,
                 phase_profile: Vec::new(),
+                counters: vec![("frames", 10)],
             });
         }
         let r = SeriesReport::from_outcomes("hop", 36.0, &o);
@@ -672,7 +670,13 @@ mod tests {
         assert_eq!(anchor.count, 2);
         assert_eq!(r.lead_time_us.expect("merged lead histogram").count, 2);
         assert_eq!(r.events_per_sec, Some(50.0));
+        assert_eq!(r.counter("frames"), 20);
+        assert_eq!(r.counter("absent"), 0);
         let json = rows_to_json(&[r]);
         assert!(json.contains("\"anchor_error_us\":{\"count\":2"));
+        assert!(
+            !json.contains("frames"),
+            "counters reach JSON only as extras"
+        );
     }
 }

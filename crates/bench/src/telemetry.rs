@@ -132,6 +132,10 @@ pub struct TrialMetrics {
     /// Per-phase span attribution (empty when spans never closed, e.g.
     /// telemetry off).
     pub phase_profile: Vec<PhaseProfile>,
+    /// Experiment-defined per-trial event counts (exp6's band statistics,
+    /// the widening ablation's victim drops). A row sums them by name into
+    /// [`crate::SeriesReport::counters`]; names are plain identifiers.
+    pub counters: Vec<(&'static str, u64)>,
 }
 
 impl TrialMetrics {
@@ -149,6 +153,16 @@ impl TrialMetrics {
             sync_wall_s,
             attack_wall_s,
             phase_profile: phase_profile_from_registry(reg),
+            counters: Vec::new(),
+        }
+    }
+
+    /// A block carrying only per-trial counters, for trials whose row
+    /// reports no histograms, rates or phases.
+    pub fn from_counters(counters: Vec<(&'static str, u64)>) -> Self {
+        TrialMetrics {
+            counters,
+            ..TrialMetrics::default()
         }
     }
 }

@@ -1,36 +1,52 @@
 //! One injection trial = one data point of Figure 9.
+//!
+//! Every experiment's attack phase is the same loop, [`attack`]: arm the
+//! injection, poll the attacker in 200 ms ticks, and stop at the first
+//! confirmed success, when the attacker's bounded resync gives up, or at
+//! the budget. A [`StallWatchdog`] restarts a desynchronised attacker;
+//! each experiment picks its tick count and what a bounce drops first.
+//! [`run_trial`] wraps the loop with the paper rig's set-up, spans and
+//! metric capture; binaries whose worlds need more set-up (exp5's
+//! multi-connection Central) or report other numbers (exp6's band
+//! statistics) call [`attack`] from their own trial function.
 
+use ble_devices::Lightbulb;
 use ble_link::Llid;
-use ble_telemetry::{SharedRegistry, SpanKind};
+use ble_scenario::{Scenario, ScenarioBuilder};
+use ble_telemetry::SpanKind;
 use injectable::{Attacker, Mission};
 use simkit::Duration;
 
-use crate::rig::{ExperimentRig, RigConfig};
 use crate::telemetry::{TelemetryMode, TrialMetrics};
 
-/// Configuration of a single trial.
+/// Simulated time a trial may spend bringing the connection up and
+/// synchronising the attacker before it counts as a failure.
+pub const SYNC_BUDGET: Duration = Duration::from_secs(30);
+
+/// Polling tick of the attack loop.
+const ATTACK_TICK: Duration = Duration::from_millis(200);
+
+/// Unsynchronised attack-loop ticks tolerated before a bounce.
+pub const STALL_TICKS: u32 = 10;
+
+/// The attack phase of a trial: what to inject and for how long. The scene
+/// itself is a [`ScenarioBuilder`] each trial closure builds from its seed.
 #[derive(Debug, Clone)]
 pub struct TrialConfig {
-    /// Deterministic seed.
-    pub seed: u64,
-    /// Scene parameters.
-    pub rig: RigConfig,
     /// Raw Link-Layer payload to inject.
     pub payload: Vec<u8>,
     /// LLID for the injected frame.
     pub llid: Llid,
-    /// Give up after this much simulated time.
+    /// Give up after this much simulated attack time.
     pub sim_budget: Duration,
     /// Telemetry capture mode (default: in-memory metrics).
     pub telemetry: TelemetryMode,
 }
 
-impl TrialConfig {
-    /// A trial with default geometry and the canonical bulb write payload.
-    pub fn new(seed: u64) -> Self {
+impl Default for TrialConfig {
+    /// The canonical bulb write payload, a 120 s budget and metrics on.
+    fn default() -> Self {
         TrialConfig {
-            seed,
-            rig: RigConfig::default(),
             payload: canonical_write_payload(),
             llid: Llid::StartOrComplete,
             sim_budget: Duration::from_secs(120),
@@ -101,135 +117,164 @@ impl TrialOutcome {
     }
 }
 
-/// Watchdog over the 200 ms trial-loop ticks: counts how long the attacker
-/// has gone without a followed connection and decides when the harness
-/// should bounce the Central and restart the attacker's scan.
+/// What a [`StallWatchdog`] drops before restarting the attacker's scan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Bounce {
+    /// Nothing: the Central re-establishes a dropped link on its own, so a
+    /// desynchronised attacker only needs its scan restarted.
+    Resync,
+    /// The Central's link, so a fresh `CONNECT_REQ` reaches the sniffer.
+    /// This is what the paper's operators did when the attacker lost a
+    /// connection that cycled while it was injecting blind.
+    Central,
+    /// The connection in this Central slot. Each bounce bumps the slot's
+    /// generation, so the current handle is looked up at bounce time.
+    Slot(usize),
+}
+
+/// Watchdog over a trial loop's ticks: counts ticks in a row on which the
+/// attacker follows no connection and bounces after `limit` of them.
 ///
-/// The Central's own connection state is deliberately **not** consulted: an
-/// earlier revision only counted ticks while the Central was connected,
+/// The Central's own connection state is deliberately **not** consulted:
+/// an earlier revision only counted ticks while the Central was connected,
 /// which meant a simultaneous Central + attacker outage reset the counter
 /// every tick and the bounce never fired — the trial then idled until its
 /// whole budget was burned.
-#[derive(Debug, Default)]
-struct StallTracker {
-    ticks: u32,
+#[derive(Debug, Clone)]
+pub struct StallWatchdog {
+    limit: u32,
+    stalled: u32,
+    bounce: Bounce,
 }
 
-/// Trial-loop ticks (200 ms each) of continuous attacker desynchronisation
-/// tolerated before bouncing the connection.
-const STALL_TICKS_BEFORE_BOUNCE: u32 = 10;
+impl StallWatchdog {
+    /// Bounces with `bounce` after `limit` unsynchronised ticks in a row.
+    pub fn new(limit: u32, bounce: Bounce) -> Self {
+        StallWatchdog {
+            limit,
+            stalled: 0,
+            bounce,
+        }
+    }
 
-impl StallTracker {
     /// Records one tick. Returns `true` when the stall has lasted long
-    /// enough that the harness should bounce the connection (and resets).
+    /// enough to bounce (and starts counting afresh).
     fn note(&mut self, attacker_synced: bool) -> bool {
         if attacker_synced {
-            self.ticks = 0;
+            self.stalled = 0;
             return false;
         }
-        self.ticks += 1;
-        if self.ticks >= STALL_TICKS_BEFORE_BOUNCE {
-            self.ticks = 0;
+        self.stalled += 1;
+        if self.stalled >= self.limit {
+            self.stalled = 0;
             return true;
         }
         false
     }
-}
 
-/// Flushes sinks and snapshots the registry into a per-trial metric block.
-fn finish_metrics(
-    rig: &mut ExperimentRig,
-    registry: Option<&SharedRegistry>,
-    sync_wall_s: f64,
-    attack_wall_s: f64,
-) -> Option<TrialMetrics> {
-    rig.scenario.world.flush_telemetry();
-    registry.map(|reg| TrialMetrics::from_registry(&reg.lock(), sync_wall_s, attack_wall_s))
-}
-
-/// Runs a single trial to its first confirmed injection.
-pub fn run_trial(cfg: &TrialConfig) -> TrialOutcome {
-    let wall_start = crate::wallclock::Stopwatch::start();
-    // The rig routes `cfg.telemetry` through the scenario builder so sinks
-    // attach before node bootstrap; a failed JSONL sink degrades the trial
-    // to metrics-only, recorded so report rows can flag that the artefact
-    // the user asked for does not exist.
-    let mut rig = ExperimentRig::with_telemetry(cfg.seed, &cfg.rig, cfg.telemetry.clone());
-    let telemetry_downgraded = rig.scenario.telemetry_downgraded;
-    let registry = rig.scenario.metrics().cloned();
-    // Spans price the trial's phases; their wall-clock side reads the
-    // quarantined harness clock the rig installed (R8) and is a no-op when
-    // no sink is attached.
-    let sync_span = rig.scenario.world.span_enter(SpanKind::TrialSync, 0);
-    if !rig.wait_synchronised(Duration::from_secs(30)) {
-        rig.scenario.world.span_exit(sync_span);
-        let sync_wall_s = wall_start.elapsed_s();
-        let metrics = finish_metrics(&mut rig, registry.as_ref(), sync_wall_s, 0.0);
-        return TrialOutcome {
-            attempts: None,
-            sim_seconds: rig.scenario.now().as_micros_f64() / 1e6,
-            effect_observed: false,
-            metrics,
-            telemetry_downgraded,
-        };
+    /// Records one tick of `sc` and bounces when the stall is long enough.
+    pub fn tick(&mut self, sc: &mut Scenario) {
+        if !self.note(sc.attacker().connection().is_some()) {
+            return;
+        }
+        match self.bounce {
+            Bounce::Resync => {}
+            Bounce::Central => {
+                if sc.central().ll.is_connected() {
+                    sc.central_mut().ll.request_disconnect(0x13);
+                }
+            }
+            Bounce::Slot(slot) => {
+                if let Some(current) = sc.central().conn_manager().handle_at(slot) {
+                    sc.bounce_connection(current);
+                }
+            }
+        }
+        // Restart the scan in case the resync loop went quiet (a no-op
+        // while the attacker is already scanning or following).
+        let attacker_id = sc.attacker_id.expect("scene has an attacker");
+        sc.world
+            .with_node_ctx::<Attacker, _>(attacker_id, |a, ctx| a.restart_resync(ctx));
     }
-    rig.scenario.world.span_exit(sync_span);
-    let sync_wall_s = wall_start.elapsed_s();
-    rig.attacker_mut().arm(Mission::InjectRaw {
+}
+
+/// The attack loop: arms a one-shot injection of `cfg.payload` and runs
+/// 200 ms ticks until the first confirmed success, until the attacker's
+/// bounded resync runs out of retries (the trial is then lost and burning
+/// the rest of the budget would not change that), or for
+/// `cfg.sim_budget`. `watchdog` runs after every tick that did not stop
+/// the loop. Returns the attempts before the first success.
+pub fn attack(
+    sc: &mut Scenario,
+    cfg: &TrialConfig,
+    mut watchdog: Option<StallWatchdog>,
+) -> Option<u32> {
+    sc.attacker_mut().arm(Mission::InjectRaw {
         llid: cfg.llid,
         payload: cfg.payload.clone(),
         wanted_successes: 1,
     });
-    let deadline = rig.scenario.now() + cfg.sim_budget;
-    let mut attempts = None;
-    let mut stall = StallTracker::default();
-    let follow_span = rig.scenario.world.span_enter(SpanKind::TrialFollow, 0);
-    while rig.scenario.now() < deadline {
-        rig.scenario.run_for(Duration::from_millis(200));
-        let bounce = {
-            let attacker = rig.attacker();
-            if attacker.stats().successes() >= 1 {
-                attempts = attacker.stats().attempts_to_first_success();
-                break;
-            }
-            // Under sustained impairment the attacker's bounded resync can
-            // run out of retries; the trial is then a failure and burning
-            // the rest of the budget would not change that.
-            if attacker.resync_exhausted() {
-                break;
-            }
-            stall.note(attacker.connection().is_some())
-        };
-        // The attacker can permanently desynchronise if the connection
-        // cycled while it was injecting blind. The paper's operators simply
-        // restarted the connection; do the same: bounce the central so a
-        // fresh CONNECT_REQ reaches the sniffer, and restart the attacker's
-        // scan in case its resync loop went quiet (a no-op while it is
-        // already scanning or following).
-        if bounce {
-            if rig.central().ll.is_connected() {
-                rig.central_mut().ll.request_disconnect(0x13);
-            }
-            let attacker_id = rig.attacker_id();
-            rig.scenario
-                .world
-                .with_node_ctx::<Attacker, _>(attacker_id, |a, ctx| a.restart_resync(ctx));
+    let deadline = sc.now() + cfg.sim_budget;
+    while sc.now() < deadline {
+        sc.run_for(ATTACK_TICK);
+        let attacker = sc.attacker();
+        if attacker.stats().successes() >= 1 {
+            return attacker.stats().attempts_to_first_success();
+        }
+        if attacker.resync_exhausted() {
+            return None;
+        }
+        if let Some(watchdog) = watchdog.as_mut() {
+            watchdog.tick(sc);
         }
     }
-    rig.scenario.world.span_exit(follow_span);
-    let attack_wall_s = wall_start.elapsed_s() - sync_wall_s;
-    let verify_span = rig.scenario.world.span_enter(SpanKind::TrialVerify, 0);
-    let effect_observed = rig.bulb().app.pings > 0;
-    // The verify span must close before the flush inside `finish_metrics`,
-    // or its exit record would miss the registry snapshot.
-    rig.scenario.world.span_exit(verify_span);
-    let metrics = finish_metrics(&mut rig, registry.as_ref(), sync_wall_s, attack_wall_s);
+    None
+}
+
+/// Runs one paper-rig trial to its first confirmed injection: builds
+/// `rig` with `cfg.telemetry`, synchronises, runs [`attack`] with a
+/// 10-tick watchdog that bounces the Central, and checks the bulb.
+pub fn run_trial(rig: ScenarioBuilder, cfg: &TrialConfig) -> TrialOutcome {
+    let wall_start = crate::wallclock::Stopwatch::start();
+    // Sinks attach before node bootstrap; a failed JSONL sink degrades the
+    // trial to metrics-only, recorded so report rows can flag that the
+    // artefact the user asked for does not exist. Spans read the
+    // quarantined harness clock (R8) and are no-ops without a sink.
+    let mut sc = rig
+        .telemetry(cfg.telemetry.clone())
+        .span_clock(crate::wallclock::monotonic_ns)
+        .build();
+    let registry = sc.metrics().cloned();
+    let sync_span = sc.world.span_enter(SpanKind::TrialSync, 0);
+    let synced = sc.wait_synchronised(SYNC_BUDGET);
+    sc.world.span_exit(sync_span);
+    let sync_wall_s = wall_start.elapsed_s();
+    let mut attempts = None;
+    let mut effect_observed = false;
+    let mut attack_wall_s = 0.0;
+    if synced {
+        let follow_span = sc.world.span_enter(SpanKind::TrialFollow, 0);
+        attempts = attack(
+            &mut sc,
+            cfg,
+            Some(StallWatchdog::new(STALL_TICKS, Bounce::Central)),
+        );
+        sc.world.span_exit(follow_span);
+        attack_wall_s = wall_start.elapsed_s() - sync_wall_s;
+        // The verify span closes before the flush below, or its exit
+        // record would miss the registry snapshot.
+        let verify_span = sc.world.span_enter(SpanKind::TrialVerify, 0);
+        effect_observed = sc.victim::<Lightbulb>().app.pings > 0;
+        sc.world.span_exit(verify_span);
+    }
+    sc.world.flush_telemetry();
     TrialOutcome {
         attempts,
-        sim_seconds: rig.scenario.now().as_micros_f64() / 1e6,
+        sim_seconds: sc.now().as_micros_f64() / 1e6,
         effect_observed,
-        metrics,
-        telemetry_downgraded,
+        metrics: registry
+            .map(|reg| TrialMetrics::from_registry(&reg.lock(), sync_wall_s, attack_wall_s)),
+        telemetry_downgraded: sc.telemetry_downgraded,
     }
 }
 
@@ -245,70 +290,15 @@ pub fn trial_seed(base: u64, i: u64) -> u64 {
     base.wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
-/// The outcomes of a trial series plus the accounting the outcomes alone
-/// cannot carry: how many trials were *requested* and how many panicked.
-///
-/// Report denominators come from `requested`, never from `outcomes.len()`
-/// — a panicked trial used to silently shrink every success-rate
-/// denominator, which is exactly the lossy accounting this type fixes.
-#[derive(Debug, Clone)]
-pub struct TrialSeries {
-    /// Completed trials in seed order (panicked trials are absent here but
-    /// counted in `panicked`).
-    pub outcomes: Vec<TrialOutcome>,
-    /// Trials requested for the series.
-    pub requested: u64,
-    /// Trials whose `run_trial` panicked (caught; seed reported on stderr).
-    pub panicked: u64,
-}
-
-impl TrialSeries {
-    /// Trials that ran to completion.
-    pub fn completed(&self) -> u64 {
-        self.outcomes.len() as u64
-    }
-}
-
-/// Runs `count` trials across OS threads, trial `i` seeded with
-/// [`trial_seed`]`(base.seed, i)` (a golden-ratio stride, **not**
-/// consecutive seeds — consecutive integers produce correlated RNG
-/// streams).
-///
-/// A panicking trial does not bring the series down: the panic is caught,
-/// the failing seed is reported on stderr, the trial is counted in
-/// [`TrialSeries::panicked`], and every other trial's outcome is kept in
-/// seed order. `BENCH_THREADS` pins the worker count (used by `cargo xtask
-/// determinism` to prove outcomes identical at 1 vs. N threads); the
-/// series is in seed order either way, so the thread count can never show
-/// through in the artefacts.
-///
-/// This is the in-memory path: every outcome is materialised. For series
-/// too large to hold — or that need checkpoint/resume — use
-/// [`crate::campaign::run_campaign`], which streams outcomes through the
-/// same chunked engine without keeping them.
-pub fn run_trials_parallel(base: &TrialConfig, count: u64) -> TrialSeries {
-    let mut series = TrialSeries {
-        outcomes: Vec::new(),
-        requested: count,
-        panicked: 0,
-    };
-    // Chunk size 1 keeps the old per-trial work stealing (trials are
-    // heavyweight, so scheduling granularity matters more than channel
-    // overhead); chunks arrive at the merger in seed order regardless.
-    crate::campaign::run_chunked(base, count, 1, 0, None, &run_trial, |_, chunk| {
-        for slot in chunk {
-            match slot {
-                Some(outcome) => series.outcomes.push(outcome),
-                None => series.panicked += 1,
-            }
-        }
-    });
-    series
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::run_point;
+    use crate::cli::Cli;
+
+    fn paper_trial(seed: u64, cfg: &TrialConfig) -> TrialOutcome {
+        run_trial(ScenarioBuilder::paper_rig(seed), cfg)
+    }
 
     #[test]
     fn canonical_payload_gives_22_byte_frame() {
@@ -326,8 +316,7 @@ mod tests {
 
     #[test]
     fn one_trial_succeeds_quickly_at_close_range() {
-        let cfg = TrialConfig::new(42);
-        let out = run_trial(&cfg);
+        let out = paper_trial(42, &TrialConfig::default());
         assert!(out.attempts.is_some(), "trial must succeed: {out:?}");
         assert!(out.attempts.unwrap() <= 50);
         assert!(out.effect_observed, "padded ping must reach the bulb app");
@@ -345,8 +334,7 @@ mod tests {
 
     #[test]
     fn trial_phases_land_in_the_phase_profile() {
-        let cfg = TrialConfig::new(42);
-        let out = run_trial(&cfg);
+        let out = paper_trial(42, &TrialConfig::default());
         let metrics = out.metrics.expect("default telemetry mode is Metrics");
         let phase = |name: &str| {
             metrics
@@ -380,19 +368,21 @@ mod tests {
 
     #[test]
     fn telemetry_off_yields_no_metrics() {
-        let mut cfg = TrialConfig::new(43);
-        cfg.telemetry = crate::telemetry::TelemetryMode::Off;
-        let out = run_trial(&cfg);
-        assert!(out.metrics.is_none());
+        let cfg = TrialConfig {
+            telemetry: TelemetryMode::Off,
+            ..TrialConfig::default()
+        };
+        assert!(paper_trial(43, &cfg).metrics.is_none());
     }
 
     #[test]
     fn telemetry_mode_does_not_perturb_the_simulation() {
-        let mut off = TrialConfig::new(44);
-        off.telemetry = crate::telemetry::TelemetryMode::Off;
-        let with = TrialConfig::new(44);
-        let a = run_trial(&off);
-        let b = run_trial(&with);
+        let off = TrialConfig {
+            telemetry: TelemetryMode::Off,
+            ..TrialConfig::default()
+        };
+        let a = paper_trial(44, &off);
+        let b = paper_trial(44, &TrialConfig::default());
         assert_eq!(a.attempts, b.attempts, "telemetry must be observation-only");
         assert_eq!(a.sim_seconds, b.sim_seconds);
     }
@@ -417,10 +407,10 @@ mod tests {
     fn stall_tracker_bounces_even_when_the_central_is_also_down() {
         // Regression: the old watchdog only counted ticks while the Central
         // was connected, so a simultaneous Central + attacker outage never
-        // bounced and the trial idled its whole budget away. The tracker
+        // bounced and the trial idled its whole budget away. The watchdog
         // must fire from attacker desynchronisation alone.
-        let mut stall = StallTracker::default();
-        for _ in 0..STALL_TICKS_BEFORE_BOUNCE - 1 {
+        let mut stall = StallWatchdog::new(STALL_TICKS, Bounce::Central);
+        for _ in 0..STALL_TICKS - 1 {
             assert!(!stall.note(false));
         }
         assert!(stall.note(false), "bounce fires after the threshold");
@@ -429,7 +419,7 @@ mod tests {
         // A synced tick resets the stall: the full threshold is required
         // again before the next bounce.
         assert!(!stall.note(true));
-        for _ in 0..STALL_TICKS_BEFORE_BOUNCE - 1 {
+        for _ in 0..STALL_TICKS - 1 {
             assert!(!stall.note(false));
         }
         assert!(stall.note(false));
@@ -454,30 +444,31 @@ mod tests {
 
     #[test]
     fn jsonl_sink_failure_is_recorded_as_a_downgrade() {
-        let mut cfg = TrialConfig::new(45);
-        cfg.sim_budget = Duration::from_secs(30);
-        // A path whose parent cannot exist: JsonlSink::create must fail.
-        cfg.telemetry = crate::telemetry::TelemetryMode::Jsonl(
-            std::path::Path::new("/proc/definitely/not/writable/trial.jsonl").to_path_buf(),
-        );
-        let out = run_trial(&cfg);
+        let cfg = TrialConfig {
+            sim_budget: Duration::from_secs(30),
+            // A path whose parent cannot exist: JsonlSink::create must fail.
+            telemetry: TelemetryMode::Jsonl(
+                std::path::Path::new("/proc/definitely/not/writable/trial.jsonl").to_path_buf(),
+            ),
+            ..TrialConfig::default()
+        };
+        let out = paper_trial(45, &cfg);
         assert!(out.telemetry_downgraded, "failed sink must be recorded");
         assert!(out.metrics.is_some(), "metrics still ride along");
         // A healthy trial never reports a downgrade.
-        let ok = run_trial(&TrialConfig::new(45));
-        assert!(!ok.telemetry_downgraded);
+        assert!(!paper_trial(45, &TrialConfig::default()).telemetry_downgraded);
     }
 
     #[test]
     fn parallel_trials_are_deterministic() {
-        let cfg = TrialConfig::new(7);
-        let a = run_trials_parallel(&cfg, 4);
-        let b = run_trials_parallel(&cfg, 4);
-        let attempts = |s: &TrialSeries| s.outcomes.iter().map(|o| o.attempts).collect::<Vec<_>>();
-        assert_eq!(attempts(&a), attempts(&b));
-        assert_eq!(a.requested, 4);
-        assert_eq!(a.completed(), 4);
-        assert_eq!(a.panicked, 0);
+        let cli = Cli::from_args(Vec::new(), 4);
+        let cfg = TrialConfig::default();
+        let run = || run_point(&cli, "test", "p", 1.0, 7, |seed| paper_trial(seed, &cfg));
+        let (a, b) = (run(), run());
+        assert_eq!(a.raw, b.raw);
+        assert_eq!(a.succeeded, b.succeeded);
+        assert_eq!(a.trials, 4);
+        assert_eq!(a.panicked_trials, 0);
     }
 
     /// A mild but non-trivial impairment plan: every fault family is
@@ -513,13 +504,20 @@ mod tests {
             })
     }
 
+    fn short_budget() -> TrialConfig {
+        TrialConfig {
+            sim_budget: Duration::from_secs(30),
+            ..TrialConfig::default()
+        }
+    }
+
     #[test]
     fn same_seed_and_fault_plan_reproduce_the_trial_exactly() {
-        let mut cfg = TrialConfig::new(46);
-        cfg.sim_budget = Duration::from_secs(30);
-        cfg.rig.faults = Some(mild_fault_plan());
-        let a = run_trial(&cfg);
-        let b = run_trial(&cfg);
+        let run = || {
+            let rig = ScenarioBuilder::paper_rig(46).faults(mild_fault_plan());
+            run_trial(rig, &short_budget())
+        };
+        let (a, b) = (run(), run());
         assert_eq!(a.attempts, b.attempts);
         assert_eq!(a.sim_seconds, b.sim_seconds);
         assert_eq!(a.effect_observed, b.effect_observed);
@@ -532,13 +530,9 @@ mod tests {
 
     #[test]
     fn empty_fault_plan_is_a_true_no_op() {
-        let mut with_empty = TrialConfig::new(47);
-        with_empty.sim_budget = Duration::from_secs(30);
-        with_empty.rig.faults = Some(simkit::FaultPlan::seeded(999));
-        let mut without = with_empty.clone();
-        without.rig.faults = None;
-        let a = run_trial(&with_empty);
-        let b = run_trial(&without);
+        let rig = ScenarioBuilder::paper_rig(47).faults(simkit::FaultPlan::seeded(999));
+        let a = run_trial(rig, &short_budget());
+        let b = paper_trial(47, &short_budget());
         assert_eq!(a.attempts, b.attempts, "empty plan must not perturb");
         assert_eq!(a.sim_seconds, b.sim_seconds);
         assert_eq!(a.effect_observed, b.effect_observed);
@@ -551,29 +545,25 @@ mod tests {
 
     #[test]
     fn parallel_trials_survive_a_panicking_trial() {
-        // A 300-byte raw payload blows the 255-byte LL limit: the forge path
-        // asserts inside the trial. The series must contain the panic,
-        // report the seed, and not bring the caller down — and, since the
-        // lossy-accounting fix, the panicked trials must be *counted*, not
-        // silently absent.
-        let mut cfg = TrialConfig::new(99);
-        cfg.payload = vec![0xAB; 300];
-        let out = run_trials_parallel(&cfg, 2);
-        assert!(
-            out.outcomes.is_empty(),
-            "panicked trials contribute no outcomes"
-        );
-        assert_eq!(out.requested, 2);
-        assert_eq!(out.panicked, 2, "every panicked trial is accounted for");
-        // The report row keeps the requested denominator and surfaces the
-        // panic count instead of quietly reporting a smaller series.
-        let row = crate::SeriesReport::from_series("payload", 300.0, &out);
-        assert_eq!(row.trials, 2);
-        assert_eq!(row.succeeded, 0);
-        assert_eq!(row.panicked_trials, 2);
-        // A well-formed series on the same rig still yields every outcome.
-        let ok = run_trials_parallel(&TrialConfig::new(99), 2);
-        assert_eq!(ok.completed(), 2);
-        assert_eq!(ok.panicked, 0);
+        // The runner panics on two chosen seeds, in debug and release
+        // alike. The point must contain the panics, count them against the
+        // requested denominator, and keep every other trial's outcome in
+        // seed order.
+        let cli = Cli::from_args(Vec::new(), 4);
+        let cfg = TrialConfig::default();
+        let doomed = [trial_seed(99, 1), trial_seed(99, 3)];
+        let row = run_point(&cli, "test", "p", 1.0, 99, |seed| {
+            assert!(!doomed.contains(&seed), "fixture panic at seed {seed}");
+            paper_trial(seed, &cfg)
+        });
+        assert_eq!(row.trials, 4);
+        assert_eq!(row.panicked_trials, 2, "every panicked trial is counted");
+        // The same point without the fixture: trials 0 and 2 are the
+        // survivors above, with the same outcomes.
+        let clean = run_point(&cli, "test", "p", 1.0, 99, |seed| paper_trial(seed, &cfg));
+        assert_eq!(clean.panicked_trials, 0);
+        assert_eq!(clean.succeeded, 4, "close-range trials all succeed");
+        assert_eq!(row.succeeded, 2);
+        assert_eq!(row.raw, [clean.raw[0], clean.raw[2]]);
     }
 }

@@ -16,14 +16,14 @@
 
 use std::path::{Path, PathBuf};
 
-use bench::campaign::{run_campaign, CampaignConfig};
+use bench::campaign::{chunk_size_for, run_campaign_with, CampaignConfig, CampaignRun};
 use bench::report::rows_to_json;
-use bench::TrialConfig;
+use bench::{run_trial, TrialConfig};
+use ble_scenario::ScenarioBuilder;
 
 const TRIALS: u64 = 12;
-const CHUNK: u64 = 2;
 const SEED: u64 = 9_100;
-/// Chunks merged before the simulated kill (of `TRIALS / CHUNK` total).
+/// Chunks merged before the simulated kill (of `TRIALS` one-trial chunks).
 const KILL_AFTER: u64 = 2;
 
 /// Replaces every wall-clock-defined `"<field>":<value>` with `0`,
@@ -65,7 +65,6 @@ fn neutralize(raw: &str) -> String {
 
 fn config(checkpoint: Option<PathBuf>, max_chunks: Option<u64>) -> CampaignConfig {
     CampaignConfig {
-        chunk_size: CHUNK,
         checkpoint,
         // Checkpoint every merged chunk so the kill point always has a
         // line to resume from regardless of where `max_chunks` lands.
@@ -74,10 +73,17 @@ fn config(checkpoint: Option<PathBuf>, max_chunks: Option<u64>) -> CampaignConfi
     }
 }
 
+/// exp1's hop-interval-36 point: real paper-rig trials.
+fn campaign(cfg: &CampaignConfig) -> CampaignRun {
+    let trial = TrialConfig::default();
+    run_campaign_with(SEED, TRIALS, "hop_interval", 36.0, cfg, |seed| {
+        run_trial(ScenarioBuilder::paper_rig(seed).hop_interval(36), &trial)
+    })
+}
+
 /// One uninterrupted campaign: the reference bytes.
 fn uninterrupted() -> String {
-    let base = TrialConfig::new(SEED);
-    let run = run_campaign(&base, TRIALS, "hop_interval", 36.0, &config(None, None));
+    let run = campaign(&config(None, None));
     assert!(run.finished, "uninterrupted campaign must finish");
     assert_eq!(run.resumed_at_chunk, None);
     neutralize(&rows_to_json(&[run.report]))
@@ -86,25 +92,12 @@ fn uninterrupted() -> String {
 /// Kill after `KILL_AFTER` chunks, then resume from the sidecar.
 fn interrupted_then_resumed(dir: &Path) -> String {
     let sidecar = dir.join("exp1_hop_interval_36.jsonl");
-    let base = TrialConfig::new(SEED);
 
-    let first = run_campaign(
-        &base,
-        TRIALS,
-        "hop_interval",
-        36.0,
-        &config(Some(sidecar.clone()), Some(KILL_AFTER)),
-    );
+    let first = campaign(&config(Some(sidecar.clone()), Some(KILL_AFTER)));
     assert!(!first.finished, "the kill must land mid-campaign");
     assert!(sidecar.is_file(), "sidecar must survive the kill");
 
-    let second = run_campaign(
-        &base,
-        TRIALS,
-        "hop_interval",
-        36.0,
-        &config(Some(sidecar), None),
-    );
+    let second = campaign(&config(Some(sidecar), None));
     assert!(second.finished, "resume must complete the campaign");
     assert_eq!(
         second.resumed_at_chunk,
@@ -116,6 +109,7 @@ fn interrupted_then_resumed(dir: &Path) -> String {
 
 #[test]
 fn interrupted_campaign_resumes_to_identical_bytes_across_thread_counts() {
+    assert_eq!(chunk_size_for(TRIALS), 1, "one trial per chunk");
     let scratch = std::env::temp_dir().join(format!("campaign_resume_{}", std::process::id()));
     let mut per_thread_reference = Vec::new();
     for threads in ["1", "4"] {

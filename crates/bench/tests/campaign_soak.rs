@@ -26,7 +26,7 @@
 use bench::campaign::{run_campaign_with, CampaignConfig, SeriesAccumulator};
 use bench::report::{peak_rss_kb, rows_to_json};
 use bench::trial::trial_seed;
-use bench::{SeriesReport, TrialConfig, TrialMetrics, TrialOutcome};
+use bench::{SeriesReport, TrialMetrics, TrialOutcome};
 use ble_telemetry::HistogramUs;
 
 const SEED: u64 = 4_242;
@@ -38,10 +38,10 @@ const BIG: u64 = 1_000_000;
 /// `Vec<TrialOutcome>` would need does not.
 const BUDGET_KB: u64 = 64 * 1024;
 
-/// Deterministic synthetic trial: a splitmix64 scramble of the config's
-/// (per-trial) seed, shaped like a plausible outcome.
-fn synth(cfg: &TrialConfig) -> TrialOutcome {
-    let mut x = cfg.seed;
+/// Deterministic synthetic trial: a splitmix64 scramble of the per-trial
+/// seed, shaped like a plausible outcome.
+fn synth(seed: u64) -> TrialOutcome {
+    let mut x = seed;
     x ^= x >> 30;
     x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x ^= x >> 27;
@@ -66,8 +66,7 @@ fn synth(cfg: &TrialConfig) -> TrialOutcome {
 }
 
 fn campaign(count: u64) -> SeriesReport {
-    let base = TrialConfig::new(SEED);
-    let run = run_campaign_with(&base, count, "soak", 1.0, &CampaignConfig::default(), synth);
+    let run = run_campaign_with(SEED, count, "soak", 1.0, &CampaignConfig::default(), synth);
     assert!(run.finished);
     run.report
 }
@@ -75,22 +74,15 @@ fn campaign(count: u64) -> SeriesReport {
 #[test]
 fn million_trial_campaign_holds_rss_flat_and_drops_no_data() {
     std::env::set_var("BENCH_THREADS", "4");
-    let base = TrialConfig::new(SEED);
 
-    // 10k: the streamed row must equal the in-memory path's row.
-    let outcomes: Vec<TrialOutcome> = (0..SMALL)
-        .map(|i| {
-            let mut cfg = base.clone();
-            cfg.seed = trial_seed(SEED, i);
-            synth(&cfg)
-        })
-        .collect();
+    // 10k: the streamed row must equal a fold over buffered outcomes.
+    let outcomes: Vec<TrialOutcome> = (0..SMALL).map(|i| synth(trial_seed(SEED, i))).collect();
     let in_memory = SeriesReport::from_outcomes("soak", 1.0, &outcomes);
     drop(outcomes);
     assert_eq!(
         rows_to_json(&[campaign(SMALL)]),
         rows_to_json(&[in_memory]),
-        "10k campaign must match the in-memory path byte-for-byte"
+        "10k campaign must match a fold over buffered outcomes byte-for-byte"
     );
     let rss_small = peak_rss_kb().expect("VmHWM in /proc/self/status");
 
@@ -98,9 +90,7 @@ fn million_trial_campaign_holds_rss_flat_and_drops_no_data() {
     // (no buffered reference vector — it would dominate the RSS budget).
     let mut reference = SeriesAccumulator::new(BIG);
     for i in 0..BIG {
-        let mut cfg = base.clone();
-        cfg.seed = trial_seed(SEED, i);
-        reference.fold(&synth(&cfg));
+        reference.fold(&synth(trial_seed(SEED, i)));
     }
     assert_eq!(
         rows_to_json(&[campaign(BIG)]),

@@ -11,6 +11,7 @@ use std::collections::BTreeMap;
 
 use bench::telemetry::TelemetryMode;
 use bench::{run_trial, TrialConfig};
+use ble_scenario::ScenarioBuilder;
 use ble_telemetry::{parse_line, TelemetryEvent};
 
 #[test]
@@ -18,9 +19,11 @@ fn trial_span_stream_is_balanced_and_per_node_lifo() {
     let dir = std::env::temp_dir().join(format!("span_balance_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("trial.jsonl");
-    let mut cfg = TrialConfig::new(42);
-    cfg.telemetry = TelemetryMode::Jsonl(path.clone());
-    let out = run_trial(&cfg);
+    let cfg = TrialConfig {
+        telemetry: TelemetryMode::Jsonl(path.clone()),
+        ..TrialConfig::default()
+    };
+    let out = run_trial(ScenarioBuilder::paper_rig(42), &cfg);
     assert!(!out.telemetry_downgraded, "sink must open");
     assert!(out.attempts.is_some(), "trial must succeed");
 

@@ -3,12 +3,13 @@
 //! The lint rules (R7–R9) catch nondeterminism *sources* statically; this
 //! task proves the *outcome*: it builds the workspace in release mode, runs
 //! every experiment binary twice at its fixed default seed, and — for the
-//! binaries that fan trials out over [`run_trials_parallel`] — additionally
-//! at 1 and 4 worker threads via the `BENCH_THREADS` override. Two sweeps
-//! also run a fifth leg through the streaming `--campaign` runner, which
-//! must reproduce the in-memory artefact byte-for-byte. Any byte
-//! divergence in the normalised stdout or `--json` artefact fails the task
-//! with a diff excerpt naming the first divergent line.
+//! sweep binaries, whose points fan trials out over the campaign engine's
+//! worker threads — additionally at 1 and 4 workers via the
+//! `BENCH_THREADS` override. Two sweeps also run a fifth leg with a
+//! `--checkpoint-dir`, which must reproduce the plain run byte-for-byte
+//! while writing resume sidecars. Any byte divergence in the normalised
+//! stdout or `--json` artefact fails the task with a diff excerpt naming
+//! the first divergent line.
 //!
 //! Three artefact fields are *defined* as wall-clock measurements and are
 //! neutralised before comparison (`trials_per_sec`, `peak_rss_kb`,
@@ -26,11 +27,10 @@ struct BinSpec {
     /// Whether the binary takes `<trials> [--json <path>]` arguments.
     /// `false` means it runs with no arguments (fixed internal scenarios).
     takes_trials: bool,
-    /// Whether the binary writes a `--json` artefact worth comparing.
+    /// Whether the binary is a sweep writing a `--json` artefact worth
+    /// comparing. Every sweep runs its points through the campaign engine,
+    /// so these binaries also get the 1-vs-N-thread runs.
     json: bool,
-    /// Whether trials fan out over `run_trials_parallel` (gets the extra
-    /// 1-vs-N-thread runs).
-    parallel: bool,
 }
 
 /// Every oracle-covered binary. `timeline` is excluded: it is a narrated
@@ -40,83 +40,70 @@ const BINARIES: &[BinSpec] = &[
         name: "exp1_hop_interval",
         takes_trials: true,
         json: true,
-        parallel: true,
     },
     BinSpec {
         name: "exp2_payload_size",
         takes_trials: true,
         json: true,
-        parallel: true,
     },
     BinSpec {
         name: "exp3_distance",
         takes_trials: true,
         json: true,
-        parallel: true,
     },
     BinSpec {
         name: "exp4_wall",
         takes_trials: true,
         json: true,
-        parallel: true,
     },
     BinSpec {
         name: "ablation_phy2m",
         takes_trials: true,
         json: true,
-        parallel: true,
     },
     BinSpec {
         name: "ablation_sync_noise",
         takes_trials: true,
         json: true,
-        parallel: true,
     },
     BinSpec {
         name: "ablation_widening",
         takes_trials: true,
         json: true,
-        parallel: false,
     },
     BinSpec {
         name: "ablation_faults",
         takes_trials: true,
         json: true,
-        parallel: true,
     },
     BinSpec {
         name: "scenarios",
         takes_trials: false,
         json: false,
-        parallel: false,
     },
     BinSpec {
         name: "encrypted_countermeasure",
         takes_trials: true,
         json: false,
-        parallel: false,
     },
     BinSpec {
         name: "ids_detection",
         takes_trials: true,
         json: false,
-        parallel: false,
     },
     BinSpec {
         name: "exp5_multi_conn",
         takes_trials: true,
         json: true,
-        parallel: false,
     },
     BinSpec {
         name: "exp6_dense_band",
         takes_trials: true,
         json: true,
-        parallel: false,
     },
 ];
 
-/// The per-push fast subset: one parallel sweep, one ablation, the
+/// The per-push fast subset: one Figure 9 sweep, one ablation, the
 /// scenario acceptance binary, the fault ablation (the only binary that
 /// installs fault plans) and the dense band (the only one that drives the
 /// medium at ~1,000 nodes) — enough to catch a reintroduced nondeterminism
@@ -129,23 +116,21 @@ const FAST_SUBSET: &[&str] = &[
     "exp6_dense_band",
 ];
 
-/// Binaries that additionally run through the streaming campaign path
-/// (`--campaign` with a fresh checkpoint directory). The campaign run must
-/// match the in-memory run `a` byte-for-byte — the two aggregation paths
-/// are different code folding the same trials, so any drift between them
-/// is a real accounting bug, not wall-clock noise.
+/// Binaries that additionally run with `--checkpoint-dir` (a fresh
+/// directory, so every sidecar starts empty). The run must match the plain
+/// run `a` byte-for-byte: writing checkpoints may never change a result.
 const CAMPAIGN_BINS: &[&str] = &["exp1_hop_interval", "exp2_payload_size"];
 
 /// Labels for the runs of one binary. Runs `a`/`b` share an environment
-/// (same-seed double run); `t1`/`t4` pin the worker-thread count; `camp`
-/// re-runs the sweep through the streaming campaign runner.
+/// (same-seed double run); `t1`/`t4` pin the worker-thread count; `cp`
+/// re-runs the sweep with checkpoint sidecars.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum RunKind {
     A,
     B,
     Threads1,
     Threads4,
-    Campaign,
+    Checkpoint,
 }
 
 impl RunKind {
@@ -155,7 +140,7 @@ impl RunKind {
             RunKind::B => "b",
             RunKind::Threads1 => "t1",
             RunKind::Threads4 => "t4",
-            RunKind::Campaign => "camp",
+            RunKind::Checkpoint => "cp",
         }
     }
 
@@ -164,7 +149,7 @@ impl RunKind {
         match self {
             RunKind::Threads1 => Some("1"),
             RunKind::Threads4 => Some("4"),
-            RunKind::A | RunKind::B | RunKind::Campaign => None,
+            RunKind::A | RunKind::B | RunKind::Checkpoint => None,
         }
     }
 }
@@ -267,16 +252,16 @@ fn parse_args(args: &[String]) -> Result<Config, String> {
 }
 
 /// Runs one binary's full run matrix and compares every pair that must
-/// agree: `a == b` (same-seed double run) and, for parallel binaries,
+/// agree: `a == b` (same-seed double run) and, for sweeps,
 /// `a == t1 == t4` (thread-count independence).
 fn check_binary(cfg: &Config, spec: &BinSpec, out_dir: &Path) -> Result<(), String> {
     let mut kinds = vec![RunKind::A, RunKind::B];
-    if spec.parallel {
+    if spec.json {
         kinds.push(RunKind::Threads1);
         kinds.push(RunKind::Threads4);
     }
     if CAMPAIGN_BINS.contains(&spec.name) {
-        kinds.push(RunKind::Campaign);
+        kinds.push(RunKind::Checkpoint);
     }
     let mut runs = Vec::new();
     for kind in kinds {
@@ -315,13 +300,13 @@ fn run_once(
     if spec.json {
         cmd.arg("--json").arg(&json_path);
     }
-    if kind == RunKind::Campaign {
-        // A fresh checkpoint directory per run: the leg proves the
-        // streaming aggregation path, not resume (the CI smoke job and
-        // the bench integration tests cover resume).
-        let cp_dir = out_dir.join(format!("{}_campaign_cp", spec.name));
+    if kind == RunKind::Checkpoint {
+        // A fresh checkpoint directory per run: the leg proves that
+        // writing sidecars leaves the result alone, not resume (the CI
+        // smoke job and the bench tests cover resume).
+        let cp_dir = out_dir.join(format!("{}_checkpoints", spec.name));
         let _ = std::fs::remove_dir_all(&cp_dir);
-        cmd.arg("--campaign").arg("--checkpoint-dir").arg(&cp_dir);
+        cmd.arg("--checkpoint-dir").arg(&cp_dir);
     }
     if let Some(threads) = kind.threads() {
         cmd.env("BENCH_THREADS", threads);
@@ -559,10 +544,10 @@ mod tests {
                 .iter()
                 .find(|b| b.name == *name)
                 .unwrap_or_else(|| panic!("campaign binary {name} missing from the matrix"));
-            // The campaign leg compares the --json artefact against run
+            // The checkpoint leg compares the --json artefact against run
             // `a`, so the binary must produce one (and accept a trial
             // count so the leg stays cheap).
-            assert!(spec.takes_trials && spec.json && spec.parallel, "{name}");
+            assert!(spec.takes_trials && spec.json, "{name}");
         }
     }
 }

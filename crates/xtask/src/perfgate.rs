@@ -42,9 +42,9 @@ const PERF_BINARIES: &[&str] = &[
     "exp6_dense_band",
 ];
 
-/// The per-push fast subset: one parallel sweep, one ablation, and the one
-/// serial binary — cheap enough for every push, broad enough to catch a
-/// behaviour drift before the weekly full run does.
+/// The per-push fast subset: one Figure 9 sweep and two ablations, one of
+/// them with its own trial function — cheap enough for every push, broad
+/// enough to catch a behaviour drift before the weekly full run does.
 const FAST_SUBSET: &[&str] = &["exp1_hop_interval", "ablation_phy2m", "ablation_widening"];
 
 /// How a metric is allowed to move relative to its baseline.
