@@ -10,118 +10,69 @@
 //!
 //! We sweep the widening scale and report both sides of that trade-off:
 //! the attacker's cost (attempts to first success, success rate within the
-//! budget) and the victim's health (connection drops during the campaign).
+//! budget) and the victim's health (`victim_drops`: connection drops summed
+//! over the row's trials, a `[metric]` line and a JSON extra). The stall
+//! watchdog stays off here: a harness bounce would be counted as a victim
+//! drop.
 
-use bench::stats::Summary;
-use bench::{Cli, SeriesReport, TrialOutcome};
+use bench::trial::SYNC_BUDGET;
+use bench::{attack, print_series_to, run_point, Cli, TrialConfig, TrialMetrics, TrialOutcome};
 use ble_devices::Lightbulb;
 use ble_scenario::ScenarioBuilder;
-use injectable::Mission;
 use simkit::Duration;
 
-struct Row {
-    scale: f64,
-    succeeded: usize,
-    trials: usize,
-    attempts: Option<Summary>,
-    victim_drops: u32,
-    outcomes: Vec<TrialOutcome>,
-}
-
-fn run_point(scale: f64, trials: u64, base: u64) -> Row {
-    let mut attempts = Vec::new();
-    let mut victim_drops = 0u32;
-    let mut outcomes = Vec::new();
-    // Built once per point: every trial arms the same 12-byte write, and
-    // the attacker pre-forges it at arm time, so the ATT/L2CAP encoding
-    // work is paid once instead of per trial.
-    let payload = bench::trial::canonical_write_payload();
-    for i in 0..trials {
-        let seed = base + i * 7 + (scale * 1000.0) as u64;
-        let mut sc = ScenarioBuilder::paper_rig(seed)
-            .widening_scale(scale)
-            .build();
-        if !sc.wait_synchronised(Duration::from_secs(30)) {
-            continue;
-        }
-        sc.attacker_mut().arm(Mission::InjectRaw {
-            llid: ble_link::Llid::StartOrComplete,
-            payload: payload.clone(),
-            wanted_successes: 1,
-        });
-        let deadline = sc.now() + Duration::from_secs(60);
-        while sc.now() < deadline {
-            sc.run_for(Duration::from_millis(200));
-            if sc.attacker().stats().successes() >= 1 {
-                break;
-            }
-        }
-        let first_success = sc.attacker().stats().attempts_to_first_success();
-        if let Some(a) = first_success {
-            attempts.push(a);
-        }
-        let bulb = sc.victim::<Lightbulb>();
-        victim_drops += bulb.disconnections as u32;
-        outcomes.push(TrialOutcome {
-            attempts: first_success,
-            sim_seconds: sc.now().as_micros_f64() / 1e6,
-            effect_observed: bulb.app.pings > 0,
-            metrics: None,
-            telemetry_downgraded: false,
-        });
-    }
-    Row {
-        scale,
-        succeeded: attempts.len(),
-        trials: trials as usize,
-        attempts: (!attempts.is_empty()).then(|| Summary::of(&attempts)),
-        victim_drops,
-        outcomes,
+/// One trial at widening scale `scale`. A trial that never synchronises
+/// is a failure in the requested-trial denominator, like everywhere else.
+fn run_widening_trial(seed: u64, scale: f64, cfg: &TrialConfig) -> TrialOutcome {
+    let mut sc = ScenarioBuilder::paper_rig(seed)
+        .widening_scale(scale)
+        .build();
+    let attempts = if sc.wait_synchronised(SYNC_BUDGET) {
+        attack(&mut sc, cfg, None)
+    } else {
+        None
+    };
+    let bulb = sc.victim::<Lightbulb>();
+    TrialOutcome {
+        attempts,
+        sim_seconds: sc.now().as_micros_f64() / 1e6,
+        effect_observed: bulb.app.pings > 0,
+        metrics: Some(TrialMetrics::from_counters(vec![(
+            "victim_drops",
+            bulb.disconnections as u64,
+        )])),
+        telemetry_downgraded: false,
     }
 }
 
 fn main() {
     let cli = Cli::parse(25);
-    let trials = cli.trials;
     let base = cli.seed_base(9_000);
-    println!();
-    println!("=== Ablation — reduced window widening (paper §VIII, countermeasure 1) ===");
-    println!();
-    println!(
-        "{:>6} | {:>8} | {:>6} {:>6} {:>6} | {:>12}",
-        "scale", "success", "median", "mean", "max", "victim drops"
-    );
-    println!("{}", "-".repeat(62));
-    let mut series = Vec::new();
-    for scale in [1.0f64, 0.75, 0.5, 0.25, 0.1] {
-        let row_start = bench::wallclock::Stopwatch::start();
-        let row = run_point(scale, trials, base);
-        series.push(
-            SeriesReport::from_outcomes("widening_scale", scale, &row.outcomes)
-                .with_throughput(row_start.elapsed_s()),
+    let cfg = TrialConfig {
+        sim_budget: Duration::from_secs(60),
+        ..TrialConfig::default()
+    };
+    let mut rows = Vec::new();
+    for (i, scale) in [1.0f64, 0.75, 0.5, 0.25, 0.1].into_iter().enumerate() {
+        let row = run_point(
+            &cli,
+            "ablation_widening",
+            "widening_scale",
+            scale,
+            base + i as u64,
+            |seed| run_widening_trial(seed, scale, &cfg),
         );
-        match &row.attempts {
-            Some(s) => println!(
-                "{:>6} | {:>4}/{:<3} | {:>6.1} {:>6.2} {:>6.0} | {:>12}",
-                row.scale, row.succeeded, row.trials, s.median, s.mean, s.max, row.victim_drops
-            ),
-            None => println!(
-                "{:>6} | {:>4}/{:<3} | {:>6} {:>6} {:>6} | {:>12}",
-                row.scale, 0, row.trials, "-", "-", "-", row.victim_drops
-            ),
-        }
+        let drops = row.counter("victim_drops") as f64;
+        rows.push(row.with_extra("victim_drops", drops));
+        eprintln!("widening scale {scale}: done");
     }
-    println!();
+    print_series_to(
+        "ablation_widening",
+        "Ablation — reduced window widening (paper §VIII, countermeasure 1)",
+        &rows,
+        cli.json.as_deref(),
+    );
     println!("Reading: smaller widening ⇒ the injection needs more attempts (or");
     println!("fails outright), while victim connection drops rise — the paper's");
     println!("predicted reliability cost of the countermeasure.");
-    if let Some(path) = cli.json.as_deref() {
-        match bench::report::write_json_to(path, &series) {
-            Ok(()) => println!("[artefact] {}", path.display()),
-            Err(err) => eprintln!(
-                "warning: could not write JSON artefact to {}: {err}",
-                path.display()
-            ),
-        }
-    }
 }
