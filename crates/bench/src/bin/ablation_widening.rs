@@ -37,10 +37,10 @@ fn run_widening_trial(seed: u64, scale: f64, cfg: &TrialConfig) -> TrialOutcome 
         attempts,
         sim_seconds: sc.now().as_micros_f64() / 1e6,
         effect_observed: bulb.app.pings > 0,
-        metrics: Some(TrialMetrics::from_counters(vec![(
-            "victim_drops",
-            bulb.disconnections as u64,
-        )])),
+        metrics: Some(TrialMetrics {
+            counters: vec![("victim_drops", bulb.disconnections as u64)],
+            ..TrialMetrics::default()
+        }),
         telemetry_downgraded: false,
     }
 }

@@ -55,11 +55,14 @@ fn run_dense_trial(seed: u64, pairs: usize, cfg: &TrialConfig) -> TrialOutcome {
         attempts,
         sim_seconds: sc.now().as_micros_f64() / 1e6,
         effect_observed,
-        metrics: Some(TrialMetrics::from_counters(vec![
-            ("tx_frames", totals.tx_frames),
-            ("scheduled_rx_starts", totals.scheduled_rx_starts),
-            ("collisions", collisions),
-        ])),
+        metrics: Some(TrialMetrics {
+            counters: vec![
+                ("tx_frames", totals.tx_frames),
+                ("scheduled_rx_starts", totals.scheduled_rx_starts),
+                ("collisions", collisions),
+            ],
+            ..TrialMetrics::default()
+        }),
         telemetry_downgraded: false,
     }
 }

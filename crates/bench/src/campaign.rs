@@ -6,9 +6,9 @@
 //! order** the moment its chunk is merged — no `Vec<TrialOutcome>` ever
 //! exists, so memory stays flat however many trials a point asks for.
 //!
-//! Determinism: workers may finish chunks in any order, but a reorder
-//! buffer hands chunks to the single merger strictly in ascending chunk
-//! order, and the accumulator folds trials within a chunk in seed order.
+//! Determinism: workers may finish chunks in any order, but the merger
+//! folds them strictly in ascending chunk order, and the accumulator folds
+//! trials within a chunk in seed order.
 //! Every floating-point sum is therefore evaluated in the same order
 //! whatever the thread count, so the report is byte-identical at a fixed
 //! seed regardless of `BENCH_THREADS`. The chunk size is a function of the
@@ -26,7 +26,6 @@
 //! Without a checkpoint no sidecar is read or written, and every trial is
 //! recomputed.
 
-use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -37,6 +36,9 @@ use crate::report::SeriesReport;
 use crate::stats::Summary;
 use crate::telemetry::{merge_histogram, merge_phase_profile, HistRow, PhaseProfile};
 use crate::trial::{trial_seed, TrialOutcome};
+
+/// Chunks per worker in one wave of the multi-threaded engine.
+const WAVE_CHUNKS_PER_WORKER: u64 = 4;
 
 /// Default merged-chunk cadence between checkpoint lines.
 pub const DEFAULT_CHECKPOINT_EVERY: u64 = 16;
@@ -219,12 +221,12 @@ pub type ChunkOutcomes = Vec<Option<TrialOutcome>>;
 ///
 /// A panicking trial is caught, reported on stderr with its seed, and
 /// handed on as `None`. All cursors are `u64`: a campaign larger than the
-/// platform's `usize` never truncates. The worker→merger channel is
-/// *bounded* (a few chunks per worker), so when trials are cheaper than
-/// folds the workers block instead of buffering the campaign — live
-/// outcomes stay at `O(chunk_size × workers)` regardless of `count`. A
-/// single-worker run skips the channel entirely and executes chunks inline
-/// on the caller's thread; the fold order is identical either way.
+/// platform's `usize` never truncates. Chunks run in waves of
+/// [`WAVE_CHUNKS_PER_WORKER`] per worker: the workers claim a wave's
+/// chunks off a shared cursor, and the wave is folded once they are all
+/// done, so live outcomes stay at `O(chunk_size × workers)` regardless of
+/// `count`. A single-worker run executes chunks inline on the caller's
+/// thread; the fold order is identical either way.
 pub(crate) fn run_chunked<F, G>(
     seed_base: u64,
     count: u64,
@@ -281,45 +283,44 @@ where
         }
         return merged;
     }
-    let next = std::sync::atomic::AtomicU64::new(start_chunk);
-    // Backpressure: each worker may run at most ~2 chunks ahead of the
-    // merger. Without the bound, a cheap runner (the synthetic soak) fills
-    // the channel with the whole campaign and RSS scales with `count`.
-    let (tx, rx) = std::sync::mpsc::sync_channel::<(u64, ChunkOutcomes)>(threads * 2);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let next = &next;
-            let tx = tx.clone();
-            let run_one = &run_one;
-            scope.spawn(move || loop {
-                let c = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if c >= stop_chunk {
-                    break;
+    let wave = threads as u64 * WAVE_CHUNKS_PER_WORKER;
+    let mut lo = start_chunk;
+    while lo < stop_chunk {
+        let hi = lo.saturating_add(wave).min(stop_chunk);
+        let next = std::sync::atomic::AtomicU64::new(lo);
+        let mut slots: Vec<Option<ChunkOutcomes>> = (lo..hi).map(|_| None).collect();
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut done = Vec::new();
+                        loop {
+                            let c = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                            if c >= hi {
+                                return done;
+                            }
+                            done.push((c, run_one(c)));
+                        }
+                    })
+                })
+                .collect();
+            for worker in workers {
+                match worker.join() {
+                    Ok(done) => {
+                        for (c, buf) in done {
+                            slots[(c - lo) as usize] = Some(buf);
+                        }
+                    }
+                    Err(panic) => std::panic::resume_unwind(panic),
                 }
-                // A closed channel means the merger stopped early; drop the
-                // chunk and exit.
-                if tx.send((c, run_one(c))).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-        // Single merger: a reorder buffer holds chunks that finished ahead
-        // of the cursor (in practice bounded by the worker count) and the
-        // callback only ever sees the next chunk in sequence.
-        let mut pending: BTreeMap<u64, ChunkOutcomes> = BTreeMap::new();
-        let mut want = start_chunk;
-        while want < stop_chunk {
-            let Ok((c, buf)) = rx.recv() else { break };
-            pending.insert(c, buf);
-            while let Some(buf) = pending.remove(&want) {
-                on_chunk(want, buf);
-                want += 1;
-                merged += 1;
             }
+        });
+        for (c, buf) in (lo..hi).zip(slots) {
+            on_chunk(c, buf.expect("every chunk of a wave ran"));
+            merged += 1;
         }
-        drop(rx);
-    });
+        lo = hi;
+    }
     merged
 }
 
@@ -886,20 +887,17 @@ mod json {
         }
     }
 
+    /// The writer's numbers are all unsigned integers (f64 state travels
+    /// as bit-pattern strings), so a number token is a run of digits.
     fn parse_num(b: &[u8], pos: &mut usize) -> Option<Val> {
         let start = *pos;
-        while b
-            .get(*pos)
-            .is_some_and(|c| c.is_ascii_digit() || matches!(c, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
+        while b.get(*pos).is_some_and(u8::is_ascii_digit) {
             *pos += 1;
         }
         if *pos == start {
             return None;
         }
         let s = std::str::from_utf8(&b[start..*pos]).ok()?;
-        // Must at least parse as a float to count as a number token.
-        s.parse::<f64>().ok()?;
         Some(Val::Num(s.to_string()))
     }
 

@@ -156,15 +156,6 @@ impl TrialMetrics {
             counters: Vec::new(),
         }
     }
-
-    /// A block carrying only per-trial counters, for trials whose row
-    /// reports no histograms, rates or phases.
-    pub fn from_counters(counters: Vec<(&'static str, u64)>) -> Self {
-        TrialMetrics {
-            counters,
-            ..TrialMetrics::default()
-        }
-    }
 }
 
 /// Merges an optional histogram into an accumulator (used when collapsing
