@@ -248,8 +248,8 @@ where
     if target == 0 {
         return 0;
     }
-    // Workers never claim past the merge target, so an early stop wastes at
-    // most the chunks already in flight.
+    // No chunk at or past `stop_chunk` is ever claimed, so an early stop
+    // wastes no work.
     let stop_chunk = start_chunk + target;
     let run_one = |c: u64| -> ChunkOutcomes {
         let lo = c.saturating_mul(chunk_size);
