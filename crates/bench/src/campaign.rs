@@ -28,6 +28,7 @@
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::{Condvar, Mutex, PoisonError};
 
 use ble_telemetry::{HistogramUs, SpanKind};
 
@@ -37,8 +38,11 @@ use crate::stats::Summary;
 use crate::telemetry::{merge_histogram, merge_phase_profile, HistRow, PhaseProfile};
 use crate::trial::{trial_seed, TrialOutcome};
 
-/// Chunks per worker in one wave of the multi-threaded engine.
-const WAVE_CHUNKS_PER_WORKER: u64 = 4;
+/// Chunks each worker may run ahead of the fold in the multi-threaded
+/// engine: the bound on finished chunks waiting to be folded. Wide, so a
+/// slow trial at the head of the fold does not stall the other workers
+/// (exp5's trials differ in cost by two orders of magnitude).
+const WINDOW_CHUNKS_PER_WORKER: u64 = 32;
 
 /// Default merged-chunk cadence between checkpoint lines.
 pub const DEFAULT_CHECKPOINT_EVERY: u64 = 16;
@@ -221,11 +225,11 @@ pub type ChunkOutcomes = Vec<Option<TrialOutcome>>;
 ///
 /// A panicking trial is caught, reported on stderr with its seed, and
 /// handed on as `None`. All cursors are `u64`: a campaign larger than the
-/// platform's `usize` never truncates. Chunks run in waves of
-/// [`WAVE_CHUNKS_PER_WORKER`] per worker: the workers claim a wave's
-/// chunks off a shared cursor, and the wave is folded once they are all
-/// done, so live outcomes stay at `O(chunk_size × workers)` regardless of
-/// `count`. A single-worker run executes chunks inline on the caller's
+/// platform's `usize` never truncates. Workers claim chunks in order but
+/// never more than [`WINDOW_CHUNKS_PER_WORKER`] per worker ahead of the
+/// fold, and the caller folds each chunk as soon as its predecessors are
+/// folded, so live outcomes stay at `O(chunk_size × workers)` regardless
+/// of `count`. A single-worker run executes chunks inline on the caller's
 /// thread; the fold order is identical either way.
 pub(crate) fn run_chunked<F, G>(
     seed_base: u64,
@@ -283,45 +287,86 @@ where
         }
         return merged;
     }
-    let wave = threads as u64 * WAVE_CHUNKS_PER_WORKER;
-    let mut lo = start_chunk;
-    while lo < stop_chunk {
-        let hi = lo.saturating_add(wave).min(stop_chunk);
-        let next = std::sync::atomic::AtomicU64::new(lo);
-        let mut slots: Vec<Option<ChunkOutcomes>> = (lo..hi).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut done = Vec::new();
-                        loop {
-                            let c = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            if c >= hi {
-                                return done;
-                            }
-                            done.push((c, run_one(c)));
+    let window = threads as u64 * WINDOW_CHUNKS_PER_WORKER;
+    let pipe = Mutex::new(Pipeline {
+        next: start_chunk,
+        folded: start_chunk,
+        failed: false,
+        ready: (0..window).map(|_| None).collect(),
+    });
+    let changed = Condvar::new();
+    let lock = || pipe.lock().unwrap_or_else(PoisonError::into_inner);
+    let wait = |p| changed.wait(p).unwrap_or_else(PoisonError::into_inner);
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| {
+                let _abort = AbortOnUnwind(&pipe, &changed);
+                loop {
+                    let c = {
+                        let mut p = lock();
+                        while !p.failed && p.next < stop_chunk && p.next >= p.folded + window {
+                            p = wait(p);
                         }
-                    })
-                })
-                .collect();
-            for worker in workers {
-                match worker.join() {
-                    Ok(done) => {
-                        for (c, buf) in done {
-                            slots[(c - lo) as usize] = Some(buf);
+                        if p.failed || p.next >= stop_chunk {
+                            return;
                         }
-                    }
-                    Err(panic) => std::panic::resume_unwind(panic),
+                        p.next += 1;
+                        p.next - 1
+                    };
+                    let buf = run_one(c);
+                    lock().ready[(c % window) as usize] = Some(buf);
+                    changed.notify_all();
                 }
-            }
-        });
-        for (c, buf) in (lo..hi).zip(slots) {
-            on_chunk(c, buf.expect("every chunk of a wave ran"));
+            });
+        }
+        let _abort = AbortOnUnwind(&pipe, &changed);
+        for c in start_chunk..stop_chunk {
+            let buf = {
+                let mut p = lock();
+                loop {
+                    if let Some(buf) = p.ready[(c % window) as usize].take() {
+                        p.folded = c + 1;
+                        break buf;
+                    }
+                    if p.failed {
+                        // A worker unwound; the scope re-raises its panic.
+                        return;
+                    }
+                    p = wait(p);
+                }
+            };
+            changed.notify_all();
+            on_chunk(c, buf);
             merged += 1;
         }
-        lo = hi;
-    }
+    });
     merged
+}
+
+/// State the multi-threaded engine's workers and fold share.
+struct Pipeline {
+    /// The next chunk a worker may claim.
+    next: u64,
+    /// Every chunk below this one has been folded.
+    folded: u64,
+    /// Set when a thread unwinds, so no peer waits for it forever.
+    failed: bool,
+    /// Finished chunks waiting for the fold: chunk `c` in slot
+    /// `c % window`. A worker claims `c` only once `c - window` is folded,
+    /// so its slot is free.
+    ready: Vec<Option<ChunkOutcomes>>,
+}
+
+/// Marks the pipeline failed and wakes every waiter if its thread unwinds.
+struct AbortOnUnwind<'a>(&'a Mutex<Pipeline>, &'a Condvar);
+
+impl Drop for AbortOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.lock().unwrap_or_else(PoisonError::into_inner).failed = true;
+            self.1.notify_all();
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -1061,6 +1106,18 @@ mod tests {
             run_chunked(11, 103, 10, 11, None, &synth_outcome, |_, _| {}),
             0
         );
+    }
+
+    #[test]
+    fn a_panicking_fold_unwinds_instead_of_hanging_the_workers() {
+        // Workers run ahead of the fold and wait for room; a fold that
+        // panics must release them, or the scope would wait forever.
+        let caught = std::panic::catch_unwind(|| {
+            run_chunked(13, 400, 1, 0, None, &synth_outcome, |c, _| {
+                assert!(c < 3, "fixture: the fold panics at chunk 3");
+            })
+        });
+        assert!(caught.is_err());
     }
 
     #[test]
