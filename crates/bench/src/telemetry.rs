@@ -1,7 +1,7 @@
 //! Per-trial telemetry capture: sink selection, phase timing and the
 //! metric block that rides along in experiment report rows.
 
-use ble_telemetry::{HistSummary, HistogramUs, MetricsRegistry, SpanKind};
+use ble_telemetry::{Counter, Hist, HistSummary, HistogramUs, MetricsRegistry, SpanKind};
 use serde::Serialize;
 
 pub use ble_scenario::TelemetryMode;
@@ -65,24 +65,20 @@ pub struct PhaseProfile {
     pub self_wall_ns: u64,
 }
 
-/// Extracts the per-phase profile from a registry's `span.*` counters, in
+/// Extracts the per-phase profile from a registry's span totals, in
 /// [`SpanKind::ALL`] order, skipping kinds that never closed a span.
 pub fn phase_profile_from_registry(reg: &MetricsRegistry) -> Vec<PhaseProfile> {
     SpanKind::ALL
         .into_iter()
         .filter_map(|kind| {
-            let names = kind.metric_names();
-            let count = reg.counter(names.count);
-            if count == 0 {
-                return None;
-            }
-            Some(PhaseProfile {
+            let [count, sim_ns, self_sim_ns, wall_ns, self_wall_ns] = reg.span_totals(kind);
+            (count != 0).then_some(PhaseProfile {
                 phase: kind.as_str(),
                 count,
-                sim_ns: reg.counter(names.sim_ns),
-                self_sim_ns: reg.counter(names.self_sim_ns),
-                wall_ns: reg.counter(names.wall_ns),
-                self_wall_ns: reg.counter(names.self_wall_ns),
+                sim_ns,
+                self_sim_ns,
+                wall_ns,
+                self_wall_ns,
             })
         })
         .collect()
@@ -142,12 +138,12 @@ impl TrialMetrics {
     /// Builds the per-trial block from a registry snapshot and the two
     /// experiment-phase wall-clock timings.
     pub fn from_registry(reg: &MetricsRegistry, sync_wall_s: f64, attack_wall_s: f64) -> Self {
-        let events_total = reg.counter("telemetry.events");
+        let events_total = reg.get(Counter::TelemetryEvents);
         let wall = (sync_wall_s + attack_wall_s).max(1e-9);
         TrialMetrics {
-            anchor_error: reg.histogram("attack.anchor_error_us").cloned(),
-            lead_time: reg.histogram("attack.lead_us").cloned(),
-            ifs_delta: reg.histogram("attack.ifs_delta_us").cloned(),
+            anchor_error: reg.hist(Hist::AnchorErrorUs).cloned(),
+            lead_time: reg.hist(Hist::LeadUs).cloned(),
+            ifs_delta: reg.hist(Hist::IfsDeltaUs).cloned(),
             events_total,
             events_per_sec: events_total as f64 / wall,
             sync_wall_s,

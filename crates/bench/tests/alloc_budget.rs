@@ -1,10 +1,14 @@
-//! Zero-allocation budget for the steady-state frame pipeline.
+//! Zero-allocation budget for the steady-state frame pipeline, and the
+//! allocation budget of one paper-rig trial's fixed costs.
 //!
 //! A counting global allocator wraps `System`; after a warm-up window has
 //! grown every queue and buffer to capacity, a steady stream of
 //! Tx → medium → Rx deliveries (no collision, telemetry off) must perform
 //! **zero** heap allocations. This pins the inline-`Pdu` rework: any future
 //! `Vec`/`clone()` reintroduced on the delivery path trips this test.
+//! A second budget caps what a Figure 9 trial allocates outside the
+//! simulation itself: building its world, flushing its metrics sink, and
+//! folding its metrics into a report row.
 //!
 //! Kept as its own integration-test binary so the global allocator does not
 //! leak into unrelated tests.
@@ -13,6 +17,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use bench::trial::{trial_seed, STALL_TICKS, SYNC_BUDGET};
+use bench::{
+    attack, Bounce, SeriesAccumulator, StallWatchdog, TelemetryMode, TrialConfig, TrialMetrics,
+    TrialOutcome,
+};
 use ble_host::gatt::props;
 use ble_host::{GattServer, HostStack, Uuid};
 use ble_link::{AddressType, DeviceAddress, LinkLayerDelegate};
@@ -20,10 +29,9 @@ use ble_phy::{
     AccessAddress, AccessFilter, Channel, Environment, NodeConfig, NodeCtx, Pdu, Position,
     RadioEvent, RadioListener, RawFrame, Simulation, TimerKey,
 };
+use ble_scenario::ScenarioBuilder;
 use ble_telemetry::{TelemetryEvent, TelemetryRecord, TelemetrySink};
 use simkit::{Duration, FaultPlan, Instant, InterferenceBurst, SimRng};
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     // Armed only on the measuring thread, only across the steady-state
@@ -32,6 +40,9 @@ thread_local! {
     // concurrently with the measured window and the budget blames the
     // simulation for it.
     static COUNTING: Cell<bool> = const { Cell::new(false) };
+    // The count is per thread too, so a test that counts a whole trial's
+    // allocations never lands in a concurrent zero-allocation window.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Returns whether the current thread is inside a measured window.
@@ -42,6 +53,18 @@ fn counting() -> bool {
     COUNTING.try_with(Cell::get).unwrap_or(false)
 }
 
+/// Counts one allocation when the current thread is armed.
+fn count_allocation() {
+    if counting() {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    }
+}
+
+/// Allocations counted on this thread so far.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
 /// Counts every allocation and reallocation on the armed thread, then
 /// defers to `System`.
 struct CountingAllocator;
@@ -50,23 +73,17 @@ struct CountingAllocator;
 // returned memory.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if counting() {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if counting() {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_allocation();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if counting() {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -205,11 +222,11 @@ fn measure_steady_state_with(
     assert!(received_before > 10, "warm-up must deliver frames");
 
     // Steady state: ~100 further deliveries must not touch the heap.
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     COUNTING.with(|c| c.set(true));
     sim.run_for(Duration::from_millis(50));
     COUNTING.with(|c| c.set(false));
-    let delta = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let delta = allocations() - before;
     let received = sim.node::<Sink>(rx).expect("sink").received - received_before;
     (delta, received)
 }
@@ -296,13 +313,13 @@ fn steady_state_host_queuing_allocates_nothing() {
         host_round(&mut a, &mut b, handle, &mut scratch);
     }
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     COUNTING.with(|c| c.set(true));
     for _ in 0..200 {
         host_round(&mut a, &mut b, handle, &mut scratch);
     }
     COUNTING.with(|c| c.set(false));
-    let delta = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let delta = allocations() - before;
     assert_eq!(
         delta, 0,
         "steady-state host queuing must not allocate ({delta} allocations over 200 duplex rounds)"
@@ -365,5 +382,96 @@ fn disabled_spans_with_an_installed_clock_allocate_nothing() {
     assert_eq!(
         delta, 0,
         "disabled spans must not allocate ({delta} allocations over {received} deliveries)"
+    );
+}
+
+/// Runs `f` with counting armed and returns its result and allocation count.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = allocations();
+    COUNTING.with(|c| c.set(true));
+    let out = f();
+    COUNTING.with(|c| c.set(false));
+    (out, allocations() - before)
+}
+
+/// Trials the build budget averages over.
+const BUDGET_TRIALS: u64 = 2_000;
+
+/// Mean allocations per paper-rig trial, over [`BUDGET_TRIALS`] seeds at
+/// seed base 1000, in three steps: building the scene, flushing its
+/// telemetry, and `TrialMetrics::from_registry` plus
+/// `SeriesAccumulator::fold`. The trial itself runs as `bench::run_trial`
+/// runs it, uncounted.
+fn trial_step_allocations(mode: TelemetryMode) -> [f64; 3] {
+    let cfg = TrialConfig {
+        telemetry: mode,
+        ..TrialConfig::default()
+    };
+    let mut acc = SeriesAccumulator::new(BUDGET_TRIALS);
+    let mut totals = [0u64; 3];
+    for i in 0..BUDGET_TRIALS {
+        let (mut sc, build) = counted(|| {
+            ScenarioBuilder::paper_rig(trial_seed(1_000, i))
+                .telemetry(cfg.telemetry.clone())
+                .span_clock(bench::wallclock::monotonic_ns)
+                .build()
+        });
+        let registry = sc.metrics().cloned();
+        let sync_span = sc.world.span_enter(ble_telemetry::SpanKind::TrialSync, 0);
+        let synced = sc.wait_synchronised(SYNC_BUDGET);
+        sc.world.span_exit(sync_span);
+        let mut attempts = None;
+        if synced {
+            let follow_span = sc.world.span_enter(ble_telemetry::SpanKind::TrialFollow, 0);
+            let watchdog = StallWatchdog::new(STALL_TICKS, Bounce::Central);
+            attempts = attack(&mut sc, &cfg, Some(watchdog));
+            sc.world.span_exit(follow_span);
+        }
+        let ((), flush) = counted(|| sc.world.flush_telemetry());
+        let ((), fold) = counted(|| {
+            acc.fold(&TrialOutcome {
+                attempts,
+                sim_seconds: sc.now().as_micros_f64() / 1e6,
+                effect_observed: false,
+                metrics: registry
+                    .as_ref()
+                    .map(|reg| TrialMetrics::from_registry(&reg.lock(), 0.0, 0.0)),
+                telemetry_downgraded: false,
+            });
+        });
+        for (total, n) in totals.iter_mut().zip([build, flush, fold]) {
+            *total += n;
+        }
+    }
+    assert_eq!(acc.completed(), BUDGET_TRIALS);
+    totals.map(|n| n as f64 / BUDGET_TRIALS as f64)
+}
+
+#[test]
+fn paper_rig_trial_fixed_costs_stay_within_budget() {
+    // Measured means (build, flush, fold): 43.5, 1.0, 8.0 with metrics on
+    // and a 36.5 build with telemetry off. A host stack that pre-fills its
+    // 32-buffer packet pool adds 33 allocations per stack (two per world);
+    // a string-keyed registry adds ~17 to the flush.
+    let [build, flush, fold] = trial_step_allocations(TelemetryMode::Metrics);
+    let [build_off, flush_off, fold_off] = trial_step_allocations(TelemetryMode::Off);
+    eprintln!("metrics: build {build}, flush {flush}, fold {fold}");
+    eprintln!("off:     build {build_off}, flush {flush_off}, fold {fold_off}");
+    assert!(
+        build <= 46.0,
+        "paper-rig build with metrics: {build} allocations"
+    );
+    assert!(flush <= 2.0, "metrics flush: {flush} allocations");
+    assert!(
+        fold <= 9.0,
+        "metrics extraction and fold: {fold} allocations"
+    );
+    assert!(
+        build_off <= 39.0,
+        "paper-rig build, telemetry off: {build_off} allocations"
+    );
+    assert_eq!(
+        flush_off, 0.0,
+        "with telemetry off there is nothing to flush"
     );
 }

@@ -455,7 +455,9 @@ impl HostStack {
             && self.role == Some(Role::Slave)
             && self.smp_responder.is_none()
         {
-            let ctx = self.smp_ctx().expect("connected");
+            let Some(ctx) = self.smp_ctx() else {
+                return;
+            };
             self.smp_responder = Some(SmpResponder::new(ctx, &mut self.rng));
         }
         let (reply, outcome) = if let Some(init) = self.smp_initiator.as_mut() {

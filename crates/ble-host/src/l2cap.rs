@@ -16,7 +16,9 @@ pub const CID_SMP: u16 = 0x0006;
 /// Default Link-Layer payload budget per fragment (BLE 4.0 data length).
 pub const DEFAULT_LL_PAYLOAD: usize = 27;
 
-/// Splits one `(cid, sdu)` into LL fragments ready for transmission.
+/// Splits one `(cid, sdu)` into LL fragments ready for transmission. An
+/// SDU longer than the header's 16-bit length field can describe (65,535
+/// bytes) is refused: it yields no fragments.
 ///
 /// # Example
 ///
@@ -44,7 +46,8 @@ pub fn fragment(cid: u16, sdu: &[u8], ll_payload: usize) -> Vec<(Llid, Vec<u8>)>
 /// carries a non-empty `prefix` (the minimum `ll_payload` of 5 guarantees
 /// the header never splits across fragments). Callers copy both slices into
 /// their own buffer — typically a pooled one — and no heap allocation
-/// happens here. Byte-for-byte identical to [`fragment`].
+/// happens here. Byte-for-byte identical to [`fragment`], and like it
+/// refuses an SDU over 65,535 bytes without emitting anything.
 pub fn fragment_into(
     cid: u16,
     sdu: &[u8],
@@ -55,7 +58,10 @@ pub fn fragment_into(
         ll_payload >= 5,
         "LL payload must fit the L2CAP header plus data"
     );
-    let len_bytes = (sdu.len() as u16).to_le_bytes();
+    let Ok(sdu_len) = u16::try_from(sdu.len()) else {
+        return;
+    };
+    let len_bytes = sdu_len.to_le_bytes();
     let cid_bytes = cid.to_le_bytes();
     let header = [len_bytes[0], len_bytes[1], cid_bytes[0], cid_bytes[1]];
     let first_data = (ll_payload - header.len()).min(sdu.len());
@@ -229,6 +235,22 @@ mod tests {
     fn zero_length_sdu() {
         let frags = fragment(CID_ATT, &[], 27);
         assert_eq!(reassemble_iter(&frags), vec![(CID_ATT, vec![])]);
+    }
+
+    #[test]
+    fn sdu_longer_than_the_length_field_is_refused() {
+        let largest = vec![0xA5; usize::from(u16::MAX)];
+        let frags = fragment(CID_ATT, &largest, DEFAULT_LL_PAYLOAD);
+        assert_eq!(frags[0].1[..2], [0xFF, 0xFF]);
+        assert_eq!(reassemble_iter(&frags), vec![(CID_ATT, largest)]);
+
+        let oversized = vec![0xA5; usize::from(u16::MAX) + 1];
+        assert!(fragment(CID_ATT, &oversized, DEFAULT_LL_PAYLOAD).is_empty());
+        let mut emitted = 0;
+        fragment_into(CID_ATT, &oversized, DEFAULT_LL_PAYLOAD, |_, _, _| {
+            emitted += 1;
+        });
+        assert_eq!(emitted, 0, "a wrapped length would frame it as empty");
     }
 
     #[test]

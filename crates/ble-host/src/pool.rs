@@ -3,10 +3,11 @@
 //! PR 4 made the PHY frame pipeline allocation-free; this module extends
 //! that budget upward into host-side TX/RX queuing. Every buffer that
 //! crosses the ATT/L2CAP/link boundary in steady state is borrowed from a
-//! [`PacketPool`]: a preallocated set of MTU-sized `Vec<u8>`s handed out as
-//! [`PooledBuf`]s that return themselves (capacity intact) on drop. Once
-//! the pool is built, the steady-state alloc/free cycle never touches the
-//! heap — pinned by `bench/tests/alloc_budget.rs`.
+//! [`PacketPool`]: at most `capacity` MTU-sized `Vec<u8>`s, each created
+//! on first demand and handed out as a [`PooledBuf`] that returns itself
+//! (capacity intact) on drop. An idle pool owns no buffers; once a
+//! workload has created the buffers it needs, the steady-state alloc/free
+//! cycle never touches the heap — pinned by `bench/tests/alloc_budget.rs`.
 //!
 //! Admission is governed by a [`QosPolicy`]. [`QosPolicy::Fair`] is plain
 //! first-come-first-served; [`QosPolicy::ReserveN`] reserves a minimum
@@ -44,9 +45,9 @@ pub enum QosPolicy {
 /// Point-in-time pool occupancy counters (see [`PacketPool::stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Total buffers owned by the pool.
+    /// Most buffers the pool hands out at once.
     pub capacity: usize,
-    /// Buffers currently free.
+    /// Buffers not handed out: returned ones plus those not yet created.
     pub free: usize,
     /// Most buffers ever simultaneously in use.
     pub high_water: usize,
@@ -63,7 +64,10 @@ impl PoolStats {
 
 #[derive(Debug)]
 struct PoolInner {
+    /// Returned buffers, ready for reuse.
     free: Vec<Vec<u8>>,
+    /// Buffers created so far; never more than `capacity`.
+    created: usize,
     capacity: usize,
     buf_capacity: usize,
     in_use: [u16; MAX_POOL_CLIENTS],
@@ -73,6 +77,11 @@ struct PoolInner {
 }
 
 impl PoolInner {
+    /// Buffers not handed out: the returned ones plus those not yet created.
+    fn available(&self) -> usize {
+        self.free.len() + (self.capacity - self.created)
+    }
+
     /// Whether `client` may take a buffer under the active policy. Assumes
     /// at least one buffer is free.
     fn admitted(&self, client: usize) -> bool {
@@ -92,7 +101,7 @@ impl PoolInner {
                     .filter(|(i, _)| *i != client)
                     .map(|(_, (&r, &u))| usize::from(r).saturating_sub(usize::from(u)))
                     .sum();
-                self.free.len() > shortfall
+                self.available() > shortfall
             }
         }
     }
@@ -119,14 +128,13 @@ pub struct PacketPool {
 
 impl PacketPool {
     /// Builds a pool of `capacity` buffers, each able to hold `buf_capacity`
-    /// bytes without reallocating. All heap allocation happens here.
+    /// bytes without reallocating. No buffer exists yet: each is created
+    /// the first time every existing one is handed out, and kept for reuse.
     pub fn new(capacity: usize, buf_capacity: usize, policy: QosPolicy) -> Self {
-        let free = (0..capacity)
-            .map(|_| Vec::with_capacity(buf_capacity))
-            .collect();
         PacketPool {
             inner: Arc::new(Mutex::new(PoolInner {
-                free,
+                free: Vec::new(),
+                created: 0,
                 capacity,
                 buf_capacity,
                 in_use: [0; MAX_POOL_CLIENTS],
@@ -153,13 +161,19 @@ impl PacketPool {
     pub fn alloc(&self, client: usize) -> Option<PooledBuf> {
         let client = client.min(MAX_POOL_CLIENTS - 1);
         let mut inner = self.lock();
-        if inner.free.is_empty() || !inner.admitted(client) {
+        if inner.available() == 0 || !inner.admitted(client) {
             inner.denials[client] += 1;
             return None;
         }
-        let buf = inner.free.pop()?;
+        let buf = match inner.free.pop() {
+            Some(buf) => buf,
+            None => {
+                inner.created += 1;
+                Vec::with_capacity(inner.buf_capacity)
+            }
+        };
         inner.in_use[client] += 1;
-        let used = inner.capacity - inner.free.len();
+        let used = inner.capacity - inner.available();
         if used > inner.high_water {
             inner.high_water = used;
         }
@@ -196,7 +210,7 @@ impl PacketPool {
         let inner = self.lock();
         PoolStats {
             capacity: inner.capacity,
-            free: inner.free.len(),
+            free: inner.available(),
             high_water: inner.high_water,
             denials: inner.denials,
         }
@@ -314,6 +328,21 @@ mod tests {
         assert_eq!(stats.free, 2);
         assert_eq!(stats.high_water, 2);
         assert_eq!(stats.total_denials(), 1);
+    }
+
+    #[test]
+    fn buffers_are_created_on_first_demand_and_reused() {
+        let pool = PacketPool::new(4, 16, QosPolicy::Fair);
+        let created = || pool.lock().created;
+        assert_eq!(created(), 0, "an idle pool owns no buffers");
+        assert_eq!(pool.stats().free, 4);
+        let a = pool.alloc(0).unwrap();
+        let b = pool.alloc(0).unwrap();
+        assert_eq!(created(), 2);
+        drop(a);
+        let _c = pool.alloc(0).unwrap();
+        assert_eq!(created(), 2, "a returned buffer is reused first");
+        drop(b);
     }
 
     #[test]

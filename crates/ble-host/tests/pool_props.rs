@@ -1,7 +1,7 @@
 //! Property tests for the fixed-capacity [`PacketPool`] and its QoS
 //! admission policies.
 //!
-//! Three invariants are pinned over arbitrary alloc/drop interleavings:
+//! Four invariants are pinned over arbitrary alloc/drop interleavings:
 //!
 //! 1. **Conservation / no double-free** — at every step, buffers held out
 //!    plus buffers free equals the build-time capacity; dropping a
@@ -12,8 +12,13 @@
 //! 3. **`ReserveN` starvation guarantee** — while a client holds fewer
 //!    buffers than its reserve (and reserves fit the capacity), its next
 //!    `alloc` always succeeds, no matter how greedy the other clients were.
+//! 4. **Bounded on-demand buffers** — pools create buffers lazily, yet the
+//!    pooled buffers ever handed out occupy at most `capacity` distinct
+//!    allocations.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // test code may panic freely
+
+use std::collections::BTreeSet;
 
 use ble_host::pool::{PacketPool, PooledBuf, QosPolicy, MAX_POOL_CLIENTS};
 use proptest::collection::vec;
@@ -155,6 +160,52 @@ proptest! {
                 pool.alloc(victim).is_some(),
                 "client {} below its reserve ({} < {}) was starved",
                 victim, victim_held.len(), reserve[victim]
+            );
+        }
+    }
+
+    /// Invariant 4: over any alloc/drop/denial sequence, with or without
+    /// the heap fallback, the pooled buffers handed out have at most
+    /// `capacity` distinct backing addresses. Heap fallbacks (the calls
+    /// that raised the denial count) are excluded: they are not the pool's.
+    #[test]
+    fn pooled_buffers_never_exceed_capacity_distinct_allocations(
+        capacity in 1usize..12,
+        policy in any_policy(),
+        ops in vec((any_op(), any::<bool>()), 1..120),
+    ) {
+        let pool = PacketPool::new(capacity, 32, policy);
+        let mut held: Vec<PooledBuf> = Vec::new();
+        let mut addresses = BTreeSet::new();
+        for (op, fallback) in ops {
+            match op {
+                Op::Alloc { client } => {
+                    let denials = pool.stats().total_denials();
+                    let buf = if fallback {
+                        Some(pool.alloc_or_heap(client))
+                    } else {
+                        pool.alloc(client)
+                    };
+                    if let Some(buf) = buf {
+                        if pool.stats().total_denials() == denials {
+                            addresses.insert(buf.as_ptr());
+                        }
+                        held.push(buf);
+                    }
+                }
+                Op::DropOldest => {
+                    if !held.is_empty() {
+                        drop(held.remove(0));
+                    }
+                }
+                Op::DropNewest => {
+                    drop(held.pop());
+                }
+            }
+            prop_assert!(
+                addresses.len() <= capacity,
+                "{} distinct pooled buffers from a pool of {}",
+                addresses.len(), capacity
             );
         }
     }

@@ -41,7 +41,10 @@ pub mod span;
 pub use delivery::{DeliveryTotals, DeliveryTracker, PacketDelivery};
 pub use event::{AlertKind, FaultKind, LinkRole, LossReason, TelemetryEvent, Verdict};
 pub use jsonl::{parse_line, JsonlSink};
-pub use metrics::{HistSummary, HistogramUs, MetricsRegistry, MetricsSink, SharedRegistry};
+pub use metrics::{
+    Counter, Hist, HistSummary, HistogramUs, MetricsRegistry, MetricsSink, SharedRegistry,
+    SpanTotals,
+};
 pub use ring::{RingBuffer, RingBufferSink, SharedRing};
 pub use sink::{Telemetry, TelemetryRecord, TelemetrySink};
 pub use span::{ClosedSpan, SpanId, SpanKind, SpanMetricNames};

@@ -1,14 +1,16 @@
 //! Counters, gauges and fixed-bucket microsecond histograms.
 //!
-//! The registry is deliberately tiny — a `BTreeMap` per metric family keyed
-//! by `&'static str` — because trials are single-threaded and short-lived;
-//! the bench rig merges per-trial registries into its `SeriesReport`
-//! artefacts afterwards.
+//! A [`MetricsRegistry`] is one fixed-layout block: a `u64` slot per
+//! [`Counter`] the [`MetricsSink`] writes, five per [`SpanKind`], two
+//! gauges and five [`Hist`] histograms created on first use. One sorted
+//! name table maps every metric name to its slot, so reading by name and
+//! iterating in name order work as they did on the old string-keyed maps,
+//! while the sink and the bench rig address slots directly. Filling,
+//! reading and dropping a trial's registry touches no map.
 
-use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use crate::event::TelemetryEvent;
+use crate::event::{FaultKind, TelemetryEvent, Verdict};
 use crate::sink::{TelemetryRecord, TelemetrySink};
 use crate::span::SpanKind;
 
@@ -233,12 +235,237 @@ impl HistogramUs {
     }
 }
 
-/// Registry of named counters, gauges and histograms.
-#[derive(Debug, Clone, Default)]
+/// Every counter the [`MetricsSink`] writes, in name order. Each has one
+/// `u64` slot in a [`MetricsRegistry`] and is named after its metric:
+/// `AttackAttempts` is `attack.attempts`, `PhyRxCrcBad` is `phy.rx_crc_bad`.
+#[allow(missing_docs)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Counter {
+    AttackAttempts,
+    AttackNoResponse,
+    AttackRejected,
+    AttackSnifferLost,
+    AttackSnifferSync,
+    AttackSuccess,
+    AttackTakeover,
+    DetectorAlerts,
+    FaultBursts,
+    FaultEpisodes,
+    FaultFramesCorrupted,
+    FaultFramesLost,
+    HostConnEstablished,
+    HostConnReleased,
+    HostPoolExhausted,
+    HostSlotDenied,
+    LinkAnchor,
+    LinkConnected,
+    LinkControlPdu,
+    LinkCrcFail,
+    LinkDisconnect,
+    LinkHop,
+    LinkSnNesn,
+    LinkWindowOpen,
+    PhyCollision,
+    PhyInterferenceSpill,
+    PhyRelock,
+    PhyRx,
+    PhyRxCrcBad,
+    PhyRxLock,
+    PhyTx,
+    SimNodes,
+    SpanEnters,
+    TelemetryEvents,
+    TelemetryRaw,
+}
+
+const COUNTERS: usize = 35;
+
+impl Counter {
+    fn index(self) -> usize {
+        // xtask-allow: R2 — a fieldless enum's discriminant is its declaration index, lossless in usize
+        self as usize
+    }
+}
+
+/// Every histogram the [`MetricsSink`] records, in name order (µs
+/// magnitudes). Each has one lazily created slot in a [`MetricsRegistry`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Hist {
+    /// `attack.anchor_error_us`: the attacker's anchor-prediction error.
+    AnchorErrorUs,
+    /// `attack.ifs_delta_us`: observed Slave-response IFS deviation.
+    IfsDeltaUs,
+    /// `attack.lead_us`: injection lead before the predicted anchor.
+    LeadUs,
+    /// `detector.magnitude_us`: the timing deviation behind each alert.
+    DetectorMagnitudeUs,
+    /// `link.widening_us`: receive-window widening.
+    WideningUs,
+}
+
+const HISTS: usize = 5;
+
+impl Hist {
+    fn index(self) -> usize {
+        // xtask-allow: R2 — a fieldless enum's discriminant is its declaration index, lossless in usize
+        self as usize
+    }
+}
+
+/// The sink's two gauges, in name order.
+#[derive(Debug, Clone, Copy)]
+enum Gauge {
+    /// `host.pool_high_water`: a running maximum, set only once a pool
+    /// reported occupancy.
+    PoolHighWater,
+    /// `sim.last_event_us`: simulation time of the latest event.
+    LastEventUs,
+}
+
+const GAUGES: usize = 2;
+
+impl Gauge {
+    fn index(self) -> usize {
+        // xtask-allow: R2 — a fieldless enum's discriminant is its declaration index, lossless in usize
+        self as usize
+    }
+}
+
+/// Closed-span totals of one [`SpanKind`], in
+/// [`crate::SpanMetricNames`] field order: count, sim_ns, self_sim_ns,
+/// wall_ns, self_wall_ns.
+pub type SpanTotals = [u64; 5];
+
+const COUNT: usize = 0;
+const SIM_NS: usize = 1;
+const SELF_SIM_NS: usize = 2;
+const WALL_NS: usize = 3;
+const SELF_WALL_NS: usize = 4;
+
+/// Where a metric name lives in the block.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    Counter(Counter),
+    /// A kind's totals and a position in its [`SpanTotals`].
+    Span(SpanKind, usize),
+    Gauge(Gauge),
+    Hist(Hist),
+}
+
+/// The one name table: every metric the sink writes, sorted by name (the
+/// lookup binary-searches it and iteration walks it in order).
+#[rustfmt::skip]
+static NAMES: [(&str, Slot); 82] = [
+    ("attack.anchor_error_us", Slot::Hist(Hist::AnchorErrorUs)),
+    ("attack.attempts", Slot::Counter(Counter::AttackAttempts)),
+    ("attack.ifs_delta_us", Slot::Hist(Hist::IfsDeltaUs)),
+    ("attack.lead_us", Slot::Hist(Hist::LeadUs)),
+    ("attack.no_response", Slot::Counter(Counter::AttackNoResponse)),
+    ("attack.rejected", Slot::Counter(Counter::AttackRejected)),
+    ("attack.sniffer_lost", Slot::Counter(Counter::AttackSnifferLost)),
+    ("attack.sniffer_sync", Slot::Counter(Counter::AttackSnifferSync)),
+    ("attack.success", Slot::Counter(Counter::AttackSuccess)),
+    ("attack.takeover", Slot::Counter(Counter::AttackTakeover)),
+    ("detector.alerts", Slot::Counter(Counter::DetectorAlerts)),
+    ("detector.magnitude_us", Slot::Hist(Hist::DetectorMagnitudeUs)),
+    ("fault.bursts", Slot::Counter(Counter::FaultBursts)),
+    ("fault.episodes", Slot::Counter(Counter::FaultEpisodes)),
+    ("fault.frames_corrupted", Slot::Counter(Counter::FaultFramesCorrupted)),
+    ("fault.frames_lost", Slot::Counter(Counter::FaultFramesLost)),
+    ("host.conn_established", Slot::Counter(Counter::HostConnEstablished)),
+    ("host.conn_released", Slot::Counter(Counter::HostConnReleased)),
+    ("host.pool_exhausted", Slot::Counter(Counter::HostPoolExhausted)),
+    ("host.pool_high_water", Slot::Gauge(Gauge::PoolHighWater)),
+    ("host.slot_denied", Slot::Counter(Counter::HostSlotDenied)),
+    ("link.anchor", Slot::Counter(Counter::LinkAnchor)),
+    ("link.connected", Slot::Counter(Counter::LinkConnected)),
+    ("link.control_pdu", Slot::Counter(Counter::LinkControlPdu)),
+    ("link.crc_fail", Slot::Counter(Counter::LinkCrcFail)),
+    ("link.disconnect", Slot::Counter(Counter::LinkDisconnect)),
+    ("link.hop", Slot::Counter(Counter::LinkHop)),
+    ("link.sn_nesn", Slot::Counter(Counter::LinkSnNesn)),
+    ("link.widening_us", Slot::Hist(Hist::WideningUs)),
+    ("link.window_open", Slot::Counter(Counter::LinkWindowOpen)),
+    ("phy.collision", Slot::Counter(Counter::PhyCollision)),
+    ("phy.interference_spill", Slot::Counter(Counter::PhyInterferenceSpill)),
+    ("phy.relock", Slot::Counter(Counter::PhyRelock)),
+    ("phy.rx", Slot::Counter(Counter::PhyRx)),
+    ("phy.rx_crc_bad", Slot::Counter(Counter::PhyRxCrcBad)),
+    ("phy.rx_lock", Slot::Counter(Counter::PhyRxLock)),
+    ("phy.tx", Slot::Counter(Counter::PhyTx)),
+    ("sim.last_event_us", Slot::Gauge(Gauge::LastEventUs)),
+    ("sim.nodes", Slot::Counter(Counter::SimNodes)),
+    ("span.attacker_follow.count", Slot::Span(SpanKind::AttackerFollow, COUNT)),
+    ("span.attacker_follow.self_sim_ns", Slot::Span(SpanKind::AttackerFollow, SELF_SIM_NS)),
+    ("span.attacker_follow.self_wall_ns", Slot::Span(SpanKind::AttackerFollow, SELF_WALL_NS)),
+    ("span.attacker_follow.sim_ns", Slot::Span(SpanKind::AttackerFollow, SIM_NS)),
+    ("span.attacker_follow.wall_ns", Slot::Span(SpanKind::AttackerFollow, WALL_NS)),
+    ("span.attacker_inject.count", Slot::Span(SpanKind::AttackerInject, COUNT)),
+    ("span.attacker_inject.self_sim_ns", Slot::Span(SpanKind::AttackerInject, SELF_SIM_NS)),
+    ("span.attacker_inject.self_wall_ns", Slot::Span(SpanKind::AttackerInject, SELF_WALL_NS)),
+    ("span.attacker_inject.sim_ns", Slot::Span(SpanKind::AttackerInject, SIM_NS)),
+    ("span.attacker_inject.wall_ns", Slot::Span(SpanKind::AttackerInject, WALL_NS)),
+    ("span.attacker_scan.count", Slot::Span(SpanKind::AttackerScan, COUNT)),
+    ("span.attacker_scan.self_sim_ns", Slot::Span(SpanKind::AttackerScan, SELF_SIM_NS)),
+    ("span.attacker_scan.self_wall_ns", Slot::Span(SpanKind::AttackerScan, SELF_WALL_NS)),
+    ("span.attacker_scan.sim_ns", Slot::Span(SpanKind::AttackerScan, SIM_NS)),
+    ("span.attacker_scan.wall_ns", Slot::Span(SpanKind::AttackerScan, WALL_NS)),
+    ("span.channel_airtime.count", Slot::Span(SpanKind::ChannelAirtime, COUNT)),
+    ("span.channel_airtime.self_sim_ns", Slot::Span(SpanKind::ChannelAirtime, SELF_SIM_NS)),
+    ("span.channel_airtime.self_wall_ns", Slot::Span(SpanKind::ChannelAirtime, SELF_WALL_NS)),
+    ("span.channel_airtime.sim_ns", Slot::Span(SpanKind::ChannelAirtime, SIM_NS)),
+    ("span.channel_airtime.wall_ns", Slot::Span(SpanKind::ChannelAirtime, WALL_NS)),
+    ("span.enters", Slot::Counter(Counter::SpanEnters)),
+    ("span.ll_procedure.count", Slot::Span(SpanKind::LlProcedure, COUNT)),
+    ("span.ll_procedure.self_sim_ns", Slot::Span(SpanKind::LlProcedure, SELF_SIM_NS)),
+    ("span.ll_procedure.self_wall_ns", Slot::Span(SpanKind::LlProcedure, SELF_WALL_NS)),
+    ("span.ll_procedure.sim_ns", Slot::Span(SpanKind::LlProcedure, SIM_NS)),
+    ("span.ll_procedure.wall_ns", Slot::Span(SpanKind::LlProcedure, WALL_NS)),
+    ("span.trial_follow.count", Slot::Span(SpanKind::TrialFollow, COUNT)),
+    ("span.trial_follow.self_sim_ns", Slot::Span(SpanKind::TrialFollow, SELF_SIM_NS)),
+    ("span.trial_follow.self_wall_ns", Slot::Span(SpanKind::TrialFollow, SELF_WALL_NS)),
+    ("span.trial_follow.sim_ns", Slot::Span(SpanKind::TrialFollow, SIM_NS)),
+    ("span.trial_follow.wall_ns", Slot::Span(SpanKind::TrialFollow, WALL_NS)),
+    ("span.trial_sync.count", Slot::Span(SpanKind::TrialSync, COUNT)),
+    ("span.trial_sync.self_sim_ns", Slot::Span(SpanKind::TrialSync, SELF_SIM_NS)),
+    ("span.trial_sync.self_wall_ns", Slot::Span(SpanKind::TrialSync, SELF_WALL_NS)),
+    ("span.trial_sync.sim_ns", Slot::Span(SpanKind::TrialSync, SIM_NS)),
+    ("span.trial_sync.wall_ns", Slot::Span(SpanKind::TrialSync, WALL_NS)),
+    ("span.trial_verify.count", Slot::Span(SpanKind::TrialVerify, COUNT)),
+    ("span.trial_verify.self_sim_ns", Slot::Span(SpanKind::TrialVerify, SELF_SIM_NS)),
+    ("span.trial_verify.self_wall_ns", Slot::Span(SpanKind::TrialVerify, SELF_WALL_NS)),
+    ("span.trial_verify.sim_ns", Slot::Span(SpanKind::TrialVerify, SIM_NS)),
+    ("span.trial_verify.wall_ns", Slot::Span(SpanKind::TrialVerify, WALL_NS)),
+    ("telemetry.events", Slot::Counter(Counter::TelemetryEvents)),
+    ("telemetry.raw", Slot::Counter(Counter::TelemetryRaw)),
+];
+
+fn slot(name: &str) -> Option<Slot> {
+    let i = NAMES.binary_search_by(|(n, _)| (*n).cmp(name)).ok()?;
+    NAMES.get(i).map(|(_, slot)| *slot)
+}
+
+/// Registry of named counters, gauges and histograms: one fixed-layout
+/// block, addressed by name through the name table or by [`Counter`],
+/// [`SpanKind`] and [`Hist`]. A name outside the table has no slot:
+/// writing it does nothing and reading it gives 0 or `None`.
+#[derive(Debug, Clone)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, f64>,
-    histograms: BTreeMap<&'static str, HistogramUs>,
+    counters: [u64; COUNTERS],
+    spans: [SpanTotals; SpanKind::ALL.len()],
+    gauges: [Option<f64>; GAUGES],
+    histograms: [Option<HistogramUs>; HISTS],
+}
+
+impl Default for MetricsRegistry {
+    fn default() -> Self {
+        MetricsRegistry {
+            counters: [0; COUNTERS],
+            spans: [[0; 5]; SpanKind::ALL.len()],
+            gauges: [None; GAUGES],
+            histograms: Default::default(),
+        }
+    }
 }
 
 /// Shared handle to a registry (the simulation owns the [`MetricsSink`];
@@ -268,126 +495,197 @@ impl MetricsRegistry {
     }
 
     /// Increments a counter by one.
-    pub fn inc(&mut self, name: &'static str) {
+    pub fn inc(&mut self, name: &str) {
         self.add(name, 1);
     }
 
-    /// Increments a counter by `n` (saturating).
-    pub fn add(&mut self, name: &'static str, n: u64) {
-        let c = self.counters.entry(name).or_insert(0);
-        *c = c.saturating_add(n);
+    /// Increments a counter (or a `span.*` total) by `n`, saturating.
+    pub fn add(&mut self, name: &str, n: u64) {
+        let slot = match slot(name) {
+            Some(Slot::Counter(c)) => self.counters.get_mut(c.index()),
+            Some(Slot::Span(kind, i)) => {
+                self.spans.get_mut(kind.index()).and_then(|t| t.get_mut(i))
+            }
+            Some(Slot::Gauge(_) | Slot::Hist(_)) | None => None,
+        };
+        if let Some(c) = slot {
+            *c = c.saturating_add(n);
+        }
     }
 
-    /// Current counter value (0 if never incremented).
+    /// Current counter (or `span.*` total) value; 0 if never incremented.
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+        slot(name).and_then(|s| self.count_at(s)).unwrap_or(0)
+    }
+
+    fn count_at(&self, slot: Slot) -> Option<u64> {
+        match slot {
+            Slot::Counter(c) => Some(self.get(c)),
+            Slot::Span(kind, i) => self.span_totals(kind).get(i).copied(),
+            Slot::Gauge(_) | Slot::Hist(_) => None,
+        }
+    }
+
+    /// A counter's value.
+    pub fn get(&self, counter: Counter) -> u64 {
+        self.counters.get(counter.index()).copied().unwrap_or(0)
+    }
+
+    /// The closed-span totals of one kind.
+    pub fn span_totals(&self, kind: SpanKind) -> SpanTotals {
+        self.spans.get(kind.index()).copied().unwrap_or_default()
     }
 
     /// Sets a gauge to the latest value.
-    pub fn set_gauge(&mut self, name: &'static str, value: f64) {
-        self.gauges.insert(name, value);
+    pub fn set_gauge(&mut self, name: &str, value: f64) {
+        if let Some(Slot::Gauge(g)) = slot(name) {
+            self.set(g, value);
+        }
     }
 
     /// Current gauge value, if ever set.
     pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
+        let Some(Slot::Gauge(g)) = slot(name) else {
+            return None;
+        };
+        self.gauges.get(g.index()).copied().flatten()
     }
 
     /// Records a microsecond observation into a named histogram (created
     /// with the default buckets on first use).
-    pub fn observe_us(&mut self, name: &'static str, value_us: f64) {
-        self.histograms.entry(name).or_default().record(value_us);
+    pub fn observe_us(&mut self, name: &str, value_us: f64) {
+        if let Some(Slot::Hist(h)) = slot(name) {
+            self.record(h, value_us);
+        }
     }
 
     /// A named histogram, if any observation was recorded.
     pub fn histogram(&self, name: &str) -> Option<&HistogramUs> {
-        self.histograms.get(name)
+        let Some(Slot::Hist(h)) = slot(name) else {
+            return None;
+        };
+        self.hist(h)
     }
 
-    /// Iterates counters in name order.
+    /// A histogram, if any observation was recorded.
+    pub fn hist(&self, hist: Hist) -> Option<&HistogramUs> {
+        self.histograms.get(hist.index())?.as_ref()
+    }
+
+    /// Iterates the non-zero counters (`span.*` totals included) in name
+    /// order.
     pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counters.iter().map(|(k, v)| (*k, *v))
+        NAMES.iter().filter_map(|&(name, slot)| {
+            let n = self.count_at(slot)?;
+            (n != 0).then_some((name, n))
+        })
     }
 
-    /// Iterates gauges in name order.
+    /// Iterates the set gauges in name order.
     pub fn gauges(&self) -> impl Iterator<Item = (&'static str, f64)> + '_ {
-        self.gauges.iter().map(|(k, v)| (*k, *v))
+        NAMES.iter().filter_map(|&(name, slot)| {
+            let Slot::Gauge(g) = slot else { return None };
+            Some((name, self.gauges.get(g.index()).copied().flatten()?))
+        })
     }
 
-    /// Iterates histograms in name order.
+    /// Iterates the recorded histograms in name order.
     pub fn histograms(&self) -> impl Iterator<Item = (&'static str, &HistogramUs)> + '_ {
-        self.histograms.iter().map(|(k, v)| (*k, v))
+        NAMES.iter().filter_map(|&(name, slot)| {
+            let Slot::Hist(h) = slot else { return None };
+            Some((name, self.hist(h)?))
+        })
     }
 
     /// Folds another registry into this one: counters add, gauges take the
     /// other's value, histograms merge (skipping incompatible layouts).
     pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (name, n) in other.counters() {
-            self.add(name, n);
-        }
-        for (name, v) in other.gauges() {
-            self.set_gauge(name, v);
-        }
-        for (name, h) in other.histograms() {
-            self.histograms.entry(name).or_default().merge(h);
+        self.add_counts_and_gauges(other);
+        for (mine, theirs) in self.histograms.iter_mut().zip(&other.histograms) {
+            let Some(h) = theirs else { continue };
+            match mine {
+                Some(m) => {
+                    m.merge(h);
+                }
+                None => *mine = Some(h.clone()),
+            }
         }
     }
-}
 
-/// Per-event tallies buffered in plain fields so that `emit` touches no
-/// lock and no map. [`MetricsSink::fold_into_registry`] drains them into
-/// the shared registry.
-#[derive(Debug, Default)]
-struct HotTallies {
-    events: u64,
-    last_event_us: f64,
-    nodes: u64,
-    tx: u64,
-    rx_lock: u64,
-    relock: u64,
-    rx: u64,
-    rx_crc_bad: u64,
-    collision: u64,
-    interference_spill: u64,
-    anchor: u64,
-    window_open: u64,
-    hop: u64,
-    sn_nesn: u64,
-    crc_fail: u64,
-    control_pdu: u64,
-    connected: u64,
-    disconnect: u64,
-    sniffer_sync: u64,
-    sniffer_lost: u64,
-    attempts: u64,
-    success: u64,
-    rejected: u64,
-    no_response: u64,
-    takeover: u64,
-    detector_alerts: u64,
-    pool_exhausted: u64,
-    slot_denied: u64,
-    conn_established: u64,
-    conn_released: u64,
-    /// Running maximum, not a counter: folded as a gauge, never reset.
-    pool_high_water: u64,
-    fault_bursts: u64,
-    fault_episodes: u64,
-    fault_frames_lost: u64,
-    fault_frames_corrupted: u64,
-    raw: u64,
-    span_enters: u64,
-    // Per-SpanKind exit aggregates, indexed by `SpanKind::index()`.
-    span_count: [u64; SpanKind::ALL.len()],
-    span_sim_ns: [u64; SpanKind::ALL.len()],
-    span_self_sim_ns: [u64; SpanKind::ALL.len()],
-    span_wall_ns: [u64; SpanKind::ALL.len()],
-    span_self_wall_ns: [u64; SpanKind::ALL.len()],
-    widening_us: HistogramUs,
-    lead_us: HistogramUs,
-    anchor_error_us: HistogramUs,
-    ifs_delta_us: HistogramUs,
-    detector_magnitude_us: HistogramUs,
+    /// Drains a sink's buffer into this registry: counters and span totals
+    /// add (and read 0 in `buf` afterwards), set gauges overwrite, and each
+    /// non-empty histogram moves into an empty slot or merges into a filled
+    /// one. The move is bit-identical to merging into a fresh histogram:
+    /// `0.0 + sum` is `sum`, and min and max start at +∞ and 0.0 over
+    /// non-negative magnitudes.
+    fn absorb(&mut self, buf: &mut MetricsRegistry) {
+        self.add_counts_and_gauges(buf);
+        buf.counters = [0; COUNTERS];
+        buf.spans = [[0; 5]; SpanKind::ALL.len()];
+        for (mine, theirs) in self.histograms.iter_mut().zip(&mut buf.histograms) {
+            let Some(h) = theirs.as_mut().filter(|h| !h.is_empty()) else {
+                continue;
+            };
+            match mine {
+                Some(m) => {
+                    m.merge(h);
+                    h.clear();
+                }
+                None => *mine = theirs.take(),
+            }
+        }
+    }
+
+    fn add_counts_and_gauges(&mut self, other: &MetricsRegistry) {
+        let mine = self
+            .counters
+            .iter_mut()
+            .chain(self.spans.iter_mut().flatten());
+        let theirs = other.counters.iter().chain(other.spans.iter().flatten());
+        for (m, t) in mine.zip(theirs) {
+            *m = m.saturating_add(*t);
+        }
+        for (m, t) in self.gauges.iter_mut().zip(other.gauges) {
+            if t.is_some() {
+                *m = t;
+            }
+        }
+    }
+
+    fn bump(&mut self, counter: Counter) {
+        if let Some(c) = self.counters.get_mut(counter.index()) {
+            *c = c.saturating_add(1);
+        }
+    }
+
+    fn add_span(&mut self, kind: SpanKind, totals: SpanTotals) {
+        if let Some(mine) = self.spans.get_mut(kind.index()) {
+            for (m, t) in mine.iter_mut().zip(totals) {
+                *m = m.saturating_add(t);
+            }
+        }
+    }
+
+    fn set(&mut self, gauge: Gauge, value: f64) {
+        if let Some(g) = self.gauges.get_mut(gauge.index()) {
+            *g = Some(value);
+        }
+    }
+
+    /// Raises a running-maximum gauge; readings of 0 leave it unset.
+    fn raise(&mut self, gauge: Gauge, value: f64) {
+        if let Some(g) = self.gauges.get_mut(gauge.index()) {
+            if value > g.unwrap_or(0.0) {
+                *g = Some(value);
+            }
+        }
+    }
+
+    fn record(&mut self, hist: Hist, value_us: f64) {
+        if let Some(h) = self.histograms.get_mut(hist.index()) {
+            h.get_or_insert_with(HistogramUs::default).record(value_us);
+        }
+    }
 }
 
 /// A [`TelemetrySink`] that folds every event into a [`MetricsRegistry`].
@@ -396,31 +694,28 @@ struct HotTallies {
 /// [`TelemetryEvent`] variant forces a decision here about how it is
 /// counted.
 ///
-/// Tallies are buffered in plain struct fields and only folded into the
-/// shared registry on [`TelemetrySink::flush`] (or drop): `emit` sits on
-/// the simulation hot path, and paying a mutex plus several `BTreeMap`
-/// lookups per event dominated trial cost. Read the registry only after
-/// flushing the world's sinks.
+/// Tallies are buffered in a private registry block and only folded into
+/// the shared registry on [`TelemetrySink::flush`] (or drop): `emit` sits
+/// on the simulation hot path and touches no lock. A flush is one
+/// slot-wise add under the lock. Read the registry only after flushing the
+/// world's sinks.
 #[derive(Debug)]
 pub struct MetricsSink {
     registry: SharedRegistry,
-    buf: HotTallies,
+    buf: MetricsRegistry,
 }
 
 impl MetricsSink {
     /// A sink feeding a fresh shared registry.
     pub fn new() -> Self {
-        MetricsSink {
-            registry: MetricsRegistry::shared(),
-            buf: HotTallies::default(),
-        }
+        Self::with_registry(MetricsRegistry::shared())
     }
 
     /// A sink feeding an existing registry.
     pub fn with_registry(registry: SharedRegistry) -> Self {
         MetricsSink {
             registry,
-            buf: HotTallies::default(),
+            buf: MetricsRegistry::new(),
         }
     }
 
@@ -432,92 +727,10 @@ impl MetricsSink {
 
     /// Drains the buffered tallies into the shared registry.
     fn fold_into_registry(&mut self) {
-        let t = &mut self.buf;
-        if t.events == 0 {
+        if self.buf.get(Counter::TelemetryEvents) == 0 {
             return;
         }
-        let mut reg = self.registry.lock();
-        let counters = [
-            ("telemetry.events", &mut t.events),
-            ("sim.nodes", &mut t.nodes),
-            ("phy.tx", &mut t.tx),
-            ("phy.rx_lock", &mut t.rx_lock),
-            ("phy.relock", &mut t.relock),
-            ("phy.rx", &mut t.rx),
-            ("phy.rx_crc_bad", &mut t.rx_crc_bad),
-            ("phy.collision", &mut t.collision),
-            ("phy.interference_spill", &mut t.interference_spill),
-            ("link.anchor", &mut t.anchor),
-            ("link.window_open", &mut t.window_open),
-            ("link.hop", &mut t.hop),
-            ("link.sn_nesn", &mut t.sn_nesn),
-            ("link.crc_fail", &mut t.crc_fail),
-            ("link.control_pdu", &mut t.control_pdu),
-            ("link.connected", &mut t.connected),
-            ("link.disconnect", &mut t.disconnect),
-            ("attack.sniffer_sync", &mut t.sniffer_sync),
-            ("attack.sniffer_lost", &mut t.sniffer_lost),
-            ("attack.attempts", &mut t.attempts),
-            ("attack.success", &mut t.success),
-            ("attack.rejected", &mut t.rejected),
-            ("attack.no_response", &mut t.no_response),
-            ("attack.takeover", &mut t.takeover),
-            ("detector.alerts", &mut t.detector_alerts),
-            ("host.pool_exhausted", &mut t.pool_exhausted),
-            ("host.slot_denied", &mut t.slot_denied),
-            ("host.conn_established", &mut t.conn_established),
-            ("host.conn_released", &mut t.conn_released),
-            ("fault.bursts", &mut t.fault_bursts),
-            ("fault.episodes", &mut t.fault_episodes),
-            ("fault.frames_lost", &mut t.fault_frames_lost),
-            ("fault.frames_corrupted", &mut t.fault_frames_corrupted),
-            ("telemetry.raw", &mut t.raw),
-            ("span.enters", &mut t.span_enters),
-        ];
-        for (name, n) in counters {
-            if *n != 0 {
-                reg.add(name, *n);
-                *n = 0;
-            }
-        }
-        for kind in SpanKind::ALL {
-            let i = kind.index();
-            let names = kind.metric_names();
-            let slots = [
-                (names.count, t.span_count.get_mut(i)),
-                (names.sim_ns, t.span_sim_ns.get_mut(i)),
-                (names.self_sim_ns, t.span_self_sim_ns.get_mut(i)),
-                (names.wall_ns, t.span_wall_ns.get_mut(i)),
-                (names.self_wall_ns, t.span_self_wall_ns.get_mut(i)),
-            ];
-            for (name, slot) in slots {
-                if let Some(n) = slot {
-                    if *n != 0 {
-                        reg.add(name, *n);
-                        *n = 0;
-                    }
-                }
-            }
-        }
-        reg.set_gauge("sim.last_event_us", t.last_event_us);
-        if t.pool_high_water != 0 {
-            // Monotone high-water gauge: only present once a pool reported
-            // occupancy, so runs without a pool keep their metric set.
-            reg.set_gauge("host.pool_high_water", t.pool_high_water as f64);
-        }
-        let histograms = [
-            ("link.widening_us", &mut t.widening_us),
-            ("attack.lead_us", &mut t.lead_us),
-            ("attack.anchor_error_us", &mut t.anchor_error_us),
-            ("attack.ifs_delta_us", &mut t.ifs_delta_us),
-            ("detector.magnitude_us", &mut t.detector_magnitude_us),
-        ];
-        for (name, h) in histograms {
-            if !h.is_empty() {
-                reg.histograms.entry(name).or_default().merge(h);
-                h.clear();
-            }
-        }
+        self.registry.lock().absorb(&mut self.buf);
     }
 }
 
@@ -535,86 +748,81 @@ impl Drop for MetricsSink {
 
 impl TelemetrySink for MetricsSink {
     fn emit(&mut self, record: &TelemetryRecord) {
-        let t = &mut self.buf;
-        t.events = t.events.saturating_add(1);
-        t.last_event_us = record.at.as_micros_f64();
-        let bump = |c: &mut u64| *c = c.saturating_add(1);
+        let b = &mut self.buf;
+        b.bump(Counter::TelemetryEvents);
+        b.set(Gauge::LastEventUs, record.at.as_micros_f64());
         match &record.event {
-            TelemetryEvent::NodeAdded { .. } => bump(&mut t.nodes),
-            TelemetryEvent::TxStart { .. } => bump(&mut t.tx),
+            TelemetryEvent::NodeAdded { .. } => b.bump(Counter::SimNodes),
+            TelemetryEvent::TxStart { .. } => b.bump(Counter::PhyTx),
             TelemetryEvent::TxEnd => {}
-            TelemetryEvent::RxLock { .. } => bump(&mut t.rx_lock),
-            TelemetryEvent::Relock { .. } => bump(&mut t.relock),
+            TelemetryEvent::RxLock { .. } => b.bump(Counter::PhyRxLock),
+            TelemetryEvent::Relock { .. } => b.bump(Counter::PhyRelock),
             TelemetryEvent::RxEnd { crc_ok, .. } => {
-                bump(&mut t.rx);
+                b.bump(Counter::PhyRx);
                 if !crc_ok {
-                    bump(&mut t.rx_crc_bad);
+                    b.bump(Counter::PhyRxCrcBad);
                 }
             }
-            TelemetryEvent::Collision { .. } => bump(&mut t.collision),
-            TelemetryEvent::InterferenceSpill { .. } => bump(&mut t.interference_spill),
-            TelemetryEvent::Anchor { .. } => bump(&mut t.anchor),
+            TelemetryEvent::Collision { .. } => b.bump(Counter::PhyCollision),
+            TelemetryEvent::InterferenceSpill { .. } => b.bump(Counter::PhyInterferenceSpill),
+            TelemetryEvent::Anchor { .. } => b.bump(Counter::LinkAnchor),
             TelemetryEvent::WindowOpen { widening, .. } => {
-                bump(&mut t.window_open);
-                t.widening_us.record(widening.as_micros_f64());
+                b.bump(Counter::LinkWindowOpen);
+                b.record(Hist::WideningUs, widening.as_micros_f64());
             }
-            TelemetryEvent::Hop { .. } => bump(&mut t.hop),
-            TelemetryEvent::SnNesn { .. } => bump(&mut t.sn_nesn),
-            TelemetryEvent::CrcFail { .. } => bump(&mut t.crc_fail),
-            TelemetryEvent::LlControl { .. } => bump(&mut t.control_pdu),
-            TelemetryEvent::ConnectionEstablished { .. } => bump(&mut t.connected),
-            TelemetryEvent::ConnectionClosed { .. } => bump(&mut t.disconnect),
-            TelemetryEvent::SnifferSync { .. } => bump(&mut t.sniffer_sync),
-            TelemetryEvent::SnifferLost { .. } => bump(&mut t.sniffer_lost),
+            TelemetryEvent::Hop { .. } => b.bump(Counter::LinkHop),
+            TelemetryEvent::SnNesn { .. } => b.bump(Counter::LinkSnNesn),
+            TelemetryEvent::CrcFail { .. } => b.bump(Counter::LinkCrcFail),
+            TelemetryEvent::LlControl { .. } => b.bump(Counter::LinkControlPdu),
+            TelemetryEvent::ConnectionEstablished { .. } => b.bump(Counter::LinkConnected),
+            TelemetryEvent::ConnectionClosed { .. } => b.bump(Counter::LinkDisconnect),
+            TelemetryEvent::SnifferSync { .. } => b.bump(Counter::AttackSnifferSync),
+            TelemetryEvent::SnifferLost { .. } => b.bump(Counter::AttackSnifferLost),
             TelemetryEvent::InjectionAttempt { lead, .. } => {
-                bump(&mut t.attempts);
-                t.lead_us.record(lead.as_micros_f64());
+                b.bump(Counter::AttackAttempts);
+                b.record(Hist::LeadUs, lead.as_micros_f64());
             }
-            TelemetryEvent::HeuristicVerdict { verdict, .. } => {
-                bump(match verdict {
-                    crate::event::Verdict::Success => &mut t.success,
-                    crate::event::Verdict::Rejected => &mut t.rejected,
-                    crate::event::Verdict::NoResponse => &mut t.no_response,
-                });
-            }
+            TelemetryEvent::HeuristicVerdict { verdict, .. } => b.bump(match verdict {
+                Verdict::Success => Counter::AttackSuccess,
+                Verdict::Rejected => Counter::AttackRejected,
+                Verdict::NoResponse => Counter::AttackNoResponse,
+            }),
             TelemetryEvent::AnchorPrediction { error_us } => {
-                t.anchor_error_us.record(*error_us);
+                b.record(Hist::AnchorErrorUs, *error_us);
             }
-            TelemetryEvent::IfsDelta { delta_us } => {
-                t.ifs_delta_us.record(*delta_us);
-            }
-            TelemetryEvent::Takeover { .. } => bump(&mut t.takeover),
+            TelemetryEvent::IfsDelta { delta_us } => b.record(Hist::IfsDeltaUs, *delta_us),
+            TelemetryEvent::Takeover { .. } => b.bump(Counter::AttackTakeover),
             TelemetryEvent::DetectorAlert { magnitude_us, .. } => {
-                bump(&mut t.detector_alerts);
-                t.detector_magnitude_us.record(*magnitude_us);
+                b.bump(Counter::DetectorAlerts);
+                b.record(Hist::DetectorMagnitudeUs, *magnitude_us);
             }
-            TelemetryEvent::PoolExhausted { .. } => bump(&mut t.pool_exhausted),
-            TelemetryEvent::SlotDenied => bump(&mut t.slot_denied),
-            TelemetryEvent::ConnEstablished { .. } => bump(&mut t.conn_established),
-            TelemetryEvent::ConnReleased { .. } => bump(&mut t.conn_released),
+            TelemetryEvent::PoolExhausted { .. } => b.bump(Counter::HostPoolExhausted),
+            TelemetryEvent::SlotDenied => b.bump(Counter::HostSlotDenied),
+            TelemetryEvent::ConnEstablished { .. } => b.bump(Counter::HostConnEstablished),
+            TelemetryEvent::ConnReleased { .. } => b.bump(Counter::HostConnReleased),
             TelemetryEvent::PoolHighWater { in_use } => {
-                t.pool_high_water = t.pool_high_water.max(u64::from(*in_use));
+                b.raise(Gauge::PoolHighWater, f64::from(*in_use));
             }
             TelemetryEvent::FaultBurst { active, .. } => {
                 if *active {
-                    bump(&mut t.fault_bursts);
+                    b.bump(Counter::FaultBursts);
                 }
             }
             TelemetryEvent::FaultEpisode { active, .. } => {
                 if *active {
-                    bump(&mut t.fault_episodes);
+                    b.bump(Counter::FaultEpisodes);
                 }
             }
-            TelemetryEvent::FaultFrame { kind, .. } => match kind {
-                crate::event::FaultKind::Loss => bump(&mut t.fault_frames_lost),
-                crate::event::FaultKind::Corruption => bump(&mut t.fault_frames_corrupted),
+            TelemetryEvent::FaultFrame { kind, .. } => b.bump(match kind {
+                FaultKind::Loss => Counter::FaultFramesLost,
+                FaultKind::Corruption => Counter::FaultFramesCorrupted,
                 // Burst/fading/drift faults are episodic, not per-frame; a
                 // mislabelled frame event still counts as a lost frame.
-                crate::event::FaultKind::Interference
-                | crate::event::FaultKind::Fading
-                | crate::event::FaultKind::Drift => bump(&mut t.fault_frames_lost),
-            },
-            TelemetryEvent::SpanEnter { .. } => bump(&mut t.span_enters),
+                FaultKind::Interference | FaultKind::Fading | FaultKind::Drift => {
+                    Counter::FaultFramesLost
+                }
+            }),
+            TelemetryEvent::SpanEnter { .. } => b.bump(Counter::SpanEnters),
             TelemetryEvent::SpanExit {
                 kind,
                 sim_ns,
@@ -622,22 +830,8 @@ impl TelemetrySink for MetricsSink {
                 self_sim_ns,
                 self_wall_ns,
                 ..
-            } => {
-                let i = kind.index();
-                let adds = [
-                    (t.span_count.get_mut(i), 1u64),
-                    (t.span_sim_ns.get_mut(i), *sim_ns),
-                    (t.span_self_sim_ns.get_mut(i), *self_sim_ns),
-                    (t.span_wall_ns.get_mut(i), *wall_ns),
-                    (t.span_self_wall_ns.get_mut(i), *self_wall_ns),
-                ];
-                for (slot, n) in adds {
-                    if let Some(c) = slot {
-                        *c = c.saturating_add(n);
-                    }
-                }
-            }
-            TelemetryEvent::Raw { .. } => bump(&mut t.raw),
+            } => b.add_span(*kind, [1, *sim_ns, *self_sim_ns, *wall_ns, *self_wall_ns]),
+            TelemetryEvent::Raw { .. } => b.bump(Counter::TelemetryRaw),
         }
     }
 
@@ -649,7 +843,6 @@ impl TelemetrySink for MetricsSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Verdict;
     use simkit::{Duration, Instant};
 
     #[test]
@@ -752,32 +945,49 @@ mod tests {
     #[test]
     fn registry_counters_gauges_histograms() {
         let mut r = MetricsRegistry::new();
-        r.inc("a");
-        r.add("a", 2);
-        assert_eq!(r.counter("a"), 3);
+        r.inc("phy.tx");
+        r.add("phy.tx", 2);
+        assert_eq!(r.counter("phy.tx"), 3);
+        assert_eq!(r.get(Counter::PhyTx), 3);
         assert_eq!(r.counter("missing"), 0);
-        r.set_gauge("g", 1.5);
-        r.set_gauge("g", 2.5);
-        assert_eq!(r.gauge("g"), Some(2.5));
-        r.observe_us("h", 3.0);
-        assert_eq!(r.histogram("h").map(HistogramUs::count), Some(1));
+        r.set_gauge("sim.last_event_us", 1.5);
+        r.set_gauge("sim.last_event_us", 2.5);
+        assert_eq!(r.gauge("sim.last_event_us"), Some(2.5));
+        r.observe_us("attack.lead_us", 3.0);
+        assert_eq!(
+            r.histogram("attack.lead_us").map(HistogramUs::count),
+            Some(1)
+        );
 
         let mut other = MetricsRegistry::new();
-        other.add("a", 10);
-        other.set_gauge("g", 9.0);
-        other.observe_us("h", 4.0);
+        other.add("phy.tx", 10);
+        other.set_gauge("sim.last_event_us", 9.0);
+        other.observe_us("attack.lead_us", 4.0);
         r.merge(&other);
-        assert_eq!(r.counter("a"), 13);
-        assert_eq!(r.gauge("g"), Some(9.0));
-        assert_eq!(r.histogram("h").map(HistogramUs::count), Some(2));
+        assert_eq!(r.counter("phy.tx"), 13);
+        assert_eq!(r.gauge("sim.last_event_us"), Some(9.0));
+        assert_eq!(r.hist(Hist::LeadUs).map(HistogramUs::count), Some(2));
+
+        // A name outside the table has no slot: writes change nothing.
+        let before = r.clone();
+        r.inc("missing");
+        r.set_gauge("missing", 1.0);
+        r.observe_us("missing", 1.0);
+        r.add("attack.lead_us", 1); // a histogram name is not a counter
+        assert_eq!(r.counter("missing"), 0);
+        assert_eq!(r.gauge("missing"), None);
+        assert!(r.histogram("missing").is_none());
+        assert!(r.counters().eq(before.counters()));
+        assert!(r.gauges().eq(before.gauges()));
+        assert!(r.histograms().eq(before.histograms()));
     }
 
     #[test]
     fn counter_saturates_instead_of_overflowing() {
         let mut r = MetricsRegistry::new();
-        r.add("big", u64::MAX - 1);
-        r.add("big", 5);
-        assert_eq!(r.counter("big"), u64::MAX);
+        r.add("phy.tx", u64::MAX - 1);
+        r.add("phy.tx", 5);
+        assert_eq!(r.counter("phy.tx"), u64::MAX);
     }
 
     #[test]
@@ -906,19 +1116,19 @@ mod tests {
         // be a pure function of the metric names, never of the order the
         // simulation happened to first touch them (determinism pass).
         let mut fwd = MetricsRegistry::new();
-        fwd.inc("a.first");
-        fwd.inc("z.last");
-        fwd.set_gauge("a.g", 1.0);
-        fwd.set_gauge("z.g", 2.0);
-        fwd.observe_us("a.h", 1.0);
-        fwd.observe_us("z.h", 2.0);
+        fwd.inc("attack.attempts");
+        fwd.inc("telemetry.raw");
+        fwd.set_gauge("host.pool_high_water", 1.0);
+        fwd.set_gauge("sim.last_event_us", 2.0);
+        fwd.observe_us("attack.anchor_error_us", 1.0);
+        fwd.observe_us("link.widening_us", 2.0);
         let mut rev = MetricsRegistry::new();
-        rev.observe_us("z.h", 2.0);
-        rev.observe_us("a.h", 1.0);
-        rev.set_gauge("z.g", 2.0);
-        rev.set_gauge("a.g", 1.0);
-        rev.inc("z.last");
-        rev.inc("a.first");
+        rev.observe_us("link.widening_us", 2.0);
+        rev.observe_us("attack.anchor_error_us", 1.0);
+        rev.set_gauge("sim.last_event_us", 2.0);
+        rev.set_gauge("host.pool_high_water", 1.0);
+        rev.inc("telemetry.raw");
+        rev.inc("attack.attempts");
         let names = |r: &MetricsRegistry| {
             (
                 r.counters().map(|(k, _)| k).collect::<Vec<_>>(),
@@ -929,8 +1139,230 @@ mod tests {
         assert_eq!(names(&fwd), names(&rev));
         assert_eq!(
             fwd.counters().map(|(k, _)| k).collect::<Vec<_>>(),
-            vec!["a.first", "z.last"],
+            vec!["attack.attempts", "telemetry.raw"],
             "counters iterate in name order"
         );
+    }
+
+    /// Every counter name the sink has ever written, as the string-keyed
+    /// registry's fold listed them.
+    const SINK_COUNTERS: [&str; 35] = [
+        "telemetry.events",
+        "sim.nodes",
+        "phy.tx",
+        "phy.rx_lock",
+        "phy.relock",
+        "phy.rx",
+        "phy.rx_crc_bad",
+        "phy.collision",
+        "phy.interference_spill",
+        "link.anchor",
+        "link.window_open",
+        "link.hop",
+        "link.sn_nesn",
+        "link.crc_fail",
+        "link.control_pdu",
+        "link.connected",
+        "link.disconnect",
+        "attack.sniffer_sync",
+        "attack.sniffer_lost",
+        "attack.attempts",
+        "attack.success",
+        "attack.rejected",
+        "attack.no_response",
+        "attack.takeover",
+        "detector.alerts",
+        "host.pool_exhausted",
+        "host.slot_denied",
+        "host.conn_established",
+        "host.conn_released",
+        "fault.bursts",
+        "fault.episodes",
+        "fault.frames_lost",
+        "fault.frames_corrupted",
+        "telemetry.raw",
+        "span.enters",
+    ];
+
+    /// The counters the traced benchmark replica reads after every trial
+    /// (`TRIAL_COUNTERS` in `benchmarks/e2e/trace/src/probe.rs`).
+    const TRACE_TRIAL_COUNTERS: [&str; 16] = [
+        "telemetry.events",
+        "sim.nodes",
+        "phy.collision",
+        "link.anchor",
+        "link.crc_fail",
+        "link.control_pdu",
+        "link.disconnect",
+        "attack.attempts",
+        "attack.success",
+        "attack.sniffer_lost",
+        "host.conn_established",
+        "host.pool_exhausted",
+        "host.slot_denied",
+        "fault.bursts",
+        "fault.frames_lost",
+        "fault.frames_corrupted",
+    ];
+
+    const SINK_HISTOGRAMS: [&str; 5] = [
+        "link.widening_us",
+        "attack.lead_us",
+        "attack.anchor_error_us",
+        "attack.ifs_delta_us",
+        "detector.magnitude_us",
+    ];
+
+    fn span_names() -> Vec<&'static str> {
+        SpanKind::ALL
+            .into_iter()
+            .flat_map(|kind| {
+                let n = kind.metric_names();
+                [n.count, n.sim_ns, n.self_sim_ns, n.wall_ns, n.self_wall_ns]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_name_the_sink_writes_resolves_to_its_own_slot() {
+        // An unknown name reads 0, so a typo in the table would silently
+        // zero a metric. Give every counter a distinct value and read each
+        // one back: a missing name reads 0 and two names sharing a slot
+        // read the same sum.
+        let counters: Vec<&str> = SINK_COUNTERS.into_iter().chain(span_names()).collect();
+        let mut r = MetricsRegistry::new();
+        for (value, name) in (1u64..).zip(&counters) {
+            r.add(name, value);
+        }
+        for (value, name) in (1u64..).zip(&counters) {
+            assert_eq!(r.counter(name), value, "{name}");
+        }
+        for name in TRACE_TRIAL_COUNTERS {
+            assert!(SINK_COUNTERS.contains(&name), "{name}");
+            assert_ne!(r.counter(name), 0, "{name}");
+        }
+        // The lookup binary-searches the table, and `counters()` walks it.
+        assert!(NAMES.windows(2).all(|w| w[0].0 < w[1].0));
+        let names: Vec<&str> = r.counters().map(|(name, _)| name).collect();
+        assert_eq!(names.len(), counters.len());
+        assert!(names.windows(2).all(|w| w[0] < w[1]), "{names:?}");
+        for kind in SpanKind::ALL {
+            let n = kind.metric_names();
+            let expected = [n.count, n.sim_ns, n.self_sim_ns, n.wall_ns, n.self_wall_ns]
+                .map(|name| r.counter(name));
+            assert_eq!(r.span_totals(kind), expected, "{}", kind.as_str());
+        }
+        for (value, name) in [(1.0, "sim.last_event_us"), (2.0, "host.pool_high_water")] {
+            r.set_gauge(name, value);
+            assert_eq!(r.gauge(name), Some(value), "{name}");
+        }
+        for (i, name) in SINK_HISTOGRAMS.into_iter().enumerate() {
+            for _ in 0..=i {
+                r.observe_us(name, 1.0);
+            }
+        }
+        for (i, name) in SINK_HISTOGRAMS.into_iter().enumerate() {
+            let count = r.histogram(name).map(HistogramUs::count);
+            assert_eq!(count, Some(i as u64 + 1), "{name}");
+        }
+        assert_eq!(r.counter("phy.tx_typo"), 0);
+        assert_eq!(
+            NAMES.len(),
+            counters.len() + 2 + SINK_HISTOGRAMS.len(),
+            "the table holds exactly the names the sink writes"
+        );
+    }
+
+    /// A varied event stream: counters, span totals, both gauges and three
+    /// histograms.
+    fn stream(seed: u32) -> Vec<TelemetryRecord> {
+        (0..40u32)
+            .map(|i| {
+                let v = f64::from(i.wrapping_mul(seed) % 97);
+                let event = match (i + seed) % 6 {
+                    0 => TelemetryEvent::InjectionAttempt {
+                        channel: 3,
+                        lead: Duration::from_micros(u64::from(i)),
+                    },
+                    1 => TelemetryEvent::AnchorPrediction { error_us: -v },
+                    2 => TelemetryEvent::WindowOpen {
+                        channel: 1,
+                        widening: Duration::from_micros(u64::from(seed)),
+                        deadline: Duration::from_micros(500),
+                    },
+                    3 => TelemetryEvent::PoolHighWater { in_use: i % 5 },
+                    4 => TelemetryEvent::SpanExit {
+                        id: i,
+                        kind: SpanKind::ChannelAirtime,
+                        detail: 0,
+                        sim_ns: u64::from(i) * 1_000,
+                        wall_ns: 7,
+                        self_sim_ns: u64::from(i),
+                        self_wall_ns: 3,
+                    },
+                    _ => TelemetryEvent::RxEnd {
+                        channel: 1,
+                        access_address: 0x1,
+                        crc_ok: i % 2 == 0,
+                        interferers: 0,
+                    },
+                };
+                TelemetryRecord {
+                    at: Instant::from_micros(u64::from(i)),
+                    node: None,
+                    event,
+                }
+            })
+            .collect()
+    }
+
+    fn fed(streams: &[&[TelemetryRecord]]) -> MetricsRegistry {
+        let mut sink = MetricsSink::new();
+        let reg = sink.handle();
+        for stream in streams {
+            for record in *stream {
+                sink.emit(record);
+            }
+            sink.flush();
+        }
+        drop(sink);
+        let r = reg.lock().clone();
+        r
+    }
+
+    #[test]
+    fn merging_two_registries_matches_one_fed_both_streams() {
+        let (a, b) = (stream(3), stream(11));
+        let mut merged = fed(&[&a]);
+        merged.merge(&fed(&[&b]));
+        let both = fed(&[&a, &b]);
+        assert!(merged.counters().eq(both.counters()));
+        assert!(merged.gauges().eq(both.gauges()));
+        let counts = |r: &MetricsRegistry| {
+            r.histograms()
+                .map(|(name, h)| (name, h.count(), h.bucket_counts().to_vec()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(counts(&merged), counts(&both));
+        assert_eq!(counts(&both).len(), 3);
+    }
+
+    #[test]
+    fn flushing_moves_a_histogram_bit_identically_to_a_fresh_merge() {
+        let records = stream(5);
+        let mut expected = HistogramUs::default();
+        for record in &records {
+            if let TelemetryEvent::AnchorPrediction { error_us } = record.event {
+                expected.record(error_us);
+            }
+        }
+        let mut fresh = HistogramUs::default();
+        assert!(fresh.merge(&expected));
+        let r = fed(&[&records]);
+        let moved = r.hist(Hist::AnchorErrorUs).expect("recorded");
+        assert_eq!(moved, &fresh);
+        assert_eq!(moved.sum().to_bits(), fresh.sum().to_bits());
+        assert_eq!(moved.min_value().to_bits(), fresh.min_value().to_bits());
+        assert_eq!(moved.max_value().to_bits(), fresh.max_value().to_bits());
     }
 }
