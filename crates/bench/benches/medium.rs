@@ -14,7 +14,7 @@
 use ble_phy::{
     crc24, crc24_bitwise, whiten_in_place, whiten_in_place_bitwise, AccessAddress, AccessFilter,
     Channel, DeliveryMode, Environment, NodeConfig, NodeCtx, Pdu, Position, RadioEvent,
-    RadioListener, RawFrame, Simulation, TimerKey,
+    RadioListener, RawFrame, TimerKey, World,
 };
 use criterion::{criterion_group, criterion_main, Criterion};
 use simkit::{Duration, SimRng};
@@ -67,8 +67,8 @@ fn payload_pdu(len: usize) -> Pdu {
     pdu
 }
 
-fn broadcast_sim(receivers: usize) -> Simulation {
-    let mut sim = Simulation::new(
+fn broadcast_sim(receivers: usize) -> World {
+    let mut sim = World::new(
         Environment::indoor_default(),
         SimRng::seed_from(11 + receivers as u64),
     );
@@ -161,8 +161,8 @@ impl RadioListener for HoppingBeacon {
 /// channels plus one channel-hopping beacon. Each frame concerns only the
 /// handful of listeners sharing its channel — exactly the workload where
 /// sharded delivery stops paying O(nodes) per transmission.
-fn dense_sim(nodes: usize, mode: DeliveryMode) -> Simulation {
-    let mut sim = Simulation::new(
+fn dense_sim(nodes: usize, mode: DeliveryMode) -> World {
+    let mut sim = World::new(
         Environment::indoor_default(),
         SimRng::seed_from(23 + nodes as u64),
     );

@@ -1,11 +1,11 @@
 //! Telemetry overhead microbenchmarks.
 //!
 //! `emit_disabled` is the number the zero-cost claim rests on: with no
-//! trace and no sinks attached, `NodeCtx::emit` must be a branch-and-return
-//! that never builds the event. `emit_ring_sink` prices the enabled path
+//! sink attached, `NodeCtx::emit` must be a branch-and-return that never
+//! builds the event. `emit_ring_sink` prices the enabled path
 //! (event construction + ring push) for comparison.
 
-use ble_phy::{Environment, NodeConfig, NodeCtx, Position, RadioEvent, RadioListener, Simulation};
+use ble_phy::{Environment, NodeConfig, NodeCtx, Position, RadioEvent, RadioListener, World};
 use ble_telemetry::{RingBufferSink, SpanKind, TelemetryEvent};
 use criterion::{criterion_group, criterion_main, Criterion};
 use simkit::SimRng;
@@ -17,8 +17,8 @@ impl RadioListener for Idle {
     fn on_event(&mut self, _ctx: &mut NodeCtx<'_>, _event: RadioEvent) {}
 }
 
-fn sim_with_one_node() -> (Simulation, ble_phy::NodeId) {
-    let mut sim = Simulation::new(Environment::indoor_default(), SimRng::seed_from(1));
+fn sim_with_one_node() -> (World, ble_phy::NodeId) {
+    let mut sim = World::new(Environment::indoor_default(), SimRng::seed_from(1));
     let id = sim.add_node(NodeConfig::new("bench", Position::new(0.0, 0.0)), Idle);
     (sim, id)
 }

@@ -10,7 +10,7 @@
 
 use ble_phy::{
     AccessAddress, AccessFilter, Channel, Environment, NodeConfig, NodeCtx, Position, RadioEvent,
-    RadioListener, RawFrame, Simulation, TimerKey,
+    RadioListener, RawFrame, TimerKey, World,
 };
 use ble_scenario::ScenarioBuilder;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -79,7 +79,7 @@ fn bench_construct(c: &mut Criterion) {
 fn bench_dispatch_timers(c: &mut Criterion) {
     // Four nodes each firing every 10 µs → each run_for(1 ms) dispatches
     // ~400 timer events through the medium.
-    let mut sim = Simulation::new(Environment::indoor_default(), SimRng::seed_from(7));
+    let mut sim = World::new(Environment::indoor_default(), SimRng::seed_from(7));
     let mut ids = Vec::new();
     for i in 0..4 {
         let id = sim.add_node(
@@ -104,7 +104,7 @@ fn bench_dispatch_timers(c: &mut Criterion) {
 }
 
 fn bench_dispatch_frames(c: &mut Criterion) {
-    let mut sim = Simulation::new(Environment::indoor_default(), SimRng::seed_from(9));
+    let mut sim = World::new(Environment::indoor_default(), SimRng::seed_from(9));
     let tx = sim.add_node(
         NodeConfig::new("beacon", Position::new(0.0, 0.0)),
         Beacon {

@@ -287,7 +287,7 @@ fn collapse_stacks(records: &[TelemetryRecord]) -> String {
             | TelemetryEvent::FaultBurst { .. }
             | TelemetryEvent::FaultEpisode { .. }
             | TelemetryEvent::FaultFrame { .. }
-            | TelemetryEvent::Raw { .. } => {}
+            | TelemetryEvent::ResyncFailed { .. } => {}
         }
     }
     let mut out = String::new();

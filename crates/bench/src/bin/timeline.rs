@@ -150,7 +150,7 @@ fn event_channel(event: &TelemetryEvent) -> Option<u8> {
         | TelemetryEvent::ConnEstablished { .. }
         | TelemetryEvent::ConnReleased { .. }
         | TelemetryEvent::PoolHighWater { .. }
-        | TelemetryEvent::Raw { .. } => None,
+        | TelemetryEvent::ResyncFailed { .. } => None,
     }
 }
 
@@ -192,7 +192,7 @@ fn is_headline(event: &TelemetryEvent) -> bool {
         | TelemetryEvent::ConnEstablished { .. }
         | TelemetryEvent::ConnReleased { .. }
         | TelemetryEvent::PoolHighWater { .. }
-        | TelemetryEvent::Raw { .. } => false,
+        | TelemetryEvent::ResyncFailed { .. } => false,
     }
 }
 
@@ -383,7 +383,7 @@ fn render(records: &[TelemetryRecord], limit: usize, skipped: usize) {
             | TelemetryEvent::ConnEstablished { .. }
             | TelemetryEvent::ConnReleased { .. }
             | TelemetryEvent::PoolHighWater { .. }
-            | TelemetryEvent::Raw { .. } => {}
+            | TelemetryEvent::ResyncFailed { .. } => {}
         }
     }
     println!();

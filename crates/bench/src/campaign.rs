@@ -31,6 +31,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Condvar, Mutex, PoisonError};
 
 use ble_telemetry::{HistogramUs, SpanKind};
+use json_reader::Value;
 
 use crate::cli::Cli;
 use crate::report::SeriesReport;
@@ -701,18 +702,20 @@ fn load_checkpoint(path: &Path, header: &CampaignHeader) -> Loaded {
         if line.is_empty() {
             continue;
         }
-        let Some(val) = json::parse(line) else {
+        let Ok(obj) = json_reader::parse(line) else {
             continue;
         };
-        let Some(obj) = val.as_obj() else { continue };
-        saw_any_valid = true;
-        if !header_matches(obj, header) {
+        if obj.as_obj().is_none() {
             continue;
         }
-        let Some(next_chunk) = json::get(obj, "next_chunk").and_then(json::Val::as_u64) else {
+        saw_any_valid = true;
+        if !header_matches(&obj, header) {
+            continue;
+        }
+        let Some(next_chunk) = obj.get("next_chunk").and_then(Value::num) else {
             continue;
         };
-        let Some(acc) = json::get(obj, "acc").and_then(|v| acc_from_json(v, header)) else {
+        let Some(acc) = obj.get("acc").and_then(|v| acc_from_json(v, header)) else {
             continue;
         };
         best = Some((next_chunk, acc));
@@ -724,310 +727,98 @@ fn load_checkpoint(path: &Path, header: &CampaignHeader) -> Loaded {
     }
 }
 
-fn header_matches(obj: &[(String, json::Val)], header: &CampaignHeader) -> bool {
-    json::get(obj, "v").and_then(json::Val::as_u64) == Some(CHECKPOINT_VERSION)
-        && json::get(obj, "seed").and_then(json::Val::as_u64) == Some(header.seed)
-        && json::get(obj, "count").and_then(json::Val::as_u64) == Some(header.count)
-        && json::get(obj, "chunk_size").and_then(json::Val::as_u64) == Some(header.chunk_size)
-        && json::get(obj, "parameter").and_then(json::Val::as_str)
-            == Some(header.parameter.as_str())
-        && json::get(obj, "value_bits").and_then(json::Val::as_str)
-            == Some(f64_bits_hex(header.value).as_str())
+fn header_matches(obj: &Value, header: &CampaignHeader) -> bool {
+    let num = |key| obj.get(key).and_then(Value::num::<u64>);
+    let text = |key| obj.get(key).and_then(Value::as_str);
+    num("v") == Some(CHECKPOINT_VERSION)
+        && num("seed") == Some(header.seed)
+        && num("count") == Some(header.count)
+        && num("chunk_size") == Some(header.chunk_size)
+        && text("parameter") == Some(header.parameter.as_str())
+        && text("value_bits") == Some(f64_bits_hex(header.value).as_str())
 }
 
-fn hist_from_json(v: &json::Val) -> Option<Option<HistogramUs>> {
-    if v.is_null() {
+/// An `f64` the writer stored as its bit pattern in hex.
+fn f64_field(obj: &Value, key: &str) -> Option<f64> {
+    obj.get(key)?.as_str().and_then(f64_from_bits_hex)
+}
+
+fn hist_from_json(v: &Value) -> Option<Option<HistogramUs>> {
+    if *v == Value::Null {
         return Some(None);
     }
-    let obj = v.as_obj()?;
-    let bounds: Vec<f64> = json::get(obj, "bounds_bits")?
+    let bounds: Vec<f64> = v
+        .get("bounds_bits")?
         .as_arr()?
         .iter()
         .map(|b| b.as_str().and_then(f64_from_bits_hex))
         .collect::<Option<_>>()?;
-    let counts: Vec<u64> = json::get(obj, "counts")?
+    let counts: Vec<u64> = v
+        .get("counts")?
         .as_arr()?
         .iter()
-        .map(json::Val::as_u64)
+        .map(Value::num)
         .collect::<Option<_>>()?;
-    let count = json::get(obj, "count")?.as_u64()?;
-    let sum = json::get(obj, "sum_bits")?
-        .as_str()
-        .and_then(f64_from_bits_hex)?;
-    let min = json::get(obj, "min_bits")?
-        .as_str()
-        .and_then(f64_from_bits_hex)?;
-    let max = json::get(obj, "max_bits")?
-        .as_str()
-        .and_then(f64_from_bits_hex)?;
     Some(Some(HistogramUs::from_parts(
-        bounds, counts, count, sum, min, max,
+        bounds,
+        counts,
+        v.get("count")?.num()?,
+        f64_field(v, "sum_bits")?,
+        f64_field(v, "min_bits")?,
+        f64_field(v, "max_bits")?,
     )?))
 }
 
-fn acc_from_json(v: &json::Val, header: &CampaignHeader) -> Option<SeriesAccumulator> {
-    let obj = v.as_obj()?;
-    let requested = json::get(obj, "requested")?.as_u64()?;
+fn acc_from_json(v: &Value, header: &CampaignHeader) -> Option<SeriesAccumulator> {
+    let num = |key| v.get(key).and_then(Value::num::<u64>);
+    let requested = num("requested")?;
     if requested != header.count {
         return None;
     }
-    let completed = json::get(obj, "completed")?.as_u64()?;
-    let panicked = json::get(obj, "panicked")?.as_u64()?;
-    let raw: Vec<u32> = json::get(obj, "raw")?
+    let completed = num("completed")?;
+    let raw: Vec<u32> = v
+        .get("raw")?
         .as_arr()?
         .iter()
-        .map(json::Val::as_u32)
+        .map(Value::num)
         .collect::<Option<_>>()?;
     if (raw.len() as u64) > completed {
         return None;
     }
     let mut phase_profile = Vec::new();
-    for p in json::get(obj, "phases")?.as_arr()? {
-        let p = p.as_obj()?;
+    for p in v.get("phases")?.as_arr()? {
+        let num = |key| p.get(key).and_then(Value::num::<u64>);
         // Resolve the phase name back to its `&'static str`; an unknown
         // name means the sidecar came from an incompatible build.
-        let kind = SpanKind::parse(json::get(p, "phase")?.as_str()?)?;
+        let kind = SpanKind::parse(p.get("phase")?.as_str()?)?;
         phase_profile.push(PhaseProfile {
             phase: kind.as_str(),
-            count: json::get(p, "count")?.as_u64()?,
-            sim_ns: json::get(p, "sim_ns")?.as_u64()?,
-            self_sim_ns: json::get(p, "self_sim_ns")?.as_u64()?,
-            wall_ns: json::get(p, "wall_ns")?.as_u64()?,
-            self_wall_ns: json::get(p, "self_wall_ns")?.as_u64()?,
+            count: num("count")?,
+            sim_ns: num("sim_ns")?,
+            self_sim_ns: num("self_sim_ns")?,
+            wall_ns: num("wall_ns")?,
+            self_wall_ns: num("self_wall_ns")?,
         });
     }
     Some(SeriesAccumulator {
         requested,
         completed,
-        panicked,
+        panicked: num("panicked")?,
         raw,
-        unconfirmed_effects: json::get(obj, "unconfirmed")?.as_u64()?,
-        telemetry_downgrades: json::get(obj, "downgrades")?.as_u64()?,
-        anchor_error: hist_from_json(json::get(obj, "anchor")?)?,
-        lead_time: hist_from_json(json::get(obj, "lead")?)?,
-        events_sum: json::get(obj, "events_sum_bits")?
-            .as_str()
-            .and_then(f64_from_bits_hex)?,
-        events_n: json::get(obj, "events_n")?.as_u64()?,
+        unconfirmed_effects: num("unconfirmed")?,
+        telemetry_downgrades: num("downgrades")?,
+        anchor_error: hist_from_json(v.get("anchor")?)?,
+        lead_time: hist_from_json(v.get("lead")?)?,
+        events_sum: f64_field(v, "events_sum_bits")?,
+        events_n: num("events_n")?,
         phase_profile,
-        counters: json::get(obj, "counters")?
+        counters: v
+            .get("counters")?
             .as_obj()?
             .iter()
-            .map(|(name, n)| Some((name.clone(), n.as_u64()?)))
+            .map(|(name, n)| Some((name.clone(), n.num()?)))
             .collect::<Option<_>>()?,
     })
-}
-
-/// Minimal JSON reader for the checkpoint sidecar. Numbers keep their raw
-/// token so `u64` values round-trip exactly (a shared `f64` representation
-/// would corrupt large seeds); the perfgate gate has a cousin of this
-/// reader for artefact comparison.
-mod json {
-    /// A parsed JSON value.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Val {
-        Null,
-        Bool(bool),
-        Num(String),
-        Str(String),
-        Arr(Vec<Val>),
-        Obj(Vec<(String, Val)>),
-    }
-
-    impl Val {
-        pub fn as_u64(&self) -> Option<u64> {
-            match self {
-                Val::Num(s) => s.parse().ok(),
-                _ => None,
-            }
-        }
-
-        pub fn as_u32(&self) -> Option<u32> {
-            match self {
-                Val::Num(s) => s.parse().ok(),
-                _ => None,
-            }
-        }
-
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Val::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        pub fn as_arr(&self) -> Option<&[Val]> {
-            match self {
-                Val::Arr(v) => Some(v),
-                _ => None,
-            }
-        }
-
-        pub fn as_obj(&self) -> Option<&[(String, Val)]> {
-            match self {
-                Val::Obj(v) => Some(v),
-                _ => None,
-            }
-        }
-
-        pub fn is_null(&self) -> bool {
-            matches!(self, Val::Null)
-        }
-    }
-
-    /// First value for `key` in an object's entry list.
-    pub fn get<'a>(obj: &'a [(String, Val)], key: &str) -> Option<&'a Val> {
-        obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-
-    /// Parses one complete JSON value; `None` on any malformation
-    /// (including trailing garbage) — a torn checkpoint line must never
-    /// half-parse.
-    pub fn parse(text: &str) -> Option<Val> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let val = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return None;
-        }
-        Some(val)
-    }
-
-    fn skip_ws(b: &[u8], pos: &mut usize) {
-        while b.get(*pos).is_some_and(|c| c.is_ascii_whitespace()) {
-            *pos += 1;
-        }
-    }
-
-    fn eat(b: &[u8], pos: &mut usize, c: u8) -> Option<()> {
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&c) {
-            *pos += 1;
-            Some(())
-        } else {
-            None
-        }
-    }
-
-    fn parse_value(b: &[u8], pos: &mut usize) -> Option<Val> {
-        skip_ws(b, pos);
-        match b.get(*pos)? {
-            b'{' => parse_obj(b, pos),
-            b'[' => parse_arr(b, pos),
-            b'"' => parse_str(b, pos).map(Val::Str),
-            b'n' => parse_lit(b, pos, "null", Val::Null),
-            b't' => parse_lit(b, pos, "true", Val::Bool(true)),
-            b'f' => parse_lit(b, pos, "false", Val::Bool(false)),
-            _ => parse_num(b, pos),
-        }
-    }
-
-    fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, val: Val) -> Option<Val> {
-        if b[*pos..].starts_with(lit.as_bytes()) {
-            *pos += lit.len();
-            Some(val)
-        } else {
-            None
-        }
-    }
-
-    /// The writer's numbers are all unsigned integers (f64 state travels
-    /// as bit-pattern strings), so a number token is a run of digits.
-    fn parse_num(b: &[u8], pos: &mut usize) -> Option<Val> {
-        let start = *pos;
-        while b.get(*pos).is_some_and(u8::is_ascii_digit) {
-            *pos += 1;
-        }
-        if *pos == start {
-            return None;
-        }
-        let s = std::str::from_utf8(&b[start..*pos]).ok()?;
-        Some(Val::Num(s.to_string()))
-    }
-
-    fn parse_str(b: &[u8], pos: &mut usize) -> Option<String> {
-        eat(b, pos, b'"')?;
-        let mut out = String::new();
-        loop {
-            match b.get(*pos)? {
-                b'"' => {
-                    *pos += 1;
-                    return Some(out);
-                }
-                b'\\' => {
-                    *pos += 1;
-                    match b.get(*pos)? {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        // The writer emits no other escapes.
-                        _ => return None,
-                    }
-                    *pos += 1;
-                }
-                _ => {
-                    // Collect a maximal run of plain bytes (valid UTF-8 by
-                    // construction: the input is a &str).
-                    let start = *pos;
-                    while b.get(*pos).is_some_and(|c| *c != b'"' && *c != b'\\') {
-                        *pos += 1;
-                    }
-                    out.push_str(std::str::from_utf8(&b[start..*pos]).ok()?);
-                }
-            }
-        }
-    }
-
-    fn parse_arr(b: &[u8], pos: &mut usize) -> Option<Val> {
-        eat(b, pos, b'[')?;
-        let mut items = Vec::new();
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&b']') {
-            *pos += 1;
-            return Some(Val::Arr(items));
-        }
-        loop {
-            items.push(parse_value(b, pos)?);
-            skip_ws(b, pos);
-            match b.get(*pos)? {
-                b',' => *pos += 1,
-                b']' => {
-                    *pos += 1;
-                    return Some(Val::Arr(items));
-                }
-                _ => return None,
-            }
-        }
-    }
-
-    fn parse_obj(b: &[u8], pos: &mut usize) -> Option<Val> {
-        eat(b, pos, b'{')?;
-        let mut entries = Vec::new();
-        skip_ws(b, pos);
-        if b.get(*pos) == Some(&b'}') {
-            *pos += 1;
-            return Some(Val::Obj(entries));
-        }
-        loop {
-            skip_ws(b, pos);
-            let key = parse_str(b, pos)?;
-            eat(b, pos, b':')?;
-            let val = parse_value(b, pos)?;
-            entries.push((key, val));
-            skip_ws(b, pos);
-            match b.get(*pos)? {
-                b',' => *pos += 1,
-                b'}' => {
-                    *pos += 1;
-                    return Some(Val::Obj(entries));
-                }
-                _ => return None,
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1189,12 +980,27 @@ mod tests {
             value: 2.5,
         };
         let line = checkpoint_line(&header, 4, &acc);
-        let val = json::parse(&line).expect("checkpoint line parses");
-        let obj = val.as_obj().unwrap();
-        assert!(header_matches(obj, &header));
-        assert_eq!(json::get(obj, "next_chunk").unwrap().as_u64(), Some(4));
-        let decoded = acc_from_json(json::get(obj, "acc").unwrap(), &header).unwrap();
+        let obj = json_reader::parse(&line).expect("checkpoint line parses");
+        assert!(header_matches(&obj, &header));
+        assert_eq!(obj.get("next_chunk").and_then(Value::num::<u64>), Some(4));
+        let decoded = acc_from_json(obj.get("acc").unwrap(), &header).unwrap();
         assert_eq!(decoded, acc);
+    }
+
+    #[test]
+    fn a_deeply_nested_sidecar_line_is_skipped_not_a_stack_overflow() {
+        let dir = scratch("nested");
+        let path = dir.join("sidecar.jsonl");
+        std::fs::write(&path, "[".repeat(1_000_000)).unwrap();
+        let header = CampaignHeader {
+            seed: 5,
+            count: 20,
+            chunk_size: 5,
+            parameter: "p".into(),
+            value: 1.0,
+        };
+        assert!(matches!(load_checkpoint(&path, &header), Loaded::Fresh));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -3,8 +3,6 @@
 use std::io::Write as _;
 use std::path::PathBuf;
 
-use serde::Serialize;
-
 use crate::campaign::SeriesAccumulator;
 use crate::stats::Summary;
 use crate::telemetry::{HistRow, PhaseProfile};
@@ -12,7 +10,7 @@ use crate::trial::TrialOutcome;
 
 /// One row of an experiment series: a parameter value and its outcome
 /// distribution.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SeriesReport {
     /// The swept parameter's name.
     pub parameter: String,
@@ -286,8 +284,7 @@ pub fn artefact_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/experiments")
 }
 
-/// Minimal JSON encoding (serde-derive model, hand-rolled writer keeps the
-/// dependency surface small).
+/// Hand-rolled JSON encoding of the rows, in field order.
 ///
 /// Artefact bytes are a pure function of the row values: every field is a
 /// scalar, `Vec` (seed order) or fixed-shape histogram summary — there is no

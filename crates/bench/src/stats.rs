@@ -1,10 +1,8 @@
 //! Summary statistics for experiment series.
 
-use serde::Serialize;
-
 /// Five-number-plus-mean summary of a sample, the shape Figure 9's
 /// box-plot-like panels report.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Summary {
     /// Sample size.
     pub n: usize,

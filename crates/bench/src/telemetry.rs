@@ -2,12 +2,11 @@
 //! metric block that rides along in experiment report rows.
 
 use ble_telemetry::{Counter, Hist, HistSummary, HistogramUs, MetricsRegistry, SpanKind};
-use serde::Serialize;
 
 pub use ble_scenario::TelemetryMode;
 
 /// Histogram summary in the shape report rows serialise (µs units).
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct HistRow {
     /// Samples recorded.
     pub count: u64,

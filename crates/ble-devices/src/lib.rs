@@ -13,7 +13,7 @@
 //!   re-establishes) connections and drives the peripherals.
 //!
 //! All of them are [`ble_phy::RadioListener`]s; add them to a
-//! [`ble_phy::Simulation`] and bootstrap with [`ble_phy::Simulation::with_ctx`].
+//! [`ble_phy::World`] and bootstrap with [`ble_phy::World::with_ctx`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -62,7 +62,7 @@ impl<A: PeripheralApp> Peripheral<A> {
         }
     }
 
-    /// Starts advertising (call once from `Simulation::with_ctx`).
+    /// Starts advertising (call once from `World::with_ctx`).
     pub fn start(&mut self, ctx: &mut NodeCtx<'_>) {
         self.ll
             .start_advertising(ctx, self.adv_data.clone(), vec![], self.adv_interval);

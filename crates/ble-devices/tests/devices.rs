@@ -111,9 +111,9 @@ fn pairing_and_encryption_through_real_devices() {
 fn two_independent_connections_coexist() {
     // Two victim/central pairs in one room: this topology is beyond the
     // single-victim builder, so it drives the arena API directly.
-    use ble_phy::{Environment, Simulation};
+    use ble_phy::{Environment, World};
     let mut rng = SimRng::seed_from(11);
-    let mut sim = Simulation::new(Environment::indoor_default(), SimRng::seed_from(12));
+    let mut sim = World::new(Environment::indoor_default(), SimRng::seed_from(12));
     let clock = |rng: &mut SimRng| DriftClock::with_random_error(50.0, rng).with_jitter_us(1.0);
     let bulb = Lightbulb::new(0xB1, rng.fork());
     let fob = Keyfob::new(0xF0, rng.fork());

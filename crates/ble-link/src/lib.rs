@@ -72,5 +72,4 @@ pub use pdu::control::{
     ControlPdu, ERR_CONNECTION_TIMEOUT, ERR_MIC_FAILURE, ERR_REMOTE_USER_TERMINATED,
 };
 pub use pdu::data::{DataHeader, DataPdu, Llid};
-pub use pdu::PduError;
 pub use sca::SleepClockAccuracy;

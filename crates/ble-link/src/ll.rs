@@ -1445,7 +1445,6 @@ impl LinkLayer {
                     return;
                 }
                 ctx.stop_rx();
-                ctx.trace("connect-req-rx", format!("slave connecting to {initiator}"));
                 self.become_slave(ctx, frame.end, params, initiator, ch_sel, delegate);
             }
             // Explicit per R4: ScanReq/ConnectReq for other advertisers fall

@@ -50,10 +50,6 @@ pub enum ParseError {
     InvalidField(&'static str),
 }
 
-/// Backwards-compatible name: the original stringly error this enum
-/// replaced.
-pub type PduError = ParseError;
-
 impl std::fmt::Display for ParseError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

@@ -10,7 +10,7 @@ use ble_link::{
     AddressType, ChannelMap, ConnectionParams, DeviceAddress, LinkLayer, LinkLayerDelegate, Llid,
     Role, SleepClockAccuracy, UpdateRequest, ERR_MIC_FAILURE, ERR_REMOTE_USER_TERMINATED,
 };
-use ble_phy::{Environment, NodeConfig, NodeCtx, Position, RadioEvent, RadioListener, Simulation};
+use ble_phy::{Environment, NodeConfig, NodeCtx, Position, RadioEvent, RadioListener, World};
 use simkit::{DriftClock, Duration, SimRng};
 
 /// A test host: records callbacks, queues outgoing data, serves an LTK.
@@ -68,7 +68,7 @@ impl RadioListener for Device {
 }
 
 struct Rig {
-    sim: Simulation,
+    sim: World,
     master_id: ble_phy::NodeId,
     slave_id: ble_phy::NodeId,
 }
@@ -95,7 +95,7 @@ fn addr(seed: u8) -> DeviceAddress {
 /// Builds a two-device rig and establishes a connection.
 fn connected_rig(seed: u64, hop_interval: u16) -> Rig {
     let mut rng = SimRng::seed_from(seed);
-    let mut sim = Simulation::new(Environment::indoor_default(), SimRng::seed_from(seed + 1));
+    let mut sim = World::new(Environment::indoor_default(), SimRng::seed_from(seed + 1));
     let slave = Device {
         ll: LinkLayer::new(addr(0xB0), SleepClockAccuracy::Ppm50),
         host: TestHost::default(),
@@ -435,7 +435,7 @@ fn slave_latency_skips_events_but_connection_survives() {
     // roughly every 4th event while idle, and wakes up as soon as data
     // appears.
     let mut rng = SimRng::seed_from(40);
-    let mut sim = Simulation::new(Environment::indoor_default(), SimRng::seed_from(41));
+    let mut sim = World::new(Environment::indoor_default(), SimRng::seed_from(41));
     let slave = Device {
         ll: LinkLayer::new(addr(0xB0), SleepClockAccuracy::Ppm50),
         host: TestHost::default(),

@@ -22,7 +22,7 @@ use ble_telemetry::{
     DeliveryTracker, FaultKind, SpanId, SpanKind, Telemetry, TelemetryEvent, TelemetryRecord,
     TelemetrySink,
 };
-use simkit::{Duration, EventQueue, FaultPlan, Instant, SimRng, Trace};
+use simkit::{Duration, EventQueue, FaultPlan, Instant, SimRng};
 
 use crate::channel::Channel;
 use crate::fault::FaultState;
@@ -42,7 +42,7 @@ use crate::radio::{
 /// (wrong channel, not listening, or mean power below the reachability
 /// cull). The equivalence is pinned by the `sharding_equivalence`
 /// integration tests, which run the same seeded world under both modes and
-/// compare traces.
+/// compare their telemetry records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DeliveryMode {
     /// Schedule `RxStart` only at nodes currently listening on the
@@ -260,7 +260,6 @@ pub(crate) struct SimInner {
     gc_due: Instant,
     next_tx_id: u64,
     rng: SimRng,
-    trace: Trace,
     telemetry: Telemetry,
     faults: FaultState,
     delivery_mode: DeliveryMode,
@@ -330,47 +329,34 @@ impl SimInner {
         &mut self.node_state_mut(node).rng
     }
 
-    /// Whether any observability consumer (legacy trace or telemetry sink)
-    /// is active. Emit sites bail out on `false` before building events.
+    /// Whether a telemetry sink is attached. Emit sites bail out on `false`
+    /// before building events.
     #[inline]
     pub(crate) fn telemetry_active(&self) -> bool {
-        self.trace.is_enabled() || self.telemetry.is_enabled()
+        self.telemetry.is_enabled()
     }
 
-    /// Emits a typed event: mirrored into the legacy [`Trace`] (tag +
-    /// rendered detail) when tracing is on, and fanned out to telemetry
-    /// sinks. The closure only runs when a consumer is active, so disabled
-    /// telemetry costs two boolean loads and a branch.
+    /// Emits a typed event to the telemetry sinks. The closure only runs
+    /// when a sink is attached, so disabled telemetry costs one boolean
+    /// load and a branch.
     pub(crate) fn emit(
         &mut self,
         at: Instant,
         node: Option<NodeId>,
         build: impl FnOnce() -> TelemetryEvent,
     ) {
-        let trace_on = self.trace.is_enabled();
-        let telemetry_on = self.telemetry.is_enabled();
-        if !trace_on && !telemetry_on {
+        if !self.telemetry.is_enabled() {
             return;
         }
         let event = build();
-        if trace_on {
-            let detail = match node {
-                Some(n) => format!("{} {}", self.node_label(n), event),
-                None => event.to_string(),
-            };
-            self.trace.record(at, event.tag(), detail);
-        }
-        if telemetry_on {
-            let node = node.and_then(|n| u32::try_from(n.0).ok());
-            self.telemetry
-                .emit_record(&TelemetryRecord { at, node, event });
-        }
+        let node = node.and_then(|n| u32::try_from(n.0).ok());
+        self.telemetry
+            .emit_record(&TelemetryRecord { at, node, event });
     }
 
     /// Opens a hierarchical span attributed to `node` (or the simulation
     /// when `None`). Branch-and-return ([`SpanId::DISABLED`]) when no
-    /// telemetry sink is attached; spans are not mirrored into the legacy
-    /// [`Trace`].
+    /// telemetry sink is attached.
     #[inline]
     pub(crate) fn span_enter(
         &mut self,
@@ -387,30 +373,6 @@ impl SimInner {
     #[inline]
     pub(crate) fn span_exit(&mut self, at: Instant, id: SpanId) {
         self.telemetry.span_exit(at, id);
-    }
-
-    /// Legacy free-form trace entry point ([`NodeCtx::trace`]); forwarded to
-    /// telemetry sinks as a [`TelemetryEvent::Raw`] so JSONL captures keep
-    /// not-yet-migrated call sites.
-    pub(crate) fn trace_record(
-        &mut self,
-        at: Instant,
-        node: Option<NodeId>,
-        tag: &'static str,
-        detail: String,
-    ) {
-        if self.telemetry.is_enabled() {
-            let node = node.and_then(|n| u32::try_from(n.0).ok());
-            self.telemetry.emit_record(&TelemetryRecord {
-                at,
-                node,
-                event: TelemetryEvent::Raw {
-                    tag: tag.to_owned(),
-                    detail: detail.clone(),
-                },
-            });
-        }
-        self.trace.record(at, tag, detail);
     }
 
     /// Inserts `node` into the sorted listener list of `channel` (no-op if
@@ -1188,9 +1150,6 @@ pub struct World {
     nodes: Vec<Box<dyn Node>>,
 }
 
-/// Former name of [`World`], kept as an alias for downstream code.
-pub type Simulation = World;
-
 impl World {
     /// Creates a world with the given environment and random seed source.
     pub fn new(env: Environment, rng: SimRng) -> Self {
@@ -1203,7 +1162,6 @@ impl World {
                 gc_due: Instant::MAX,
                 next_tx_id: 0,
                 rng,
-                trace: Trace::disabled(),
                 telemetry: Telemetry::default(),
                 faults: FaultState::disabled(),
                 delivery_mode: DeliveryMode::default(),
@@ -1262,16 +1220,6 @@ impl World {
         for item in 0..self.inner.faults.item_count() {
             self.inner.schedule_fault_edge(item, 0);
         }
-    }
-
-    /// Enables the simulation trace (for debugging and assertions).
-    pub fn enable_trace(&mut self) {
-        self.inner.trace = Trace::enabled();
-    }
-
-    /// The collected trace.
-    pub fn trace(&self) -> &Trace {
-        &self.inner.trace
     }
 
     /// Attaches a telemetry sink. [`ble_telemetry::TelemetryEvent::NodeAdded`]

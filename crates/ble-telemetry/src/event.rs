@@ -4,8 +4,8 @@
 //! attacker decisions, detector alerts — is one [`TelemetryEvent`] variant.
 //! The enum is deliberately flat and field-poor: events are emitted on hot
 //! paths, so variants carry `Copy`-able scalars wherever possible and only
-//! allocate for genuinely textual payloads ([`TelemetryEvent::Raw`] and
-//! [`TelemetryEvent::NodeAdded`]).
+//! allocate for the one textual payload, [`TelemetryEvent::NodeAdded`]'s
+//! label.
 //!
 //! `TelemetryEvent` is covered by the xtask R4 exhaustive-match rule: code
 //! matching on it must not use a `_` wildcard arm, so adding a variant here
@@ -188,8 +188,7 @@ impl FaultKind {
 /// One typed telemetry event.
 ///
 /// Variants group by layer: simulation meta, PHY, Link Layer, attacker,
-/// detector. The legacy [`simkit::Trace`] tags are preserved by
-/// [`TelemetryEvent::tag`] so trace-based tooling keeps working.
+/// detector, host, injected faults and spans.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TelemetryEvent {
     // --- simulation meta ---------------------------------------------------
@@ -355,6 +354,16 @@ pub enum TelemetryEvent {
         /// The role that was usurped.
         role: LinkRole,
     },
+    /// A resync scan campaign ran out of hops without finding the
+    /// connection again.
+    ResyncFailed {
+        /// Scan campaigns run since the connection was lost, this one
+        /// included.
+        campaigns: u32,
+        /// The radio-quiet backoff before the next campaign; `None` once
+        /// the retries are spent and the attacker gives up.
+        backoff: Option<Duration>,
+    },
 
     // --- detector ----------------------------------------------------------
     /// The §VIII IDS raised an alert.
@@ -454,21 +463,11 @@ pub enum TelemetryEvent {
         /// Wall-clock nanoseconds net of child spans.
         self_wall_ns: u64,
     },
-
-    // --- escape hatch ------------------------------------------------------
-    /// A legacy free-form trace record forwarded through the typed bus.
-    /// New instrumentation should add a variant instead of using this.
-    Raw {
-        /// Legacy trace tag.
-        tag: String,
-        /// Free-form detail text.
-        detail: String,
-    },
 }
 
 impl TelemetryEvent {
-    /// The legacy [`simkit::Trace`] tag for this event, used when mirroring
-    /// typed events into a `Trace` and as the JSONL `kind` field.
+    /// The event's short name: the JSONL `kind` field, and the label the
+    /// `timeline` renderer prints.
     pub fn tag(&self) -> &'static str {
         match self {
             TelemetryEvent::NodeAdded { .. } => "node",
@@ -494,6 +493,7 @@ impl TelemetryEvent {
             TelemetryEvent::AnchorPrediction { .. } => "anchor-error",
             TelemetryEvent::IfsDelta { .. } => "ifs-delta",
             TelemetryEvent::Takeover { .. } => "takeover",
+            TelemetryEvent::ResyncFailed { .. } => "resync-failed",
             TelemetryEvent::DetectorAlert { .. } => "alert",
             TelemetryEvent::PoolExhausted { .. } => "pool-exhausted",
             TelemetryEvent::SlotDenied => "slot-denied",
@@ -505,13 +505,12 @@ impl TelemetryEvent {
             TelemetryEvent::FaultFrame { .. } => "fault-frame",
             TelemetryEvent::SpanEnter { .. } => "span-enter",
             TelemetryEvent::SpanExit { .. } => "span-exit",
-            TelemetryEvent::Raw { .. } => "raw",
         }
     }
 }
 
 impl fmt::Display for TelemetryEvent {
-    /// Human-readable detail text, also used as the `Trace` mirror detail.
+    /// Human-readable detail text.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TelemetryEvent::NodeAdded { label } => write!(f, "node '{label}' added"),
@@ -589,6 +588,14 @@ impl fmt::Display for TelemetryEvent {
             TelemetryEvent::Takeover { role } => {
                 write!(f, "usurped {}", role.as_str())
             }
+            TelemetryEvent::ResyncFailed {
+                campaigns,
+                backoff: Some(backoff),
+            } => write!(f, "campaign {campaigns} empty; backing off {backoff}"),
+            TelemetryEvent::ResyncFailed {
+                campaigns,
+                backoff: None,
+            } => write!(f, "gave up after {campaigns} scan campaigns"),
             TelemetryEvent::DetectorAlert { kind, magnitude_us } => {
                 write!(f, "{} magnitude={magnitude_us:.3}µs", kind.as_str())
             }
@@ -643,7 +650,6 @@ impl fmt::Display for TelemetryEvent {
                 "{} #{id} detail={detail} sim={sim_ns}ns (self {self_sim_ns}ns) wall={wall_ns}ns (self {self_wall_ns}ns)",
                 kind.as_str()
             ),
-            TelemetryEvent::Raw { tag, detail } => write!(f, "[{tag}] {detail}"),
         }
     }
 }

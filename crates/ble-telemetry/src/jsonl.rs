@@ -1,19 +1,18 @@
 //! JSONL (one JSON object per line) sink and codec.
 //!
-//! The workspace's vendored `serde` is a compile-only shim, so the codec
-//! here is hand-rolled and deliberately flat: every record encodes to a
-//! single-level JSON object with scalar fields. Times are integer
+//! The writer is hand-rolled and deliberately flat: every record encodes
+//! to a single-level JSON object with scalar fields. Times are integer
 //! nanoseconds (exact round-trip); floating-point fields use Rust's
-//! shortest-round-trip `Display`, so [`parse_line`] is an exact inverse of
+//! shortest-round-trip `Display`, so [`parse_line`], which reads lines
+//! through the workspace's shared `json_reader`, is an exact inverse of
 //! [`to_line`] for every event the stack emits.
 
 use std::fmt::Write as _;
 use std::fs;
 use std::io::{self, Write};
-use std::iter::Peekable;
 use std::path::Path;
-use std::str::Chars;
 
+use json_reader::Value;
 use simkit::{Duration, Instant};
 
 use crate::event::{AlertKind, FaultKind, LinkRole, LossReason, TelemetryEvent, Verdict};
@@ -24,8 +23,10 @@ use crate::span::SpanKind;
 // encoding
 // ---------------------------------------------------------------------
 
-fn push_escaped(out: &mut String, s: &str) {
-    for c in s.chars() {
+/// Appends `,"key":"value"` with `value` escaped.
+fn push_str_field(out: &mut String, key: &str, value: &str) {
+    let _ = write!(out, ",\"{key}\":\"");
+    for c in value.chars() {
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
@@ -38,11 +39,6 @@ fn push_escaped(out: &mut String, s: &str) {
             c => out.push(c),
         }
     }
-}
-
-fn push_str_field(out: &mut String, key: &str, value: &str) {
-    let _ = write!(out, ",\"{key}\":\"");
-    push_escaped(out, value);
     out.push('"');
 }
 
@@ -172,6 +168,12 @@ pub fn to_line(record: &TelemetryRecord) -> String {
         TelemetryEvent::Takeover { role } => {
             let _ = write!(s, ",\"role\":\"{}\"", role.as_str());
         }
+        TelemetryEvent::ResyncFailed { campaigns, backoff } => {
+            let _ = write!(s, ",\"campaigns\":{campaigns}");
+            if let Some(backoff) = backoff {
+                let _ = write!(s, ",\"backoff_ns\":{}", backoff.as_nanos());
+            }
+        }
         TelemetryEvent::DetectorAlert { kind, magnitude_us } => {
             let _ = write!(
                 s,
@@ -235,309 +237,159 @@ pub fn to_line(record: &TelemetryRecord) -> String {
                 kind.as_str()
             );
         }
-        TelemetryEvent::Raw { tag, detail } => {
-            push_str_field(&mut s, "tag", tag);
-            push_str_field(&mut s, "detail", detail);
-        }
     }
     s.push('}');
     s
 }
 
 // ---------------------------------------------------------------------
-// decoding (minimal flat-object JSON parser)
+// decoding
 // ---------------------------------------------------------------------
 
-#[derive(Debug, Clone, PartialEq)]
-enum Field {
-    Str(String),
-    Num(String),
-    Bool(bool),
-}
-
-struct Cursor<'a> {
-    it: Peekable<Chars<'a>>,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(s: &'a str) -> Self {
-        Cursor {
-            it: s.chars().peekable(),
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self.it.peek().is_some_and(|c| c.is_ascii_whitespace()) {
-            self.it.next();
-        }
-    }
-
-    fn eat(&mut self, want: char) -> bool {
-        self.skip_ws();
-        if self.it.peek() == Some(&want) {
-            self.it.next();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn parse_string(&mut self) -> Option<String> {
-        if !self.eat('"') {
-            return None;
-        }
-        let mut out = String::new();
-        loop {
-            match self.it.next()? {
-                '"' => return Some(out),
-                '\\' => match self.it.next()? {
-                    '"' => out.push('"'),
-                    '\\' => out.push('\\'),
-                    '/' => out.push('/'),
-                    'n' => out.push('\n'),
-                    'r' => out.push('\r'),
-                    't' => out.push('\t'),
-                    'u' => {
-                        let mut hex = String::new();
-                        for _ in 0..4 {
-                            hex.push(self.it.next()?);
-                        }
-                        let code = u32::from_str_radix(&hex, 16).ok()?;
-                        out.push(char::from_u32(code)?);
-                    }
-                    _ => return None,
-                },
-                c => out.push(c),
-            }
-        }
-    }
-
-    fn parse_value(&mut self) -> Option<Field> {
-        self.skip_ws();
-        match self.it.peek()? {
-            '"' => self.parse_string().map(Field::Str),
-            't' | 'f' => {
-                let mut word = String::new();
-                while self.it.peek().is_some_and(|c| c.is_ascii_alphabetic()) {
-                    word.extend(self.it.next());
-                }
-                match word.as_str() {
-                    "true" => Some(Field::Bool(true)),
-                    "false" => Some(Field::Bool(false)),
-                    _ => None,
-                }
-            }
-            _ => {
-                let mut num = String::new();
-                while self
-                    .it
-                    .peek()
-                    .is_some_and(|c| c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E'))
-                {
-                    num.extend(self.it.next());
-                }
-                if num.is_empty() {
-                    None
-                } else {
-                    Some(Field::Num(num))
-                }
-            }
-        }
-    }
-}
-
-fn parse_object(line: &str) -> Option<Vec<(String, Field)>> {
-    let mut cur = Cursor::new(line);
-    if !cur.eat('{') {
-        return None;
-    }
-    let mut fields = Vec::new();
-    if cur.eat('}') {
-        return Some(fields);
-    }
-    loop {
-        cur.skip_ws();
-        let key = cur.parse_string()?;
-        if !cur.eat(':') {
-            return None;
-        }
-        let value = cur.parse_value()?;
-        fields.push((key, value));
-        if cur.eat(',') {
-            continue;
-        }
-        if cur.eat('}') {
-            return Some(fields);
-        }
-        return None;
-    }
-}
-
-fn get<'a>(fields: &'a [(String, Field)], key: &str) -> Option<&'a Field> {
-    fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn get_str<'a>(fields: &'a [(String, Field)], key: &str) -> Option<&'a str> {
-    match get(fields, key)? {
-        Field::Str(s) => Some(s),
-        Field::Num(_) | Field::Bool(_) => None,
-    }
-}
-
-fn get_num<T: std::str::FromStr>(fields: &[(String, Field)], key: &str) -> Option<T> {
-    match get(fields, key)? {
-        Field::Num(n) => n.parse().ok(),
-        Field::Str(_) | Field::Bool(_) => None,
-    }
-}
-
-fn get_bool(fields: &[(String, Field)], key: &str) -> Option<bool> {
-    match get(fields, key)? {
-        Field::Bool(b) => Some(*b),
-        Field::Str(_) | Field::Num(_) => None,
-    }
-}
-
 /// Decodes one JSONL line back into a record. Exact inverse of [`to_line`];
-/// returns `None` on malformed input or an unknown `kind`.
+/// returns `None` on malformed input (a torn line included), bytes after
+/// the object, or an unknown `kind`.
 pub fn parse_line(line: &str) -> Option<TelemetryRecord> {
-    let fields = parse_object(line)?;
-    let at = Instant::from_nanos(get_num(&fields, "t_ns")?);
-    let node: Option<u32> = get_num(&fields, "node");
-    let kind = get_str(&fields, "kind")?;
+    let fields = json_reader::parse(line).ok()?;
+    let at = Instant::from_nanos(fields.get("t_ns")?.num()?);
+    let node: Option<u32> = fields.get("node").and_then(Value::num);
+    let kind = fields.get("kind")?.as_str()?;
     let event = match kind {
         "node" => TelemetryEvent::NodeAdded {
-            label: get_str(&fields, "label")?.to_owned(),
+            label: fields.get("label")?.as_str()?.to_owned(),
         },
         "tx-start" => TelemetryEvent::TxStart {
-            channel: get_num(&fields, "ch")?,
-            access_address: get_num(&fields, "aa")?,
-            pdu_len: get_num(&fields, "len")?,
-            end: Instant::from_nanos(get_num(&fields, "end_ns")?),
+            channel: fields.get("ch")?.num()?,
+            access_address: fields.get("aa")?.num()?,
+            pdu_len: fields.get("len")?.num()?,
+            end: Instant::from_nanos(fields.get("end_ns")?.num()?),
         },
         "tx-end" => TelemetryEvent::TxEnd,
         "rx-lock" => TelemetryEvent::RxLock {
-            channel: get_num(&fields, "ch")?,
+            channel: fields.get("ch")?.num()?,
         },
         "relock" => TelemetryEvent::Relock {
-            channel: get_num(&fields, "ch")?,
+            channel: fields.get("ch")?.num()?,
         },
         "rx-end" => TelemetryEvent::RxEnd {
-            channel: get_num(&fields, "ch")?,
-            access_address: get_num(&fields, "aa")?,
-            crc_ok: get_bool(&fields, "crc_ok")?,
-            interferers: get_num(&fields, "interferers")?,
+            channel: fields.get("ch")?.num()?,
+            access_address: fields.get("aa")?.num()?,
+            crc_ok: fields.get("crc_ok")?.as_bool()?,
+            interferers: fields.get("interferers")?.num()?,
         },
         "collision" => TelemetryEvent::Collision {
-            channel: get_num(&fields, "ch")?,
-            interferers: get_num(&fields, "interferers")?,
+            channel: fields.get("ch")?.num()?,
+            interferers: fields.get("interferers")?.num()?,
         },
         "interference-spill" => TelemetryEvent::InterferenceSpill {
-            channel: get_num(&fields, "ch")?,
+            channel: fields.get("ch")?.num()?,
         },
         "anchor" => TelemetryEvent::Anchor {
-            role: LinkRole::parse(get_str(&fields, "role")?)?,
-            channel: get_num(&fields, "ch")?,
-            at: Instant::from_nanos(get_num(&fields, "at_ns")?),
+            role: LinkRole::parse(fields.get("role")?.as_str()?)?,
+            channel: fields.get("ch")?.num()?,
+            at: Instant::from_nanos(fields.get("at_ns")?.num()?),
         },
         "window-open" => TelemetryEvent::WindowOpen {
-            channel: get_num(&fields, "ch")?,
-            widening: Duration::from_nanos(get_num(&fields, "widening_ns")?),
-            deadline: Duration::from_nanos(get_num(&fields, "deadline_ns")?),
+            channel: fields.get("ch")?.num()?,
+            widening: Duration::from_nanos(fields.get("widening_ns")?.num()?),
+            deadline: Duration::from_nanos(fields.get("deadline_ns")?.num()?),
         },
         "hop" => TelemetryEvent::Hop {
-            channel: get_num(&fields, "ch")?,
-            event_counter: get_num(&fields, "ev")?,
+            channel: fields.get("ch")?.num()?,
+            event_counter: fields.get("ev")?.num()?,
         },
         "sn-nesn" => TelemetryEvent::SnNesn {
-            role: LinkRole::parse(get_str(&fields, "role")?)?,
-            sn: get_bool(&fields, "sn")?,
-            nesn: get_bool(&fields, "nesn")?,
+            role: LinkRole::parse(fields.get("role")?.as_str()?)?,
+            sn: fields.get("sn")?.as_bool()?,
+            nesn: fields.get("nesn")?.as_bool()?,
         },
         "crc-fail" => TelemetryEvent::CrcFail {
-            channel: get_num(&fields, "ch")?,
+            channel: fields.get("ch")?.num()?,
         },
         "ll-control" => TelemetryEvent::LlControl {
-            opcode: get_num(&fields, "opcode")?,
+            opcode: fields.get("opcode")?.num()?,
         },
         "connected" => TelemetryEvent::ConnectionEstablished {
-            access_address: get_num(&fields, "aa")?,
-            interval: Duration::from_nanos(get_num(&fields, "interval_ns")?),
+            access_address: fields.get("aa")?.num()?,
+            interval: Duration::from_nanos(fields.get("interval_ns")?.num()?),
         },
         "disconnect" => TelemetryEvent::ConnectionClosed {
-            reason: get_num(&fields, "reason")?,
+            reason: fields.get("reason")?.num()?,
         },
         "sniff-sync" => TelemetryEvent::SnifferSync {
-            access_address: get_num(&fields, "aa")?,
+            access_address: fields.get("aa")?.num()?,
         },
         "sniff-lost" => TelemetryEvent::SnifferLost {
-            reason: LossReason::parse(get_str(&fields, "reason")?)?,
+            reason: LossReason::parse(fields.get("reason")?.as_str()?)?,
         },
         "inject" => TelemetryEvent::InjectionAttempt {
-            channel: get_num(&fields, "ch")?,
-            lead: Duration::from_nanos(get_num(&fields, "lead_ns")?),
+            channel: fields.get("ch")?.num()?,
+            lead: Duration::from_nanos(fields.get("lead_ns")?.num()?),
         },
         "inject-outcome" => TelemetryEvent::HeuristicVerdict {
-            verdict: Verdict::parse(get_str(&fields, "verdict")?)?,
-            attempts_total: get_num(&fields, "total")?,
+            verdict: Verdict::parse(fields.get("verdict")?.as_str()?)?,
+            attempts_total: fields.get("total")?.num()?,
         },
         "anchor-error" => TelemetryEvent::AnchorPrediction {
-            error_us: get_num(&fields, "error_us")?,
+            error_us: fields.get("error_us")?.num()?,
         },
         "ifs-delta" => TelemetryEvent::IfsDelta {
-            delta_us: get_num(&fields, "delta_us")?,
+            delta_us: fields.get("delta_us")?.num()?,
         },
         "takeover" => TelemetryEvent::Takeover {
-            role: LinkRole::parse(get_str(&fields, "role")?)?,
+            role: LinkRole::parse(fields.get("role")?.as_str()?)?,
+        },
+        "resync-failed" => TelemetryEvent::ResyncFailed {
+            campaigns: fields.get("campaigns")?.num()?,
+            backoff: match fields.get("backoff_ns") {
+                Some(ns) => Some(Duration::from_nanos(ns.num()?)),
+                None => None,
+            },
         },
         "alert" => TelemetryEvent::DetectorAlert {
-            kind: AlertKind::parse(get_str(&fields, "alert")?)?,
-            magnitude_us: get_num(&fields, "magnitude_us")?,
+            kind: AlertKind::parse(fields.get("alert")?.as_str()?)?,
+            magnitude_us: fields.get("magnitude_us")?.num()?,
         },
         "pool-exhausted" => TelemetryEvent::PoolExhausted {
-            client: get_num(&fields, "client")?,
+            client: fields.get("client")?.num()?,
         },
         "slot-denied" => TelemetryEvent::SlotDenied,
         "conn-established" => TelemetryEvent::ConnEstablished {
-            handle: get_num(&fields, "handle")?,
+            handle: fields.get("handle")?.num()?,
         },
         "conn-released" => TelemetryEvent::ConnReleased {
-            handle: get_num(&fields, "handle")?,
+            handle: fields.get("handle")?.num()?,
         },
         "pool-high-water" => TelemetryEvent::PoolHighWater {
-            in_use: get_num(&fields, "in_use")?,
+            in_use: fields.get("in_use")?.num()?,
         },
         "fault-burst" => TelemetryEvent::FaultBurst {
-            channel: get_num(&fields, "ch")?,
-            power_dbm: get_num(&fields, "power_dbm")?,
-            active: get_bool(&fields, "active")?,
+            channel: fields.get("ch")?.num()?,
+            power_dbm: fields.get("power_dbm")?.num()?,
+            active: fields.get("active")?.as_bool()?,
         },
         "fault-episode" => TelemetryEvent::FaultEpisode {
-            kind: FaultKind::parse(get_str(&fields, "fault")?)?,
-            magnitude: get_num(&fields, "magnitude")?,
-            active: get_bool(&fields, "active")?,
+            kind: FaultKind::parse(fields.get("fault")?.as_str()?)?,
+            magnitude: fields.get("magnitude")?.num()?,
+            active: fields.get("active")?.as_bool()?,
         },
         "fault-frame" => TelemetryEvent::FaultFrame {
-            kind: FaultKind::parse(get_str(&fields, "fault")?)?,
-            channel: get_num(&fields, "ch")?,
+            kind: FaultKind::parse(fields.get("fault")?.as_str()?)?,
+            channel: fields.get("ch")?.num()?,
         },
         "span-enter" => TelemetryEvent::SpanEnter {
-            id: get_num(&fields, "id")?,
-            kind: SpanKind::parse(get_str(&fields, "span")?)?,
-            detail: get_num(&fields, "detail")?,
+            id: fields.get("id")?.num()?,
+            kind: SpanKind::parse(fields.get("span")?.as_str()?)?,
+            detail: fields.get("detail")?.num()?,
         },
         "span-exit" => TelemetryEvent::SpanExit {
-            id: get_num(&fields, "id")?,
-            kind: SpanKind::parse(get_str(&fields, "span")?)?,
-            detail: get_num(&fields, "detail")?,
-            sim_ns: get_num(&fields, "sim_ns")?,
-            wall_ns: get_num(&fields, "wall_ns")?,
-            self_sim_ns: get_num(&fields, "self_sim_ns")?,
-            self_wall_ns: get_num(&fields, "self_wall_ns")?,
-        },
-        "raw" => TelemetryEvent::Raw {
-            tag: get_str(&fields, "tag")?.to_owned(),
-            detail: get_str(&fields, "detail")?.to_owned(),
+            id: fields.get("id")?.num()?,
+            kind: SpanKind::parse(fields.get("span")?.as_str()?)?,
+            detail: fields.get("detail")?.num()?,
+            sim_ns: fields.get("sim_ns")?.num()?,
+            wall_ns: fields.get("wall_ns")?.num()?,
+            self_sim_ns: fields.get("self_sim_ns")?.num()?,
+            self_wall_ns: fields.get("self_wall_ns")?.num()?,
         },
         _ => return None,
     };
@@ -705,6 +557,14 @@ mod tests {
             TelemetryEvent::Takeover {
                 role: LinkRole::Master,
             },
+            TelemetryEvent::ResyncFailed {
+                campaigns: 2,
+                backoff: Some(Duration::from_millis(40)),
+            },
+            TelemetryEvent::ResyncFailed {
+                campaigns: 5,
+                backoff: None,
+            },
             TelemetryEvent::DetectorAlert {
                 kind: AlertKind::EarlyAnchor,
                 magnitude_us: 87.5,
@@ -742,10 +602,6 @@ mod tests {
                 self_sim_ns: 1_100_000,
                 self_wall_ns: 399,
             },
-            TelemetryEvent::Raw {
-                tag: "legacy".into(),
-                detail: "free-form".into(),
-            },
         ];
         for (i, event) in events.into_iter().enumerate() {
             roundtrip(&TelemetryRecord {
@@ -776,9 +632,8 @@ mod tests {
         roundtrip(&TelemetryRecord {
             at: Instant::from_nanos(7),
             node: Some(0),
-            event: TelemetryEvent::Raw {
-                tag: "weird".into(),
-                detail: "quote \" backslash \\ newline \n tab \t bell \u{7}".into(),
+            event: TelemetryEvent::NodeAdded {
+                label: "quote \" backslash \\ newline \n tab \t bell \u{7}".into(),
             },
         });
     }
@@ -795,6 +650,11 @@ mod tests {
         );
         // Truncated line, as left by a killed process.
         assert_eq!(parse_line("{\"t_ns\":1,\"kind\":\"rx-lo"), None);
+        // Bytes after the closing brace: a line is one object, nothing more.
+        let line = "{\"t_ns\":1,\"kind\":\"rx-lock\",\"ch\":3}";
+        assert!(parse_line(line).is_some());
+        assert_eq!(parse_line(&format!("{line}garbage")), None);
+        assert_eq!(parse_line(&format!("{line}{line}")), None);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! The paper's contribution is µs-scale timing behaviour — window widening
 //! (eq. 5), the injection-point race, and the §VIII detector that keys on
-//! inter-frame timing. This crate replaces the stringly-typed
-//! [`simkit::Trace`] log with a typed event vocabulary ([`TelemetryEvent`]),
-//! a sink abstraction ([`TelemetrySink`]), and three shipping sinks:
+//! inter-frame timing. This crate is the stack's one event log: a typed
+//! event vocabulary ([`TelemetryEvent`]), a sink abstraction
+//! ([`TelemetrySink`]), and three shipping sinks:
 //!
 //! - [`RingBufferSink`] — a bounded in-memory ring for test assertions;
 //! - [`JsonlSink`] — one JSON object per line, for offline analysis and the

@@ -275,10 +275,9 @@ pub enum Counter {
     SimNodes,
     SpanEnters,
     TelemetryEvents,
-    TelemetryRaw,
 }
 
-const COUNTERS: usize = 35;
+const COUNTERS: usize = 34;
 
 impl Counter {
     fn index(self) -> usize {
@@ -355,7 +354,7 @@ enum Slot {
 /// The one name table: every metric the sink writes, sorted by name (the
 /// lookup binary-searches it and iteration walks it in order).
 #[rustfmt::skip]
-static NAMES: [(&str, Slot); 82] = [
+static NAMES: [(&str, Slot); 81] = [
     ("attack.anchor_error_us", Slot::Hist(Hist::AnchorErrorUs)),
     ("attack.attempts", Slot::Counter(Counter::AttackAttempts)),
     ("attack.ifs_delta_us", Slot::Hist(Hist::IfsDeltaUs)),
@@ -437,7 +436,6 @@ static NAMES: [(&str, Slot); 82] = [
     ("span.trial_verify.sim_ns", Slot::Span(SpanKind::TrialVerify, SIM_NS)),
     ("span.trial_verify.wall_ns", Slot::Span(SpanKind::TrialVerify, WALL_NS)),
     ("telemetry.events", Slot::Counter(Counter::TelemetryEvents)),
-    ("telemetry.raw", Slot::Counter(Counter::TelemetryRaw)),
 ];
 
 fn slot(name: &str) -> Option<Slot> {
@@ -792,6 +790,7 @@ impl TelemetrySink for MetricsSink {
             }
             TelemetryEvent::IfsDelta { delta_us } => b.record(Hist::IfsDeltaUs, *delta_us),
             TelemetryEvent::Takeover { .. } => b.bump(Counter::AttackTakeover),
+            TelemetryEvent::ResyncFailed { .. } => {}
             TelemetryEvent::DetectorAlert { magnitude_us, .. } => {
                 b.bump(Counter::DetectorAlerts);
                 b.record(Hist::DetectorMagnitudeUs, *magnitude_us);
@@ -831,7 +830,6 @@ impl TelemetrySink for MetricsSink {
                 self_wall_ns,
                 ..
             } => b.add_span(*kind, [1, *sim_ns, *self_sim_ns, *wall_ns, *self_wall_ns]),
-            TelemetryEvent::Raw { .. } => b.bump(Counter::TelemetryRaw),
         }
     }
 
@@ -1117,7 +1115,7 @@ mod tests {
         // simulation happened to first touch them (determinism pass).
         let mut fwd = MetricsRegistry::new();
         fwd.inc("attack.attempts");
-        fwd.inc("telemetry.raw");
+        fwd.inc("telemetry.events");
         fwd.set_gauge("host.pool_high_water", 1.0);
         fwd.set_gauge("sim.last_event_us", 2.0);
         fwd.observe_us("attack.anchor_error_us", 1.0);
@@ -1127,7 +1125,7 @@ mod tests {
         rev.observe_us("attack.anchor_error_us", 1.0);
         rev.set_gauge("sim.last_event_us", 2.0);
         rev.set_gauge("host.pool_high_water", 1.0);
-        rev.inc("telemetry.raw");
+        rev.inc("telemetry.events");
         rev.inc("attack.attempts");
         let names = |r: &MetricsRegistry| {
             (
@@ -1139,14 +1137,14 @@ mod tests {
         assert_eq!(names(&fwd), names(&rev));
         assert_eq!(
             fwd.counters().map(|(k, _)| k).collect::<Vec<_>>(),
-            vec!["attack.attempts", "telemetry.raw"],
+            vec!["attack.attempts", "telemetry.events"],
             "counters iterate in name order"
         );
     }
 
     /// Every counter name the sink has ever written, as the string-keyed
     /// registry's fold listed them.
-    const SINK_COUNTERS: [&str; 35] = [
+    const SINK_COUNTERS: [&str; 34] = [
         "telemetry.events",
         "sim.nodes",
         "phy.tx",
@@ -1180,7 +1178,6 @@ mod tests {
         "fault.episodes",
         "fault.frames_lost",
         "fault.frames_corrupted",
-        "telemetry.raw",
         "span.enters",
     ];
 

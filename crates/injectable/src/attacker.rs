@@ -482,27 +482,18 @@ impl Attacker {
         if ctx.is_receiving() {
             ctx.stop_rx();
         }
-        match self.resync.campaign_failed() {
+        let backoff = self.resync.campaign_failed();
+        let campaigns = self.resync.campaigns();
+        ctx.emit(|| TelemetryEvent::ResyncFailed { campaigns, backoff });
+        match backoff {
             Some(delay) => {
                 self.phase = Phase::BackingOff;
                 let now = ctx.now();
-                ctx.trace(
-                    "resync-backoff",
-                    format!(
-                        "campaign {} empty; backing off {:.0} ms",
-                        self.resync.campaigns(),
-                        delay.as_micros_f64() / 1_000.0
-                    ),
-                );
                 self.arm_from(ctx, now, delay, T_RESYNC);
             }
             None => {
                 self.phase = Phase::Idle;
                 self.end_scan_span(ctx);
-                ctx.trace(
-                    "resync-exhausted",
-                    format!("gave up after {} scan campaigns", self.resync.campaigns()),
-                );
             }
         }
     }

@@ -26,7 +26,7 @@
 //! # Quickstart
 //!
 //! See `examples/quickstart.rs` at the workspace root; in short: build a
-//! [`ble_phy::Simulation`] with victim devices from `ble-devices`, add an
+//! [`ble_phy::World`] with victim devices from `ble-devices`, add an
 //! [`Attacker`] node, arm a [`Mission`], run, inspect
 //! [`Attacker::stats`].
 

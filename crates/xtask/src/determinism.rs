@@ -11,14 +11,16 @@
 //! stdout or `--json` artefact fails the task with a diff excerpt naming
 //! the first divergent line.
 //!
-//! Three artefact fields are *defined* as wall-clock measurements and are
-//! neutralised before comparison (`trials_per_sec`, `peak_rss_kb`,
-//! `events_per_sec` — see `bench::report::SeriesReport`); `[artefact]`
-//! stdout lines carry filesystem paths and are dropped. Everything else —
-//! every statistic the paper's figures rest on — must be byte-identical.
+//! Five artefact fields are *defined* as host measurements and are
+//! neutralised before comparison (`perfgate::WALL_FIELDS`: throughput,
+//! peak RSS and the span profile's wall times); `[artefact]` stdout lines
+//! carry filesystem paths and are dropped. Everything else — every
+//! statistic the paper's figures rest on — must be byte-identical.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
+
+use crate::perfgate::WALL_FIELDS;
 
 /// One experiment binary under test.
 struct BinSpec {
@@ -407,22 +409,15 @@ fn normalize_stdout(raw: &str) -> String {
     out
 }
 
-/// Neutralises the wall-clock-defined artefact fields (`trials_per_sec`,
-/// `peak_rss_kb`, `events_per_sec`, and the span profile's `wall_ns` /
-/// `self_wall_ns`) so the comparison covers exactly the
+/// Neutralises the wall-clock-defined artefact fields
+/// ([`WALL_FIELDS`]) so the comparison covers exactly the
 /// simulation-deterministic content.
 ///
 /// Field matching is exact: the needle includes the opening quote, so
 /// `wall_ns` does not also swallow `self_wall_ns` (each is listed).
 fn normalize_json(raw: &str) -> String {
     let mut s = raw.to_string();
-    for field in [
-        "trials_per_sec",
-        "peak_rss_kb",
-        "events_per_sec",
-        "wall_ns",
-        "self_wall_ns",
-    ] {
+    for (field, _) in WALL_FIELDS {
         s = neutralize_field(&s, field);
     }
     s

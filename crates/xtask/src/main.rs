@@ -26,8 +26,16 @@ use xtask::rules::{self, RuleSet};
 
 /// Crates whose `src/` is held to all the hot-path rules: the protocol hot
 /// path. `ble-telemetry` qualifies because its sinks run inline on that hot
-/// path (every PHY/LL event passes through [`TelemetrySink::emit`]).
-const PROTOCOL_CRATES: &[&str] = &["ble-link", "ble-phy", "ble-crypto", "ble-telemetry"];
+/// path (every PHY/LL event passes through [`TelemetrySink::emit`]), and
+/// `json-reader` because it parses files a kill can tear or a user can
+/// hand-edit.
+const PROTOCOL_CRATES: &[&str] = &[
+    "ble-link",
+    "ble-phy",
+    "ble-crypto",
+    "ble-telemetry",
+    "json-reader",
+];
 
 /// Crates exempt from the hot-path rules R1–R3 (still checked for R4 and
 /// the determinism rules). `injectable` and `bench` are attack tooling and

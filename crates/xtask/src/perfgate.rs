@@ -27,6 +27,8 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
 
+use json_reader::Value;
+
 /// Every JSON-emitting experiment binary (the `json: true` rows of the
 /// determinism matrix). Non-JSON binaries have no artefact to gate.
 const PERF_BINARIES: &[&str] = &[
@@ -49,7 +51,7 @@ const FAST_SUBSET: &[&str] = &["exp1_hop_interval", "ablation_phy2m", "ablation_
 
 /// How a metric is allowed to move relative to its baseline.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Direction {
+pub(crate) enum Direction {
     /// Sim-deterministic: any difference is a regression.
     Exact,
     /// Wall-clock throughput: only a *drop* beyond tolerance regresses.
@@ -60,7 +62,7 @@ enum Direction {
 
 /// The comparison rule for one metric class.
 #[derive(Clone, Copy, Debug)]
-struct MetricSpec {
+pub(crate) struct MetricSpec {
     direction: Direction,
     /// Allowed relative movement in the bad direction (0.5 = 50%).
     rel_tol: f64,
@@ -76,30 +78,44 @@ const EXACT: MetricSpec = MetricSpec {
     noise_floor: 0.0,
 };
 
-/// Classifies a flattened metric key by its leaf field name. Every wall
-/// field named here mirrors the neutralisation list in
-/// `determinism::normalize_json`; anything else in the artefact is
-/// sim-deterministic by construction.
-fn spec_for(key: &str) -> MetricSpec {
-    let leaf = key.rsplit('.').next().unwrap_or(key);
-    match leaf {
-        "trials_per_sec" | "events_per_sec" => MetricSpec {
-            direction: Direction::HigherBetter,
-            rel_tol: 0.90,
-            noise_floor: 50.0,
-        },
-        "peak_rss_kb" => MetricSpec {
+const THROUGHPUT: MetricSpec = MetricSpec {
+    direction: Direction::HigherBetter,
+    rel_tol: 0.90,
+    noise_floor: 50.0,
+};
+
+const SPAN_WALL: MetricSpec = MetricSpec {
+    direction: Direction::LowerBetter,
+    rel_tol: 9.0,
+    noise_floor: 10_000_000.0,
+};
+
+/// The artefact fields that measure the host rather than the simulation,
+/// with the tolerance this gate grants each. `cargo xtask determinism`
+/// neutralises exactly these fields before it compares runs; every other
+/// field in an artefact is sim-deterministic by construction.
+pub(crate) const WALL_FIELDS: [(&str, MetricSpec); 5] = [
+    ("trials_per_sec", THROUGHPUT),
+    ("events_per_sec", THROUGHPUT),
+    (
+        "peak_rss_kb",
+        MetricSpec {
             direction: Direction::LowerBetter,
             rel_tol: 0.50,
             noise_floor: 4096.0,
         },
-        "wall_ns" | "self_wall_ns" => MetricSpec {
-            direction: Direction::LowerBetter,
-            rel_tol: 9.0,
-            noise_floor: 10_000_000.0,
-        },
-        _ => EXACT,
-    }
+    ),
+    ("wall_ns", SPAN_WALL),
+    ("self_wall_ns", SPAN_WALL),
+];
+
+/// Classifies a flattened metric key by its leaf field name.
+fn spec_for(key: &str) -> MetricSpec {
+    let leaf = key.rsplit('.').next().unwrap_or(key);
+    WALL_FIELDS
+        .iter()
+        .find(|(field, _)| *field == leaf)
+        .map_or(EXACT, |(_, spec)| *spec)
 }
 
 /// Whether a metric may be silently absent on one side (wall metrics vary
@@ -107,179 +123,6 @@ fn spec_for(key: &str) -> MetricSpec {
 /// refresh).
 fn optional(key: &str) -> bool {
     spec_for(key).direction != Direction::Exact
-}
-
-// ---------------------------------------------------------------------------
-// Minimal JSON reader. The artefacts are produced by our own hand-rolled
-// writer (`bench::report::rows_to_json`), so this reader only needs the subset
-// that writer emits: objects, arrays, strings without escapes, numbers,
-// and `null`. Kept here rather than pulling in a JSON dependency.
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(s: &'a str) -> Self {
-        Reader {
-            bytes: s.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        match self.peek() {
-            Some(c) if c == b => {
-                self.pos += 1;
-                Ok(())
-            }
-            other => Err(format!(
-                "byte {}: expected `{}`, found {:?}",
-                self.pos,
-                b as char,
-                other.map(|c| c as char)
-            )),
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'n') => {
-                if self.bytes[self.pos..].starts_with(b"null") {
-                    self.pos += 4;
-                    Ok(Json::Null)
-                } else {
-                    Err(format!("byte {}: bad literal", self.pos))
-                }
-            }
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            other => Err(format!(
-                "byte {}: unexpected {:?}",
-                self.pos,
-                other.map(|c| c as char)
-            )),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            fields.push((key, self.value()?));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                other => {
-                    return Err(format!(
-                        "byte {}: expected `,` or `}}`, found {:?}",
-                        self.pos,
-                        other.map(|c| c as char)
-                    ))
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                other => {
-                    return Err(format!(
-                        "byte {}: expected `,` or `]`, found {:?}",
-                        self.pos,
-                        other.map(|c| c as char)
-                    ))
-                }
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let start = self.pos;
-        while self.pos < self.bytes.len() && self.bytes[self.pos] != b'"' {
-            self.pos += 1;
-        }
-        if self.pos >= self.bytes.len() {
-            return Err("unterminated string".into());
-        }
-        let s = String::from_utf8_lossy(&self.bytes[start..self.pos]).into_owned();
-        self.pos += 1;
-        Ok(s)
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.pos < self.bytes.len()
-            && matches!(
-                self.bytes[self.pos],
-                b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'
-            )
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("byte {start}: bad number `{text}`"))
-    }
-}
-
-fn parse_json(s: &str) -> Result<Json, String> {
-    let mut r = Reader::new(s);
-    let v = r.value()?;
-    r.skip_ws();
-    if r.pos != r.bytes.len() {
-        return Err(format!("trailing content at byte {}", r.pos));
-    }
-    Ok(v)
 }
 
 // ---------------------------------------------------------------------------
@@ -295,14 +138,16 @@ struct Flat {
     shape: Vec<String>,
 }
 
-fn flatten(v: &Json, prefix: &str, out: &mut Flat) {
+fn flatten(v: &Value, prefix: &str, out: &mut Flat) {
     match v {
         // `null` (e.g. `peak_rss_kb` off Linux, absent histograms) flattens
         // to nothing: the key is simply missing on that side.
-        Json::Null => {}
-        Json::Num(n) => out.nums.push((prefix.to_string(), *n)),
-        Json::Str(s) => out.shape.push(format!("{prefix}={s}")),
-        Json::Arr(items) => {
+        Value::Null => {}
+        // A JSON number token always parses as `f64`.
+        Value::Num(_) => out.nums.extend(v.num().map(|n| (prefix.to_string(), n))),
+        Value::Bool(b) => out.shape.push(format!("{prefix}={b}")),
+        Value::Str(s) => out.shape.push(format!("{prefix}={s}")),
+        Value::Arr(items) => {
             for (i, item) in items.iter().enumerate() {
                 // Phase-profile rows are keyed by phase name, not position,
                 // so a newly-instrumented phase shifts nothing else.
@@ -312,7 +157,7 @@ fn flatten(v: &Json, prefix: &str, out: &mut Flat) {
                 flatten(item, &label, out);
             }
         }
-        Json::Obj(fields) => {
+        Value::Obj(fields) => {
             for (k, item) in fields {
                 let label = if prefix.is_empty() {
                     k.clone()
@@ -325,17 +170,8 @@ fn flatten(v: &Json, prefix: &str, out: &mut Flat) {
     }
 }
 
-fn phase_name(v: &Json) -> Option<&str> {
-    if let Json::Obj(fields) = v {
-        for (k, val) in fields {
-            if k == "phase" {
-                if let Json::Str(s) = val {
-                    return Some(s);
-                }
-            }
-        }
-    }
-    None
+fn phase_name(v: &Value) -> Option<&str> {
+    v.get("phase")?.as_str()
 }
 
 /// Outcome of gating one artefact against its baseline.
@@ -351,9 +187,10 @@ struct GateStats {
 /// Returns the gate stats on pass; on failure, the first regressed metric
 /// with both values, the rule it broke, and the total regression count.
 fn compare_artefacts(name: &str, baseline: &str, current: &str) -> Result<GateStats, String> {
-    let base = parse_json(baseline).map_err(|e| format!("baseline for {name} unreadable: {e}"))?;
-    let cur =
-        parse_json(current).map_err(|e| format!("current artefact for {name} unreadable: {e}"))?;
+    let base =
+        json_reader::parse(baseline).map_err(|e| format!("baseline for {name} unreadable: {e}"))?;
+    let cur = json_reader::parse(current)
+        .map_err(|e| format!("current artefact for {name} unreadable: {e}"))?;
     let mut fb = Flat::default();
     flatten(&base, "", &mut fb);
     let mut fc = Flat::default();
@@ -746,7 +583,7 @@ mod tests {
     #[test]
     fn phase_rows_key_by_name_not_position() {
         let mut f = Flat::default();
-        let v = parse_json(
+        let v = json_reader::parse(
             "{\"phase_profile\":[{\"phase\":\"trial-sync\",\"sim_ns\":5},\
              {\"phase\":\"trial-follow\",\"sim_ns\":7}]}",
         )
@@ -765,15 +602,26 @@ mod tests {
 
     #[test]
     fn reader_handles_the_writer_subset() {
-        let v = parse_json("[{\"a\":1.5,\"b\":null,\"c\":[1, 2],\"d\":\"x\"}]").unwrap();
-        let Json::Arr(items) = v else { panic!("array") };
-        let Json::Obj(fields) = &items[0] else {
-            panic!("object")
-        };
-        assert_eq!(fields[0], ("a".into(), Json::Num(1.5)));
-        assert_eq!(fields[1], ("b".into(), Json::Null));
-        assert!(parse_json("[1, 2] trailing").is_err());
-        assert!(parse_json("{\"open\":").is_err());
+        let mut f = Flat::default();
+        let v = json_reader::parse("[{\"a\":1.5,\"b\":null,\"c\":[1, 2],\"d\":\"x\"}]").unwrap();
+        flatten(&v, "", &mut f);
+        let nums: Vec<(&str, f64)> = f.nums.iter().map(|(k, n)| (k.as_str(), *n)).collect();
+        assert_eq!(nums, [("[0].a", 1.5), ("[0].c[0]", 1.0), ("[0].c[1]", 2.0)]);
+        assert_eq!(f.shape, ["[0].d=x"]);
+        let err = compare_artefacts("exp1", "[1, 2] trailing", "[1, 2]").unwrap_err();
+        assert!(
+            err.contains("baseline for exp1 unreadable: byte 7"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn strings_with_escaped_quotes_are_read_whole() {
+        let base = artefact(2.2, 4000.0, 100_000)
+            .replace("\"parameter\":\"hop\"", r#""parameter":"say \"hop\"""#);
+        compare_artefacts("exp1", &base, &base).expect("escaped quotes parse");
+        let err = compare_artefacts("exp1", &base, &base.replace("hop", "hip")).unwrap_err();
+        assert!(err.contains(r#"[0].parameter=say "hop""#), "{err}");
     }
 
     #[test]
@@ -799,8 +647,8 @@ mod tests {
 
     #[test]
     fn wall_classification_matches_the_determinism_neutral_list() {
-        // The fields determinism neutralises are exactly the fields the gate
-        // treats as tolerant; everything else is exact.
+        // `WALL_FIELDS` is both the list determinism neutralises and the
+        // set this gate treats as tolerant; everything else is exact.
         for key in [
             "[0].trials_per_sec",
             "[0].events_per_sec",

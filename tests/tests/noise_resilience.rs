@@ -8,7 +8,7 @@ use ble_devices::{bulb_payloads, Central, Lightbulb};
 use ble_link::ConnectionParams;
 use ble_phy::{
     AccessAddress, Channel, Environment, NodeConfig, NodeCtx, Position, RadioEvent, RadioListener,
-    RawFrame, Simulation, TimerKey,
+    RawFrame, TimerKey, World,
 };
 use simkit::{DriftClock, Duration, SimRng};
 
@@ -57,7 +57,7 @@ impl RadioListener for Jammer {
 #[test]
 fn connection_survives_partial_band_jamming() {
     let mut rng = SimRng::seed_from(0xBAD);
-    let mut sim = Simulation::new(Environment::indoor_default(), rng.fork());
+    let mut sim = World::new(Environment::indoor_default(), rng.fork());
     let bulb = Lightbulb::new(0xB1, rng.fork());
     let control = bulb.control_handle();
     let bulb_addr = bulb.ll.address();
@@ -123,7 +123,7 @@ fn full_band_jamming_kills_then_recovery_follows() {
     // equipment; model it as one dedicated jammer per data channel. Once
     // the jammers quiet down, auto-reconnect must restore the connection.
     let mut rng = SimRng::seed_from(0xDEAD);
-    let mut sim = Simulation::new(Environment::indoor_default(), rng.fork());
+    let mut sim = World::new(Environment::indoor_default(), rng.fork());
     let bulb = Lightbulb::new(0xB1, rng.fork());
     let bulb_addr = bulb.ll.address();
     let params = ConnectionParams::typical(&mut rng, 24);
