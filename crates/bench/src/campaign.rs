@@ -59,7 +59,7 @@ pub fn chunk_size_for(count: u64) -> u64 {
 }
 
 /// Worker-thread count for a fan-out over `max` parallelisable units:
-/// `BENCH_THREADS` when set (the determinism oracle pins 1 vs. N), else
+/// `BENCH_THREADS` when set (`cargo xtask gate` pins 1 vs. 4), else
 /// the machine's available parallelism, clamped to `[1, max]`.
 pub fn bench_threads(max: u64) -> usize {
     let n = std::env::var("BENCH_THREADS")
@@ -385,7 +385,7 @@ pub struct CampaignConfig {
     /// since the last cadence line).
     pub checkpoint_every_chunks: u64,
     /// Stop after merging this many chunks this invocation — simulates a
-    /// mid-campaign kill for resume tests and bounds CI smoke runs.
+    /// mid-campaign kill for resume tests and the gate's kill/resume legs.
     pub max_chunks: Option<u64>,
 }
 

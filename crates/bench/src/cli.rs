@@ -9,7 +9,7 @@
 //! JSONL resume sidecar per point in that directory (without it no sidecar
 //! is read or written), and `--campaign-max-chunks <n>` stops each point
 //! after merging `n` chunks — a simulated kill that a re-run with the same
-//! `--checkpoint-dir` resumes (the CI smoke job does exactly this). A
+//! `--checkpoint-dir` resumes (`cargo xtask gate` does exactly this). A
 //! resumed run's rows are byte-identical to an uninterrupted one's.
 
 use std::path::PathBuf;

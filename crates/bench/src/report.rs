@@ -60,7 +60,7 @@ pub struct SeriesReport {
     /// Per-phase span attribution merged across the row's trials, in
     /// [`ble_telemetry::SpanKind`] order. Empty when telemetry was off. The
     /// `wall_ns`/`self_wall_ns` fields are wall-clock and excluded from
-    /// byte-identity (neutralised by `cargo xtask determinism`); the
+    /// byte-identity (neutralised by `cargo xtask gate`); the
     /// sim-time fields are deterministic.
     pub phase_profile: Vec<PhaseProfile>,
     /// Experiment-defined event counts summed over the row's trials
@@ -101,7 +101,7 @@ impl SeriesReport {
     /// Attaches one extra sim-deterministic column to the row (builder
     /// style). The value must be a pure function of the simulation — it is
     /// printed to stdout and written to the JSON artefact, both of which
-    /// `cargo xtask determinism` holds byte-identical.
+    /// `cargo xtask gate` holds byte-identical.
     pub fn with_extra(mut self, name: &str, value: f64) -> SeriesReport {
         self.extras.push((name.to_string(), value));
         self
@@ -290,7 +290,7 @@ pub fn artefact_dir() -> PathBuf {
 /// scalar, `Vec` (seed order) or fixed-shape histogram summary — there is no
 /// map-backed field whose insertion order could show through, and the
 /// per-trial metrics feeding the rows come out of the name-sorted
-/// (`BTreeMap`) telemetry registry. `cargo xtask determinism` holds the
+/// (`BTreeMap`) telemetry registry. `cargo xtask gate` holds the
 /// binaries to this byte-for-byte (modulo the wall-clock fields above).
 pub fn rows_to_json(rows: &[SeriesReport]) -> String {
     let mut out = String::from("[\n");

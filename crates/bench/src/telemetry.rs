@@ -46,7 +46,7 @@ impl From<HistSummary> for HistRow {
 ///
 /// Sim-time fields are deterministic (byte-identical across equally-seeded
 /// runs); the wall-clock fields come from the quarantined span clock and
-/// are excluded from byte-identity (`cargo xtask determinism` neutralises
+/// are excluded from byte-identity (`cargo xtask gate` neutralises
 /// `wall_ns`/`self_wall_ns` like `trials_per_sec`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhaseProfile {

@@ -44,7 +44,7 @@ impl Stopwatch {
 /// [`Stopwatch`], it never exposes absolute time — only an offset from an
 /// arbitrary process-local epoch — and the resulting `wall_ns` fields are
 /// excluded from artefact byte-identity (neutralised by `cargo xtask
-/// determinism`).
+/// gate`).
 // The second sanctioned wall-clock read site in the R8 quarantine.
 #[allow(clippy::disallowed_methods)]
 pub fn monotonic_ns() -> u64 {

@@ -7,17 +7,17 @@
 //! byte-identical to an uninterrupted campaign's, at 1 and at 4 worker
 //! threads, because resume must not depend on how trials were scheduled.
 //!
-//! Wall-clock-defined fields (`events_per_sec`, span `wall_ns` /
-//! `self_wall_ns`, `trials_per_sec`, `peak_rss_kb`) are neutralised the
-//! same way `cargo xtask determinism` neutralises them; every other byte
-//! of the row is compared exactly.
+//! The row's wall-clock values are cleared before it is rendered; every
+//! other byte of the row is compared exactly. `cargo xtask gate` makes the
+//! same comparison on the binaries' artefacts, killing and resuming exp1,
+//! exp2 and exp6 through `--campaign-max-chunks`.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // test code may panic freely
 
 use std::path::{Path, PathBuf};
 
 use bench::campaign::{chunk_size_for, run_campaign_with, CampaignConfig, CampaignRun};
-use bench::report::rows_to_json;
+use bench::report::{rows_to_json, SeriesReport};
 use bench::{run_trial, TrialConfig};
 use ble_scenario::ScenarioBuilder;
 
@@ -26,41 +26,18 @@ const SEED: u64 = 9_100;
 /// Chunks merged before the simulated kill (of `TRIALS` one-trial chunks).
 const KILL_AFTER: u64 = 2;
 
-/// Replaces every wall-clock-defined `"<field>":<value>` with `0`,
-/// mirroring `determinism::normalize_json`.
-fn neutralize(raw: &str) -> String {
-    let mut s = raw.to_string();
-    for field in [
-        "trials_per_sec",
-        "peak_rss_kb",
-        "events_per_sec",
-        "wall_ns",
-        "self_wall_ns",
-    ] {
-        let needle = format!("\"{field}\":");
-        let mut out = String::with_capacity(s.len());
-        let mut rest = s.as_str();
-        while let Some(pos) = rest.find(&needle) {
-            let after = pos + needle.len();
-            out.push_str(&rest[..after]);
-            out.push('0');
-            let tail = &rest[after..];
-            let end = tail
-                .find(|c: char| {
-                    !(c.is_ascii_digit()
-                        || c == '.'
-                        || c == '-'
-                        || c == 'n'
-                        || c == 'u'
-                        || c == 'l')
-                })
-                .unwrap_or(tail.len());
-            rest = &tail[end..];
-        }
-        out.push_str(rest);
-        s = out;
+/// The row's bytes with its wall-clock values cleared. An unpriced
+/// campaign row carries them only in `events_per_sec` and the span
+/// profile's wall times; every other byte is compared exactly.
+fn sim_bytes(mut report: SeriesReport) -> String {
+    assert_eq!(report.trials_per_sec, 0.0, "campaign rows are not priced");
+    assert_eq!(report.peak_rss_kb, None, "campaign rows are not priced");
+    report.events_per_sec = None;
+    for phase in &mut report.phase_profile {
+        phase.wall_ns = 0;
+        phase.self_wall_ns = 0;
     }
-    s
+    rows_to_json(&[report])
 }
 
 fn config(checkpoint: Option<PathBuf>, max_chunks: Option<u64>) -> CampaignConfig {
@@ -86,7 +63,7 @@ fn uninterrupted() -> String {
     let run = campaign(&config(None, None));
     assert!(run.finished, "uninterrupted campaign must finish");
     assert_eq!(run.resumed_at_chunk, None);
-    neutralize(&rows_to_json(&[run.report]))
+    sim_bytes(run.report)
 }
 
 /// Kill after `KILL_AFTER` chunks, then resume from the sidecar.
@@ -104,7 +81,7 @@ fn interrupted_then_resumed(dir: &Path) -> String {
         Some(KILL_AFTER),
         "resume must pick up exactly where the kill landed"
     );
-    neutralize(&rows_to_json(&[second.report]))
+    sim_bytes(second.report)
 }
 
 #[test]

@@ -446,7 +446,7 @@ pub enum TelemetryEvent {
     /// A hierarchical span closed. Totals cover enter→exit; `self_*` net out
     /// directly nested spans. Wall-clock fields come from the injected
     /// quarantined clock and are **excluded from byte-identity** (neutralised
-    /// by `cargo xtask determinism` like `trials_per_sec`).
+    /// by `cargo xtask gate` like `trials_per_sec`).
     SpanExit {
         /// Span instance id (matches the earlier enter).
         id: u32,

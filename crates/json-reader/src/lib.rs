@@ -1,7 +1,7 @@
 //! The workspace's one JSON reader.
 //!
 //! Telemetry JSONL lines (`ble-telemetry`), campaign checkpoint sidecars
-//! (`bench`) and experiment artefacts (`xtask perfgate`) are all read back
+//! (`bench`) and experiment artefacts (`xtask gate`) are all read back
 //! here; each writer stays with its crate, because it pins exact bytes.
 //!
 //! The input is untrusted: a kill can tear a line and a user can hand-edit

@@ -6,17 +6,20 @@
 //!   ([`lexer`]) because the workspace builds fully offline — no `syn`, no
 //!   network. `lint --waivers` audits every `// xtask-allow` comment
 //!   instead, failing on waivers without a `— reason` suffix.
-//! * `determinism` — a runtime divergence oracle: builds release and runs
-//!   every experiment binary twice at a fixed seed (and the sweep binaries
-//!   at 1 vs. N worker threads), hashing the artefacts and failing on any
-//!   byte divergence.
+//! * `gate` — the release-run gate: builds release once, runs every
+//!   experiment binary's legs (same-seed double run, 1 vs. 4 worker
+//!   threads, kill then resume), fails on any byte divergence between
+//!   legs, and holds the outputs against `benchmarks/baselines/`. Its
+//!   normaliser lives in [`determinism`], its baseline rules in
+//!   [`perfgate`].
 //!
-//! Exit status: 0 when clean, 1 on any violation/divergence (or I/O
-//! failure), so CI can gate on either task directly.
+//! Exit status: 0 when clean, 1 on any violation/divergence/regression (or
+//! I/O failure), so CI can gate on either task directly.
 
 #![forbid(unsafe_code)]
 
 mod determinism;
+mod gate;
 mod perfgate;
 
 use std::path::{Path, PathBuf};
@@ -105,8 +108,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint") => lint(&args[1..]),
-        Some("determinism") => determinism::run(&args[1..]),
-        Some("perfgate") => perfgate::run(&args[1..]),
+        Some("gate") => gate::run(&args[1..]),
         Some("help") | None => {
             print_usage();
             ExitCode::SUCCESS
@@ -132,15 +134,11 @@ fn print_usage() {
          fails on waivers without a `— reason` suffix"
     );
     eprintln!(
-        "  determinism [--fast] [--trials <n>] [--root <dir>]  build release and \
-         prove the experiment binaries byte-identical across same-seed double \
-         runs and 1-vs-N-thread runs"
-    );
-    eprintln!(
-        "  perfgate [--fast] [--trials <n>] [--update-baselines] [--root <dir>]  \
-         build release, run the experiment binaries and compare their JSON \
-         artefacts against benchmarks/baselines/ (sim-deterministic metrics \
-         exactly, wall-clock metrics within tolerance)"
+        "  gate [--update-baselines] [--root <dir>]  build release, prove every \
+         experiment binary byte-identical across its legs (same-seed double \
+         run, 1 vs. 4 threads, kill then resume) and hold its outputs against \
+         benchmarks/baselines/ (sim-deterministic metrics exactly, wall-clock \
+         metrics within tolerance)"
     );
 }
 

@@ -1,11 +1,8 @@
-//! `cargo xtask perfgate` — the performance/behaviour regression gate.
+//! The baseline rules: how leg `a`'s `--json` artefact may differ from
+//! its committed `benchmarks/baselines/BENCH_<name>.json`.
 //!
-//! `cargo xtask determinism` proves each binary agrees with *itself* across
-//! runs; this task proves the current tree agrees with the *committed
-//! baselines* under `benchmarks/baselines/`. It builds the workspace in
-//! release mode, runs every JSON-emitting experiment binary at its fixed
-//! default seed, flattens the `BENCH_<name>.json` artefact into scalar
-//! metrics, and compares each metric against the baseline artefact:
+//! Both artefacts are flattened into scalar metrics and compared metric by
+//! metric:
 //!
 //! - **Sim-deterministic metrics** (success counts, attempt quartiles,
 //!   histogram percentiles, span `sim_ns`/`self_sim_ns`, the
@@ -14,40 +11,17 @@
 //!   a deliberate `--update-baselines`. `panicked_trials` is emitted only
 //!   when non-zero, so a trial starting to panic surfaces as a
 //!   missing-metric failure against a clean baseline.
-//! - **Wall-clock metrics** (`trials_per_sec`, `events_per_sec`,
-//!   `peak_rss_kb`, span `wall_ns`/`self_wall_ns`) get a generous relative
+//! - **Wall-clock metrics** ([`WALL_FIELDS`]) get a generous relative
 //!   tolerance plus an absolute noise floor, and are skipped entirely when
 //!   absent on either side (e.g. `peak_rss_kb` off Linux). They catch
 //!   order-of-magnitude slowdowns without flaking on machine variance.
+//!   A row's `trials_per_sec` is too short to time on its own, so the
+//!   binary's summed row wall time is gated in its place.
 //!
-//! On failure the gate names the first regressed metric with both values
-//! and the rule it broke. `--update-baselines` re-captures the current
-//! artefacts as the new baselines (review the diff before committing).
-
-use std::path::{Path, PathBuf};
-use std::process::{Command, ExitCode};
+//! On failure the comparison names the first regressed metric with both
+//! values and the rule it broke.
 
 use json_reader::Value;
-
-/// Every JSON-emitting experiment binary (the `json: true` rows of the
-/// determinism matrix). Non-JSON binaries have no artefact to gate.
-const PERF_BINARIES: &[&str] = &[
-    "exp1_hop_interval",
-    "exp2_payload_size",
-    "exp3_distance",
-    "exp4_wall",
-    "ablation_phy2m",
-    "ablation_sync_noise",
-    "ablation_widening",
-    "ablation_faults",
-    "exp5_multi_conn",
-    "exp6_dense_band",
-];
-
-/// The per-push fast subset: one Figure 9 sweep and two ablations, one of
-/// them with its own trial function — cheap enough for every push, broad
-/// enough to catch a behaviour drift before the weekly full run does.
-const FAST_SUBSET: &[&str] = &["exp1_hop_interval", "ablation_phy2m", "ablation_widening"];
 
 /// How a metric is allowed to move relative to its baseline.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -58,6 +32,10 @@ pub(crate) enum Direction {
     HigherBetter,
     /// Wall-clock cost: only a *rise* beyond tolerance regresses.
     LowerBetter,
+    /// Not gated row by row. The binary's summed row wall time, Σ trials ÷
+    /// `trials_per_sec` over the faster of legs `a` and `b`, is gated
+    /// instead, as a [`Direction::LowerBetter`] cost.
+    Summed,
 }
 
 /// The comparison rule for one metric class.
@@ -90,12 +68,21 @@ const SPAN_WALL: MetricSpec = MetricSpec {
     noise_floor: 10_000_000.0,
 };
 
+/// A 5-trial row lasts 0.05–0.7 ms, too short to time on a shared host.
+/// Summed over the binary, the 90% band of [`THROUGHPUT`] reads as at most
+/// 10× the baseline's wall time.
+const SUMMED_WALL: MetricSpec = MetricSpec {
+    direction: Direction::Summed,
+    rel_tol: 9.0,
+    noise_floor: 0.0,
+};
+
 /// The artefact fields that measure the host rather than the simulation,
-/// with the tolerance this gate grants each. `cargo xtask determinism`
-/// neutralises exactly these fields before it compares runs; every other
-/// field in an artefact is sim-deterministic by construction.
+/// with the rule the baseline comparison applies to each. The normaliser
+/// zeroes exactly these fields before legs are compared; every other field
+/// in an artefact is sim-deterministic by construction.
 pub(crate) const WALL_FIELDS: [(&str, MetricSpec); 5] = [
-    ("trials_per_sec", THROUGHPUT),
+    ("trials_per_sec", SUMMED_WALL),
     ("events_per_sec", THROUGHPUT),
     (
         "peak_rss_kb",
@@ -124,10 +111,6 @@ fn spec_for(key: &str) -> MetricSpec {
 fn optional(key: &str) -> bool {
     spec_for(key).direction != Direction::Exact
 }
-
-// ---------------------------------------------------------------------------
-// Flattening and comparison.
-// ---------------------------------------------------------------------------
 
 /// Flattened view of one artefact: numeric metrics by dotted path, plus the
 /// string fields (`parameter`, `phase`, …) as `path=value` shape tokens so a
@@ -174,23 +157,42 @@ fn phase_name(v: &Value) -> Option<&str> {
     v.get("phase")?.as_str()
 }
 
-/// Outcome of gating one artefact against its baseline.
-#[derive(Debug)]
-struct GateStats {
-    /// Metrics compared (exact or within tolerance).
-    compared: usize,
-    /// Wall metrics skipped because one side lacked them.
-    skipped: usize,
+/// A sweep's summed row wall time in ms, to the µs: Σ trials ÷
+/// `trials_per_sec` over the artefact's rows; `None` when no row carries
+/// both.
+fn summed_wall_ms(artefact: &Value) -> Option<f64> {
+    let rows: Vec<f64> = artefact
+        .as_arr()?
+        .iter()
+        .filter_map(|row| {
+            let trials: f64 = row.get("trials")?.num()?;
+            let per_sec: f64 = row.get("trials_per_sec")?.num()?;
+            Some(1e3 * trials / per_sec)
+        })
+        .collect();
+    (!rows.is_empty()).then(|| (rows.iter().sum::<f64>() * 1e3).round() / 1e3)
 }
 
-/// Pure comparison core: baseline artefact text vs current artefact text.
-/// Returns the gate stats on pass; on failure, the first regressed metric
-/// with both values, the rule it broke, and the total regression count.
-fn compare_artefacts(name: &str, baseline: &str, current: &str) -> Result<GateStats, String> {
-    let base =
-        json_reader::parse(baseline).map_err(|e| format!("baseline for {name} unreadable: {e}"))?;
-    let cur = json_reader::parse(current)
-        .map_err(|e| format!("current artefact for {name} unreadable: {e}"))?;
+/// Outcome of holding one artefact against its baseline.
+#[derive(Debug)]
+pub(crate) struct GateStats {
+    /// Metrics compared (exact or within tolerance), the summed wall time
+    /// included.
+    pub(crate) compared: usize,
+    /// Wall metrics skipped because one side lacked them.
+    pub(crate) skipped: usize,
+    /// Summed row wall time (ms): baseline, then the faster current leg.
+    pub(crate) summed_ms: Option<(f64, f64)>,
+}
+
+/// Pure comparison core: the baseline artefact against leg `a`'s, with leg
+/// `b`'s the second sample of the summed wall time. Returns the stats on
+/// pass; on failure, the first regressed metric with both values, the rule
+/// it broke, and the total regression count.
+pub(crate) fn compare_artefacts(baseline: &str, a: &str, b: &str) -> Result<GateStats, String> {
+    let base = json_reader::parse(baseline).map_err(|e| format!("baseline unreadable: {e}"))?;
+    let cur = json_reader::parse(a).map_err(|e| format!("leg `a` artefact unreadable: {e}"))?;
+    let rerun = json_reader::parse(b).map_err(|e| format!("leg `b` artefact unreadable: {e}"))?;
     let mut fb = Flat::default();
     flatten(&base, "", &mut fb);
     let mut fc = Flat::default();
@@ -202,8 +204,8 @@ fn compare_artefacts(name: &str, baseline: &str, current: &str) -> Result<GateSt
     if fb.shape != fc.shape {
         let diff = first_list_divergence(&fb.shape, &fc.shape);
         return Err(format!(
-            "{name}: artefact shape changed ({diff}); if intended, run \
-             `cargo xtask perfgate --update-baselines` and commit the diff"
+            "artefact shape changed ({diff}); if intended, run \
+             `cargo xtask gate --update-baselines` and commit the diff"
         ));
     }
     let base_keys: Vec<&str> = fb.nums.iter().map(|(k, _)| k.as_str()).collect();
@@ -215,9 +217,9 @@ fn compare_artefacts(name: &str, baseline: &str, current: &str) -> Result<GateSt
                 skipped += 1;
             } else {
                 return Err(format!(
-                    "{name}: metric `{k}` present in baseline but missing from \
-                     the current artefact; if intended, run `cargo xtask \
-                     perfgate --update-baselines`"
+                    "metric `{k}` present in baseline but missing from the \
+                     current artefact; if intended, run `cargo xtask gate \
+                     --update-baselines`"
                 ));
             }
         }
@@ -228,71 +230,81 @@ fn compare_artefacts(name: &str, baseline: &str, current: &str) -> Result<GateSt
                 skipped += 1;
             } else {
                 return Err(format!(
-                    "{name}: new metric `{k}` absent from the baseline; run \
-                     `cargo xtask perfgate --update-baselines` and commit the diff"
+                    "new metric `{k}` absent from the baseline; run `cargo \
+                     xtask gate --update-baselines` and commit the diff"
                 ));
             }
         }
     }
 
     let mut compared = 0usize;
-    let mut first_fail: Option<String> = None;
-    let mut fails = 0usize;
+    let mut regressions = Vec::new();
     for (key, base_val) in &fb.nums {
+        let spec = spec_for(key);
+        if spec.direction == Direction::Summed {
+            continue; // gated once for the whole binary below
+        }
         let Some((_, cur_val)) = fc.nums.iter().find(|(k, _)| k == key) else {
             continue; // optional wall metric, already counted as skipped
         };
         compared += 1;
-        if let Some(msg) = regression(key, *base_val, *cur_val) {
-            fails += 1;
-            if first_fail.is_none() {
-                first_fail = Some(msg);
-            }
-        }
+        regressions.extend(regression(key, spec, *base_val, *cur_val));
     }
-    match first_fail {
-        Some(msg) => Err(format!("{name}: {fails} metric(s) regressed; first: {msg}")),
-        None => Ok(GateStats { compared, skipped }),
+    let fastest = [summed_wall_ms(&cur), summed_wall_ms(&rerun)]
+        .into_iter()
+        .flatten()
+        .reduce(f64::min);
+    let summed_ms = summed_wall_ms(&base).zip(fastest);
+    if let Some((base_ms, cur_ms)) = summed_ms {
+        compared += 1;
+        regressions.extend(regression(
+            "summed row wall time (ms)",
+            SUMMED_WALL,
+            base_ms,
+            cur_ms,
+        ));
+    }
+    match regressions.first() {
+        Some(first) => Err(format!(
+            "{} metric(s) regressed; first: {first}",
+            regressions.len()
+        )),
+        None => Ok(GateStats {
+            compared,
+            skipped,
+            summed_ms,
+        }),
     }
 }
 
-/// Applies the metric's rule; `Some(diff message)` when it regresses.
-fn regression(key: &str, base: f64, cur: f64) -> Option<String> {
-    let spec = spec_for(key);
+/// Applies a metric's rule; `Some(diff message)` when it regresses.
+fn regression(key: &str, spec: MetricSpec, base: f64, cur: f64) -> Option<String> {
     match spec.direction {
-        Direction::Exact => {
-            if base != cur {
-                Some(format!(
-                    "`{key}` baseline {base} != current {cur} (sim-deterministic, \
-                     exact match required)"
-                ))
-            } else {
-                None
-            }
-        }
+        Direction::Exact => (base != cur).then(|| {
+            format!(
+                "`{key}` baseline {base} != current {cur} (sim-deterministic, \
+                 exact match required)"
+            )
+        }),
         Direction::HigherBetter => {
-            if base - cur > spec.noise_floor && cur < base * (1.0 - spec.rel_tol) {
-                Some(format!(
-                    "`{key}` dropped {base} -> {cur} (allowed: >= {:.1} after \
+            let allowed = base * (1.0 - spec.rel_tol);
+            (base - cur > spec.noise_floor && cur < allowed).then(|| {
+                format!(
+                    "`{key}` dropped {base} -> {cur} (allowed: >= {allowed:.1} after \
                      {:.0}% tolerance)",
-                    base * (1.0 - spec.rel_tol),
                     spec.rel_tol * 100.0
-                ))
-            } else {
-                None
-            }
+                )
+            })
         }
-        Direction::LowerBetter => {
-            if cur - base > spec.noise_floor && cur > base * (1.0 + spec.rel_tol) {
-                Some(format!(
-                    "`{key}` rose {base} -> {cur} (allowed: <= {:.1} after \
+        Direction::LowerBetter | Direction::Summed => {
+            let allowed = base * (1.0 + spec.rel_tol);
+            (cur - base > spec.noise_floor && cur > allowed).then(|| {
+                format!(
+                    "`{key}` rose {base} -> {cur} (allowed: <= {allowed:.1} after \
                      {:.0}% tolerance)",
-                    base * (1.0 + spec.rel_tol),
                     spec.rel_tol * 100.0
-                ))
-            } else {
-                None
-            }
+                )
+            })
         }
     }
 }
@@ -313,188 +325,15 @@ fn first_list_divergence(a: &[String], b: &[String]) -> String {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Driver.
-// ---------------------------------------------------------------------------
-
-struct Config {
-    root: PathBuf,
-    fast: bool,
-    trials: u32,
-    update: bool,
-}
-
-fn parse_args(args: &[String]) -> Result<Config, String> {
-    let mut cfg = Config {
-        root: crate::default_root()?,
-        fast: false,
-        // Must match the trial count the committed baselines were captured
-        // with; a mismatch fails loudly on the exact `trials` metric.
-        trials: 5,
-        update: false,
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--fast" => cfg.fast = true,
-            "--update-baselines" => cfg.update = true,
-            "--trials" => {
-                let v = it.next().ok_or("--trials needs a number")?;
-                cfg.trials = v.parse().map_err(|_| format!("bad --trials value `{v}`"))?;
-            }
-            "--root" => {
-                let v = it.next().ok_or("--root needs a directory")?;
-                cfg.root = PathBuf::from(v);
-            }
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
-    Ok(cfg)
-}
-
-fn baseline_path(cfg: &Config, name: &str) -> PathBuf {
-    cfg.root
-        .join("benchmarks")
-        .join("baselines")
-        .join(format!("BENCH_{name}.json"))
-}
-
-/// Runs one binary and returns its artefact text.
-fn capture_artefact(cfg: &Config, name: &str, out_dir: &Path) -> Result<String, String> {
-    let bin = cfg.root.join("target").join("release").join(name);
-    let json_path = out_dir.join(format!("BENCH_{name}.json"));
-    let output = Command::new(&bin)
-        .arg(cfg.trials.to_string())
-        .arg("--json")
-        .arg(&json_path)
-        .current_dir(&cfg.root)
-        .output()
-        .map_err(|e| format!("cannot run {}: {e}", bin.display()))?;
-    if !output.status.success() {
-        return Err(format!(
-            "{name} exited with {} — stderr tail:\n{}",
-            output.status,
-            String::from_utf8_lossy(&output.stderr)
-                .lines()
-                .rev()
-                .take(5)
-                .collect::<Vec<_>>()
-                .join("\n")
-        ));
-    }
-    std::fs::read_to_string(&json_path)
-        .map_err(|e| format!("{name} wrote no artefact at {}: {e}", json_path.display()))
-}
-
-pub fn run(args: &[String]) -> ExitCode {
-    let cfg = match parse_args(args) {
-        Ok(cfg) => cfg,
-        Err(msg) => {
-            eprintln!("xtask perfgate: {msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    eprintln!("[perfgate] building release binaries…");
-    let status = Command::new("cargo")
-        .args(["build", "--release", "-p", "bench"])
-        .current_dir(&cfg.root)
-        .status();
-    match status {
-        Ok(s) if s.success() => {}
-        Ok(s) => {
-            eprintln!("xtask perfgate: release build failed ({s})");
-            return ExitCode::FAILURE;
-        }
-        Err(e) => {
-            eprintln!("xtask perfgate: cannot run cargo: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-
-    let out_dir = cfg.root.join("target").join("perfgate");
-    if let Err(e) = std::fs::create_dir_all(&out_dir) {
-        eprintln!("xtask perfgate: cannot create {}: {e}", out_dir.display());
-        return ExitCode::FAILURE;
-    }
-
-    let mut failures = 0usize;
-    let mut covered = 0usize;
-    for name in PERF_BINARIES {
-        if cfg.fast && !FAST_SUBSET.contains(name) {
-            continue;
-        }
-        covered += 1;
-        let current = match capture_artefact(&cfg, name, &out_dir) {
-            Ok(text) => text,
-            Err(msg) => {
-                eprintln!("[perfgate] FAIL {name}: {msg}");
-                failures += 1;
-                continue;
-            }
-        };
-        let base_path = baseline_path(&cfg, name);
-        if cfg.update {
-            if let Some(parent) = base_path.parent() {
-                if let Err(e) = std::fs::create_dir_all(parent) {
-                    eprintln!("xtask perfgate: cannot create {}: {e}", parent.display());
-                    return ExitCode::FAILURE;
-                }
-            }
-            match std::fs::write(&base_path, &current) {
-                Ok(()) => println!("[perfgate] baseline updated: {}", base_path.display()),
-                Err(e) => {
-                    eprintln!("[perfgate] FAIL {name}: cannot write baseline: {e}");
-                    failures += 1;
-                }
-            }
-            continue;
-        }
-        let baseline = match std::fs::read_to_string(&base_path) {
-            Ok(text) => text,
-            Err(e) => {
-                eprintln!(
-                    "[perfgate] FAIL {name}: no baseline at {} ({e}); run \
-                     `cargo xtask perfgate --update-baselines` and commit it",
-                    base_path.display()
-                );
-                failures += 1;
-                continue;
-            }
-        };
-        match compare_artefacts(name, &baseline, &current) {
-            Ok(stats) => println!(
-                "[perfgate] ok {name} ({} metrics compared, {} wall metrics skipped)",
-                stats.compared, stats.skipped
-            ),
-            Err(msg) => {
-                eprintln!("[perfgate] FAIL {msg}");
-                failures += 1;
-            }
-        }
-    }
-
-    if failures > 0 {
-        eprintln!("xtask perfgate: {failures} of {covered} binaries regressed");
-        ExitCode::FAILURE
-    } else if cfg.update {
-        println!("xtask perfgate: {covered} baselines captured");
-        ExitCode::SUCCESS
-    } else {
-        println!("xtask perfgate: {covered} binaries within baseline envelope");
-        ExitCode::SUCCESS
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// A miniature artefact in exactly the shape `bench::report::rows_to_json`
-    /// emits: one row with histogram, wall metrics, and a phase profile.
-    fn artefact(mean: f64, trials_per_sec: f64, wall_ns: u64) -> String {
+    /// One artefact row in exactly the shape `bench::report::rows_to_json`
+    /// emits: histogram, wall metrics and a phase profile.
+    fn row(mean: f64, trials_per_sec: f64, wall_ns: u64) -> String {
         format!(
-            "[\n  {{\"parameter\":\"hop\",\"value\":36,\"succeeded\":5,\
+            "  {{\"parameter\":\"hop\",\"value\":36,\"succeeded\":5,\
              \"trials\":5,\"min\":1,\"q1\":1,\"median\":2,\"q3\":3,\"max\":4,\
              \"mean\":{mean:.3},\"variance\":1.300,\"raw\":[1, 2, 2, 3, 4],\
              \"anchor_error_us\":{{\"count\":5,\"mean\":4.100,\"p50\":4,\
@@ -503,14 +342,28 @@ mod tests {
              \"trials_per_sec\":{trials_per_sec:.1},\"peak_rss_kb\":3000,\
              \"phase_profile\":[{{\"phase\":\"trial-sync\",\"count\":5,\
              \"sim_ns\":500000000,\"self_sim_ns\":498000000,\
-             \"wall_ns\":{wall_ns},\"self_wall_ns\":{wall_ns}}}]}}\n]\n"
+             \"wall_ns\":{wall_ns},\"self_wall_ns\":{wall_ns}}}]}}"
         )
+    }
+
+    /// A one-row artefact.
+    fn artefact(mean: f64, trials_per_sec: f64, wall_ns: u64) -> String {
+        rows(&[row(mean, trials_per_sec, wall_ns)])
+    }
+
+    fn rows(rows: &[String]) -> String {
+        format!("[\n{}\n]\n", rows.join(",\n"))
+    }
+
+    /// Leg `a` and leg `b` agree.
+    fn compare(baseline: &str, current: &str) -> Result<GateStats, String> {
+        compare_artefacts(baseline, current, current)
     }
 
     #[test]
     fn identical_artefacts_pass() {
         let a = artefact(2.2, 4000.0, 100_000);
-        let stats = compare_artefacts("exp1", &a, &a).expect("identical must pass");
+        let stats = compare(&a, &a).expect("identical must pass");
         assert!(stats.compared > 15, "flattening found {}", stats.compared);
         assert_eq!(stats.skipped, 0);
     }
@@ -519,7 +372,7 @@ mod tests {
     fn doctored_sim_metric_fails_exactly() {
         let base = artefact(2.2, 4000.0, 100_000);
         let doctored = artefact(2.4, 4000.0, 100_000);
-        let err = compare_artefacts("exp1", &base, &doctored).unwrap_err();
+        let err = compare(&base, &doctored).unwrap_err();
         assert!(err.contains("`[0].mean`"), "{err}");
         assert!(err.contains("2.2"), "{err}");
         assert!(err.contains("2.4"), "{err}");
@@ -531,12 +384,43 @@ mod tests {
         let base = artefact(2.2, 4000.0, 100_000_000);
         // Half the throughput and 4x the span wall time: noisy, not fatal.
         let noisy = artefact(2.2, 2000.0, 400_000_000);
-        compare_artefacts("exp1", &base, &noisy).expect("within tolerance");
-        // A 100x throughput collapse is a real regression.
-        let collapsed = artefact(2.2, 40.0, 100_000_000);
-        let err = compare_artefacts("exp1", &base, &collapsed).unwrap_err();
-        assert!(err.contains("trials_per_sec"), "{err}");
+        compare(&base, &noisy).expect("within tolerance");
+        // A 100x events_per_sec collapse is a real regression.
+        let collapsed = base.replace("\"events_per_sec\":1000.0", "\"events_per_sec\":10.0");
+        let err = compare(&base, &collapsed).unwrap_err();
+        assert!(err.contains("events_per_sec"), "{err}");
         assert!(err.contains("dropped"), "{err}");
+        // A row's trials_per_sec is judged only through the summed wall
+        // time, never on its own.
+        let err = compare(&base, &artefact(2.2, 40.0, 100_000_000)).unwrap_err();
+        assert!(err.contains("summed row wall time"), "{err}");
+        assert!(!err.contains("`[0].trials_per_sec`"), "{err}");
+    }
+
+    #[test]
+    fn summed_wall_fails_a_binary_whose_rows_total_eleven_times_the_baseline() {
+        // 0.5 ms + 100 ms at baseline.
+        let base = rows(&[row(2.2, 10_000.0, 100), row(2.2, 50.0, 100)]);
+        let slow = rows(&[row(2.2, 10_000.0 / 11.0, 100), row(2.2, 50.0 / 11.0, 100)]);
+        let err = compare(&base, &slow).unwrap_err();
+        assert!(err.contains("summed row wall time (ms)"), "{err}");
+        assert!(err.contains("rose 100.5"), "{err}");
+        assert!(err.contains("900% tolerance"), "{err}");
+        // The faster of legs `a` and `b` is the sample: one slow leg of two
+        // is host noise, not a regression.
+        let stats = compare_artefacts(&base, &slow, &base).expect("leg b is fast");
+        assert_eq!(stats.summed_ms, Some((100.5, 100.5)));
+    }
+
+    #[test]
+    fn summed_wall_passes_one_sub_millisecond_row_twenty_times_slower() {
+        let base = rows(&[row(2.2, 10_000.0, 100), row(2.2, 50.0, 100)]);
+        // Row 0 goes from 0.5 ms to 10 ms; the binary from 100.5 to 110 ms.
+        let cur = rows(&[row(2.2, 500.0, 100), row(2.2, 50.0, 100)]);
+        let stats = compare(&base, &cur).expect("the sum stays under 10x");
+        let (base_ms, cur_ms) = stats.summed_ms.expect("both sides timed");
+        assert!((base_ms - 100.5).abs() < 1e-9, "{base_ms}");
+        assert!((cur_ms - 110.0).abs() < 1e-9, "{cur_ms}");
     }
 
     #[test]
@@ -544,7 +428,7 @@ mod tests {
         let base = artefact(2.2, 4000.0, 100_000_000);
         // 20x the span wall time breaks the 10x envelope.
         let slow = artefact(2.2, 4000.0, 2_000_000_000);
-        let err = compare_artefacts("exp1", &base, &slow).unwrap_err();
+        let err = compare(&base, &slow).unwrap_err();
         assert!(err.contains("wall_ns"), "{err}");
         assert!(err.contains("rose"), "{err}");
     }
@@ -554,7 +438,7 @@ mod tests {
         // 100x relative rise but only 99µs absolute: under the 10ms floor.
         let base = artefact(2.2, 4000.0, 1_000);
         let cur = artefact(2.2, 4000.0, 100_000);
-        compare_artefacts("exp1", &base, &cur).expect("noise floor absorbs it");
+        compare(&base, &cur).expect("noise floor absorbs it");
     }
 
     #[test]
@@ -562,11 +446,11 @@ mod tests {
         let base = artefact(2.2, 4000.0, 100_000);
         // `peak_rss_kb:null` (non-Linux baseline) flattens to absent.
         let no_rss = base.replace("\"peak_rss_kb\":3000", "\"peak_rss_kb\":null");
-        let stats = compare_artefacts("exp1", &base, &no_rss).expect("wall absence is fine");
+        let stats = compare(&base, &no_rss).expect("wall absence is fine");
         assert_eq!(stats.skipped, 1);
         // A vanished sim metric is a shape change, not noise.
         let no_median = base.replace("\"median\":2,", "");
-        let err = compare_artefacts("exp1", &base, &no_median).unwrap_err();
+        let err = compare(&base, &no_median).unwrap_err();
         assert!(err.contains("[0].median"), "{err}");
         assert!(err.contains("--update-baselines"), "{err}");
     }
@@ -575,7 +459,7 @@ mod tests {
     fn renamed_phase_is_a_shape_change() {
         let base = artefact(2.2, 4000.0, 100_000);
         let renamed = base.replace("trial-sync", "trial-warmup");
-        let err = compare_artefacts("exp1", &base, &renamed).unwrap_err();
+        let err = compare(&base, &renamed).unwrap_err();
         assert!(err.contains("shape changed"), "{err}");
         assert!(err.contains("--update-baselines"), "{err}");
     }
@@ -608,19 +492,16 @@ mod tests {
         let nums: Vec<(&str, f64)> = f.nums.iter().map(|(k, n)| (k.as_str(), *n)).collect();
         assert_eq!(nums, [("[0].a", 1.5), ("[0].c[0]", 1.0), ("[0].c[1]", 2.0)]);
         assert_eq!(f.shape, ["[0].d=x"]);
-        let err = compare_artefacts("exp1", "[1, 2] trailing", "[1, 2]").unwrap_err();
-        assert!(
-            err.contains("baseline for exp1 unreadable: byte 7"),
-            "{err}"
-        );
+        let err = compare("[1, 2] trailing", "[1, 2]").unwrap_err();
+        assert!(err.contains("baseline unreadable: byte 7"), "{err}");
     }
 
     #[test]
     fn strings_with_escaped_quotes_are_read_whole() {
         let base = artefact(2.2, 4000.0, 100_000)
             .replace("\"parameter\":\"hop\"", r#""parameter":"say \"hop\"""#);
-        compare_artefacts("exp1", &base, &base).expect("escaped quotes parse");
-        let err = compare_artefacts("exp1", &base, &base.replace("hop", "hip")).unwrap_err();
+        compare(&base, &base).expect("escaped quotes parse");
+        let err = compare(&base, &base.replace("hop", "hip")).unwrap_err();
         assert!(err.contains(r#"[0].parameter=say "hop""#), "{err}");
     }
 
@@ -630,25 +511,16 @@ mod tests {
         let doctored = artefact(2.2, 4000.0, 100_000)
             .replace("\"succeeded\":5", "\"succeeded\":4")
             .replace("\"median\":2", "\"median\":3");
-        let err = compare_artefacts("exp1", &base, &doctored).unwrap_err();
+        let err = compare(&base, &doctored).unwrap_err();
         assert!(err.contains("2 metric(s) regressed"), "{err}");
         assert!(err.contains("first:"), "{err}");
     }
 
     #[test]
-    fn fast_subset_is_a_subset_of_the_matrix() {
-        for name in FAST_SUBSET {
-            assert!(
-                PERF_BINARIES.contains(name),
-                "fast-subset binary {name} missing from the matrix"
-            );
-        }
-    }
-
-    #[test]
-    fn wall_classification_matches_the_determinism_neutral_list() {
-        // `WALL_FIELDS` is both the list determinism neutralises and the
-        // set this gate treats as tolerant; everything else is exact.
+    fn wall_fields_are_the_only_non_exact_metrics() {
+        // `WALL_FIELDS` is both the list the normaliser zeroes and the set
+        // the baseline comparison treats as tolerant; everything else is
+        // exact.
         for key in [
             "[0].trials_per_sec",
             "[0].events_per_sec",

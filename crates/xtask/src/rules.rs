@@ -766,7 +766,7 @@ fn r8_wall_clock(tokens: &[Token], out: &mut Vec<Violation>) {
 
 /// Idents that construct or read entropy-seeded randomness. Any draw from
 /// these is invisible to the experiment seed, so two runs with identical
-/// seeds diverge — exactly the corruption the determinism oracle exists to
+/// seeds diverge — exactly the corruption the release-run gate exists to
 /// catch, banned at the source instead.
 const UNSEEDED_RNG: &[&str] = &["from_entropy", "thread_rng", "OsRng"];
 
