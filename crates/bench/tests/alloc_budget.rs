@@ -5,7 +5,10 @@
 //! grown every queue and buffer to capacity, a steady stream of
 //! Tx → medium → Rx deliveries (no collision, telemetry off) must perform
 //! **zero** heap allocations. This pins the inline-`Pdu` rework: any future
-//! `Vec`/`clone()` reintroduced on the delivery path trips this test.
+//! `Vec`/`clone()` reintroduced on the delivery path trips this test. A
+//! dense band of background pairs holds the sharded medium's own
+//! bookkeeping (retained frames, per-channel lists, deferred edges) to the
+//! same budget.
 //! A second budget caps what a Figure 9 trial allocates outside the
 //! simulation itself: building its world, flushing its metrics sink, and
 //! folding its metrics into a report row.
@@ -29,7 +32,7 @@ use ble_phy::{
     AccessAddress, AccessFilter, Channel, Environment, NodeConfig, NodeCtx, Pdu, Position,
     RadioEvent, RadioListener, RawFrame, TimerKey, World,
 };
-use ble_scenario::ScenarioBuilder;
+use ble_scenario::{BackgroundRx, BackgroundSchedule, BackgroundTx, ScenarioBuilder};
 use ble_telemetry::{TelemetryEvent, TelemetryRecord, TelemetrySink};
 use simkit::{Duration, FaultPlan, Instant, InterferenceBurst, SimRng};
 
@@ -258,6 +261,69 @@ fn steady_state_frame_delivery_allocates_nothing() {
     assert_eq!(
         delta, 0,
         "an empty FaultPlan must not add allocations ({delta} over {received} deliveries)"
+    );
+}
+
+/// Received frames summed over the background receivers in `pairs`.
+fn background_received(sim: &World, pairs: &[(ble_phy::NodeId, ble_phy::NodeId)]) -> u64 {
+    pairs
+        .iter()
+        .map(|(_, rx)| sim.node::<BackgroundRx>(*rx).expect("receiver").received)
+        .sum()
+}
+
+#[test]
+fn dense_band_delivery_allocates_nothing_after_warm_up() {
+    // 66 background pairs in the dense hall, laid out like the dense-band
+    // workload's: each receiver filters for its own pair's access address,
+    // so most `RxStart` edges are deferred, frames come and go on all 37
+    // data channels, and node ids run past 128, where a frame's scheduled
+    // set needs heap words. After warm-up, the frame ring, the channel
+    // lists, the deferred list and the recycled scheduled sets must all
+    // have reached their capacity.
+    const PAIRS: u64 = 66;
+    let mut sim = World::new(Environment::dense_hall(), SimRng::seed_from(21));
+    let mut pairs = Vec::new();
+    for k in 0..PAIRS {
+        let period_us = 7_500 + (k * 977) % 7_500;
+        let schedule = BackgroundSchedule {
+            aa: AccessAddress::new(0xB000_0000 + u32::try_from(k).expect("fits")),
+            crc_init: 0x0B_0B00 + u32::try_from(k).expect("fits"),
+            start_channel: u8::try_from(k % 37).expect("fits"),
+            hop: u8::try_from(1 + (k * 7) % 36).expect("fits"),
+            period: Duration::from_micros(period_us),
+            phase: Duration::from_micros(period_us + (k * 1_571) % period_us),
+        };
+        let (x, y) = (8.0 + (k % 9) as f64 * 12.0, 8.0 + (k / 9) as f64 * 12.0);
+        let tx = sim.add_node(
+            NodeConfig::new(format!("bgtx{k}"), Position::new(x, y)),
+            BackgroundTx::new(schedule),
+        );
+        let rx = sim.add_node(
+            NodeConfig::new(format!("bgrx{k}"), Position::new(x + 1.0, y)),
+            BackgroundRx::new(schedule),
+        );
+        pairs.push((tx, rx));
+    }
+    for (tx, rx) in &pairs {
+        sim.start(*rx);
+        sim.start(*tx);
+    }
+
+    sim.run_for(Duration::from_millis(400));
+    let received_before = background_received(&sim, &pairs);
+    assert!(received_before > 1_000, "warm-up must deliver frames");
+
+    let before = allocations();
+    COUNTING.with(|c| c.set(true));
+    sim.run_for(Duration::from_millis(200));
+    COUNTING.with(|c| c.set(false));
+    let delta = allocations() - before;
+    let received = background_received(&sim, &pairs) - received_before;
+    assert!(received >= 800, "the band must keep delivering: {received}");
+    assert_eq!(
+        delta, 0,
+        "dense-band delivery must not allocate ({delta} allocations over {received} deliveries)"
     );
 }
 

@@ -15,15 +15,16 @@
 //! window, arrives *first*, so the victim locks onto it; the legitimate
 //! Master frame then only matters as interference.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 use ble_invariants::invariant;
 use ble_telemetry::{
-    DeliveryTracker, FaultKind, SpanId, SpanKind, Telemetry, TelemetryEvent, TelemetryRecord,
-    TelemetrySink,
+    DeliveryTracker, FaultKind, PacketDelivery, SpanId, SpanKind, Telemetry, TelemetryEvent,
+    TelemetryRecord, TelemetrySink,
 };
-use simkit::{Duration, EventQueue, FaultPlan, Instant, SimRng};
+use simkit::{Duration, EventId, EventQueue, FaultPlan, Instant, SimRng};
 
+use crate::access_address::AccessAddress;
 use crate::channel::Channel;
 use crate::fault::FaultState;
 use crate::frame::{RawFrame, ReceivedFrame};
@@ -39,17 +40,23 @@ use crate::radio::{
 /// Both modes produce **event-for-event identical** simulations — the
 /// sharded fast path only skips scheduling `RxStart` edges that the
 /// broadcast path would have discarded without any state or RNG effect
-/// (wrong channel, not listening, or mean power below the reachability
-/// cull). The equivalence is pinned by the `sharding_equivalence`
-/// integration tests, which run the same seeded world under both modes and
-/// compare their telemetry records.
+/// (wrong channel, not listening, mean power below the reachability cull,
+/// or an unlocked receiver filtering for another frame). The equivalence
+/// is pinned by the `sharding_equivalence` integration tests, which run
+/// the same seeded world under both modes and compare their telemetry
+/// records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DeliveryMode {
     /// Schedule `RxStart` only at nodes currently listening on the
     /// transmission's channel (per-channel listener index) whose mean link
-    /// budget clears the reachability cull. Receivers that open *after*
-    /// the frame left the antenna but *before* its leading edge arrives
-    /// are caught by a pending-arrival scan in `start_rx`. The default.
+    /// budget clears the reachability cull, and of those only where the
+    /// edge would act: the receiver is locked, or its access-address
+    /// filter and PHY match the frame. Every other listener's edge is
+    /// deferred under an event id reserved at transmit time, and released
+    /// under that id if the receiver locks or re-filters before the frame
+    /// arrives. Receivers that open *after* the frame left the antenna but
+    /// *before* its leading edge arrives are caught by a pending-arrival
+    /// scan in `start_rx`. The default.
     #[default]
     Sharded,
     /// Schedule `RxStart` at every other node for every frame, as the
@@ -197,8 +204,8 @@ struct NodeState {
     tx_starts: u64,
 }
 
-/// Receivers that already have an `RxStart` edge scheduled for an
-/// in-flight transmission. A duplicate edge would make a receiver treat
+/// Receivers that already have an `RxStart` edge scheduled or deferred for
+/// an in-flight transmission. A duplicate edge would make a receiver treat
 /// its own locked frame as interference (an extra RNG draw and a phantom
 /// collision), so sharded delivery dedups the pending-arrival scan in
 /// `start_rx` against this set. The first 128 node ids live in an inline
@@ -234,6 +241,12 @@ impl ScheduledSet {
             None => self.low & (1u128 << node.0) != 0,
         }
     }
+
+    /// Empties the set, keeping its heap words for reuse.
+    fn clear(&mut self) {
+        self.low = 0;
+        self.high.fill(0);
+    }
 }
 
 struct ActiveTx {
@@ -243,10 +256,142 @@ struct ActiveTx {
     frame: RawFrame,
     start: Instant,
     end: Instant,
-    /// Receivers with a scheduled `RxStart` for this frame (sharded
-    /// delivery only; stays empty under [`DeliveryMode::FullBroadcast`],
-    /// where every node gets exactly one edge by construction).
+    /// Receivers with a scheduled or deferred `RxStart` for this frame
+    /// (sharded delivery only; stays empty under
+    /// [`DeliveryMode::FullBroadcast`], where every node gets exactly one
+    /// edge by construction).
     scheduled: ScheduledSet,
+    /// The next retained transmission on the same channel.
+    next_on_channel: Option<u64>,
+}
+
+/// One channel's retained transmissions, oldest to newest, linked through
+/// [`ActiveTx::next_on_channel`].
+#[derive(Debug, Clone, Copy, Default)]
+struct ChannelList {
+    oldest: Option<u64>,
+    newest: Option<u64>,
+}
+
+/// The retained transmissions, in id order: `slots[i]` is transmission
+/// `first + i`, so a lookup by id is one subtraction. A transmission
+/// leaves from the front, on the first push after it ended more than
+/// [`TX_RETENTION`] ago; a frame that ends before an older one waits
+/// behind it. Keeping a frame longer changes nothing: every scan skips a
+/// frame whose last bit has passed, and every event that names a frame
+/// fires before its retention ends.
+struct TxRing {
+    first: u64,
+    slots: VecDeque<ActiveTx>,
+    /// `channels[c]`: the retained transmissions on channel `c`, in
+    /// ascending id order, so the scans visit only co-channel frames.
+    channels: Vec<ChannelList>,
+    /// Cleared [`ScheduledSet`]s of departed transmissions, reused by later
+    /// pushes so that a steady stream of frames allocates nothing.
+    spare: Vec<ScheduledSet>,
+}
+
+/// Index into [`TxRing::slots`] of transmission `id`, if it is at or after
+/// the front.
+fn slot_index(first: u64, id: u64) -> Option<usize> {
+    usize::try_from(id.checked_sub(first)?).ok()
+}
+
+impl TxRing {
+    fn new() -> Self {
+        TxRing {
+            first: 0,
+            slots: VecDeque::new(),
+            channels: vec![ChannelList::default(); usize::from(Channel::COUNT)],
+            spare: Vec::new(),
+        }
+    }
+
+    fn get(&self, id: u64) -> Option<&ActiveTx> {
+        self.slots.get(slot_index(self.first, id)?)
+    }
+
+    fn get_mut(&mut self, id: u64) -> Option<&mut ActiveTx> {
+        self.slots.get_mut(slot_index(self.first, id)?)
+    }
+
+    /// The oldest retained transmission on `channel`; follow
+    /// [`ActiveTx::next_on_channel`] for the rest.
+    fn oldest_on(&self, channel: Channel) -> Option<u64> {
+        self.channels.get(usize::from(channel.index()))?.oldest
+    }
+
+    /// Drops the transmissions at the front that ended more than
+    /// [`TX_RETENTION`] before `now`, then appends `tx` and returns its id.
+    fn push(&mut self, now: Instant, mut tx: ActiveTx) -> u64 {
+        while let Some(gone) = self.slots.front_mut() {
+            if gone.end + TX_RETENTION >= now {
+                break;
+            }
+            // The front is the lowest id, so it is also its channel's oldest.
+            if let Some(list) = self.channels.get_mut(usize::from(gone.channel.index())) {
+                invariant!(
+                    list.oldest == Some(self.first),
+                    "tx-ring",
+                    "transmission #{} left the ring but its channel list began at {:?}",
+                    self.first,
+                    list.oldest
+                );
+                list.oldest = gone.next_on_channel;
+                if list.oldest.is_none() {
+                    list.newest = None;
+                }
+            }
+            let mut set = std::mem::take(&mut gone.scheduled);
+            set.clear();
+            self.spare.push(set);
+            self.slots.pop_front();
+            self.first += 1;
+        }
+        tx.scheduled = self.spare.pop().unwrap_or_default();
+        tx.next_on_channel = None;
+        let id = self.first + u64::try_from(self.slots.len()).unwrap_or(u64::MAX);
+        if let Some(list) = self.channels.get_mut(usize::from(tx.channel.index())) {
+            let newest = list
+                .newest
+                .and_then(|newest| slot_index(self.first, newest))
+                .and_then(|i| self.slots.get_mut(i));
+            match newest {
+                Some(newest) => newest.next_on_channel = Some(id),
+                None => list.oldest = Some(id),
+            }
+            list.newest = Some(id);
+        }
+        self.slots.push_back(tx);
+        id
+    }
+}
+
+/// An `RxStart` edge the sharded fan-out did not schedule: its receiver
+/// was listening and reachable, but unlocked and filtering for another
+/// access address or PHY, so the edge would return before any draw. It
+/// keeps the event id reserved for it at transmit time, so that if the
+/// receiver locks or re-filters before `arrival`, the edge is scheduled
+/// under its original `(arrival, id)` key and fires exactly where it would
+/// have.
+#[derive(Debug, Clone, Copy)]
+struct DeferredEdge {
+    node: NodeId,
+    tx_id: u64,
+    id: EventId,
+    arrival: Instant,
+}
+
+/// Whether an `RxStart` of a co-channel frame with access address `aa`
+/// acts on a receiver in state `radio`: a locked receiver draws the frame's
+/// power as interference (or a relock), an unlocked one tries to lock if
+/// its filter and PHY match. Anything else returns before any draw.
+fn rx_start_acts(radio: &RadioState, phy_matches: bool, aa: AccessAddress) -> bool {
+    match radio {
+        RadioState::Rx { lock: Some(_), .. } => true,
+        RadioState::Rx { filter, .. } => phy_matches && filter.matches(aa),
+        RadioState::Idle | RadioState::Tx { .. } => false,
+    }
 }
 
 /// Internal simulation state shared between the driver and [`NodeCtx`].
@@ -254,11 +399,11 @@ pub(crate) struct SimInner {
     queue: EventQueue<SimEvent>,
     env: Environment,
     nodes: Vec<NodeState>,
-    txs: BTreeMap<u64, ActiveTx>,
-    /// Earliest `end + TX_RETENTION` over `txs` ([`Instant::MAX`] when
-    /// empty): until `now` passes it, [`SimInner::gc`] has nothing to drop.
-    gc_due: Instant,
-    next_tx_id: u64,
+    txs: TxRing,
+    /// Every deferred `RxStart` edge not yet released or passed, in
+    /// transmit order (sharded delivery only). Edges whose key the queue
+    /// has passed are dropped on the next transmit or release.
+    deferred: Vec<DeferredEdge>,
     rng: SimRng,
     telemetry: Telemetry,
     faults: FaultState,
@@ -277,8 +422,8 @@ pub(crate) struct SimInner {
     delivery: Option<DeliveryTracker>,
 }
 
-/// How long finished transmissions are retained for interference accounting
-/// before garbage collection.
+/// How long finished transmissions are retained for interference
+/// accounting after their last bit.
 const TX_RETENTION: Duration = Duration::from_millis(1);
 
 impl SimInner {
@@ -453,8 +598,6 @@ impl SimInner {
         );
         self.node_state_mut(node).tx_span = tx_span;
 
-        let tx_id = self.next_tx_id;
-        self.next_tx_id += 1;
         let aa = frame.access_address;
         let pdu_len = u32::try_from(frame.pdu.len()).unwrap_or(u32::MAX);
         self.emit(now, Some(node), || TelemetryEvent::TxStart {
@@ -463,8 +606,8 @@ impl SimInner {
             pdu_len,
             end,
         });
-        self.txs.insert(
-            tx_id,
+        let tx_id = self.txs.push(
+            now,
             ActiveTx {
                 from: node,
                 channel,
@@ -473,17 +616,18 @@ impl SimInner {
                 start: now,
                 end,
                 scheduled: ScheduledSet::default(),
+                next_on_channel: None,
             },
         );
-        self.gc_due = self.gc_due.min(end + TX_RETENTION);
         self.queue.schedule_at(end, SimEvent::TxEnd { node });
         let from_pos = self.node_state(node).config.position;
         let tx_power_dbm = self.node_state(node).config.tx_power_dbm;
         let mode = self.delivery_mode;
         // Split-field borrow: arrival times and the cull read `env`/`nodes`,
         // scheduling writes `queue` — disjoint, so no intermediate
-        // collection needed. Both modes schedule receivers in ascending node
-        // order (the listener lists are sorted), keeping same-instant event
+        // collection needed. Both modes key receivers' edges in ascending
+        // node order (the listener lists are sorted, and a deferred edge
+        // keeps the id reserved for it here), keeping same-instant event
         // ties identical between them.
         let SimInner {
             queue,
@@ -491,11 +635,14 @@ impl SimInner {
             nodes,
             listeners,
             txs,
+            deferred,
             delivery,
             ..
         } = self;
-        let mut scheduled: u32 = 0;
-        let mut culled: u32 = 0;
+        let mut fanout = PacketDelivery {
+            channel: channel.index(),
+            ..PacketDelivery::default()
+        };
         match mode {
             DeliveryMode::FullBroadcast => {
                 for (other, state) in nodes.iter().enumerate() {
@@ -510,14 +657,16 @@ impl SimInner {
                             tx_id,
                         },
                     );
-                    scheduled += 1;
+                    fanout.scheduled += 1;
                 }
             }
             DeliveryMode::Sharded => {
-                let tx = txs.get_mut(&tx_id);
+                let tx = txs.get_mut(tx_id);
                 let listening = listeners.get(usize::from(channel.index()));
                 if let (Some(tx), Some(listening)) = (tx, listening) {
-                    for &other in listening {
+                    deferred.retain(|d| !queue.has_fired(d.arrival, d.id));
+                    let ids = queue.reserve(listening.len());
+                    for (&other, id) in listening.iter().zip(ids) {
                         if other == node {
                             continue;
                         }
@@ -535,21 +684,42 @@ impl SimInner {
                             state.config.position,
                         );
                         if !env.reachable_mean_dbm(mean) {
-                            culled += 1;
+                            fanout.culled += 1;
                             continue;
                         }
                         let arrival = now + env.propagation_delay(from_pos, state.config.position);
-                        queue.schedule_at(arrival, SimEvent::RxStart { node: other, tx_id });
                         tx.scheduled.insert(other);
-                        scheduled += 1;
+                        // An edge that would return before any draw waits
+                        // on the deferred list; `release_deferred` puts it
+                        // on the queue if its receiver locks or re-filters
+                        // before `arrival`.
+                        if rx_start_acts(&state.radio, state.config.phy == phy, aa) {
+                            queue.schedule_reserved(
+                                arrival,
+                                id,
+                                SimEvent::RxStart { node: other, tx_id },
+                            );
+                            fanout.scheduled += 1;
+                        } else {
+                            deferred.push(DeferredEdge {
+                                node: other,
+                                tx_id,
+                                id,
+                                arrival,
+                            });
+                            fanout.deferred += 1;
+                        }
                     }
                 }
             }
         }
         if let Some(tracker) = delivery {
             let peers = u32::try_from(nodes.len().saturating_sub(1)).unwrap_or(u32::MAX);
-            let suppressed = peers.saturating_sub(scheduled).saturating_sub(culled);
-            tracker.on_tx(tx_id, channel.index(), scheduled, culled, suppressed);
+            fanout.suppressed = peers
+                .saturating_sub(fanout.scheduled)
+                .saturating_sub(fanout.culled)
+                .saturating_sub(fanout.deferred);
+            tracker.on_tx(tx_id, fanout);
         }
         TxHandle {
             start: now,
@@ -599,7 +769,8 @@ impl SimInner {
             crc_init,
             lock: None,
         };
-        // One pass over the in-flight transmissions serves two windows:
+        // One pass over the channel's retained transmissions serves two
+        // windows:
         //
         // * **Late lock** (`arrival <= now`): a frame whose preamble began
         //   moments ago can still be caught — required for window semantics
@@ -623,8 +794,13 @@ impl SimInner {
             delivery,
             ..
         } = self;
-        for (&tx_id, tx) in txs.iter_mut() {
-            if tx.from == node || tx.channel != channel {
+        let mut next = txs.oldest_on(channel);
+        while let Some(tx_id) = next {
+            let Some(tx) = txs.get_mut(tx_id) else {
+                break;
+            };
+            next = tx.next_on_channel;
+            if tx.from == node {
                 continue;
             }
             let Some(tx_state) = nodes.get(tx.from.0) else {
@@ -645,7 +821,7 @@ impl SimInner {
                     queue.schedule_at(arrival, SimEvent::RxStart { node, tx_id });
                     tx.scheduled.insert(node);
                     if let Some(tracker) = delivery {
-                        tracker.on_late_scheduled(tx_id);
+                        tracker.on_late_scheduled(tx_id, false);
                     }
                 }
                 continue;
@@ -663,6 +839,11 @@ impl SimInner {
                 }
             }
         }
+        // A deferred edge of this receiver now acts if the new filter and
+        // PHY match its frame on the new channel.
+        self.release_deferred(node, |tx| {
+            tx.channel == channel && tx.phy == phy && filter.matches(tx.frame.access_address)
+        });
         if let Some((tx_id, arrival)) = best {
             if self.try_lock(node, tx_id, arrival, None) {
                 self.queue
@@ -683,7 +864,7 @@ impl SimInner {
         known_power: Option<f64>,
     ) -> bool {
         let (tx_start, tx_end, tx_from) = {
-            let Some(tx) = self.txs.get(&tx_id) else {
+            let Some(tx) = self.txs.get(tx_id) else {
                 invariant!(false, "tx-id", "try_lock on unknown transmission #{tx_id}");
                 return false;
             };
@@ -742,6 +923,9 @@ impl SimInner {
         };
         self.queue
             .schedule_at(lock_end, SimEvent::RxEnd { node, tx_id });
+        // Locked, the receiver draws every co-channel arrival, so each of
+        // its deferred edges on this channel now acts.
+        self.release_deferred(node, |tx| tx.channel == channel);
         self.emit(arrival, Some(node), || TelemetryEvent::RxLock {
             channel: channel.index(),
         });
@@ -761,16 +945,16 @@ impl SimInner {
     ) -> InterferenceBuf {
         let mut out = InterferenceBuf::new();
         let rx_pos = self.node_state(node).config.position;
-        let channel = match &self.txs.get(&locked_tx) {
+        let channel = match self.txs.get(locked_tx) {
             Some(tx) => tx.channel,
             None => return out,
         };
         // Split-field borrow: candidate geometry reads `txs`/`nodes`/`env`,
         // the fading draw needs `rng` — disjoint fields, single pass, no
         // intermediate collection. Fading is drawn per overlapping candidate
-        // in `txs` iteration order, which the `BTreeMap` pins to ascending
-        // tx-id (= transmission start order): the RNG draw sequence is a
-        // pure function of the simulation history, never of hash seeding.
+        // in ascending tx-id (= transmission start order) on the channel:
+        // the RNG draw sequence is a pure function of the simulation
+        // history, never of hash seeding.
         let SimInner {
             txs,
             env,
@@ -784,8 +968,13 @@ impl SimInner {
         } else {
             0.0
         };
-        for (&id, tx) in txs.iter() {
-            if id == locked_tx || tx.from == node || tx.channel != channel {
+        let mut next = txs.oldest_on(channel);
+        while let Some(id) = next {
+            let Some(tx) = txs.get(id) else {
+                break;
+            };
+            next = tx.next_on_channel;
+            if id == locked_tx || tx.from == node {
                 continue;
             }
             let Some(tx_state) = nodes.get(tx.from.0) else {
@@ -824,7 +1013,7 @@ impl SimInner {
     fn handle_rx_start(&mut self, node: NodeId, tx_id: u64) -> Option<RadioEvent> {
         let now = self.now();
         let (tx_channel, tx_aa, tx_from, tx_len) = {
-            let tx = self.txs.get(&tx_id)?;
+            let tx = self.retained_tx(tx_id)?;
             (
                 tx.channel,
                 tx.frame.access_address,
@@ -867,7 +1056,7 @@ impl SimInner {
                 )
             };
             let rx_phy = self.node_state(node).config.phy;
-            let phy_matches = self.txs.get(&tx_id).is_some_and(|tx| tx.phy == rx_phy);
+            let phy_matches = self.txs.get(tx_id).is_some_and(|tx| tx.phy == rx_phy);
             if steals && matches_filter && phy_matches {
                 self.emit(now, Some(node), || TelemetryEvent::Relock {
                     channel: tx_channel.index(),
@@ -907,7 +1096,7 @@ impl SimInner {
             };
             (*filter, self.node_state(node).config.phy)
         };
-        if !self.txs.get(&tx_id).is_some_and(|tx| tx.phy == phy) || !filter.matches(tx_aa) {
+        if !self.txs.get(tx_id).is_some_and(|tx| tx.phy == phy) || !filter.matches(tx_aa) {
             return None;
         }
         if self.try_lock(node, tx_id, now, None) {
@@ -923,6 +1112,7 @@ impl SimInner {
 
     /// Completes a locked reception. Returns the frame to deliver.
     fn handle_rx_end(&mut self, node: NodeId, tx_id: u64) -> Option<ReceivedFrame> {
+        self.retained_tx(tx_id)?;
         let mut lock = {
             let RadioState::Rx { lock, .. } = &mut self.node_state_mut(node).radio else {
                 return None;
@@ -942,7 +1132,7 @@ impl SimInner {
             _ => return None,
         };
         let (tx_crc_init, aa, mut pdu) = {
-            let tx = self.txs.get(&tx_id)?;
+            let tx = self.txs.get(tx_id)?;
             // An inline-buffer clone: a stack memcpy, not a heap allocation.
             (
                 tx.frame.crc_init,
@@ -1111,27 +1301,49 @@ impl SimInner {
         }
     }
 
-    /// Drops transmissions that ended more than [`TX_RETENTION`] ago. Lazy
-    /// but exact: while `now <= gc_due`, the earliest `end + TX_RETENTION`,
-    /// the `retain` below would keep every transmission, so it is skipped.
-    fn gc(&mut self) {
-        let now = self.now();
-        if now <= self.gc_due {
-            invariant!(
-                self.txs.values().all(|tx| tx.end + TX_RETENTION >= now),
-                "tx-gc",
-                "a transmission outlived its retention before {}",
-                self.gc_due
-            );
+    /// The transmission an `RxStart`, `RxEnd` or `LateSync` event names.
+    /// Each fires before its frame's retention ends, so it always finds it;
+    /// a miss is a medium bug, which debug builds catch.
+    fn retained_tx(&self, tx_id: u64) -> Option<&ActiveTx> {
+        let tx = self.txs.get(tx_id);
+        invariant!(
+            tx.is_some(),
+            "tx-retained",
+            "transmission #{tx_id} left the ring before an event that names it"
+        );
+        tx
+    }
+
+    /// Schedules, under their reserved ids, the deferred edges of `node`
+    /// whose frames `acts` says the receiver would now act on, unless the
+    /// queue has already passed their key: then the edge had fired as a
+    /// no-op, exactly as a scheduled one would have. Drops every passed
+    /// edge on the way.
+    fn release_deferred(&mut self, node: NodeId, acts: impl Fn(&ActiveTx) -> bool) {
+        if self.deferred.is_empty() {
             return;
         }
-        self.txs.retain(|_, tx| tx.end + TX_RETENTION >= now);
-        self.gc_due = self
-            .txs
-            .values()
-            .map(|tx| tx.end + TX_RETENTION)
-            .min()
-            .unwrap_or(Instant::MAX);
+        let SimInner {
+            deferred,
+            queue,
+            txs,
+            delivery,
+            ..
+        } = self;
+        deferred.retain(|d| {
+            if queue.has_fired(d.arrival, d.id) {
+                return false;
+            }
+            if d.node != node || !txs.get(d.tx_id).is_some_and(&acts) {
+                return true;
+            }
+            let tx_id = d.tx_id;
+            queue.schedule_reserved(d.arrival, d.id, SimEvent::RxStart { node, tx_id });
+            if let Some(tracker) = delivery {
+                tracker.on_late_scheduled(tx_id, true);
+            }
+            false
+        });
     }
 }
 
@@ -1158,9 +1370,8 @@ impl World {
                 queue: EventQueue::new(),
                 env,
                 nodes: Vec::new(),
-                txs: BTreeMap::new(),
-                gc_due: Instant::MAX,
-                next_tx_id: 0,
+                txs: TxRing::new(),
+                deferred: Vec::new(),
                 rng,
                 telemetry: Telemetry::default(),
                 faults: FaultState::disabled(),
@@ -1398,7 +1609,6 @@ impl World {
 
     /// Processes the next pending event. Returns `false` when idle.
     pub fn step(&mut self) -> bool {
-        self.inner.gc();
         let Some((at, event)) = self.inner.queue.pop() else {
             return false;
         };
@@ -1417,6 +1627,13 @@ impl World {
                 }
             }
             SimEvent::LateSync { node, tx_id } => {
+                let Some(aa) = self
+                    .inner
+                    .retained_tx(tx_id)
+                    .map(|tx| tx.frame.access_address)
+                else {
+                    return true;
+                };
                 let pending = match &self.inner.node_state(node).radio {
                     RadioState::Rx {
                         lock: Some(lock),
@@ -1426,10 +1643,6 @@ impl World {
                     _ => None,
                 };
                 if let Some((channel, arrival)) = pending {
-                    let aa = match self.inner.txs.get(&tx_id) {
-                        Some(tx) => tx.frame.access_address,
-                        None => return true,
-                    };
                     self.dispatch(
                         node,
                         RadioEvent::SyncDetected {

@@ -826,10 +826,10 @@ fn delivery_order_is_stable_across_identically_seeded_worlds() {
 #[test]
 fn long_frame_still_interferes_after_a_later_short_frame_is_collected() {
     // Frames end out of start order: a 255-byte frame (100..2204 µs) starts
-    // before a 1-byte one (200..272 µs). The short frame is collected once
-    // its retention passes (272 µs + 1 ms); the long one must survive that
-    // collection and corrupt a lock that opens at 1500 µs. Without the long
-    // frame the same lock is clean, so the corruption is its interference.
+    // before a 1-byte one (200..272 µs). The short frame's retention passes
+    // first (272 µs + 1 ms); the long one must still be retained and
+    // corrupt a lock that opens at 1500 µs. Without the long frame the same
+    // lock is clean, so the corruption is its interference.
     const AA2: AccessAddress = AccessAddress::new(0x71A4_0C5E);
     let scenario = |mode: ble_phy::DeliveryMode, long_frame: bool| {
         let mut sim = World::new(Environment::ideal(), SimRng::seed_from(5));

@@ -4,9 +4,10 @@
 //! every frame — the medium's original O(nodes) behaviour, retained as the
 //! oracle. [`DeliveryMode::Sharded`] only schedules edges at current
 //! listeners that clear the reachability cull, catching late openers with a
-//! pending-arrival scan. The two must be **event-for-event identical**: the
-//! sharded path may only skip edges the broadcast path would have discarded
-//! without any state or RNG effect.
+//! pending-arrival scan, and defers the edges of unlocked listeners that
+//! filter for another frame until they lock or re-filter. The two must be
+//! **event-for-event identical**: the sharded path may only skip edges the
+//! broadcast path would have discarded without any state or RNG effect.
 //!
 //! The oracle check runs randomized dense worlds — nodes that transmit,
 //! retune, and close their receivers at random times on random channels —
@@ -25,7 +26,7 @@ use ble_phy::{
     RadioEvent, RadioListener, RawFrame, TimerKey, World,
 };
 use ble_telemetry::RingBufferSink;
-use simkit::{Duration, SimRng};
+use simkit::{Duration, Instant, SimRng};
 
 const AA: AccessAddress = AccessAddress::new(0x50C2_33A1);
 const CRC_INIT: u32 = 0xABCDEF;
@@ -274,4 +275,487 @@ fn sharded_mode_schedules_an_order_of_magnitude_fewer_rx_starts() {
         broadcast.scheduled_rx_starts,
         sharded.scheduled_rx_starts
     );
+}
+
+// Forced deferral. The worlds above listen with `AccessFilter::Any`, so
+// every reachable listener's edge acts at once and nothing is deferred.
+// The worlds below filter for one of a few access addresses, so most
+// edges are deferred, and they force the moments at which a deferred edge
+// starts to act: a receiver that locks, or re-filters, after the frame left
+// and before (or exactly when) it arrives, with arrivals that tie at
+// receivers equidistant from a transmitter. Each world runs under both
+// delivery modes and must match the broadcast oracle record for record.
+
+const AAS: [AccessAddress; 3] = [
+    AccessAddress::new(0x8E89_BED6),
+    AccessAddress::new(0x50C2_33A1),
+    AccessAddress::new(0x71A4_0C5E),
+];
+
+/// One step of a [`Scripted`] node, fired by a timer at an absolute instant.
+#[derive(Clone, Copy)]
+enum Step {
+    Transmit(Channel, AccessAddress),
+    Listen(Channel, AccessFilter),
+}
+
+/// A node that runs a fixed script and logs every radio event it sees.
+struct Scripted {
+    steps: Vec<(Instant, Step)>,
+    log: Vec<String>,
+}
+
+impl RadioListener for Scripted {
+    fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+        for (key, (at, _)) in self.steps.iter().enumerate() {
+            ctx.set_timer_at(*at, TimerKey(key as u64));
+        }
+    }
+
+    fn on_event(&mut self, ctx: &mut NodeCtx<'_>, event: RadioEvent) {
+        self.log.push(format!("{event:?}"));
+        if let RadioEvent::Timer { key, .. } = event {
+            match self
+                .steps
+                .get(usize::try_from(key.0).unwrap())
+                .map(|(_, step)| *step)
+            {
+                Some(Step::Transmit(channel, aa)) => {
+                    ctx.transmit(channel, RawFrame::new(aa, [0x5A; 8], CRC_INIT));
+                }
+                Some(Step::Listen(channel, filter)) => ctx.start_rx(channel, filter, CRC_INIT),
+                None => {}
+            }
+        }
+    }
+}
+
+/// One node of a scripted world: position, transmit power and script.
+struct Actor {
+    at: Position,
+    tx_dbm: f64,
+    steps: Vec<(Instant, Step)>,
+}
+
+impl Actor {
+    fn new(at: Position, steps: Vec<(Instant, Step)>) -> Self {
+        Actor {
+            at,
+            tx_dbm: 0.0,
+            steps,
+        }
+    }
+}
+
+/// A scripted world's rendered telemetry and node logs, and its ledger.
+struct Outcome {
+    log: Vec<String>,
+    rows: Vec<(u64, ble_telemetry::PacketDelivery)>,
+}
+
+/// Runs scripted `actors` (started in `start_order`) in the indoor
+/// environment, which fades every frame, so that a reordered draw shows.
+fn run_scripted(actors: Vec<Actor>, start_order: &[usize], mode: DeliveryMode) -> Outcome {
+    let mut sim = World::new(Environment::indoor_default(), SimRng::seed_from(17));
+    sim.set_delivery_mode(mode);
+    sim.enable_delivery_tracker(64);
+    let sink = RingBufferSink::new(usize::MAX);
+    let ring = sink.handle();
+    sim.add_telemetry_sink(Box::new(sink));
+    let ids: Vec<_> = actors
+        .into_iter()
+        .enumerate()
+        .map(|(i, a)| {
+            let cfg = NodeConfig::new(format!("s{i}"), a.at).with_tx_power(a.tx_dbm);
+            let node = Scripted {
+                steps: a.steps,
+                log: Vec::new(),
+            };
+            sim.add_node(cfg, node)
+        })
+        .collect();
+    for &i in start_order {
+        sim.start(ids[i]);
+    }
+    sim.run_for(Duration::from_millis(2));
+    let mut log: Vec<String> = ring.lock().iter().map(|r| format!("{r:?}")).collect();
+    for (i, id) in ids.iter().enumerate() {
+        log.push(format!("--- node {i}"));
+        log.extend(
+            sim.node::<Scripted>(*id)
+                .expect("scripted")
+                .log
+                .iter()
+                .cloned(),
+        );
+    }
+    let rows = sim.delivery_tracker().expect("tracker").packets().collect();
+    Outcome { log, rows }
+}
+
+/// Runs a scripted world under both modes, asserts they match, and returns
+/// the sharded run's ledger.
+fn scripted_in_both_modes(
+    actors: impl Fn() -> Vec<Actor>,
+    start_order: &[usize],
+) -> Vec<(u64, ble_telemetry::PacketDelivery)> {
+    let broadcast = run_scripted(actors(), start_order, DeliveryMode::FullBroadcast);
+    let sharded = run_scripted(actors(), start_order, DeliveryMode::Sharded);
+    assert_eq!(
+        broadcast.log, sharded.log,
+        "sharded delivery diverged from the broadcast oracle"
+    );
+    sharded.rows
+}
+
+fn ch(index: u8) -> Channel {
+    Channel::new(index).expect("valid channel")
+}
+
+fn at_us(us: u64) -> Instant {
+    Instant::from_micros(us)
+}
+
+/// 3 km from the origin: ~10 µs of flight.
+const FAR: Position = Position::new(3_000.0, 0.0);
+
+/// A +20 dBm transmitter at [`FAR`] that sends one AAS[1] frame on
+/// channel 5 at 100 µs.
+fn far_sender() -> Actor {
+    Actor {
+        at: FAR,
+        tx_dbm: 20.0,
+        steps: vec![(at_us(100), Step::Transmit(ch(5), AAS[1]))],
+    }
+}
+
+#[test]
+fn a_receiver_locking_before_a_deferred_arrival_draws_it_as_interference() {
+    // The receiver at the origin filters for AAS[0]. A far frame for AAS[1]
+    // leaves at 100 µs, so its edge is deferred; a near AAS[0] frame locks
+    // the receiver at 105 µs, before the far frame arrives at ~110 µs.
+    // Locked, the receiver must draw the far frame as interference, as the
+    // broadcast oracle's unconditional edge does. With the lock at 115 µs
+    // instead, the deferred edge has already passed and stays a no-op.
+    for (lock_us, released) in [(105, true), (115, false)] {
+        let rows = scripted_in_both_modes(
+            || {
+                vec![
+                    Actor::new(
+                        Position::ORIGIN,
+                        vec![(at_us(10), Step::Listen(ch(5), AccessFilter::One(AAS[0])))],
+                    ),
+                    far_sender(),
+                    Actor::new(
+                        Position::new(1.0, 0.0),
+                        vec![(at_us(lock_us), Step::Transmit(ch(5), AAS[0]))],
+                    ),
+                ]
+            },
+            &[0, 1, 2],
+        );
+        let far_frame = rows[0].1;
+        assert_eq!(
+            (far_frame.scheduled, far_frame.deferred),
+            if released { (1, 0) } else { (0, 1) },
+            "lock at {lock_us} µs"
+        );
+    }
+}
+
+#[test]
+fn a_receiver_refiltering_mid_flight_releases_the_deferred_edge() {
+    // The receiver filters for AAS[0] when a far AAS[1] frame leaves at
+    // 100 µs. Re-filtering for AAS[1] before the arrival (105 µs), or at the
+    // arrival's exact instant, releases the deferred edge; re-filtering for
+    // AAS[2], or after the arrival, does not. Just after the arrival the
+    // receiver still locks late, through `start_rx`'s own scan, as it does
+    // under the oracle. (At the exact instant, `start_rx` locks late and
+    // the released edge then fires on that lock, in both modes, so the
+    // frame is heard twice.)
+    let env = Environment::indoor_default();
+    let arrival = at_us(100) + env.propagation_delay(FAR, Position::ORIGIN);
+    for (refilter_at, aa, released, heard) in [
+        (at_us(105), AAS[1], true, true),
+        (arrival, AAS[1], true, true),
+        (at_us(105), AAS[2], false, false),
+        (arrival + Duration::from_nanos(1), AAS[1], false, true),
+        (arrival + Duration::from_micros(5), AAS[1], false, false),
+    ] {
+        let rows = scripted_in_both_modes(
+            || {
+                vec![
+                    Actor::new(
+                        Position::ORIGIN,
+                        vec![
+                            (at_us(10), Step::Listen(ch(5), AccessFilter::One(AAS[0]))),
+                            (refilter_at, Step::Listen(ch(5), AccessFilter::One(aa))),
+                        ],
+                    ),
+                    far_sender(),
+                ]
+            },
+            &[0, 1],
+        );
+        let frame = rows[0].1;
+        let expected = if released { (1, 0) } else { (0, 1) };
+        assert_eq!(
+            ((frame.scheduled, frame.deferred), frame.heard > 0),
+            (expected, heard),
+            "re-filter for {aa:?} at {refilter_at:?}"
+        );
+    }
+}
+
+#[test]
+fn a_lock_at_a_deferred_arrivals_instant_orders_like_the_oracle() {
+    // Receivers r (filters AAS[0]) and s (filters AAS[1]) sit 150 m from
+    // transmitter a (AAS[1]), and r sits 150 m from transmitter b
+    // (AAS[0]): a's and b's frames leave at the same instant, so both of
+    // r's arrivals tie, and so do r's and s's arrivals of a's frame.
+    // r's edge for a's frame is deferred. If b transmitted first, r locks
+    // on b's frame at the tie, before a's deferred edge's key: released
+    // under its reserved id, that edge must draw before s's lock on a's
+    // frame, exactly where the oracle draws it. If a transmitted first,
+    // the deferred edge's key has passed when r locks, and it stays a
+    // no-op. s's deferred edge for b's frame, which reaches s later, is
+    // released by s's lock either way.
+    let d = 150.0;
+    for b_first in [true, false] {
+        let order: &[usize] = if b_first {
+            &[0, 1, 3, 2]
+        } else {
+            &[0, 1, 2, 3]
+        };
+        let rows = scripted_in_both_modes(
+            || {
+                vec![
+                    Actor::new(
+                        Position::ORIGIN,
+                        vec![(at_us(10), Step::Listen(ch(7), AccessFilter::One(AAS[0])))],
+                    ),
+                    Actor::new(
+                        Position::new(-d, d),
+                        vec![(at_us(10), Step::Listen(ch(7), AccessFilter::One(AAS[1])))],
+                    ),
+                    Actor::new(
+                        Position::new(-d, 0.0),
+                        vec![(at_us(100), Step::Transmit(ch(7), AAS[1]))],
+                    ),
+                    Actor::new(
+                        Position::new(0.0, -d),
+                        vec![(at_us(100), Step::Transmit(ch(7), AAS[0]))],
+                    ),
+                ]
+            },
+            order,
+        );
+        // Rows in transmit order.
+        let (a_row, b_row) = if b_first {
+            (rows[1].1, rows[0].1)
+        } else {
+            (rows[0].1, rows[1].1)
+        };
+        let a_expected = if b_first { (2, 0) } else { (1, 1) };
+        assert_eq!(
+            (a_row.scheduled, a_row.deferred),
+            a_expected,
+            "b first: {b_first}"
+        );
+        assert_eq!(
+            (b_row.scheduled, b_row.deferred),
+            (2, 0),
+            "b first: {b_first}"
+        );
+    }
+}
+
+/// A transmitter of the grid family: at random instants on a 250 ns grid
+/// (150 µs apart on average), sends a 2–12 byte frame for one of [`AAS`]
+/// on one of two channels. It never listens, so it never opens a receiver
+/// while a frame is in flight.
+struct GridTx {
+    log: Vec<String>,
+}
+
+/// A receiver of the grid family: always listening on its own channel,
+/// re-filtering for a random access address (now and then any) at random
+/// grid instants (250 µs apart on average) and after every frame.
+struct GridRx {
+    channel: Channel,
+    log: Vec<String>,
+}
+
+const GRID_SLOT_NS: u64 = 250;
+
+/// A random grid instant 1–`max_slots` slots after now.
+fn next_slot(ctx: &mut NodeCtx<'_>, max_slots: u64) -> Instant {
+    let slot = ctx.now().as_nanos() / GRID_SLOT_NS + 1 + ctx.rng().below(max_slots);
+    Instant::from_nanos(slot * GRID_SLOT_NS)
+}
+
+fn random_filter(ctx: &mut NodeCtx<'_>) -> AccessFilter {
+    match ctx.rng().below(4) {
+        0 => AccessFilter::Any,
+        k => AccessFilter::One(AAS[usize::try_from(k).unwrap() - 1]),
+    }
+}
+
+impl RadioListener for GridTx {
+    fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+        let at = next_slot(ctx, 40);
+        ctx.set_timer_at(at, TimerKey(1));
+    }
+
+    fn on_event(&mut self, ctx: &mut NodeCtx<'_>, event: RadioEvent) {
+        self.log.push(format!("{event:?}"));
+        if let RadioEvent::Timer { .. } = event {
+            if !ctx.is_transmitting() {
+                let channel = Channel::data_wrapped(u8::try_from(ctx.rng().below(2)).unwrap());
+                let aa = AAS[usize::try_from(ctx.rng().below(3)).unwrap()];
+                let len = 2 + usize::try_from(ctx.rng().below(11)).unwrap();
+                ctx.transmit(channel, RawFrame::new(aa, vec![0xA5; len], CRC_INIT));
+            }
+            let at = next_slot(ctx, 1_200);
+            ctx.set_timer_at(at, TimerKey(1));
+        }
+    }
+}
+
+impl RadioListener for GridRx {
+    fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+        let filter = random_filter(ctx);
+        ctx.start_rx(self.channel, filter, CRC_INIT);
+        let at = next_slot(ctx, 2_000);
+        ctx.set_timer_at(at, TimerKey(1));
+    }
+
+    fn on_event(&mut self, ctx: &mut NodeCtx<'_>, event: RadioEvent) {
+        self.log.push(format!("{event:?}"));
+        match event {
+            RadioEvent::Timer { .. } => {
+                let filter = random_filter(ctx);
+                ctx.start_rx(self.channel, filter, CRC_INIT);
+                let at = next_slot(ctx, 2_000);
+                ctx.set_timer_at(at, TimerKey(1));
+            }
+            RadioEvent::FrameReceived(_) => {
+                let filter = random_filter(ctx);
+                ctx.start_rx(self.channel, filter, CRC_INIT);
+            }
+            _ => {}
+        }
+    }
+}
+
+/// Side of the grid family's square world.
+const GRID_SIDE: usize = 5;
+
+/// Builds and runs one grid world: a [`GRID_SIDE`]² grid at 150 m spacing
+/// (500 ns of flight to each neighbour, two grid slots), transmitters on
+/// even cells and receivers on odd ones, so that every receiver's
+/// neighbours are transmitters at equal distance. Returns the rendered
+/// records and logs, the ledger, and the run totals.
+fn run_grid(
+    seed: u64,
+    mode: DeliveryMode,
+) -> (
+    Vec<String>,
+    Vec<(u64, ble_telemetry::PacketDelivery)>,
+    ble_telemetry::DeliveryTotals,
+) {
+    let mut sim = World::new(Environment::indoor_default(), SimRng::seed_from(seed));
+    sim.set_delivery_mode(mode);
+    sim.enable_delivery_tracker(1 << 20);
+    let sink = RingBufferSink::new(usize::MAX);
+    let ring = sink.handle();
+    sim.add_telemetry_sink(Box::new(sink));
+    let mut ids = Vec::new();
+    for i in 0..GRID_SIDE * GRID_SIDE {
+        let (col, row) = (i % GRID_SIDE, i / GRID_SIDE);
+        let cfg = NodeConfig::new(
+            format!("g{i}"),
+            Position::new(col as f64 * 150.0, row as f64 * 150.0),
+        );
+        let id = if (col + row).is_multiple_of(2) {
+            sim.add_node(cfg, GridTx { log: Vec::new() })
+        } else {
+            let channel = Channel::data_wrapped(u8::try_from(i % 2).unwrap());
+            sim.add_node(
+                cfg,
+                GridRx {
+                    channel,
+                    log: Vec::new(),
+                },
+            )
+        };
+        ids.push(id);
+    }
+    for &id in &ids {
+        sim.start(id);
+    }
+    sim.run_for(Duration::from_millis(20));
+    let mut out: Vec<String> = ring.lock().iter().map(|r| format!("{r:?}")).collect();
+    for (i, &id) in ids.iter().enumerate() {
+        out.push(format!("--- node {i}"));
+        let log = sim
+            .node::<GridTx>(id)
+            .map(|n| &n.log)
+            .or_else(|| sim.node::<GridRx>(id).map(|n| &n.log))
+            .expect("grid node");
+        out.extend(log.iter().cloned());
+    }
+    let tracker = sim.delivery_tracker().expect("tracker");
+    (out, tracker.packets().collect(), tracker.totals())
+}
+
+#[test]
+fn deferred_edges_on_a_tied_grid_match_the_broadcast_oracle() {
+    for seed in [5u64, 23, 808] {
+        let (broadcast, _, _) = run_grid(seed, DeliveryMode::FullBroadcast);
+        let (sharded, rows, totals) = run_grid(seed, DeliveryMode::Sharded);
+        assert_eq!(
+            broadcast, sharded,
+            "deferred delivery diverged from the broadcast oracle (seed {seed})"
+        );
+        assert!(
+            broadcast.iter().any(|l| l.contains("FrameReceived")),
+            "world must deliver frames (seed {seed})"
+        );
+        assert!(
+            totals.deferred_rx_starts > totals.tx_frames,
+            "edges must be deferred (seed {seed}): {totals:?}"
+        );
+        assert_eq!(rows.len() as u64, totals.tx_frames, "no ledger eviction");
+    }
+}
+
+#[test]
+fn every_frames_peers_split_into_the_four_delivery_classes() {
+    // Each of a frame's peers, the grid's other nodes, lands in exactly
+    // one class, in both modes, also when a deferred edge was released
+    // after transmit.
+    let peers = u32::try_from(GRID_SIDE * GRID_SIDE - 1).unwrap();
+    for mode in [DeliveryMode::Sharded, DeliveryMode::FullBroadcast] {
+        let (_, rows, totals) = run_grid(23, mode);
+        assert!(!rows.is_empty());
+        for (id, p) in &rows {
+            assert_eq!(
+                p.scheduled + p.culled + p.suppressed + p.deferred,
+                peers,
+                "frame #{id} under {mode:?}: {p:?}"
+            );
+        }
+        assert_eq!(
+            totals.scheduled_rx_starts
+                + totals.culled_unreachable
+                + totals.suppressed_not_listening
+                + totals.deferred_rx_starts,
+            u64::from(peers) * totals.tx_frames,
+            "{mode:?}: {totals:?}"
+        );
+        if mode == DeliveryMode::FullBroadcast {
+            assert!(rows.iter().all(|(_, p)| p.scheduled == peers));
+        }
+    }
 }

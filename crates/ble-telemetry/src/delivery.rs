@@ -6,7 +6,13 @@
 //! on, and how many completed reception. The [`DeliveryTracker`] keeps this
 //! per-packet ledger the way mcsim-style network simulators do — a bounded
 //! map of in-flight packets with old entries evicted in arrival order —
-//! plus monotone run totals that survive eviction.
+//! plus run totals that survive eviction.
+//!
+//! Every other node of the world lands in exactly one of four classes per
+//! frame — `scheduled`, `culled`, `suppressed` or `deferred` — so the four
+//! always sum to the frame's peer count. A receiver that gets its
+//! `RxStart` after the frame left ([`DeliveryTracker::on_late_scheduled`])
+//! moves from `suppressed` or `deferred` into `scheduled`.
 //!
 //! The tracker is pure observation: the medium updates it outside every RNG
 //! draw and event-schedule decision, so enabling it can never perturb a
@@ -20,22 +26,31 @@ use std::collections::BTreeMap;
 pub struct PacketDelivery {
     /// Channel the frame was transmitted on (0–39).
     pub channel: u8,
-    /// `RxStart` events the medium scheduled for this frame.
+    /// `RxStart` events the medium scheduled for this frame, late and
+    /// released ones included.
     pub scheduled: u32,
     /// Receivers skipped by the reachability cull (mean received power
     /// below the sensitivity floor minus the cull headroom).
     pub culled: u32,
     /// Receivers the scheduler did not visit because they were not
-    /// listening on the frame's channel (sharded mode only; always 0 under
-    /// full broadcast).
+    /// listening on the frame's channel, and that did not open on it before
+    /// the frame arrived (sharded mode only; always 0 under full
+    /// broadcast).
     pub suppressed: u32,
+    /// Receivers whose `RxStart` the sharded medium deferred and never
+    /// released: listening and reachable, but unlocked and filtering for
+    /// another access address or PHY until the frame arrived, so the edge
+    /// would have done nothing (always 0 under full broadcast).
+    pub deferred: u32,
     /// Receivers that locked onto the frame's preamble (times heard).
     pub heard: u32,
     /// Receivers that completed reception and were handed the frame.
     pub delivered: u32,
 }
 
-/// Monotone run totals: survive per-packet eviction.
+/// Run totals: survive per-packet eviction. Like the per-packet rows,
+/// `scheduled_rx_starts + culled_unreachable + suppressed_not_listening +
+/// deferred_rx_starts` sums every frame's peer count.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeliveryTotals {
     /// Frames transmitted.
@@ -44,8 +59,12 @@ pub struct DeliveryTotals {
     pub scheduled_rx_starts: u64,
     /// Receivers skipped by the reachability cull.
     pub culled_unreachable: u64,
-    /// Receivers skipped because they were not listening on the channel.
+    /// Receivers skipped because they were not listening on the channel
+    /// (see [`PacketDelivery::suppressed`]).
     pub suppressed_not_listening: u64,
+    /// `RxStart` edges deferred and never released (see
+    /// [`PacketDelivery::deferred`]).
+    pub deferred_rx_starts: u64,
     /// Frame receptions that locked (preamble heard).
     pub frames_heard: u64,
     /// Frame receptions completed and delivered to a listener.
@@ -77,22 +96,21 @@ impl DeliveryTracker {
         }
     }
 
-    /// Records a transmitted frame and its scheduling fan-out, evicting the
-    /// oldest ledger entries past the capacity bound.
-    pub fn on_tx(&mut self, tx_id: u64, channel: u8, scheduled: u32, culled: u32, suppressed: u32) {
+    /// Records a transmitted frame and its scheduling fan-out (`heard` and
+    /// `delivered` start at zero), evicting the oldest ledger entries past
+    /// the capacity bound.
+    pub fn on_tx(&mut self, tx_id: u64, fanout: PacketDelivery) {
         self.totals.tx_frames += 1;
-        self.totals.scheduled_rx_starts += u64::from(scheduled);
-        self.totals.culled_unreachable += u64::from(culled);
-        self.totals.suppressed_not_listening += u64::from(suppressed);
+        self.totals.scheduled_rx_starts += u64::from(fanout.scheduled);
+        self.totals.culled_unreachable += u64::from(fanout.culled);
+        self.totals.suppressed_not_listening += u64::from(fanout.suppressed);
+        self.totals.deferred_rx_starts += u64::from(fanout.deferred);
         self.packets.insert(
             tx_id,
             PacketDelivery {
-                channel,
-                scheduled,
-                culled,
-                suppressed,
                 heard: 0,
                 delivered: 0,
+                ..fanout
             },
         );
         while self.packets.len() > self.capacity {
@@ -101,12 +119,27 @@ impl DeliveryTracker {
         }
     }
 
-    /// Records one additional late-scheduled `RxStart` for an in-flight
-    /// frame (a receiver that opened on the channel after `TxStart`).
-    pub fn on_late_scheduled(&mut self, tx_id: u64) {
-        self.totals.scheduled_rx_starts += 1;
+    /// Records one late-scheduled `RxStart` for an in-flight frame, moving
+    /// its receiver into `scheduled`: out of `deferred` when the medium
+    /// `released` a deferred edge (the receiver locked or re-filtered),
+    /// else out of `suppressed` (it opened on the channel after `TxStart`).
+    pub fn on_late_scheduled(&mut self, tx_id: u64, released: bool) {
+        let totals = &mut self.totals;
+        totals.scheduled_rx_starts += 1;
+        let from = if released {
+            &mut totals.deferred_rx_starts
+        } else {
+            &mut totals.suppressed_not_listening
+        };
+        *from = from.saturating_sub(1);
         if let Some(p) = self.packets.get_mut(&tx_id) {
             p.scheduled = p.scheduled.saturating_add(1);
+            let from = if released {
+                &mut p.deferred
+            } else {
+                &mut p.suppressed
+            };
+            *from = from.saturating_sub(1);
         }
     }
 
@@ -181,10 +214,20 @@ impl DeliveryTracker {
 mod tests {
     use super::*;
 
+    fn fanout(channel: u8, scheduled: u32, culled: u32, suppressed: u32) -> PacketDelivery {
+        PacketDelivery {
+            channel,
+            scheduled,
+            culled,
+            suppressed,
+            ..PacketDelivery::default()
+        }
+    }
+
     #[test]
     fn tracks_per_packet_counts() {
         let mut t = DeliveryTracker::new(8);
-        t.on_tx(1, 5, 3, 1, 10);
+        t.on_tx(1, fanout(5, 3, 1, 10));
         t.on_heard(1);
         t.on_heard(1);
         t.on_delivered(1);
@@ -205,7 +248,7 @@ mod tests {
     fn evicts_oldest_past_capacity_but_keeps_totals() {
         let mut t = DeliveryTracker::new(2);
         for id in 0..5u64 {
-            t.on_tx(id, 0, 1, 0, 0);
+            t.on_tx(id, fanout(0, 1, 0, 0));
         }
         assert_eq!(t.len(), 2);
         assert!(t.packet(0).is_none(), "oldest evicted");
@@ -220,10 +263,69 @@ mod tests {
     #[test]
     fn late_scheduling_joins_the_ledger() {
         let mut t = DeliveryTracker::new(4);
-        t.on_tx(7, 12, 2, 0, 5);
-        t.on_late_scheduled(7);
-        assert_eq!(t.packet(7).expect("retained").scheduled, 3);
+        t.on_tx(7, fanout(12, 2, 0, 5));
+        t.on_late_scheduled(7, false);
+        let p = t.packet(7).expect("retained");
+        assert_eq!((p.scheduled, p.suppressed), (3, 4));
         assert_eq!(t.totals().scheduled_rx_starts, 3);
+        assert_eq!(t.totals().suppressed_not_listening, 4);
+    }
+
+    #[test]
+    fn a_released_edge_moves_from_deferred_to_scheduled() {
+        let mut t = DeliveryTracker::new(4);
+        t.on_tx(
+            3,
+            PacketDelivery {
+                deferred: 4,
+                ..fanout(9, 1, 2, 3)
+            },
+        );
+        t.on_late_scheduled(3, true);
+        let p = t.packet(3).expect("retained");
+        assert_eq!(
+            (p.scheduled, p.culled, p.suppressed, p.deferred),
+            (2, 2, 3, 3)
+        );
+        let totals = t.totals();
+        assert_eq!(
+            (
+                totals.scheduled_rx_starts,
+                totals.culled_unreachable,
+                totals.suppressed_not_listening,
+                totals.deferred_rx_starts
+            ),
+            (2, 2, 3, 3)
+        );
+    }
+
+    #[test]
+    fn the_four_classes_keep_summing_to_the_peer_count() {
+        // Ten peers per frame: whatever moves late, the row and the totals
+        // still add up to them.
+        let mut t = DeliveryTracker::new(8);
+        t.on_tx(
+            0,
+            PacketDelivery {
+                deferred: 5,
+                ..fanout(1, 2, 1, 2)
+            },
+        );
+        t.on_tx(1, fanout(2, 4, 0, 6));
+        for (id, released) in [(0, true), (0, true), (0, false), (1, false)] {
+            t.on_late_scheduled(id, released);
+        }
+        for (_, p) in t.packets() {
+            assert_eq!(p.scheduled + p.culled + p.suppressed + p.deferred, 10);
+        }
+        let totals = t.totals();
+        assert_eq!(
+            totals.scheduled_rx_starts
+                + totals.culled_unreachable
+                + totals.suppressed_not_listening
+                + totals.deferred_rx_starts,
+            20
+        );
     }
 
     #[test]
@@ -238,8 +340,8 @@ mod tests {
     #[test]
     fn mean_rates() {
         let mut t = DeliveryTracker::new(8);
-        t.on_tx(0, 0, 4, 0, 0);
-        t.on_tx(1, 0, 2, 0, 0);
+        t.on_tx(0, fanout(0, 4, 0, 0));
+        t.on_tx(1, fanout(0, 2, 0, 0));
         t.on_delivered(0);
         t.on_delivered(0);
         t.on_delivered(1);
@@ -250,8 +352,8 @@ mod tests {
     #[test]
     fn capacity_is_clamped_to_one() {
         let mut t = DeliveryTracker::new(0);
-        t.on_tx(0, 0, 1, 0, 0);
-        t.on_tx(1, 0, 1, 0, 0);
+        t.on_tx(0, fanout(0, 1, 0, 0));
+        t.on_tx(1, fanout(0, 1, 0, 0));
         assert_eq!(t.len(), 1);
         assert_eq!(t.totals().evicted_packets, 1);
     }

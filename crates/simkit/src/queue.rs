@@ -1,4 +1,4 @@
-//! Cancellable discrete-event queue.
+//! Cancellable discrete-event queue with reservable event ids.
 
 use std::cmp::Ordering;
 #[allow(clippy::disallowed_types)]
@@ -62,7 +62,8 @@ impl<E> PartialOrd for Entry<E> {
 impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reverse ordering: BinaryHeap is a max-heap and we want the earliest
-        // event first. Ties break by insertion order for determinism.
+        // event first. Ties break by id — scheduling order, or reservation
+        // order for a reserved id — for determinism.
         other.at.cmp(&self.at).then_with(|| other.id.cmp(&self.id))
     }
 }
@@ -73,6 +74,13 @@ impl<E> Ord for Entry<E> {
 /// The queue tracks the current simulation time: popping an event advances
 /// `now` to that event's timestamp, and scheduling in the past is clamped to
 /// `now` (events never fire retroactively).
+///
+/// Every event is keyed `(at, id)`, and events pop in key order. An id can
+/// be taken now and used later: [`EventQueue::reserve`] hands out ids, and
+/// [`EventQueue::schedule_reserved`] schedules an event under one, which
+/// then pops exactly where it would have popped had it been scheduled at
+/// reservation time — provided its key has not already been passed, which
+/// [`EventQueue::has_fired`] tells.
 ///
 /// # Example
 ///
@@ -92,6 +100,9 @@ pub struct EventQueue<E> {
     cancelled: IdTombstones,
     next_id: u64,
     now: Instant,
+    /// Every key `(now, id)` with `id` below this has fired (or been passed
+    /// by [`EventQueue::advance_to`]); so has every key before `now`.
+    fired_below: u64,
     high_water: u64,
 }
 
@@ -118,6 +129,7 @@ impl<E> EventQueue<E> {
             cancelled: IdTombstones::default(),
             next_id: 0,
             now: Instant::ZERO,
+            fired_below: 0,
             high_water: 0,
         }
     }
@@ -132,14 +144,52 @@ impl<E> EventQueue<E> {
     pub fn schedule_at(&mut self, at: Instant, event: E) -> EventId {
         let id = EventId(self.next_id);
         self.next_id += 1;
-        self.heap.push(Entry {
+        self.push(Entry {
             at: at.max(self.now),
             id,
             event,
         });
+        id
+    }
+
+    /// Reserves `n` consecutive event ids, in the order returned. An event
+    /// later scheduled under one of them with
+    /// [`EventQueue::schedule_reserved`] ties with other events at its
+    /// instant as if it had been scheduled now: after every event scheduled
+    /// before the reservation, before every event scheduled after it. An id
+    /// that is never used costs nothing.
+    pub fn reserve(&mut self, n: usize) -> impl Iterator<Item = EventId> {
+        let first = self.next_id;
+        self.next_id = first.saturating_add(u64::try_from(n).unwrap_or(u64::MAX));
+        (first..self.next_id).map(EventId)
+    }
+
+    /// Schedules `event` at `at` under `id`, an id from
+    /// [`EventQueue::reserve`] not used before. The key `(at, id)` must not
+    /// have fired yet (see [`EventQueue::has_fired`]): the event then pops
+    /// exactly where it would have, had it been scheduled when `id` was
+    /// reserved.
+    pub fn schedule_reserved(&mut self, at: Instant, id: EventId, event: E) {
+        debug_assert!(id.0 < self.next_id, "{id:?} was never reserved");
+        debug_assert!(
+            !self.has_fired(at, id),
+            "({at:?}, {id:?}) has already fired"
+        );
+        self.push(Entry { at, id, event });
+    }
+
+    /// Whether every event keyed at or before `(at, id)` has popped, so
+    /// that an event scheduled under that key now would fire out of order.
+    /// [`EventQueue::advance_to`] counts as popping everything up to and
+    /// including its instant.
+    pub fn has_fired(&self, at: Instant, id: EventId) -> bool {
+        at < self.now || (at == self.now && id.0 < self.fired_below)
+    }
+
+    fn push(&mut self, entry: Entry<E>) {
+        self.heap.push(entry);
         let depth = u64::try_from(self.heap.len()).unwrap_or(u64::MAX);
         self.high_water = self.high_water.max(depth);
-        id
     }
 
     /// Schedules `event` at `now + delay`.
@@ -160,8 +210,12 @@ impl<E> EventQueue<E> {
             if !self.cancelled.is_empty() && self.cancelled.remove(&entry.id) {
                 continue;
             }
-            debug_assert!(entry.at >= self.now, "event queue time went backwards");
+            debug_assert!(
+                !self.has_fired(entry.at, entry.id),
+                "event queue time went backwards"
+            );
             self.now = entry.at;
+            self.fired_below = entry.id.0 + 1;
             return Some((entry.at, entry.event));
         }
         None
@@ -181,23 +235,25 @@ impl<E> EventQueue<E> {
     }
 
     /// Advances `now` to `t` without firing anything. Intended for "run
-    /// until wall-clock T" simulation loops after the last event before `T`
-    /// has been popped.
+    /// until T" simulation loops after every event at or before `T` has
+    /// been popped: from here on, [`EventQueue::has_fired`] holds for every
+    /// key at or before `t` that uses an id handed out so far.
     ///
     /// # Panics
     ///
-    /// Panics if a live event is pending earlier than `t`.
+    /// Panics if a live event is pending at or before `t`.
     pub fn advance_to(&mut self, t: Instant) {
-        if t <= self.now {
+        if t < self.now {
             return;
         }
         if let Some(next) = self.peek_time() {
             assert!(
-                next >= t,
+                next > t,
                 "advance_to({t:?}) would skip a pending event at {next:?}"
             );
         }
         self.now = t;
+        self.fired_below = self.next_id;
     }
 
     /// Number of live pending events.
@@ -298,6 +354,116 @@ mod tests {
         let a = q.schedule_at(Instant::from_micros(10), 10);
         q.cancel(a);
         assert_eq!(q.high_water(), 5, "a drained queue keeps its mark");
+    }
+
+    fn drain<E>(q: &mut EventQueue<E>) -> Vec<(Instant, E)> {
+        std::iter::from_fn(|| q.pop()).collect()
+    }
+
+    #[test]
+    fn a_reserved_id_pops_where_an_immediate_schedule_would_have() {
+        // Events at two instants, some scheduled before the reservation and
+        // some after it, including equal-instant ties on both sides.
+        let (t1, t2) = (Instant::from_micros(5), Instant::from_micros(9));
+        let mut immediate = EventQueue::new();
+        immediate.schedule_at(t2, "before@t2");
+        immediate.schedule_at(t1, "before@t1");
+        immediate.schedule_at(t1, "reserved");
+        immediate.schedule_at(t1, "after@t1");
+        immediate.schedule_at(t2, "after@t2");
+
+        let mut reserved = EventQueue::new();
+        reserved.schedule_at(t2, "before@t2");
+        reserved.schedule_at(t1, "before@t1");
+        let id = reserved.reserve(1).next().expect("one id");
+        reserved.schedule_at(t1, "after@t1");
+        reserved.schedule_at(t2, "after@t2");
+        reserved.schedule_reserved(t1, id, "reserved");
+
+        let order = drain(&mut reserved);
+        assert_eq!(order, drain(&mut immediate));
+        let names: Vec<&str> = order.iter().map(|(_, e)| *e).collect();
+        assert_eq!(
+            names,
+            ["before@t1", "reserved", "after@t1", "before@t2", "after@t2"]
+        );
+    }
+
+    #[test]
+    fn reserved_ids_keep_their_reservation_order() {
+        // A block reserved at once and scheduled back to front still pops
+        // in reservation order at a shared instant, after the events that
+        // were already waiting there and before a later schedule.
+        let t = Instant::from_micros(3);
+        let mut q = EventQueue::new();
+        q.schedule_at(t, 0);
+        let ids: Vec<EventId> = q.reserve(3).collect();
+        q.schedule_at(t, 4);
+        for (i, id) in ids.iter().enumerate().rev() {
+            q.schedule_reserved(t, *id, i + 1);
+        }
+        let order: Vec<usize> = drain(&mut q).into_iter().map(|(_, e)| e).collect();
+        assert_eq!(order, [0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn unused_reserved_ids_leave_the_queue_untouched() {
+        let mut q = EventQueue::new();
+        assert_eq!(q.reserve(4).count(), 4);
+        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
+        q.schedule_at(Instant::from_micros(1), 'a');
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.high_water(), 1);
+    }
+
+    #[test]
+    fn has_fired_follows_pops_and_advance_to() {
+        let (t1, t2, t3) = (
+            Instant::from_micros(1),
+            Instant::from_micros(2),
+            Instant::from_micros(4),
+        );
+        let mut q = EventQueue::new();
+        let early: Vec<EventId> = q.reserve(2).collect();
+        // Before the first pop nothing has fired, not even at time zero.
+        assert!(!q.has_fired(Instant::ZERO, early[0]));
+        assert!(!q.has_fired(t1, early[0]));
+
+        let a = q.schedule_at(t1, 'a');
+        let b = q.schedule_at(t1, 'b');
+        q.pop();
+        // After popping `a`: every key at or before (t1, a) has fired.
+        assert!(q.has_fired(t1, early[0]), "reserved before `a`");
+        assert!(q.has_fired(t1, a));
+        assert!(!q.has_fired(t1, b), "`b` is still pending");
+        assert!(!q.has_fired(t2, early[1]), "a later instant");
+        q.pop();
+        assert!(q.has_fired(t1, b));
+
+        // advance_to counts as popping everything at or before its instant,
+        // for every id handed out so far.
+        let late = q.reserve(1).next().expect("one id");
+        q.advance_to(t2);
+        assert!(q.has_fired(t1, late), "an earlier instant");
+        assert!(q.has_fired(t2, late), "reserved before the advance");
+        assert!(!q.has_fired(t3, late), "a later instant");
+        let fresh = q.reserve(1).next().expect("one id");
+        assert!(
+            !q.has_fired(t2, fresh),
+            "an id handed out after the advance can still fire at its instant"
+        );
+        q.schedule_reserved(t2, fresh, 'c');
+        assert_eq!(q.pop(), Some((t2, 'c')));
+        assert!(q.has_fired(t2, fresh));
+    }
+
+    #[test]
+    #[should_panic(expected = "would skip a pending event")]
+    fn advance_to_refuses_to_pass_an_event_at_its_instant() {
+        let mut q = EventQueue::new();
+        q.schedule_at(Instant::from_micros(2), ());
+        q.advance_to(Instant::from_micros(2));
     }
 
     #[test]
