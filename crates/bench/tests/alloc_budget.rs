@@ -7,7 +7,7 @@
 //! **zero** heap allocations. This pins the inline-`Pdu` rework: any future
 //! `Vec`/`clone()` reintroduced on the delivery path trips this test. A
 //! dense band of background pairs holds the sharded medium's own
-//! bookkeeping (retained frames, per-channel lists, deferred edges) to the
+//! bookkeeping (retained frames, per-channel lists, scheduled sets) to the
 //! same budget.
 //! A second budget caps what a Figure 9 trial allocates outside the
 //! simulation itself: building its world, flushing its metrics sink, and
@@ -276,11 +276,13 @@ fn background_received(sim: &World, pairs: &[(ble_phy::NodeId, ble_phy::NodeId)]
 fn dense_band_delivery_allocates_nothing_after_warm_up() {
     // 66 background pairs in the dense hall, laid out like the dense-band
     // workload's: each receiver filters for its own pair's access address,
-    // so most `RxStart` edges are deferred, frames come and go on all 37
-    // data channels, and node ids run past 128, where a frame's scheduled
-    // set needs heap words. After warm-up, the frame ring, the channel
-    // lists, the deferred list and the recycled scheduled sets must all
-    // have reached their capacity.
+    // so most `RxStart` edges stay off the queue until their receiver
+    // locks, frames come and go on all 37 data channels, and node ids run
+    // past 128, where a frame's scheduled set needs heap words. After
+    // warm-up, the frame ring, the channel lists and the recycled scheduled
+    // sets must all have reached their capacity: each set is sized to the
+    // world's node count when its frame leaves, so an edge queued late,
+    // for any node, never grows it.
     const PAIRS: u64 = 66;
     let mut sim = World::new(Environment::dense_hall(), SimRng::seed_from(21));
     let mut pairs = Vec::new();

@@ -22,7 +22,7 @@ use ble_telemetry::{
     DeliveryTracker, FaultKind, PacketDelivery, SpanId, SpanKind, Telemetry, TelemetryEvent,
     TelemetryRecord, TelemetrySink,
 };
-use simkit::{Duration, EventId, EventQueue, FaultPlan, Instant, SimRng};
+use simkit::{Duration, EventQueue, FaultPlan, Instant, ReservedIds, SimRng};
 
 use crate::access_address::AccessAddress;
 use crate::channel::Channel;
@@ -47,16 +47,14 @@ use crate::radio::{
 /// records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DeliveryMode {
-    /// Schedule `RxStart` only at nodes currently listening on the
-    /// transmission's channel (per-channel listener index) whose mean link
-    /// budget clears the reachability cull, and of those only where the
-    /// edge would act: the receiver is locked, or its access-address
-    /// filter and PHY match the frame. Every other listener's edge is
-    /// deferred under an event id reserved at transmit time, and released
-    /// under that id if the receiver locks or re-filters before the frame
-    /// arrives. Receivers that open *after* the frame left the antenna but
-    /// *before* its leading edge arrives are caught by a pending-arrival
-    /// scan in `start_rx`. The default.
+    /// Key every node's `RxStart` edge at transmit, under an event id
+    /// reserved for it in node order, and queue each edge at the first
+    /// moment it can act: at transmit for a listener on the frame's
+    /// channel (per-channel listener index) that clears the reachability
+    /// cull and is locked or whose access-address filter and PHY match the
+    /// frame; otherwise when the receiver locks, retunes or re-filters
+    /// before the edge's key has fired. An edge that never acts is never
+    /// queued. The default.
     #[default]
     Sharded,
     /// Schedule `RxStart` at every other node for every frame, as the
@@ -204,13 +202,12 @@ struct NodeState {
     tx_starts: u64,
 }
 
-/// Receivers that already have an `RxStart` edge scheduled or deferred for
-/// an in-flight transmission. A duplicate edge would make a receiver treat
-/// its own locked frame as interference (an extra RNG draw and a phantom
-/// collision), so sharded delivery dedups the pending-arrival scan in
-/// `start_rx` against this set. The first 128 node ids live in an inline
-/// bitmask; wider worlds spill into extra heap words (the alloc-budget
-/// scenarios stay single-digit, so the steady-state path never allocates).
+/// Receivers whose `RxStart` edge for one transmission is on the queue
+/// (sharded delivery only), so that no edge is queued twice. The first 128
+/// node ids live in an inline bitmask, the rest in heap words that
+/// [`ScheduledSet::cover`] sizes at transmit to the world's node count,
+/// the extent of the frame's reserved ids; sets are reused across frames,
+/// so a steady band allocates nothing.
 #[derive(Debug, Default)]
 struct ScheduledSet {
     low: u128,
@@ -218,17 +215,22 @@ struct ScheduledSet {
 }
 
 impl ScheduledSet {
+    /// Makes room for every node id below `nodes`.
+    fn cover(&mut self, nodes: usize) {
+        let words = nodes.saturating_sub(128).div_ceil(64);
+        if self.high.len() < words {
+            self.high.resize(words, 0);
+        }
+    }
+
     fn insert(&mut self, node: NodeId) {
-        if let Some(bit) = node.0.checked_sub(128) {
-            let word = bit / 64;
-            if self.high.len() <= word {
-                self.high.resize(word + 1, 0);
+        match node.0.checked_sub(128) {
+            Some(bit) => {
+                if let Some(w) = self.high.get_mut(bit / 64) {
+                    *w |= 1u64 << (bit % 64);
+                }
             }
-            if let Some(w) = self.high.get_mut(word) {
-                *w |= 1u64 << (bit % 64);
-            }
-        } else {
-            self.low |= 1u128 << node.0;
+            None => self.low |= 1u128 << node.0,
         }
     }
 
@@ -256,10 +258,11 @@ struct ActiveTx {
     frame: RawFrame,
     start: Instant,
     end: Instant,
-    /// Receivers with a scheduled or deferred `RxStart` for this frame
-    /// (sharded delivery only; stays empty under
-    /// [`DeliveryMode::FullBroadcast`], where every node gets exactly one
-    /// edge by construction).
+    /// The event ids of this frame's `RxStart` edges, reserved at transmit,
+    /// one per node in node order (sharded delivery only; empty under
+    /// [`DeliveryMode::FullBroadcast`], which queues every edge at once).
+    edges: ReservedIds,
+    /// Receivers whose edge is on the queue (sharded delivery only).
     scheduled: ScheduledSet,
     /// The next retained transmission on the same channel.
     next_on_channel: Option<u64>,
@@ -367,28 +370,16 @@ impl TxRing {
     }
 }
 
-/// An `RxStart` edge the sharded fan-out did not schedule: its receiver
-/// was listening and reachable, but unlocked and filtering for another
-/// access address or PHY, so the edge would return before any draw. It
-/// keeps the event id reserved for it at transmit time, so that if the
-/// receiver locks or re-filters before `arrival`, the edge is scheduled
-/// under its original `(arrival, id)` key and fires exactly where it would
-/// have.
-#[derive(Debug, Clone, Copy)]
-struct DeferredEdge {
-    node: NodeId,
-    tx_id: u64,
-    id: EventId,
-    arrival: Instant,
-}
-
-/// Whether an `RxStart` of a co-channel frame with access address `aa`
-/// acts on a receiver in state `radio`: a locked receiver draws the frame's
-/// power as interference (or a relock), an unlocked one tries to lock if
-/// its filter and PHY match. Anything else returns before any draw.
-fn rx_start_acts(radio: &RadioState, phy_matches: bool, aa: AccessAddress) -> bool {
+/// Whether the `RxStart` of co-channel frame `tx_id`, with access address
+/// `aa`, acts on a receiver in state `radio`: a receiver locked on another
+/// frame draws its power as interference (or a relock), an unlocked one
+/// tries to lock if its filter and PHY match. Anything else returns before
+/// any draw.
+fn rx_start_acts(radio: &RadioState, tx_id: u64, phy_matches: bool, aa: AccessAddress) -> bool {
     match radio {
-        RadioState::Rx { lock: Some(_), .. } => true,
+        RadioState::Rx {
+            lock: Some(lock), ..
+        } => lock.tx_id != tx_id,
         RadioState::Rx { filter, .. } => phy_matches && filter.matches(aa),
         RadioState::Idle | RadioState::Tx { .. } => false,
     }
@@ -400,10 +391,6 @@ pub(crate) struct SimInner {
     env: Environment,
     nodes: Vec<NodeState>,
     txs: TxRing,
-    /// Every deferred `RxStart` edge not yet released or passed, in
-    /// transmit order (sharded delivery only). Edges whose key the queue
-    /// has passed are dropped on the next transmit or release.
-    deferred: Vec<DeferredEdge>,
     rng: SimRng,
     telemetry: Telemetry,
     faults: FaultState,
@@ -606,6 +593,16 @@ impl SimInner {
             pdu_len,
             end,
         });
+        self.queue.schedule_at(end, SimEvent::TxEnd { node });
+        let mode = self.delivery_mode;
+        // Both modes key receivers' edges here, in ascending node order,
+        // keeping same-instant event ties identical between them: the
+        // broadcast loop by scheduling them, sharded delivery by reserving
+        // one id per node.
+        let edges = match mode {
+            DeliveryMode::Sharded => self.queue.reserve(self.nodes.len()),
+            DeliveryMode::FullBroadcast => ReservedIds::default(),
+        };
         let tx_id = self.txs.push(
             now,
             ActiveTx {
@@ -615,27 +612,22 @@ impl SimInner {
                 frame,
                 start: now,
                 end,
+                edges,
                 scheduled: ScheduledSet::default(),
                 next_on_channel: None,
             },
         );
-        self.queue.schedule_at(end, SimEvent::TxEnd { node });
         let from_pos = self.node_state(node).config.position;
         let tx_power_dbm = self.node_state(node).config.tx_power_dbm;
-        let mode = self.delivery_mode;
         // Split-field borrow: arrival times and the cull read `env`/`nodes`,
         // scheduling writes `queue` — disjoint, so no intermediate
-        // collection needed. Both modes key receivers' edges in ascending
-        // node order (the listener lists are sorted, and a deferred edge
-        // keeps the id reserved for it here), keeping same-instant event
-        // ties identical between them.
+        // collection needed.
         let SimInner {
             queue,
             env,
             nodes,
             listeners,
             txs,
-            deferred,
             delivery,
             ..
         } = self;
@@ -664,9 +656,8 @@ impl SimInner {
                 let tx = txs.get_mut(tx_id);
                 let listening = listeners.get(usize::from(channel.index()));
                 if let (Some(tx), Some(listening)) = (tx, listening) {
-                    deferred.retain(|d| !queue.has_fired(d.arrival, d.id));
-                    let ids = queue.reserve(listening.len());
-                    for (&other, id) in listening.iter().zip(ids) {
+                    tx.scheduled.cover(nodes.len());
+                    for &other in listening {
                         if other == node {
                             continue;
                         }
@@ -687,27 +678,22 @@ impl SimInner {
                             fanout.culled += 1;
                             continue;
                         }
-                        let arrival = now + env.propagation_delay(from_pos, state.config.position);
-                        tx.scheduled.insert(other);
-                        // An edge that would return before any draw waits
-                        // on the deferred list; `release_deferred` puts it
-                        // on the queue if its receiver locks or re-filters
-                        // before `arrival`.
-                        if rx_start_acts(&state.radio, state.config.phy == phy, aa) {
+                        // An edge that would return before any draw stays off
+                        // the queue; `release_edges` queues it if its
+                        // receiver locks or re-filters before it fires.
+                        let Some(id) = tx.edges.get(other.0) else {
+                            continue;
+                        };
+                        if rx_start_acts(&state.radio, tx_id, state.config.phy == phy, aa) {
+                            let arrival =
+                                now + env.propagation_delay(from_pos, state.config.position);
                             queue.schedule_reserved(
                                 arrival,
                                 id,
                                 SimEvent::RxStart { node: other, tx_id },
                             );
+                            tx.scheduled.insert(other);
                             fanout.scheduled += 1;
-                        } else {
-                            deferred.push(DeferredEdge {
-                                node: other,
-                                tx_id,
-                                id,
-                                arrival,
-                            });
-                            fanout.deferred += 1;
                         }
                     }
                 }
@@ -717,8 +703,7 @@ impl SimInner {
             let peers = u32::try_from(nodes.len().saturating_sub(1)).unwrap_or(u32::MAX);
             fanout.suppressed = peers
                 .saturating_sub(fanout.scheduled)
-                .saturating_sub(fanout.culled)
-                .saturating_sub(fanout.deferred);
+                .saturating_sub(fanout.culled);
             tracker.on_tx(tx_id, fanout);
         }
         TxHandle {
@@ -769,87 +754,42 @@ impl SimInner {
             crc_init,
             lock: None,
         };
-        // One pass over the channel's retained transmissions serves two
-        // windows:
-        //
-        // * **Late lock** (`arrival <= now`): a frame whose preamble began
-        //   moments ago can still be caught — required for window semantics
-        //   where a receiver opens just in time.
-        // * **Pending arrival** (`arrival > now`, sharded mode only): the
-        //   frame left the antenna while this node was not listening, so
-        //   the sharded fan-out skipped it. Broadcast delivery would have
-        //   scheduled its `RxStart` unconditionally; schedule it now,
-        //   dedup'd through the transmission's `scheduled` set so the edge
-        //   exists exactly once.
+        // Late lock: a frame whose preamble began moments ago can still be
+        // caught — required for window semantics where a receiver opens
+        // just in time.
         let phy = self.node_state(node).config.phy;
         let grace = phy.preamble_duration() / 4;
         let mut best: Option<(u64, Instant)> = None;
         let rx_pos = self.node_state(node).config.position;
-        let mode = self.delivery_mode;
-        let SimInner {
-            txs,
-            env,
-            nodes,
-            queue,
-            delivery,
-            ..
-        } = self;
-        let mut next = txs.oldest_on(channel);
+        let mut next = self.txs.oldest_on(channel);
         while let Some(tx_id) = next {
-            let Some(tx) = txs.get_mut(tx_id) else {
+            let Some(tx) = self.txs.get(tx_id) else {
                 break;
             };
             next = tx.next_on_channel;
-            if tx.from == node {
+            if tx.from == node || tx.phy != phy || !filter.matches(tx.frame.access_address) {
                 continue;
             }
-            let Some(tx_state) = nodes.get(tx.from.0) else {
+            let Some(tx_state) = self.nodes.get(tx.from.0) else {
                 continue;
             };
-            let tx_cfg = &tx_state.config;
-            let delay = env.propagation_delay(tx_cfg.position, rx_pos);
+            let delay = self.env.propagation_delay(tx_state.config.position, rx_pos);
             let arrival = tx.start + delay;
-            if arrival > now {
-                if matches!(mode, DeliveryMode::Sharded)
-                    && !tx.scheduled.contains(node)
-                    && env.reachable_mean_dbm(env.mean_received_power_dbm(
-                        tx_cfg.tx_power_dbm,
-                        tx_cfg.position,
-                        rx_pos,
-                    ))
-                {
-                    queue.schedule_at(arrival, SimEvent::RxStart { node, tx_id });
-                    tx.scheduled.insert(node);
-                    if let Some(tracker) = delivery {
-                        tracker.on_late_scheduled(tx_id, false);
-                    }
-                }
-                continue;
-            }
-            if tx.phy != phy {
-                continue;
-            }
-            let tx_end = tx.end + delay;
-            if now <= arrival + grace && tx_end > now {
-                if !filter.matches(tx.frame.access_address) {
-                    continue;
-                }
-                if best.is_none_or(|(_, a)| arrival < a) {
-                    best = Some((tx_id, arrival));
-                }
+            if arrival <= now
+                && now <= arrival + grace
+                && tx.end + delay > now
+                && best.is_none_or(|(_, a)| arrival < a)
+            {
+                best = Some((tx_id, arrival));
             }
         }
-        // A deferred edge of this receiver now acts if the new filter and
-        // PHY match its frame on the new channel.
-        self.release_deferred(node, |tx| {
-            tx.channel == channel && tx.phy == phy && filter.matches(tx.frame.access_address)
-        });
         if let Some((tx_id, arrival)) = best {
             if self.try_lock(node, tx_id, arrival, None) {
                 self.queue
                     .schedule_at(now, SimEvent::LateSync { node, tx_id });
             }
         }
+        self.release_edges(node);
     }
 
     /// Attempts to lock `node`'s receiver onto transmission `tx_id` whose
@@ -923,15 +863,13 @@ impl SimInner {
         };
         self.queue
             .schedule_at(lock_end, SimEvent::RxEnd { node, tx_id });
-        // Locked, the receiver draws every co-channel arrival, so each of
-        // its deferred edges on this channel now acts.
-        self.release_deferred(node, |tx| tx.channel == channel);
         self.emit(arrival, Some(node), || TelemetryEvent::RxLock {
             channel: channel.index(),
         });
         if let Some(tracker) = &mut self.delivery {
             tracker.on_heard(tx_id);
         }
+        self.release_edges(node);
         true
     }
 
@@ -1028,7 +966,13 @@ impl SimInner {
             if *channel != tx_channel {
                 return None;
             }
-            lock.is_some()
+            match lock {
+                // The receiver opened at exactly this instant and locked
+                // onto this frame late, in `start_rx`: the frame must not
+                // be drawn a second time.
+                Some(lock) if lock.tx_id == tx_id => return None,
+                lock => lock.is_some(),
+            }
         };
         if already_locked {
             // Reachability cull — identical RNG-free predicate as the
@@ -1314,36 +1258,66 @@ impl SimInner {
         tx
     }
 
-    /// Schedules, under their reserved ids, the deferred edges of `node`
-    /// whose frames `acts` says the receiver would now act on, unless the
-    /// queue has already passed their key: then the edge had fired as a
-    /// no-op, exactly as a scheduled one would have. Drops every passed
-    /// edge on the way.
-    fn release_deferred(&mut self, node: NodeId, acts: impl Fn(&ActiveTx) -> bool) {
-        if self.deferred.is_empty() {
-            return;
-        }
+    /// Queues each `RxStart` edge of `node` that now acts and is not
+    /// queued yet, under the id reserved for it at transmit: an edge of a
+    /// frame on the receiver's channel that passes the reachability cull
+    /// and whose key the queue has not passed. Such an edge pops exactly
+    /// where [`DeliveryMode::FullBroadcast`] pops it; an edge whose key has
+    /// passed fired there as a no-op, because it could not act until now.
+    /// Called wherever an edge can start to act: at the end of `start_rx`
+    /// (a retune or re-filter) and of `try_lock` (a lock).
+    fn release_edges(&mut self, node: NodeId) {
         let SimInner {
-            deferred,
             queue,
+            env,
+            nodes,
             txs,
             delivery,
             ..
         } = self;
-        deferred.retain(|d| {
-            if queue.has_fired(d.arrival, d.id) {
-                return false;
+        let Some(rx) = nodes.get(node.0) else {
+            return;
+        };
+        let RadioState::Rx { channel, .. } = rx.radio else {
+            return;
+        };
+        let mut next = txs.oldest_on(channel);
+        while let Some(tx_id) = next {
+            let Some(tx) = txs.get_mut(tx_id) else {
+                break;
+            };
+            next = tx.next_on_channel;
+            // Frames sent under `FullBroadcast` reserved no ids.
+            let Some(id) = tx.edges.get(node.0) else {
+                continue;
+            };
+            let phy_matches = rx.config.phy == tx.phy;
+            if tx.from == node
+                || tx.scheduled.contains(node)
+                || !rx_start_acts(&rx.radio, tx_id, phy_matches, tx.frame.access_address)
+            {
+                continue;
             }
-            if d.node != node || !txs.get(d.tx_id).is_some_and(&acts) {
-                return true;
+            let Some(from) = nodes.get(tx.from.0) else {
+                continue;
+            };
+            let (from, to) = (&from.config, rx.config.position);
+            let arrival = tx.start + env.propagation_delay(from.position, to);
+            if queue.has_fired(arrival, id)
+                || !env.reachable_mean_dbm(env.mean_received_power_dbm(
+                    from.tx_power_dbm,
+                    from.position,
+                    to,
+                ))
+            {
+                continue;
             }
-            let tx_id = d.tx_id;
-            queue.schedule_reserved(d.arrival, d.id, SimEvent::RxStart { node, tx_id });
+            queue.schedule_reserved(arrival, id, SimEvent::RxStart { node, tx_id });
+            tx.scheduled.insert(node);
             if let Some(tracker) = delivery {
-                tracker.on_late_scheduled(tx_id, true);
+                tracker.on_late_scheduled(tx_id);
             }
-            false
-        });
+        }
     }
 }
 
@@ -1371,7 +1345,6 @@ impl World {
                 env,
                 nodes: Vec::new(),
                 txs: TxRing::new(),
-                deferred: Vec::new(),
                 rng,
                 telemetry: Telemetry::default(),
                 faults: FaultState::disabled(),

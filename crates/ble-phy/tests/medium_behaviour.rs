@@ -637,8 +637,8 @@ fn receiver_closing_between_tx_start_and_arrival_misses_the_frame() {
 #[test]
 fn receiver_closing_and_reopening_before_arrival_hears_the_frame_once() {
     // Close at t=103 µs, reopen (same channel) at t=106 µs, arrival at
-    // ~t=110 µs. Sharded delivery must not double-schedule the edge on the
-    // reopen (the pending-arrival scan dedups against the transmission's
+    // ~t=110 µs. Sharded delivery must not queue the edge twice on the
+    // reopen (`release_edges` skips a receiver already in the frame's
     // scheduled set) — a duplicate would make the receiver treat its own
     // locked frame as interference.
     in_both_modes(|mode| {
@@ -667,8 +667,8 @@ fn receiver_closing_and_reopening_before_arrival_hears_the_frame_once() {
 fn receiver_opening_after_tx_start_hears_the_in_flight_frame() {
     // The receiver was deaf when the frame left the antenna and opens at
     // t=105 µs, before the ~t=110 µs arrival. Broadcast delivery scheduled
-    // the edge unconditionally; sharded delivery must recreate it through
-    // the pending-arrival scan in `start_rx`.
+    // the edge unconditionally; sharded delivery must queue it, under the
+    // id reserved at transmit, when `start_rx` opens the receiver.
     in_both_modes(|mode| {
         let mut sim = long_range_world(mode);
         far_tx(&mut sim);
@@ -681,7 +681,11 @@ fn receiver_opening_after_tx_start_hears_the_in_flight_frame() {
         });
         sim.run_for(Duration::from_millis(1));
         let rec = recorder(&sim, r);
-        assert_eq!(rec.received().len(), 1, "pending scan must catch the frame");
+        assert_eq!(
+            rec.received().len(),
+            1,
+            "the late edge must catch the frame"
+        );
         assert!(rec.received()[0].crc_ok);
         assert_eq!(rec.syncs(), 1);
         rx_log(&sim, r)

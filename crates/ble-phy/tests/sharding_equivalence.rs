@@ -2,12 +2,13 @@
 //!
 //! [`DeliveryMode::FullBroadcast`] schedules an `RxStart` at every node for
 //! every frame — the medium's original O(nodes) behaviour, retained as the
-//! oracle. [`DeliveryMode::Sharded`] only schedules edges at current
-//! listeners that clear the reachability cull, catching late openers with a
-//! pending-arrival scan, and defers the edges of unlocked listeners that
-//! filter for another frame until they lock or re-filter. The two must be
-//! **event-for-event identical**: the sharded path may only skip edges the
-//! broadcast path would have discarded without any state or RNG effect.
+//! oracle. [`DeliveryMode::Sharded`] keys every node's edge when the frame
+//! leaves but queues it only once it can act: at once for a reachable
+//! listener on the channel that is locked or whose filter matches the
+//! frame, otherwise when the receiver locks, retunes or re-filters before
+//! the edge fires. The two must be **event-for-event identical**: the
+//! sharded path may only skip edges the broadcast path would have
+//! discarded without any state or RNG effect.
 //!
 //! The oracle check runs randomized dense worlds — nodes that transmit,
 //! retune, and close their receivers at random times on random channels —
@@ -149,7 +150,7 @@ fn run_world(
 #[test]
 fn sharded_delivery_matches_the_broadcast_oracle_indoors() {
     // Indoor scale: every pair is far inside the cull horizon, so this
-    // pins pure scheduling equivalence (listener index + pending scan).
+    // pins pure scheduling equivalence (listener index + late edges).
     for payload in [Payload::Fixed, Payload::Mixed] {
         for seed in [3u64, 41, 1234] {
             let world =
@@ -278,13 +279,14 @@ fn sharded_mode_schedules_an_order_of_magnitude_fewer_rx_starts() {
 }
 
 // Forced deferral. The worlds above listen with `AccessFilter::Any`, so
-// every reachable listener's edge acts at once and nothing is deferred.
+// every reachable listener's edge acts at once and is queued at transmit.
 // The worlds below filter for one of a few access addresses, so most
-// edges are deferred, and they force the moments at which a deferred edge
-// starts to act: a receiver that locks, or re-filters, after the frame left
-// and before (or exactly when) it arrives, with arrivals that tie at
-// receivers equidistant from a transmitter. Each world runs under both
-// delivery modes and must match the broadcast oracle record for record.
+// edges are deferred (left off the queue at transmit), and they force the
+// moments at which a deferred edge starts to act: a receiver that locks,
+// opens or re-filters after the frame left and before (or exactly when)
+// it arrives, with arrivals that tie at receivers equidistant from a
+// transmitter. Each world runs under both delivery modes and must match
+// the broadcast oracle record for record.
 
 const AAS: [AccessAddress; 3] = [
     AccessAddress::new(0x8E89_BED6),
@@ -394,18 +396,15 @@ fn run_scripted(actors: Vec<Actor>, start_order: &[usize], mode: DeliveryMode) -
 }
 
 /// Runs a scripted world under both modes, asserts they match, and returns
-/// the sharded run's ledger.
-fn scripted_in_both_modes(
-    actors: impl Fn() -> Vec<Actor>,
-    start_order: &[usize],
-) -> Vec<(u64, ble_telemetry::PacketDelivery)> {
+/// the sharded run.
+fn scripted_in_both_modes(actors: impl Fn() -> Vec<Actor>, start_order: &[usize]) -> Outcome {
     let broadcast = run_scripted(actors(), start_order, DeliveryMode::FullBroadcast);
     let sharded = run_scripted(actors(), start_order, DeliveryMode::Sharded);
     assert_eq!(
         broadcast.log, sharded.log,
         "sharded delivery diverged from the broadcast oracle"
     );
-    sharded.rows
+    sharded
 }
 
 fn ch(index: u8) -> Channel {
@@ -436,8 +435,9 @@ fn a_receiver_locking_before_a_deferred_arrival_draws_it_as_interference() {
     // the receiver at 105 µs, before the far frame arrives at ~110 µs.
     // Locked, the receiver must draw the far frame as interference, as the
     // broadcast oracle's unconditional edge does. With the lock at 115 µs
-    // instead, the deferred edge has already passed and stays a no-op.
-    for (lock_us, released) in [(105, true), (115, false)] {
+    // instead, the deferred edge has already fired as a no-op and is never
+    // queued. The near transmitter never listens.
+    for (lock_us, late) in [(105, true), (115, false)] {
         let rows = scripted_in_both_modes(
             || {
                 vec![
@@ -453,11 +453,12 @@ fn a_receiver_locking_before_a_deferred_arrival_draws_it_as_interference() {
                 ]
             },
             &[0, 1, 2],
-        );
+        )
+        .rows;
         let far_frame = rows[0].1;
         assert_eq!(
-            (far_frame.scheduled, far_frame.deferred),
-            if released { (1, 0) } else { (0, 1) },
+            (far_frame.scheduled, far_frame.suppressed),
+            if late { (1, 1) } else { (0, 2) },
             "lock at {lock_us} µs"
         );
     }
@@ -466,21 +467,21 @@ fn a_receiver_locking_before_a_deferred_arrival_draws_it_as_interference() {
 #[test]
 fn a_receiver_refiltering_mid_flight_releases_the_deferred_edge() {
     // The receiver filters for AAS[0] when a far AAS[1] frame leaves at
-    // 100 µs. Re-filtering for AAS[1] before the arrival (105 µs), or at the
-    // arrival's exact instant, releases the deferred edge; re-filtering for
-    // AAS[2], or after the arrival, does not. Just after the arrival the
-    // receiver still locks late, through `start_rx`'s own scan, as it does
-    // under the oracle. (At the exact instant, `start_rx` locks late and
-    // the released edge then fires on that lock, in both modes, so the
-    // frame is heard twice.)
+    // 100 µs. Re-filtering for AAS[1] before the arrival (105 µs) queues
+    // the deferred edge, and the receiver locks when it fires; re-filtering
+    // for AAS[2], or well after the arrival, hears nothing. At the
+    // arrival's exact instant, or just after it, the receiver locks late,
+    // through `start_rx`'s own scan, as it does under the oracle; at the
+    // exact instant the frame's own edge has not fired yet, and must not
+    // draw the frame a second time, so it is never queued.
     let env = Environment::indoor_default();
     let arrival = at_us(100) + env.propagation_delay(FAR, Position::ORIGIN);
-    for (refilter_at, aa, released, heard) in [
-        (at_us(105), AAS[1], true, true),
-        (arrival, AAS[1], true, true),
-        (at_us(105), AAS[2], false, false),
-        (arrival + Duration::from_nanos(1), AAS[1], false, true),
-        (arrival + Duration::from_micros(5), AAS[1], false, false),
+    for (refilter_at, aa, late, heard) in [
+        (at_us(105), AAS[1], true, 1),
+        (arrival, AAS[1], false, 1),
+        (at_us(105), AAS[2], false, 0),
+        (arrival + Duration::from_nanos(1), AAS[1], false, 1),
+        (arrival + Duration::from_micros(5), AAS[1], false, 0),
     ] {
         let rows = scripted_in_both_modes(
             || {
@@ -496,14 +497,77 @@ fn a_receiver_refiltering_mid_flight_releases_the_deferred_edge() {
                 ]
             },
             &[0, 1],
-        );
+        )
+        .rows;
         let frame = rows[0].1;
-        let expected = if released { (1, 0) } else { (0, 1) };
+        let expected = if late { (1, 0) } else { (0, 1) };
         assert_eq!(
-            ((frame.scheduled, frame.deferred), frame.heard > 0),
+            ((frame.scheduled, frame.suppressed), frame.heard),
             (expected, heard),
             "re-filter for {aa:?} at {refilter_at:?}"
         );
+    }
+}
+
+/// The `SyncDetected` events in node `node`'s part of a scripted log.
+fn syncs_of(log: &[String], node: usize) -> usize {
+    log.iter()
+        .skip_while(|l| **l != format!("--- node {node}"))
+        .skip(1)
+        .take_while(|l| !l.starts_with("--- node"))
+        .filter(|l| l.starts_with("SyncDetected"))
+        .count()
+}
+
+#[test]
+fn a_receiver_opening_at_a_frames_exact_arrival_instant_matches_the_oracle() {
+    // The receiver at the origin stays idle until exactly the instant the
+    // far AAS[1] frame arrives, then opens for AAS[1]. Its timer was set
+    // before the frame left, so it fires before the frame's own edge, and
+    // `start_rx` locks late onto the frame: one `SyncDetected`, and the
+    // frame's edge, keyed after the timer, must not draw it again.
+    //
+    // With `near`, a 1 m transmitter's AAS[1] frame arrived 1 µs earlier,
+    // inside the late-lock grace, so the receiver locks onto that one
+    // instead. The far frame's edge then acts on that lock: it has not
+    // fired at the open, so it is queued under its reserved key and draws
+    // the far frame as interference, where the oracle's edge draws it.
+    let env = Environment::indoor_default();
+    let arrival = at_us(100) + env.propagation_delay(FAR, Position::ORIGIN);
+    for near in [false, true] {
+        let outcome = scripted_in_both_modes(
+            || {
+                let mut actors = vec![
+                    Actor::new(
+                        Position::ORIGIN,
+                        vec![(arrival, Step::Listen(ch(5), AccessFilter::One(AAS[1])))],
+                    ),
+                    far_sender(),
+                ];
+                if near {
+                    actors.push(Actor::new(
+                        Position::new(1.0, 0.0),
+                        vec![(
+                            arrival - Duration::from_micros(1),
+                            Step::Transmit(ch(5), AAS[1]),
+                        )],
+                    ));
+                }
+                actors
+            },
+            &[0, 1, 2][..if near { 3 } else { 2 }],
+        );
+        assert_eq!(syncs_of(&outcome.log, 0), 1, "near frame: {near}");
+        let far_frame = outcome.rows[0].1;
+        let (heard, scheduled) = if near { (0, 1) } else { (1, 0) };
+        assert_eq!(
+            (far_frame.heard, far_frame.scheduled),
+            (heard, scheduled),
+            "near frame: {near}"
+        );
+        if near {
+            assert_eq!(outcome.rows[1].1.heard, 1, "the near frame is heard");
+        }
     }
 }
 
@@ -514,12 +578,12 @@ fn a_lock_at_a_deferred_arrivals_instant_orders_like_the_oracle() {
     // (AAS[0]): a's and b's frames leave at the same instant, so both of
     // r's arrivals tie, and so do r's and s's arrivals of a's frame.
     // r's edge for a's frame is deferred. If b transmitted first, r locks
-    // on b's frame at the tie, before a's deferred edge's key: released
+    // on b's frame at the tie, before a's deferred edge's key: queued
     // under its reserved id, that edge must draw before s's lock on a's
     // frame, exactly where the oracle draws it. If a transmitted first,
     // the deferred edge's key has passed when r locks, and it stays a
-    // no-op. s's deferred edge for b's frame, which reaches s later, is
-    // released by s's lock either way.
+    // no-op and is never queued. s's deferred edge for b's frame, which
+    // reaches s later, is queued by s's lock either way.
     let d = 150.0;
     for b_first in [true, false] {
         let order: &[usize] = if b_first {
@@ -549,22 +613,24 @@ fn a_lock_at_a_deferred_arrivals_instant_orders_like_the_oracle() {
                 ]
             },
             order,
-        );
+        )
+        .rows;
         // Rows in transmit order.
         let (a_row, b_row) = if b_first {
             (rows[1].1, rows[0].1)
         } else {
             (rows[0].1, rows[1].1)
         };
-        let a_expected = if b_first { (2, 0) } else { (1, 1) };
+        // b never listens; r's edge for a's frame is queued late, or never.
+        let a_expected = if b_first { (2, 1) } else { (1, 2) };
         assert_eq!(
-            (a_row.scheduled, a_row.deferred),
+            (a_row.scheduled, a_row.suppressed),
             a_expected,
             "b first: {b_first}"
         );
         assert_eq!(
-            (b_row.scheduled, b_row.deferred),
-            (2, 0),
+            (b_row.scheduled, b_row.suppressed),
+            (2, 1),
             "b first: {b_first}"
         );
     }
@@ -578,12 +644,27 @@ struct GridTx {
     log: Vec<String>,
 }
 
-/// A receiver of the grid family: always listening on its own channel,
-/// re-filtering for a random access address (now and then any) at random
-/// grid instants (250 µs apart on average) and after every frame.
+/// A receiver of the grid family: always listening, re-filtering for a
+/// random access address (now and then any) at random grid instants and
+/// after every frame. A fixed receiver stays on its own channel, with
+/// timers 250 µs apart on average; a retuning one hops to the other grid
+/// channel at every timer, at most 25 µs apart, so it often opens on a
+/// channel after a frame left and before it arrives.
 struct GridRx {
     channel: Channel,
+    retune: bool,
     log: Vec<String>,
+}
+
+impl GridRx {
+    /// Grid slots to the next timer, at most.
+    fn max_slots(&self) -> u64 {
+        if self.retune {
+            100
+        } else {
+            2_000
+        }
+    }
 }
 
 const GRID_SLOT_NS: u64 = 250;
@@ -626,7 +707,7 @@ impl RadioListener for GridRx {
     fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
         let filter = random_filter(ctx);
         ctx.start_rx(self.channel, filter, CRC_INIT);
-        let at = next_slot(ctx, 2_000);
+        let at = next_slot(ctx, self.max_slots());
         ctx.set_timer_at(at, TimerKey(1));
     }
 
@@ -634,9 +715,12 @@ impl RadioListener for GridRx {
         self.log.push(format!("{event:?}"));
         match event {
             RadioEvent::Timer { .. } => {
+                if self.retune {
+                    self.channel = Channel::data_wrapped(1 - self.channel.index());
+                }
                 let filter = random_filter(ctx);
                 ctx.start_rx(self.channel, filter, CRC_INIT);
-                let at = next_slot(ctx, 2_000);
+                let at = next_slot(ctx, self.max_slots());
                 ctx.set_timer_at(at, TimerKey(1));
             }
             RadioEvent::FrameReceived(_) => {
@@ -654,10 +738,12 @@ const GRID_SIDE: usize = 5;
 /// Builds and runs one grid world: a [`GRID_SIDE`]² grid at 150 m spacing
 /// (500 ns of flight to each neighbour, two grid slots), transmitters on
 /// even cells and receivers on odd ones, so that every receiver's
-/// neighbours are transmitters at equal distance. Returns the rendered
-/// records and logs, the ledger, and the run totals.
+/// neighbours are transmitters at equal distance. `retune` makes every
+/// receiver a retuning one (see [`GridRx`]). Returns the rendered records
+/// and logs, the ledger, and the run totals.
 fn run_grid(
     seed: u64,
+    retune: bool,
     mode: DeliveryMode,
 ) -> (
     Vec<String>,
@@ -685,6 +771,7 @@ fn run_grid(
                 cfg,
                 GridRx {
                     channel,
+                    retune,
                     log: Vec::new(),
                 },
             )
@@ -711,37 +798,49 @@ fn run_grid(
 
 #[test]
 fn deferred_edges_on_a_tied_grid_match_the_broadcast_oracle() {
-    for seed in [5u64, 23, 808] {
-        let (broadcast, _, _) = run_grid(seed, DeliveryMode::FullBroadcast);
-        let (sharded, rows, totals) = run_grid(seed, DeliveryMode::Sharded);
+    for (seed, retune) in [
+        (5u64, false),
+        (23, false),
+        (808, false),
+        (1, true),
+        (5, true),
+    ] {
+        let (broadcast, _, _) = run_grid(seed, retune, DeliveryMode::FullBroadcast);
+        let (sharded, rows, totals) = run_grid(seed, retune, DeliveryMode::Sharded);
         assert_eq!(
             broadcast, sharded,
-            "deferred delivery diverged from the broadcast oracle (seed {seed})"
+            "deferred delivery diverged from the broadcast oracle (seed {seed}, retune {retune})"
+        );
+        // A retuning receiver abandons most receptions before their end.
+        let heard = if retune {
+            "SyncDetected"
+        } else {
+            "FrameReceived"
+        };
+        assert!(
+            broadcast.iter().any(|l| l.contains(heard)),
+            "world must hear frames (seed {seed}, retune {retune})"
         );
         assert!(
-            broadcast.iter().any(|l| l.contains("FrameReceived")),
-            "world must deliver frames (seed {seed})"
-        );
-        assert!(
-            totals.deferred_rx_starts > totals.tx_frames,
-            "edges must be deferred (seed {seed}): {totals:?}"
+            totals.late_rx_starts > 0,
+            "edges must be queued late (seed {seed}, retune {retune}): {totals:?}"
         );
         assert_eq!(rows.len() as u64, totals.tx_frames, "no ledger eviction");
     }
 }
 
 #[test]
-fn every_frames_peers_split_into_the_four_delivery_classes() {
+fn every_frames_peers_split_into_the_three_delivery_classes() {
     // Each of a frame's peers, the grid's other nodes, lands in exactly
-    // one class, in both modes, also when a deferred edge was released
-    // after transmit.
+    // one class, in both modes, also when an edge was queued after
+    // transmit.
     let peers = u32::try_from(GRID_SIDE * GRID_SIDE - 1).unwrap();
     for mode in [DeliveryMode::Sharded, DeliveryMode::FullBroadcast] {
-        let (_, rows, totals) = run_grid(23, mode);
+        let (_, rows, totals) = run_grid(1, true, mode);
         assert!(!rows.is_empty());
         for (id, p) in &rows {
             assert_eq!(
-                p.scheduled + p.culled + p.suppressed + p.deferred,
+                p.scheduled + p.culled + p.suppressed,
                 peers,
                 "frame #{id} under {mode:?}: {p:?}"
             );
@@ -749,8 +848,7 @@ fn every_frames_peers_split_into_the_four_delivery_classes() {
         assert_eq!(
             totals.scheduled_rx_starts
                 + totals.culled_unreachable
-                + totals.suppressed_not_listening
-                + totals.deferred_rx_starts,
+                + totals.suppressed_not_listening,
             u64::from(peers) * totals.tx_frames,
             "{mode:?}: {totals:?}"
         );

@@ -8,11 +8,11 @@
 //! map of in-flight packets with old entries evicted in arrival order —
 //! plus run totals that survive eviction.
 //!
-//! Every other node of the world lands in exactly one of four classes per
-//! frame — `scheduled`, `culled`, `suppressed` or `deferred` — so the four
-//! always sum to the frame's peer count. A receiver that gets its
-//! `RxStart` after the frame left ([`DeliveryTracker::on_late_scheduled`])
-//! moves from `suppressed` or `deferred` into `scheduled`.
+//! Every other node of the world lands in exactly one of three classes per
+//! frame — `scheduled`, `culled` or `suppressed` — so the three always sum
+//! to the frame's peer count. A receiver whose `RxStart` is queued after
+//! the frame left ([`DeliveryTracker::on_late_scheduled`]) moves from
+//! `suppressed` into `scheduled`.
 //!
 //! The tracker is pure observation: the medium updates it outside every RNG
 //! draw and event-schedule decision, so enabling it can never perturb a
@@ -26,22 +26,18 @@ use std::collections::BTreeMap;
 pub struct PacketDelivery {
     /// Channel the frame was transmitted on (0–39).
     pub channel: u8,
-    /// `RxStart` events the medium scheduled for this frame, late and
-    /// released ones included.
+    /// `RxStart` events the medium scheduled for this frame, late ones
+    /// included.
     pub scheduled: u32,
     /// Receivers skipped by the reachability cull (mean received power
     /// below the sensitivity floor minus the cull headroom).
     pub culled: u32,
-    /// Receivers the scheduler did not visit because they were not
-    /// listening on the frame's channel, and that did not open on it before
-    /// the frame arrived (sharded mode only; always 0 under full
+    /// Receivers with no `RxStart` for this frame: not listening on its
+    /// channel, or listening but unlocked and filtering for another access
+    /// address or PHY, from the moment the frame left until it arrived, so
+    /// that the edge could not act (sharded mode only; always 0 under full
     /// broadcast).
     pub suppressed: u32,
-    /// Receivers whose `RxStart` the sharded medium deferred and never
-    /// released: listening and reachable, but unlocked and filtering for
-    /// another access address or PHY until the frame arrived, so the edge
-    /// would have done nothing (always 0 under full broadcast).
-    pub deferred: u32,
     /// Receivers that locked onto the frame's preamble (times heard).
     pub heard: u32,
     /// Receivers that completed reception and were handed the frame.
@@ -49,8 +45,8 @@ pub struct PacketDelivery {
 }
 
 /// Run totals: survive per-packet eviction. Like the per-packet rows,
-/// `scheduled_rx_starts + culled_unreachable + suppressed_not_listening +
-/// deferred_rx_starts` sums every frame's peer count.
+/// `scheduled_rx_starts + culled_unreachable + suppressed_not_listening`
+/// sums every frame's peer count.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeliveryTotals {
     /// Frames transmitted.
@@ -59,12 +55,12 @@ pub struct DeliveryTotals {
     pub scheduled_rx_starts: u64,
     /// Receivers skipped by the reachability cull.
     pub culled_unreachable: u64,
-    /// Receivers skipped because they were not listening on the channel
-    /// (see [`PacketDelivery::suppressed`]).
+    /// Receivers with no `RxStart` because it could not act (see
+    /// [`PacketDelivery::suppressed`]).
     pub suppressed_not_listening: u64,
-    /// `RxStart` edges deferred and never released (see
-    /// [`PacketDelivery::deferred`]).
-    pub deferred_rx_starts: u64,
+    /// `RxStart` events queued after their frame left, when the receiver
+    /// locked, retuned or re-filtered; included in `scheduled_rx_starts`.
+    pub late_rx_starts: u64,
     /// Frame receptions that locked (preamble heard).
     pub frames_heard: u64,
     /// Frame receptions completed and delivered to a listener.
@@ -104,7 +100,6 @@ impl DeliveryTracker {
         self.totals.scheduled_rx_starts += u64::from(fanout.scheduled);
         self.totals.culled_unreachable += u64::from(fanout.culled);
         self.totals.suppressed_not_listening += u64::from(fanout.suppressed);
-        self.totals.deferred_rx_starts += u64::from(fanout.deferred);
         self.packets.insert(
             tx_id,
             PacketDelivery {
@@ -119,27 +114,16 @@ impl DeliveryTracker {
         }
     }
 
-    /// Records one late-scheduled `RxStart` for an in-flight frame, moving
-    /// its receiver into `scheduled`: out of `deferred` when the medium
-    /// `released` a deferred edge (the receiver locked or re-filtered),
-    /// else out of `suppressed` (it opened on the channel after `TxStart`).
-    pub fn on_late_scheduled(&mut self, tx_id: u64, released: bool) {
+    /// Records one `RxStart` queued after its frame left, moving its
+    /// receiver from `suppressed` into `scheduled`.
+    pub fn on_late_scheduled(&mut self, tx_id: u64) {
         let totals = &mut self.totals;
         totals.scheduled_rx_starts += 1;
-        let from = if released {
-            &mut totals.deferred_rx_starts
-        } else {
-            &mut totals.suppressed_not_listening
-        };
-        *from = from.saturating_sub(1);
+        totals.late_rx_starts += 1;
+        totals.suppressed_not_listening = totals.suppressed_not_listening.saturating_sub(1);
         if let Some(p) = self.packets.get_mut(&tx_id) {
             p.scheduled = p.scheduled.saturating_add(1);
-            let from = if released {
-                &mut p.deferred
-            } else {
-                &mut p.suppressed
-            };
-            *from = from.saturating_sub(1);
+            p.suppressed = p.suppressed.saturating_sub(1);
         }
     }
 
@@ -263,69 +247,43 @@ mod tests {
     #[test]
     fn late_scheduling_joins_the_ledger() {
         let mut t = DeliveryTracker::new(4);
-        t.on_tx(7, fanout(12, 2, 0, 5));
-        t.on_late_scheduled(7, false);
+        t.on_tx(7, fanout(12, 2, 1, 5));
+        t.on_late_scheduled(7);
         let p = t.packet(7).expect("retained");
-        assert_eq!((p.scheduled, p.suppressed), (3, 4));
-        assert_eq!(t.totals().scheduled_rx_starts, 3);
-        assert_eq!(t.totals().suppressed_not_listening, 4);
-    }
-
-    #[test]
-    fn a_released_edge_moves_from_deferred_to_scheduled() {
-        let mut t = DeliveryTracker::new(4);
-        t.on_tx(
-            3,
-            PacketDelivery {
-                deferred: 4,
-                ..fanout(9, 1, 2, 3)
-            },
-        );
-        t.on_late_scheduled(3, true);
-        let p = t.packet(3).expect("retained");
-        assert_eq!(
-            (p.scheduled, p.culled, p.suppressed, p.deferred),
-            (2, 2, 3, 3)
-        );
+        assert_eq!((p.scheduled, p.culled, p.suppressed), (3, 1, 4));
         let totals = t.totals();
         assert_eq!(
             (
                 totals.scheduled_rx_starts,
                 totals.culled_unreachable,
                 totals.suppressed_not_listening,
-                totals.deferred_rx_starts
+                totals.late_rx_starts
             ),
-            (2, 2, 3, 3)
+            (3, 1, 4, 1)
         );
     }
 
     #[test]
-    fn the_four_classes_keep_summing_to_the_peer_count() {
+    fn the_three_classes_keep_summing_to_the_peer_count() {
         // Ten peers per frame: whatever moves late, the row and the totals
         // still add up to them.
         let mut t = DeliveryTracker::new(8);
-        t.on_tx(
-            0,
-            PacketDelivery {
-                deferred: 5,
-                ..fanout(1, 2, 1, 2)
-            },
-        );
+        t.on_tx(0, fanout(1, 2, 1, 7));
         t.on_tx(1, fanout(2, 4, 0, 6));
-        for (id, released) in [(0, true), (0, true), (0, false), (1, false)] {
-            t.on_late_scheduled(id, released);
+        for id in [0, 0, 0, 1] {
+            t.on_late_scheduled(id);
         }
         for (_, p) in t.packets() {
-            assert_eq!(p.scheduled + p.culled + p.suppressed + p.deferred, 10);
+            assert_eq!(p.scheduled + p.culled + p.suppressed, 10);
         }
         let totals = t.totals();
         assert_eq!(
             totals.scheduled_rx_starts
                 + totals.culled_unreachable
-                + totals.suppressed_not_listening
-                + totals.deferred_rx_starts,
+                + totals.suppressed_not_listening,
             20
         );
+        assert_eq!(totals.late_rx_starts, 4);
     }
 
     #[test]

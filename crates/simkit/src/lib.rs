@@ -38,6 +38,6 @@ mod time;
 pub use backoff::ExponentialBackoff;
 pub use clock::DriftClock;
 pub use fault::{DriftExcursion, FadingEpisode, FaultPlan, FrameLossRule, InterferenceBurst};
-pub use queue::{EventId, EventQueue};
+pub use queue::{EventId, EventQueue, ReservedIds};
 pub use rng::SimRng;
 pub use time::{Duration, Instant};

@@ -12,6 +12,22 @@ use crate::time::Instant;
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct EventId(u64);
 
+/// A block of consecutive event ids from [`EventQueue::reserve`], indexed
+/// from 0 in reservation order. The empty block (the default) holds none.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct ReservedIds {
+    first: u64,
+    len: u64,
+}
+
+impl ReservedIds {
+    /// The block's `i`-th id, if it has one.
+    pub fn get(self, i: usize) -> Option<EventId> {
+        let i = u64::try_from(i).ok().filter(|&i| i < self.len)?;
+        Some(EventId(self.first + i))
+    }
+}
+
 /// Identity hasher for [`EventId`] tombstones. Ids are already unique
 /// sequence numbers, and the tombstone lookup sits on the hot `pop` path —
 /// SipHash would cost more than the heap operation it guards.
@@ -152,16 +168,19 @@ impl<E> EventQueue<E> {
         id
     }
 
-    /// Reserves `n` consecutive event ids, in the order returned. An event
-    /// later scheduled under one of them with
-    /// [`EventQueue::schedule_reserved`] ties with other events at its
-    /// instant as if it had been scheduled now: after every event scheduled
-    /// before the reservation, before every event scheduled after it. An id
-    /// that is never used costs nothing.
-    pub fn reserve(&mut self, n: usize) -> impl Iterator<Item = EventId> {
+    /// Reserves a block of `n` consecutive event ids. An event later
+    /// scheduled under one of them with [`EventQueue::schedule_reserved`]
+    /// ties with other events at its instant as if it had been scheduled
+    /// now: after every event scheduled before the reservation, before
+    /// every event scheduled after it, and among the block in index order.
+    /// An id that is never used costs nothing.
+    pub fn reserve(&mut self, n: usize) -> ReservedIds {
         let first = self.next_id;
         self.next_id = first.saturating_add(u64::try_from(n).unwrap_or(u64::MAX));
-        (first..self.next_id).map(EventId)
+        ReservedIds {
+            first,
+            len: self.next_id - first,
+        }
     }
 
     /// Schedules `event` at `at` under `id`, an id from
@@ -375,7 +394,7 @@ mod tests {
         let mut reserved = EventQueue::new();
         reserved.schedule_at(t2, "before@t2");
         reserved.schedule_at(t1, "before@t1");
-        let id = reserved.reserve(1).next().expect("one id");
+        let id = reserved.reserve(1).get(0).expect("one id");
         reserved.schedule_at(t1, "after@t1");
         reserved.schedule_at(t2, "after@t2");
         reserved.schedule_reserved(t1, id, "reserved");
@@ -397,10 +416,10 @@ mod tests {
         let t = Instant::from_micros(3);
         let mut q = EventQueue::new();
         q.schedule_at(t, 0);
-        let ids: Vec<EventId> = q.reserve(3).collect();
+        let ids = q.reserve(3);
         q.schedule_at(t, 4);
-        for (i, id) in ids.iter().enumerate().rev() {
-            q.schedule_reserved(t, *id, i + 1);
+        for i in (0..3).rev() {
+            q.schedule_reserved(t, ids.get(i).expect("reserved"), i + 1);
         }
         let order: Vec<usize> = drain(&mut q).into_iter().map(|(_, e)| e).collect();
         assert_eq!(order, [0, 1, 2, 3, 4]);
@@ -409,7 +428,9 @@ mod tests {
     #[test]
     fn unused_reserved_ids_leave_the_queue_untouched() {
         let mut q = EventQueue::new();
-        assert_eq!(q.reserve(4).count(), 4);
+        let ids = q.reserve(4);
+        assert!(ids.get(3).is_some() && ids.get(4).is_none());
+        assert_eq!(ReservedIds::default().get(0), None);
         assert!(q.is_empty());
         assert_eq!(q.len(), 0);
         q.schedule_at(Instant::from_micros(1), 'a');
@@ -425,30 +446,31 @@ mod tests {
             Instant::from_micros(4),
         );
         let mut q = EventQueue::new();
-        let early: Vec<EventId> = q.reserve(2).collect();
+        let early = q.reserve(2);
+        let (early0, early1) = (early.get(0).expect("id"), early.get(1).expect("id"));
         // Before the first pop nothing has fired, not even at time zero.
-        assert!(!q.has_fired(Instant::ZERO, early[0]));
-        assert!(!q.has_fired(t1, early[0]));
+        assert!(!q.has_fired(Instant::ZERO, early0));
+        assert!(!q.has_fired(t1, early0));
 
         let a = q.schedule_at(t1, 'a');
         let b = q.schedule_at(t1, 'b');
         q.pop();
         // After popping `a`: every key at or before (t1, a) has fired.
-        assert!(q.has_fired(t1, early[0]), "reserved before `a`");
+        assert!(q.has_fired(t1, early0), "reserved before `a`");
         assert!(q.has_fired(t1, a));
         assert!(!q.has_fired(t1, b), "`b` is still pending");
-        assert!(!q.has_fired(t2, early[1]), "a later instant");
+        assert!(!q.has_fired(t2, early1), "a later instant");
         q.pop();
         assert!(q.has_fired(t1, b));
 
         // advance_to counts as popping everything at or before its instant,
         // for every id handed out so far.
-        let late = q.reserve(1).next().expect("one id");
+        let late = q.reserve(1).get(0).expect("one id");
         q.advance_to(t2);
         assert!(q.has_fired(t1, late), "an earlier instant");
         assert!(q.has_fired(t2, late), "reserved before the advance");
         assert!(!q.has_fired(t3, late), "a later instant");
-        let fresh = q.reserve(1).next().expect("one id");
+        let fresh = q.reserve(1).get(0).expect("one id");
         assert!(
             !q.has_fired(t2, fresh),
             "an id handed out after the advance can still fire at its instant"
