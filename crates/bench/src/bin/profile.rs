@@ -1,11 +1,13 @@
 //! Per-phase profiler: runs one close-range trial with a JSONL telemetry
-//! sink, then renders the span records three ways:
+//! sink, then renders its spans three ways:
 //!
-//!   1. a per-phase table (count, total/self sim time, total/self wall time),
-//!   2. a per-channel airtime table (from `channel-airtime` span exits),
+//!   1. a per-phase table (count, total/self sim time, total/self wall time)
+//!      from the trial's metrics, which total every span kind,
+//!   2. a per-channel airtime table (from the trace's `channel-airtime`
+//!      span exits),
 //!   3. a collapsed-stack file in the common flamegraph input format
 //!      (`frame;frame count`, one line per distinct stack — feed it to any
-//!      `flamegraph.pl`-compatible renderer).
+//!      `flamegraph.pl`-compatible renderer), from the trace's span nesting.
 //!
 //! Collapsed-stack counts are **self sim-time in µs**, so the flamegraph is
 //! byte-stable across equally-seeded runs; wall-clock only appears in the
@@ -23,7 +25,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use bench::report::artefact_dir;
-use bench::telemetry::TelemetryMode;
+use bench::telemetry::{PhaseProfile, TelemetryMode};
 use bench::trial::{run_trial, TrialConfig};
 use ble_scenario::ScenarioBuilder;
 use ble_telemetry::{parse_line, SpanKind, TelemetryEvent, TelemetryRecord};
@@ -88,7 +90,8 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    print!("{}", phase_table(&records));
+    let phases = outcome.metrics.map(|m| m.phase_profile).unwrap_or_default();
+    print!("{}", phase_table(&phases));
     print!("{}", airtime_table(&records));
 
     let folded = collapse_stacks(&records);
@@ -106,37 +109,9 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Per-kind aggregate over the trace's span exits.
-#[derive(Default, Clone, Copy)]
-struct Agg {
-    count: u64,
-    sim_ns: u64,
-    self_sim_ns: u64,
-    wall_ns: u64,
-    self_wall_ns: u64,
-}
-
-fn phase_table(records: &[TelemetryRecord]) -> String {
+/// The per-phase table: one row per span kind that closed, in kind order.
+fn phase_table(phases: &[PhaseProfile]) -> String {
     use std::fmt::Write as _;
-    let mut aggs: BTreeMap<usize, Agg> = BTreeMap::new();
-    for r in records {
-        if let TelemetryEvent::SpanExit {
-            kind,
-            sim_ns,
-            wall_ns,
-            self_sim_ns,
-            self_wall_ns,
-            ..
-        } = &r.event
-        {
-            let a = aggs.entry(kind.index()).or_default();
-            a.count += 1;
-            a.sim_ns += sim_ns;
-            a.self_sim_ns += self_sim_ns;
-            a.wall_ns += wall_ns;
-            a.self_wall_ns += self_wall_ns;
-        }
-    }
     let mut out = String::new();
     let _ = writeln!(out);
     let _ = writeln!(out, "=== per-phase profile ===");
@@ -146,11 +121,11 @@ fn phase_table(records: &[TelemetryRecord]) -> String {
         "phase", "count", "sim_ms", "self_sim_ms", "wall_ms*", "self_wall_ms*"
     );
     let _ = writeln!(out, "{}", "-".repeat(78));
-    for (idx, a) in &aggs {
+    for a in phases {
         let _ = writeln!(
             out,
             "{:<16} {:>7} {:>12.3} {:>12.3} {:>12.3} {:>12.3}",
-            SpanKind::ALL[*idx].as_str(),
+            a.phase,
             a.count,
             a.sim_ns as f64 / 1e6,
             a.self_sim_ns as f64 / 1e6,
@@ -425,7 +400,11 @@ mod tests {
 
     #[test]
     fn phase_table_includes_every_closed_kind() {
-        let out = phase_table(&trace());
+        let mut reg = ble_telemetry::MetricsRegistry::new();
+        for r in trace() {
+            reg.tally(&r.event);
+        }
+        let out = phase_table(&bench::telemetry::phase_profile_from_registry(&reg));
         assert!(out.contains("trial-sync"));
         assert!(out.contains("attacker-scan"));
         assert!(out.contains("channel-airtime"));

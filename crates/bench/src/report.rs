@@ -564,17 +564,22 @@ mod tests {
         // same bytes — the registry is name-sorted and the row itself has
         // no map-backed field.
         use crate::telemetry::TrialMetrics;
-        use ble_telemetry::MetricsRegistry;
+        use ble_telemetry::{MetricsRegistry, TelemetryEvent};
         let build = |reverse: bool| {
-            let mut reg = MetricsRegistry::new();
+            let mut events = vec![
+                TelemetryEvent::TxEnd,
+                TelemetryEvent::AnchorPrediction { error_us: 4.0 },
+                TelemetryEvent::InjectionAttempt {
+                    channel: 3,
+                    lead: simkit::Duration::from_micros(36),
+                },
+            ];
             if reverse {
-                reg.observe_us("attack.lead_us", 36.0);
-                reg.observe_us("attack.anchor_error_us", 4.0);
-                reg.add("telemetry.events", 10);
-            } else {
-                reg.add("telemetry.events", 10);
-                reg.observe_us("attack.anchor_error_us", 4.0);
-                reg.observe_us("attack.lead_us", 36.0);
+                events.reverse();
+            }
+            let mut reg = MetricsRegistry::new();
+            for event in &events {
+                reg.tally(event);
             }
             let mut o = outcomes(&[2, 5]);
             for out in o.iter_mut() {
@@ -604,13 +609,17 @@ mod tests {
     #[test]
     fn phase_profile_merges_across_trials_into_json() {
         use crate::telemetry::TrialMetrics;
-        use ble_telemetry::MetricsRegistry;
+        use ble_telemetry::{MetricsRegistry, SpanKind, TelemetryEvent};
         let mut reg = MetricsRegistry::new();
-        reg.add("span.trial_sync.count", 1);
-        reg.add("span.trial_sync.sim_ns", 2_000_000);
-        reg.add("span.trial_sync.self_sim_ns", 2_000_000);
-        reg.add("span.trial_sync.wall_ns", 777);
-        reg.add("span.trial_sync.self_wall_ns", 777);
+        reg.tally(&TelemetryEvent::SpanExit {
+            id: 1,
+            kind: SpanKind::TrialSync,
+            detail: 0,
+            sim_ns: 2_000_000,
+            wall_ns: 777,
+            self_sim_ns: 2_000_000,
+            self_wall_ns: 777,
+        });
         let mut o = outcomes(&[1, 2]);
         for out in o.iter_mut() {
             out.metrics = Some(TrialMetrics::from_registry(&reg, 1.0, 1.0));
@@ -656,8 +665,6 @@ mod tests {
                 ifs_delta: None,
                 events_total: 100,
                 events_per_sec: 50.0,
-                sync_wall_s: 1.0,
-                attack_wall_s: 1.0,
                 phase_profile: Vec::new(),
                 counters: vec![("frames", 10)],
             });

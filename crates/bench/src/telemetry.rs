@@ -120,10 +120,6 @@ pub struct TrialMetrics {
     pub events_total: u64,
     /// Telemetry events per wall-clock second over the whole trial.
     pub events_per_sec: f64,
-    /// Wall-clock seconds spent in the synchronisation phase.
-    pub sync_wall_s: f64,
-    /// Wall-clock seconds spent in the attack phase.
-    pub attack_wall_s: f64,
     /// Per-phase span attribution (empty when spans never closed, e.g.
     /// telemetry off).
     pub phase_profile: Vec<PhaseProfile>,
@@ -135,7 +131,7 @@ pub struct TrialMetrics {
 
 impl TrialMetrics {
     /// Builds the per-trial block from a registry snapshot and the two
-    /// experiment-phase wall-clock timings.
+    /// experiment-phase wall-clock timings, which price `events_per_sec`.
     pub fn from_registry(reg: &MetricsRegistry, sync_wall_s: f64, attack_wall_s: f64) -> Self {
         let events_total = reg.get(Counter::TelemetryEvents);
         let wall = (sync_wall_s + attack_wall_s).max(1e-9);
@@ -145,8 +141,6 @@ impl TrialMetrics {
             ifs_delta: reg.hist(Hist::IfsDeltaUs).cloned(),
             events_total,
             events_per_sec: events_total as f64 / wall,
-            sync_wall_s,
-            attack_wall_s,
             phase_profile: phase_profile_from_registry(reg),
             counters: Vec::new(),
         }
@@ -173,12 +167,20 @@ pub fn merge_histogram(acc: &mut Option<HistogramUs>, h: Option<&HistogramUs>) {
 mod tests {
     use super::*;
 
+    use ble_telemetry::TelemetryEvent;
+    use simkit::Duration;
+
     #[test]
     fn trial_metrics_from_registry() {
         let mut reg = MetricsRegistry::new();
-        reg.add("telemetry.events", 500);
-        reg.observe_us("attack.lead_us", 36.0);
-        reg.observe_us("attack.anchor_error_us", 4.0);
+        reg.tally(&TelemetryEvent::InjectionAttempt {
+            channel: 3,
+            lead: Duration::from_micros(36),
+        });
+        reg.tally(&TelemetryEvent::AnchorPrediction { error_us: 4.0 });
+        for _ in 0..498 {
+            reg.tally(&TelemetryEvent::TxEnd);
+        }
         let m = TrialMetrics::from_registry(&reg, 1.0, 1.0);
         assert_eq!(m.events_total, 500);
         assert!((m.events_per_sec - 250.0).abs() < 1e-9);
@@ -190,11 +192,15 @@ mod tests {
     #[test]
     fn phase_profile_skips_unclosed_kinds_and_merges_by_name() {
         let mut reg = MetricsRegistry::new();
-        reg.add("span.trial_sync.count", 1);
-        reg.add("span.trial_sync.sim_ns", 1_000);
-        reg.add("span.trial_sync.self_sim_ns", 800);
-        reg.add("span.trial_sync.wall_ns", 50);
-        reg.add("span.trial_sync.self_wall_ns", 40);
+        reg.tally(&TelemetryEvent::SpanExit {
+            id: 1,
+            kind: SpanKind::TrialSync,
+            detail: 0,
+            sim_ns: 1_000,
+            wall_ns: 50,
+            self_sim_ns: 800,
+            self_wall_ns: 40,
+        });
         let rows = phase_profile_from_registry(&reg);
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].phase, "trial-sync");

@@ -517,16 +517,17 @@ fn trial_step_allocations(mode: TelemetryMode) -> [f64; 3] {
 
 #[test]
 fn paper_rig_trial_fixed_costs_stay_within_budget() {
-    // Measured means (build, flush, fold): 43.5, 1.0, 8.0 with metrics on
-    // and a 36.5 build with telemetry off. A host stack that pre-fills its
+    // Measured means (build, flush, fold): 42.5, 1.0, 8.0 with metrics on
+    // and a 37.5 build with telemetry off. A host stack that pre-fills its
     // 32-buffer packet pool adds 33 allocations per stack (two per world);
-    // a string-keyed registry adds ~17 to the flush.
+    // a string-keyed registry adds ~17 to the flush; a registry attached
+    // as a boxed sink adds 2 to the build.
     let [build, flush, fold] = trial_step_allocations(TelemetryMode::Metrics);
     let [build_off, flush_off, fold_off] = trial_step_allocations(TelemetryMode::Off);
     eprintln!("metrics: build {build}, flush {flush}, fold {fold}");
     eprintln!("off:     build {build_off}, flush {flush_off}, fold {fold_off}");
     assert!(
-        build <= 46.0,
+        build <= 45.0,
         "paper-rig build with metrics: {build} allocations"
     );
     assert!(flush <= 2.0, "metrics flush: {flush} allocations");

@@ -35,7 +35,7 @@ use ble_host::{
     ConnHandle, ConnectionManager, GattServer, HostEvent, HostStack, PacketPool, QosPolicy,
     SecurityAction, DEFAULT_BUF_CAPACITY, MAX_POOL_CLIENTS,
 };
-use ble_link::{ConnectionParams, DeviceAddress, LinkLayer, SleepClockAccuracy, UpdateRequest};
+use ble_link::{ConnectionParams, DeviceAddress, LinkLayer, SleepClockAccuracy};
 use ble_phy::{AccessAddress, NodeCtx, RadioEvent, RadioListener, TimerKey};
 use ble_telemetry::TelemetryEvent;
 use simkit::{Duration, SimRng};
@@ -165,12 +165,6 @@ impl Central {
         self.ll.start_initiating(ctx, self.target, self.params);
     }
 
-    /// Replaces the connection parameters used for *future* connections on
-    /// the primary slot.
-    pub fn set_params(&mut self, params: ConnectionParams) {
-        self.params = params;
-    }
-
     /// Requests Channel Selection Algorithm #2 (BLE 5) for future
     /// connections on the primary slot.
     pub fn set_prefer_csa2(&mut self, prefer: bool) {
@@ -185,12 +179,6 @@ impl Central {
     /// Queues a write to be sent immediately (if connected) on slot 0.
     pub fn write(&mut self, handle: u16, value: Vec<u8>) {
         self.host.write(handle, value);
-    }
-
-    /// Requests a connection-parameter update on the live primary
-    /// connection.
-    pub fn update_connection(&mut self, update: UpdateRequest, instant_delta: u16) {
-        self.ll.request_connection_update(update, instant_delta);
     }
 
     // ------------------------------------------------------------------
@@ -278,18 +266,6 @@ impl Central {
         match handle.index() {
             0 => Some(&mut self.host),
             i => self.extras.get_mut(i - 1).map(|p| &mut p.host),
-        }
-    }
-
-    /// Sends an ATT Write Command on the connection behind `handle`.
-    /// Returns `false` (and sends nothing) for a stale handle.
-    pub fn write_command_to(&mut self, handle: ConnHandle, att_handle: u16, value: &[u8]) -> bool {
-        match self.host_for_mut(handle) {
-            Some(host) => {
-                host.write_command(att_handle, value);
-                true
-            }
-            None => false,
         }
     }
 

@@ -207,11 +207,6 @@ impl HostStack {
         self.role
     }
 
-    /// Stores a bonded key (serves `ltk_lookup` and re-encryption).
-    pub fn set_bonded_key(&mut self, key: [u8; 16]) {
-        self.bonded_key = Some(key);
-    }
-
     /// The bonded key, if any.
     pub fn bonded_key(&self) -> Option<[u8; 16]> {
         self.bonded_key

@@ -8,8 +8,6 @@
 
 use std::fmt;
 
-use ble_phy::Channel;
-
 /// A set of used data channels (indices 0–36).
 ///
 /// # Example
@@ -80,16 +78,6 @@ impl ChannelMap {
     /// Used channel indices in ascending order.
     pub fn used_indices(self) -> Vec<u8> {
         (0..37).filter(|&i| self.is_used(i)).collect()
-    }
-
-    /// Used channels in ascending order.
-    pub fn used_channels(self) -> Vec<Channel> {
-        // Indices from `used_indices` are < 37 by construction, so the
-        // modulo in `data_wrapped` never changes a value.
-        self.used_indices()
-            .into_iter()
-            .map(Channel::data_wrapped)
-            .collect()
     }
 
     /// Whether the map is valid per the specification (at least two used

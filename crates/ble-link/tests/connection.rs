@@ -11,7 +11,7 @@ use ble_link::{
     Role, SleepClockAccuracy, UpdateRequest, ERR_MIC_FAILURE, ERR_REMOTE_USER_TERMINATED,
 };
 use ble_phy::{Environment, NodeConfig, NodeCtx, Position, RadioEvent, RadioListener, World};
-use simkit::{DriftClock, Duration, SimRng};
+use simkit::{DriftClock, Duration, FaultPlan, FrameLossRule, Instant, SimRng};
 
 /// A test host: records callbacks, queues outgoing data, serves an LTK.
 #[derive(Default)]
@@ -237,9 +237,17 @@ fn slave_initiated_terminate_disconnects_both() {
 #[test]
 fn supervision_timeout_fires_when_peer_vanishes() {
     let mut rig = connected_rig(7, 36);
-    // Move the master out of radio range: the slave stops hearing anchors.
+    // From now on every frame on every channel is lost before sync: neither
+    // side hears the other again.
+    let blackout = FrameLossRule {
+        from: rig.sim.now(),
+        until: Instant::MAX,
+        channel: None,
+        loss_prob: 1.0,
+        corrupt_prob: 0.0,
+    };
     rig.sim
-        .set_node_position(rig.master_id, Position::new(1.0e7, 0.0));
+        .install_faults(FaultPlan::seeded(7).with_loss(blackout));
     rig.sim.run_for(Duration::from_secs(3));
     let m = rig.master();
     let s = rig.slave();
@@ -502,11 +510,9 @@ fn slave_latency_skips_events_but_connection_survives() {
 
 #[test]
 fn ll_control_procedures_are_span_profiled() {
-    use ble_telemetry::{MetricsSink, SpanKind};
+    use ble_telemetry::SpanKind;
     let mut rig = connected_rig(9, 36);
-    let sink = MetricsSink::new();
-    let registry = sink.handle();
-    rig.sim.add_telemetry_sink(Box::new(sink));
+    let registry = rig.sim.enable_metrics();
     // A control procedure on each side: the update travels master→slave,
     // the terminate slave→master.
     rig.master_mut().ll.request_connection_update(

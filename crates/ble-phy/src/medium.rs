@@ -19,8 +19,8 @@ use std::collections::VecDeque;
 
 use ble_invariants::invariant;
 use ble_telemetry::{
-    DeliveryTracker, FaultKind, PacketDelivery, SpanId, SpanKind, Telemetry, TelemetryEvent,
-    TelemetryRecord, TelemetrySink,
+    DeliveryTracker, FaultKind, PacketDelivery, SharedRegistry, SpanId, SpanKind, Telemetry,
+    TelemetryEvent, TelemetryRecord, TelemetrySink,
 };
 use simkit::{Duration, EventQueue, FaultPlan, Instant, ReservedIds, SimRng};
 
@@ -28,7 +28,6 @@ use crate::access_address::AccessAddress;
 use crate::channel::Channel;
 use crate::fault::FaultState;
 use crate::frame::{RawFrame, ReceivedFrame};
-use crate::geometry::Position;
 use crate::phy_mode::PhyMode;
 use crate::propagation::Environment;
 use crate::radio::{
@@ -461,16 +460,16 @@ impl SimInner {
         &mut self.node_state_mut(node).rng
     }
 
-    /// Whether a telemetry sink is attached. Emit sites bail out on `false`
-    /// before building events.
+    /// Whether the metrics block or a telemetry sink is on. Emit sites bail
+    /// out on `false` before building events.
     #[inline]
     pub(crate) fn telemetry_active(&self) -> bool {
         self.telemetry.is_enabled()
     }
 
-    /// Emits a typed event to the telemetry sinks. The closure only runs
-    /// when a sink is attached, so disabled telemetry costs one boolean
-    /// load and a branch.
+    /// Emits a typed event to the metrics block and the telemetry sinks.
+    /// The closure only runs when either is on, so disabled telemetry
+    /// costs a load or two and a branch.
     pub(crate) fn emit(
         &mut self,
         at: Instant,
@@ -487,8 +486,8 @@ impl SimInner {
     }
 
     /// Opens a hierarchical span attributed to `node` (or the simulation
-    /// when `None`). Branch-and-return ([`SpanId::DISABLED`]) when no
-    /// telemetry sink is attached.
+    /// when `None`). Branch-and-return ([`SpanId::DISABLED`]) when
+    /// telemetry is off.
     #[inline]
     pub(crate) fn span_enter(
         &mut self,
@@ -1423,9 +1422,15 @@ impl World {
         self.inner.telemetry.add_sink(sink);
     }
 
-    /// Whether any telemetry sink is attached.
-    pub fn telemetry_enabled(&self) -> bool {
-        self.inner.telemetry.is_enabled()
+    /// Turns on the world's metrics block and returns the handle that
+    /// [`World::flush_telemetry`] publishes it to. Every record from here
+    /// on is tallied, and so is a `NodeAdded` for each node that joined
+    /// before, as a sink attached now would see them.
+    pub fn enable_metrics(&mut self) -> SharedRegistry {
+        let joined = self.inner.nodes.iter().map(|s| TelemetryEvent::NodeAdded {
+            label: s.config.label.clone(),
+        });
+        self.inner.telemetry.enable_metrics(joined)
     }
 
     /// Installs the wall clock used for span wall-time attribution — a
@@ -1450,9 +1455,10 @@ impl World {
         self.inner.span_exit(now, id);
     }
 
-    /// Flushes every attached telemetry sink (call at end of run before
-    /// reading artefacts). Still-open spans are closed first (topmost
-    /// first) so sinks always see a balanced enter/exit stream.
+    /// Publishes the metrics block to its handle and flushes every
+    /// attached telemetry sink (call at end of run before reading
+    /// artefacts). Still-open spans are closed first (topmost first) so the
+    /// block and the sinks always see a balanced enter/exit stream.
     pub fn flush_telemetry(&mut self) {
         let now = self.inner.now();
         self.inner.telemetry.flush_at(now);
@@ -1472,14 +1478,6 @@ impl World {
     /// The environment (read-only).
     pub fn env(&self) -> &Environment {
         &self.inner.env
-    }
-
-    /// Mutable access to the environment (e.g. to move walls mid-run).
-    /// Link means are computed when used, so every later power and cull
-    /// decision sees the change; arrivals already scheduled keep their
-    /// propagation delay.
-    pub fn env_mut(&mut self) -> &mut Environment {
-        &mut self.inner.env
     }
 
     /// Adds a node to the arena; the world takes ownership and returns the
@@ -1555,19 +1553,6 @@ impl World {
             sim: &mut self.inner,
         };
         Some(f(n, &mut ctx))
-    }
-
-    /// A node's position.
-    pub fn node_position(&self, node: NodeId) -> Position {
-        self.inner.node_state(node).config.position
-    }
-
-    /// Moves a node (used by the distance-sweep experiments). Link means
-    /// are computed when used, so every later power and cull decision sees
-    /// the new position; arrivals already scheduled keep their propagation
-    /// delay.
-    pub fn set_node_position(&mut self, node: NodeId, position: Position) {
-        self.inner.node_state_mut(node).config.position = position;
     }
 
     /// Runs a closure with a [`NodeCtx`] for `node` — the way device state

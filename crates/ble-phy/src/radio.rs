@@ -317,16 +317,16 @@ impl<'a> NodeCtx<'a> {
         self.sim.cancel_timer(handle);
     }
 
-    /// Whether a telemetry sink is attached. Lets callers skip *computing*
-    /// inputs for an emit when nobody is listening; the emit itself is
-    /// already lazily built.
+    /// Whether the metrics block or a telemetry sink is on. Lets callers
+    /// skip *computing* inputs for an emit when nobody is listening; the
+    /// emit itself is already lazily built.
     #[inline]
     pub fn telemetry_active(&self) -> bool {
         self.sim.telemetry_active()
     }
 
     /// Emits a typed telemetry event attributed to this node, timestamped
-    /// *now*. The closure only runs when a sink is attached.
+    /// *now*. The closure only runs when metrics or a sink is on.
     #[inline]
     pub fn emit(&mut self, build: impl FnOnce() -> ble_telemetry::TelemetryEvent) {
         let now = self.now();
@@ -342,7 +342,7 @@ impl<'a> NodeCtx<'a> {
 
     /// Opens a hierarchical span attributed to this node, timestamped
     /// *now*. Returns [`ble_telemetry::SpanId::DISABLED`] (making the
-    /// matching exit a no-op) when no telemetry sink is attached — the
+    /// matching exit a no-op) when telemetry is off — the
     /// disabled path is a branch-and-return like [`NodeCtx::emit`].
     #[inline]
     pub fn span_enter(

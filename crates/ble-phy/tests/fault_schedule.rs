@@ -9,9 +9,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // test code may panic freely
 
 use ble_phy::{Environment, NodeConfig, NodeCtx, Position, RadioEvent, RadioListener, World};
-use ble_telemetry::{
-    FaultKind, MetricsSink, RingBufferSink, TelemetryEvent, TelemetryRecord, TelemetrySink,
-};
+use ble_telemetry::{FaultKind, RingBufferSink, TelemetryEvent, TelemetryRecord};
 use simkit::{
     DriftExcursion, Duration, FadingEpisode, FaultPlan, Instant, InterferenceBurst, SimRng,
 };
@@ -25,11 +23,10 @@ impl RadioListener for Idle {
 
 const PROBE: &str = "probe";
 
-fn world_with(plan: FaultPlan, sink: Box<dyn TelemetrySink>) -> World {
+/// A one-node world, ready for telemetry and then a plan.
+fn probe_world() -> World {
     let mut world = World::new(Environment::indoor_default(), SimRng::seed_from(3));
     world.add_node(NodeConfig::new(PROBE, Position::ORIGIN), Idle);
-    world.add_telemetry_sink(sink);
-    world.install_faults(plan);
     world
 }
 
@@ -44,9 +41,9 @@ fn burst_train_longer_than_4096_windows_reports_every_window() {
         -40.0,
     );
     assert_eq!(train.repeats, 10_000);
-    let sink = MetricsSink::new();
-    let registry = sink.handle();
-    let mut world = world_with(FaultPlan::seeded(1).with_burst(train), Box::new(sink));
+    let mut world = probe_world();
+    let registry = world.enable_metrics();
+    world.install_faults(FaultPlan::seeded(1).with_burst(train));
     world.run_for(Duration::from_secs(11));
     world.flush_telemetry();
     assert_eq!(registry.lock().counter("fault.bursts"), 10_000);
@@ -203,7 +200,9 @@ fn lazy_schedule_replays_the_arithmetic_plan_exactly() {
         let expected = replay(item_edges(&plan, 0));
         let sink = RingBufferSink::new(1 << 16);
         let ring = sink.handle();
-        let mut world = world_with(plan.clone(), Box::new(sink));
+        let mut world = probe_world();
+        world.add_telemetry_sink(Box::new(sink));
+        world.install_faults(plan.clone());
         // Longest possible plan: 20 ms start + 40 × 3 ms train, or 30 ms
         // for an episode; run well past it.
         world.run_for(Duration::from_millis(200));

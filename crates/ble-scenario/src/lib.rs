@@ -46,7 +46,7 @@ use ble_link::{ConnectionParams, DeviceAddress};
 use ble_phy::{
     AccessAddress, Environment, Node, NodeConfig, NodeId, PhyMode, Position, Wall, World,
 };
-use ble_telemetry::{JsonlSink, MetricsSink, SharedRegistry};
+use ble_telemetry::{JsonlSink, SharedRegistry};
 use injectable::{Attacker, AttackerConfig, ResyncPolicy};
 use simkit::{DriftClock, Duration, FaultPlan, SimRng};
 
@@ -97,11 +97,11 @@ pub enum ClockModel {
 /// How the built world captures telemetry.
 #[derive(Debug, Clone, Default)]
 pub enum TelemetryMode {
-    /// No sinks attached: every emit is a single branch-and-return (the
-    /// configuration the criterion benchmarks pin).
+    /// No metrics and no sinks: every emit is a single branch-and-return
+    /// (the configuration the criterion benchmarks pin).
     Off,
-    /// In-memory metrics registry (counters + µs histograms), readable
-    /// through [`Scenario::metrics`]. The default.
+    /// The world's metrics block (counters + µs histograms), readable
+    /// through [`Scenario::metrics`] after a flush. The default.
     #[default]
     Metrics,
     /// Metrics plus a JSONL event stream written to this path, replayable
@@ -319,12 +319,6 @@ impl ScenarioBuilder {
     /// runs give up (and their trials end) sooner.
     pub fn attacker_resync(mut self, policy: ResyncPolicy) -> Self {
         self.attacker_resync = Some(policy);
-        self
-    }
-
-    /// Removes the attacker from the scene.
-    pub fn no_attacker(mut self) -> Self {
-        self.with_attacker = false;
         self
     }
 
@@ -578,10 +572,10 @@ impl ScenarioBuilder {
             }
         }
 
-        // Telemetry attaches *before* bootstrap so sinks observe the nodes'
-        // first actions — in particular the spans opened in `on_start`
-        // hooks (the attacker's initial scan campaign). Sinks are
-        // observation-only: attaching them earlier cannot perturb the
+        // Telemetry turns on *before* bootstrap so metrics and sinks observe
+        // the nodes' first actions — in particular the spans opened in
+        // `on_start` hooks (the attacker's initial scan campaign). Telemetry
+        // is observation-only: turning it on earlier cannot perturb the
         // simulation's RNG streams or schedule.
         if let Some(clock) = self.span_clock {
             world.set_span_clock(clock);
@@ -589,7 +583,7 @@ impl ScenarioBuilder {
         let mut telemetry_downgraded = false;
         let metrics = match &self.telemetry {
             TelemetryMode::Off => None,
-            TelemetryMode::Metrics => Some(attach_metrics(&mut world)),
+            TelemetryMode::Metrics => Some(world.enable_metrics()),
             TelemetryMode::Jsonl(path) => {
                 match JsonlSink::create(path) {
                     Ok(sink) => world.add_telemetry_sink(Box::new(sink)),
@@ -601,7 +595,7 @@ impl ScenarioBuilder {
                         );
                     }
                 }
-                Some(attach_metrics(&mut world))
+                Some(world.enable_metrics())
             }
         };
 
@@ -643,13 +637,6 @@ impl ScenarioBuilder {
             background_ids,
         }
     }
-}
-
-fn attach_metrics(world: &mut World) -> SharedRegistry {
-    let sink = MetricsSink::new();
-    let registry = sink.handle();
-    world.add_telemetry_sink(Box::new(sink));
-    registry
 }
 
 /// A built, running scene. The [`World`] arena owns every node; the typed
@@ -742,7 +729,8 @@ impl Scenario {
     }
 
     /// The shared metrics registry, when built with
-    /// [`TelemetryMode::Metrics`] or [`TelemetryMode::Jsonl`].
+    /// [`TelemetryMode::Metrics`] or [`TelemetryMode::Jsonl`]. It holds the
+    /// world's tallies as of the last `world.flush_telemetry()`.
     pub fn metrics(&self) -> Option<&SharedRegistry> {
         self.metrics.as_ref()
     }

@@ -1,17 +1,17 @@
-//! Counters, gauges and fixed-bucket microsecond histograms.
+//! Counters and fixed-bucket microsecond histograms.
 //!
 //! A [`MetricsRegistry`] is one fixed-layout block: a `u64` slot per
-//! [`Counter`] the [`MetricsSink`] writes, five per [`SpanKind`], two
-//! gauges and five [`Hist`] histograms created on first use. One sorted
-//! name table maps every metric name to its slot, so reading by name and
-//! iterating in name order work as they did on the old string-keyed maps,
-//! while the sink and the bench rig address slots directly. Filling,
-//! reading and dropping a trial's registry touches no map.
+//! [`Counter`], five per [`SpanKind`] and five [`Hist`] histograms created
+//! on first use. A world's [`crate::Telemetry`] owns one block and
+//! [`MetricsRegistry::tally`]s every record into it; a flush publishes the
+//! block into a [`SharedRegistry`]. One sorted name table maps every
+//! counter name to its slot for reading by name, while the bench rig
+//! addresses slots directly. Filling, reading and dropping a trial's
+//! registry touches no map.
 
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::event::{FaultKind, TelemetryEvent, Verdict};
-use crate::sink::{TelemetryRecord, TelemetrySink};
 use crate::span::SpanKind;
 
 /// Default histogram bucket upper bounds, in microseconds. Chosen around
@@ -235,8 +235,8 @@ impl HistogramUs {
     }
 }
 
-/// Every counter the [`MetricsSink`] writes, in name order. Each has one
-/// `u64` slot in a [`MetricsRegistry`] and is named after its metric:
+/// Every counter the registry tallies, in name order. Each has one `u64`
+/// slot in a [`MetricsRegistry`] and is named after its metric:
 /// `AttackAttempts` is `attack.attempts`, `PhyRxCrcBad` is `phy.rx_crc_bad`.
 #[allow(missing_docs)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -286,8 +286,8 @@ impl Counter {
     }
 }
 
-/// Every histogram the [`MetricsSink`] records, in name order (µs
-/// magnitudes). Each has one lazily created slot in a [`MetricsRegistry`].
+/// Every histogram the registry records (µs magnitudes). Each has one
+/// lazily created slot in a [`MetricsRegistry`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Hist {
     /// `attack.anchor_error_us`: the attacker's anchor-prediction error.
@@ -311,25 +311,6 @@ impl Hist {
     }
 }
 
-/// The sink's two gauges, in name order.
-#[derive(Debug, Clone, Copy)]
-enum Gauge {
-    /// `host.pool_high_water`: a running maximum, set only once a pool
-    /// reported occupancy.
-    PoolHighWater,
-    /// `sim.last_event_us`: simulation time of the latest event.
-    LastEventUs,
-}
-
-const GAUGES: usize = 2;
-
-impl Gauge {
-    fn index(self) -> usize {
-        // xtask-allow: R2 — a fieldless enum's discriminant is its declaration index, lossless in usize
-        self as usize
-    }
-}
-
 /// Closed-span totals of one [`SpanKind`], in
 /// [`crate::SpanMetricNames`] field order: count, sim_ns, self_sim_ns,
 /// wall_ns, self_wall_ns.
@@ -341,24 +322,19 @@ const SELF_SIM_NS: usize = 2;
 const WALL_NS: usize = 3;
 const SELF_WALL_NS: usize = 4;
 
-/// Where a metric name lives in the block.
+/// Where a counter name lives in the block.
 #[derive(Debug, Clone, Copy)]
 enum Slot {
     Counter(Counter),
     /// A kind's totals and a position in its [`SpanTotals`].
     Span(SpanKind, usize),
-    Gauge(Gauge),
-    Hist(Hist),
 }
 
-/// The one name table: every metric the sink writes, sorted by name (the
-/// lookup binary-searches it and iteration walks it in order).
+/// The one name table: every counter and span total, sorted by name (the
+/// lookup binary-searches it).
 #[rustfmt::skip]
-static NAMES: [(&str, Slot); 81] = [
-    ("attack.anchor_error_us", Slot::Hist(Hist::AnchorErrorUs)),
+static NAMES: [(&str, Slot); 74] = [
     ("attack.attempts", Slot::Counter(Counter::AttackAttempts)),
-    ("attack.ifs_delta_us", Slot::Hist(Hist::IfsDeltaUs)),
-    ("attack.lead_us", Slot::Hist(Hist::LeadUs)),
     ("attack.no_response", Slot::Counter(Counter::AttackNoResponse)),
     ("attack.rejected", Slot::Counter(Counter::AttackRejected)),
     ("attack.sniffer_lost", Slot::Counter(Counter::AttackSnifferLost)),
@@ -366,7 +342,6 @@ static NAMES: [(&str, Slot); 81] = [
     ("attack.success", Slot::Counter(Counter::AttackSuccess)),
     ("attack.takeover", Slot::Counter(Counter::AttackTakeover)),
     ("detector.alerts", Slot::Counter(Counter::DetectorAlerts)),
-    ("detector.magnitude_us", Slot::Hist(Hist::DetectorMagnitudeUs)),
     ("fault.bursts", Slot::Counter(Counter::FaultBursts)),
     ("fault.episodes", Slot::Counter(Counter::FaultEpisodes)),
     ("fault.frames_corrupted", Slot::Counter(Counter::FaultFramesCorrupted)),
@@ -374,7 +349,6 @@ static NAMES: [(&str, Slot); 81] = [
     ("host.conn_established", Slot::Counter(Counter::HostConnEstablished)),
     ("host.conn_released", Slot::Counter(Counter::HostConnReleased)),
     ("host.pool_exhausted", Slot::Counter(Counter::HostPoolExhausted)),
-    ("host.pool_high_water", Slot::Gauge(Gauge::PoolHighWater)),
     ("host.slot_denied", Slot::Counter(Counter::HostSlotDenied)),
     ("link.anchor", Slot::Counter(Counter::LinkAnchor)),
     ("link.connected", Slot::Counter(Counter::LinkConnected)),
@@ -383,7 +357,6 @@ static NAMES: [(&str, Slot); 81] = [
     ("link.disconnect", Slot::Counter(Counter::LinkDisconnect)),
     ("link.hop", Slot::Counter(Counter::LinkHop)),
     ("link.sn_nesn", Slot::Counter(Counter::LinkSnNesn)),
-    ("link.widening_us", Slot::Hist(Hist::WideningUs)),
     ("link.window_open", Slot::Counter(Counter::LinkWindowOpen)),
     ("phy.collision", Slot::Counter(Counter::PhyCollision)),
     ("phy.interference_spill", Slot::Counter(Counter::PhyInterferenceSpill)),
@@ -392,7 +365,6 @@ static NAMES: [(&str, Slot); 81] = [
     ("phy.rx_crc_bad", Slot::Counter(Counter::PhyRxCrcBad)),
     ("phy.rx_lock", Slot::Counter(Counter::PhyRxLock)),
     ("phy.tx", Slot::Counter(Counter::PhyTx)),
-    ("sim.last_event_us", Slot::Gauge(Gauge::LastEventUs)),
     ("sim.nodes", Slot::Counter(Counter::SimNodes)),
     ("span.attacker_follow.count", Slot::Span(SpanKind::AttackerFollow, COUNT)),
     ("span.attacker_follow.self_sim_ns", Slot::Span(SpanKind::AttackerFollow, SELF_SIM_NS)),
@@ -443,15 +415,13 @@ fn slot(name: &str) -> Option<Slot> {
     NAMES.get(i).map(|(_, slot)| *slot)
 }
 
-/// Registry of named counters, gauges and histograms: one fixed-layout
-/// block, addressed by name through the name table or by [`Counter`],
-/// [`SpanKind`] and [`Hist`]. A name outside the table has no slot:
-/// writing it does nothing and reading it gives 0 or `None`.
+/// The world's metrics: one fixed-layout block of counters, span totals
+/// and histograms, filled by [`MetricsRegistry::tally`] and read by
+/// [`Counter`], [`SpanKind`] and [`Hist`], or a counter by name.
 #[derive(Debug, Clone)]
 pub struct MetricsRegistry {
     counters: [u64; COUNTERS],
     spans: [SpanTotals; SpanKind::ALL.len()],
-    gauges: [Option<f64>; GAUGES],
     histograms: [Option<HistogramUs>; HISTS],
 }
 
@@ -460,15 +430,14 @@ impl Default for MetricsRegistry {
         MetricsRegistry {
             counters: [0; COUNTERS],
             spans: [[0; 5]; SpanKind::ALL.len()],
-            gauges: [None; GAUGES],
             histograms: Default::default(),
         }
     }
 }
 
-/// Shared handle to a registry (the simulation owns the [`MetricsSink`];
-/// the caller keeps the handle). Thread-safe so that a world carrying the
-/// sink stays [`Send`].
+/// Shared handle to a registry: a world's [`crate::Telemetry`] publishes
+/// its block here on flush, and the caller reads it. Thread-safe so that
+/// a world holding it stays [`Send`].
 #[derive(Debug, Clone, Default)]
 pub struct SharedRegistry(Arc<Mutex<MetricsRegistry>>);
 
@@ -487,40 +456,13 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    /// An empty registry behind a shared handle.
-    pub fn shared() -> SharedRegistry {
-        SharedRegistry(Arc::new(Mutex::new(Self::new())))
-    }
-
-    /// Increments a counter by one.
-    pub fn inc(&mut self, name: &str) {
-        self.add(name, 1);
-    }
-
-    /// Increments a counter (or a `span.*` total) by `n`, saturating.
-    pub fn add(&mut self, name: &str, n: u64) {
-        let slot = match slot(name) {
-            Some(Slot::Counter(c)) => self.counters.get_mut(c.index()),
-            Some(Slot::Span(kind, i)) => {
-                self.spans.get_mut(kind.index()).and_then(|t| t.get_mut(i))
-            }
-            Some(Slot::Gauge(_) | Slot::Hist(_)) | None => None,
-        };
-        if let Some(c) = slot {
-            *c = c.saturating_add(n);
-        }
-    }
-
-    /// Current counter (or `span.*` total) value; 0 if never incremented.
+    /// A counter (or `span.*` total) by name; 0 for a name outside the
+    /// table.
     pub fn counter(&self, name: &str) -> u64 {
-        slot(name).and_then(|s| self.count_at(s)).unwrap_or(0)
-    }
-
-    fn count_at(&self, slot: Slot) -> Option<u64> {
-        match slot {
-            Slot::Counter(c) => Some(self.get(c)),
-            Slot::Span(kind, i) => self.span_totals(kind).get(i).copied(),
-            Slot::Gauge(_) | Slot::Hist(_) => None,
+        match slot(name) {
+            Some(Slot::Counter(c)) => self.get(c),
+            Some(Slot::Span(kind, i)) => self.span_totals(kind).get(i).copied().unwrap_or(0),
+            None => 0,
         }
     }
 
@@ -534,93 +476,119 @@ impl MetricsRegistry {
         self.spans.get(kind.index()).copied().unwrap_or_default()
     }
 
-    /// Sets a gauge to the latest value.
-    pub fn set_gauge(&mut self, name: &str, value: f64) {
-        if let Some(Slot::Gauge(g)) = slot(name) {
-            self.set(g, value);
-        }
-    }
-
-    /// Current gauge value, if ever set.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        let Some(Slot::Gauge(g)) = slot(name) else {
-            return None;
-        };
-        self.gauges.get(g.index()).copied().flatten()
-    }
-
-    /// Records a microsecond observation into a named histogram (created
-    /// with the default buckets on first use).
-    pub fn observe_us(&mut self, name: &str, value_us: f64) {
-        if let Some(Slot::Hist(h)) = slot(name) {
-            self.record(h, value_us);
-        }
-    }
-
-    /// A named histogram, if any observation was recorded.
-    pub fn histogram(&self, name: &str) -> Option<&HistogramUs> {
-        let Some(Slot::Hist(h)) = slot(name) else {
-            return None;
-        };
-        self.hist(h)
-    }
-
     /// A histogram, if any observation was recorded.
     pub fn hist(&self, hist: Hist) -> Option<&HistogramUs> {
         self.histograms.get(hist.index())?.as_ref()
     }
 
-    /// Iterates the non-zero counters (`span.*` totals included) in name
-    /// order.
-    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        NAMES.iter().filter_map(|&(name, slot)| {
-            let n = self.count_at(slot)?;
-            (n != 0).then_some((name, n))
-        })
-    }
-
-    /// Iterates the set gauges in name order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&'static str, f64)> + '_ {
-        NAMES.iter().filter_map(|&(name, slot)| {
-            let Slot::Gauge(g) = slot else { return None };
-            Some((name, self.gauges.get(g.index()).copied().flatten()?))
-        })
-    }
-
-    /// Iterates the recorded histograms in name order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&'static str, &HistogramUs)> + '_ {
-        NAMES.iter().filter_map(|&(name, slot)| {
-            let Slot::Hist(h) = slot else { return None };
-            Some((name, self.hist(h)?))
-        })
-    }
-
-    /// Folds another registry into this one: counters add, gauges take the
-    /// other's value, histograms merge (skipping incompatible layouts).
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        self.add_counts_and_gauges(other);
-        for (mine, theirs) in self.histograms.iter_mut().zip(&other.histograms) {
-            let Some(h) = theirs else { continue };
-            match mine {
-                Some(m) => {
-                    m.merge(h);
+    /// Tallies one event: `telemetry.events`, plus the counter, span
+    /// totals or histogram the event maps to.
+    ///
+    /// The event→metric mapping is this one exhaustive match (xtask R4):
+    /// adding a [`TelemetryEvent`] variant forces a decision here about
+    /// how it is counted.
+    pub fn tally(&mut self, event: &TelemetryEvent) {
+        self.bump(Counter::TelemetryEvents);
+        match event {
+            TelemetryEvent::NodeAdded { .. } => self.bump(Counter::SimNodes),
+            TelemetryEvent::TxStart { .. } => self.bump(Counter::PhyTx),
+            TelemetryEvent::TxEnd => {}
+            TelemetryEvent::RxLock { .. } => self.bump(Counter::PhyRxLock),
+            TelemetryEvent::Relock { .. } => self.bump(Counter::PhyRelock),
+            TelemetryEvent::RxEnd { crc_ok, .. } => {
+                self.bump(Counter::PhyRx);
+                if !crc_ok {
+                    self.bump(Counter::PhyRxCrcBad);
                 }
-                None => *mine = Some(h.clone()),
             }
+            TelemetryEvent::Collision { .. } => self.bump(Counter::PhyCollision),
+            TelemetryEvent::InterferenceSpill { .. } => self.bump(Counter::PhyInterferenceSpill),
+            TelemetryEvent::Anchor { .. } => self.bump(Counter::LinkAnchor),
+            TelemetryEvent::WindowOpen { widening, .. } => {
+                self.bump(Counter::LinkWindowOpen);
+                self.record(Hist::WideningUs, widening.as_micros_f64());
+            }
+            TelemetryEvent::Hop { .. } => self.bump(Counter::LinkHop),
+            TelemetryEvent::SnNesn { .. } => self.bump(Counter::LinkSnNesn),
+            TelemetryEvent::CrcFail { .. } => self.bump(Counter::LinkCrcFail),
+            TelemetryEvent::LlControl { .. } => self.bump(Counter::LinkControlPdu),
+            TelemetryEvent::ConnectionEstablished { .. } => self.bump(Counter::LinkConnected),
+            TelemetryEvent::ConnectionClosed { .. } => self.bump(Counter::LinkDisconnect),
+            TelemetryEvent::SnifferSync { .. } => self.bump(Counter::AttackSnifferSync),
+            TelemetryEvent::SnifferLost { .. } => self.bump(Counter::AttackSnifferLost),
+            TelemetryEvent::InjectionAttempt { lead, .. } => {
+                self.bump(Counter::AttackAttempts);
+                self.record(Hist::LeadUs, lead.as_micros_f64());
+            }
+            TelemetryEvent::HeuristicVerdict { verdict, .. } => self.bump(match verdict {
+                Verdict::Success => Counter::AttackSuccess,
+                Verdict::Rejected => Counter::AttackRejected,
+                Verdict::NoResponse => Counter::AttackNoResponse,
+            }),
+            TelemetryEvent::AnchorPrediction { error_us } => {
+                self.record(Hist::AnchorErrorUs, *error_us);
+            }
+            TelemetryEvent::IfsDelta { delta_us } => self.record(Hist::IfsDeltaUs, *delta_us),
+            TelemetryEvent::Takeover { .. } => self.bump(Counter::AttackTakeover),
+            TelemetryEvent::ResyncFailed { .. } => {}
+            TelemetryEvent::DetectorAlert { magnitude_us, .. } => {
+                self.bump(Counter::DetectorAlerts);
+                self.record(Hist::DetectorMagnitudeUs, *magnitude_us);
+            }
+            TelemetryEvent::PoolExhausted { .. } => self.bump(Counter::HostPoolExhausted),
+            TelemetryEvent::SlotDenied => self.bump(Counter::HostSlotDenied),
+            TelemetryEvent::ConnEstablished { .. } => self.bump(Counter::HostConnEstablished),
+            TelemetryEvent::ConnReleased { .. } => self.bump(Counter::HostConnReleased),
+            TelemetryEvent::PoolHighWater { .. } => {}
+            TelemetryEvent::FaultBurst { active, .. } => {
+                if *active {
+                    self.bump(Counter::FaultBursts);
+                }
+            }
+            TelemetryEvent::FaultEpisode { active, .. } => {
+                if *active {
+                    self.bump(Counter::FaultEpisodes);
+                }
+            }
+            TelemetryEvent::FaultFrame { kind, .. } => self.bump(match kind {
+                FaultKind::Loss => Counter::FaultFramesLost,
+                FaultKind::Corruption => Counter::FaultFramesCorrupted,
+                // Burst/fading/drift faults are episodic, not per-frame; a
+                // mislabelled frame event still counts as a lost frame.
+                FaultKind::Interference | FaultKind::Fading | FaultKind::Drift => {
+                    Counter::FaultFramesLost
+                }
+            }),
+            TelemetryEvent::SpanEnter { .. } => self.bump(Counter::SpanEnters),
+            TelemetryEvent::SpanExit {
+                kind,
+                sim_ns,
+                wall_ns,
+                self_sim_ns,
+                self_wall_ns,
+                ..
+            } => self.add_span(*kind, [1, *sim_ns, *self_sim_ns, *wall_ns, *self_wall_ns]),
         }
     }
 
-    /// Drains a sink's buffer into this registry: counters and span totals
-    /// add (and read 0 in `buf` afterwards), set gauges overwrite, and each
-    /// non-empty histogram moves into an empty slot or merges into a filled
-    /// one. The move is bit-identical to merging into a fresh histogram:
-    /// `0.0 + sum` is `sum`, and min and max start at +∞ and 0.0 over
-    /// non-negative magnitudes.
-    fn absorb(&mut self, buf: &mut MetricsRegistry) {
-        self.add_counts_and_gauges(buf);
-        buf.counters = [0; COUNTERS];
-        buf.spans = [[0; 5]; SpanKind::ALL.len()];
-        for (mine, theirs) in self.histograms.iter_mut().zip(&mut buf.histograms) {
+    /// Publishes a block's tallies into this registry and empties the
+    /// block: counters and span totals add (and read 0 in `block`
+    /// afterwards), and each non-empty histogram moves into an empty slot
+    /// or merges into a filled one. The move is bit-identical to merging
+    /// into a fresh histogram: `0.0 + sum` is `sum`, and min and max start
+    /// at +∞ and 0.0 over non-negative magnitudes.
+    pub(crate) fn absorb(&mut self, block: &mut MetricsRegistry) {
+        let mine = self
+            .counters
+            .iter_mut()
+            .chain(self.spans.iter_mut().flatten());
+        let theirs = block.counters.iter().chain(block.spans.iter().flatten());
+        for (m, t) in mine.zip(theirs) {
+            *m = m.saturating_add(*t);
+        }
+        block.counters = [0; COUNTERS];
+        block.spans = [[0; 5]; SpanKind::ALL.len()];
+        for (mine, theirs) in self.histograms.iter_mut().zip(&mut block.histograms) {
             let Some(h) = theirs.as_mut().filter(|h| !h.is_empty()) else {
                 continue;
             };
@@ -630,22 +598,6 @@ impl MetricsRegistry {
                     h.clear();
                 }
                 None => *mine = theirs.take(),
-            }
-        }
-    }
-
-    fn add_counts_and_gauges(&mut self, other: &MetricsRegistry) {
-        let mine = self
-            .counters
-            .iter_mut()
-            .chain(self.spans.iter_mut().flatten());
-        let theirs = other.counters.iter().chain(other.spans.iter().flatten());
-        for (m, t) in mine.zip(theirs) {
-            *m = m.saturating_add(*t);
-        }
-        for (m, t) in self.gauges.iter_mut().zip(other.gauges) {
-            if t.is_some() {
-                *m = t;
             }
         }
     }
@@ -664,21 +616,6 @@ impl MetricsRegistry {
         }
     }
 
-    fn set(&mut self, gauge: Gauge, value: f64) {
-        if let Some(g) = self.gauges.get_mut(gauge.index()) {
-            *g = Some(value);
-        }
-    }
-
-    /// Raises a running-maximum gauge; readings of 0 leave it unset.
-    fn raise(&mut self, gauge: Gauge, value: f64) {
-        if let Some(g) = self.gauges.get_mut(gauge.index()) {
-            if value > g.unwrap_or(0.0) {
-                *g = Some(value);
-            }
-        }
-    }
-
     fn record(&mut self, hist: Hist, value_us: f64) {
         if let Some(h) = self.histograms.get_mut(hist.index()) {
             h.get_or_insert_with(HistogramUs::default).record(value_us);
@@ -686,161 +623,10 @@ impl MetricsRegistry {
     }
 }
 
-/// A [`TelemetrySink`] that folds every event into a [`MetricsRegistry`].
-///
-/// The event→metric mapping is an exhaustive match (xtask R4): adding a
-/// [`TelemetryEvent`] variant forces a decision here about how it is
-/// counted.
-///
-/// Tallies are buffered in a private registry block and only folded into
-/// the shared registry on [`TelemetrySink::flush`] (or drop): `emit` sits
-/// on the simulation hot path and touches no lock. A flush is one
-/// slot-wise add under the lock. Read the registry only after flushing the
-/// world's sinks.
-#[derive(Debug)]
-pub struct MetricsSink {
-    registry: SharedRegistry,
-    buf: MetricsRegistry,
-}
-
-impl MetricsSink {
-    /// A sink feeding a fresh shared registry.
-    pub fn new() -> Self {
-        Self::with_registry(MetricsRegistry::shared())
-    }
-
-    /// A sink feeding an existing registry.
-    pub fn with_registry(registry: SharedRegistry) -> Self {
-        MetricsSink {
-            registry,
-            buf: MetricsRegistry::new(),
-        }
-    }
-
-    /// The shared registry this sink feeds. Buffered tallies become
-    /// visible here after [`TelemetrySink::flush`].
-    pub fn handle(&self) -> SharedRegistry {
-        self.registry.clone()
-    }
-
-    /// Drains the buffered tallies into the shared registry.
-    fn fold_into_registry(&mut self) {
-        if self.buf.get(Counter::TelemetryEvents) == 0 {
-            return;
-        }
-        self.registry.lock().absorb(&mut self.buf);
-    }
-}
-
-impl Default for MetricsSink {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Drop for MetricsSink {
-    fn drop(&mut self) {
-        self.fold_into_registry();
-    }
-}
-
-impl TelemetrySink for MetricsSink {
-    fn emit(&mut self, record: &TelemetryRecord) {
-        let b = &mut self.buf;
-        b.bump(Counter::TelemetryEvents);
-        b.set(Gauge::LastEventUs, record.at.as_micros_f64());
-        match &record.event {
-            TelemetryEvent::NodeAdded { .. } => b.bump(Counter::SimNodes),
-            TelemetryEvent::TxStart { .. } => b.bump(Counter::PhyTx),
-            TelemetryEvent::TxEnd => {}
-            TelemetryEvent::RxLock { .. } => b.bump(Counter::PhyRxLock),
-            TelemetryEvent::Relock { .. } => b.bump(Counter::PhyRelock),
-            TelemetryEvent::RxEnd { crc_ok, .. } => {
-                b.bump(Counter::PhyRx);
-                if !crc_ok {
-                    b.bump(Counter::PhyRxCrcBad);
-                }
-            }
-            TelemetryEvent::Collision { .. } => b.bump(Counter::PhyCollision),
-            TelemetryEvent::InterferenceSpill { .. } => b.bump(Counter::PhyInterferenceSpill),
-            TelemetryEvent::Anchor { .. } => b.bump(Counter::LinkAnchor),
-            TelemetryEvent::WindowOpen { widening, .. } => {
-                b.bump(Counter::LinkWindowOpen);
-                b.record(Hist::WideningUs, widening.as_micros_f64());
-            }
-            TelemetryEvent::Hop { .. } => b.bump(Counter::LinkHop),
-            TelemetryEvent::SnNesn { .. } => b.bump(Counter::LinkSnNesn),
-            TelemetryEvent::CrcFail { .. } => b.bump(Counter::LinkCrcFail),
-            TelemetryEvent::LlControl { .. } => b.bump(Counter::LinkControlPdu),
-            TelemetryEvent::ConnectionEstablished { .. } => b.bump(Counter::LinkConnected),
-            TelemetryEvent::ConnectionClosed { .. } => b.bump(Counter::LinkDisconnect),
-            TelemetryEvent::SnifferSync { .. } => b.bump(Counter::AttackSnifferSync),
-            TelemetryEvent::SnifferLost { .. } => b.bump(Counter::AttackSnifferLost),
-            TelemetryEvent::InjectionAttempt { lead, .. } => {
-                b.bump(Counter::AttackAttempts);
-                b.record(Hist::LeadUs, lead.as_micros_f64());
-            }
-            TelemetryEvent::HeuristicVerdict { verdict, .. } => b.bump(match verdict {
-                Verdict::Success => Counter::AttackSuccess,
-                Verdict::Rejected => Counter::AttackRejected,
-                Verdict::NoResponse => Counter::AttackNoResponse,
-            }),
-            TelemetryEvent::AnchorPrediction { error_us } => {
-                b.record(Hist::AnchorErrorUs, *error_us);
-            }
-            TelemetryEvent::IfsDelta { delta_us } => b.record(Hist::IfsDeltaUs, *delta_us),
-            TelemetryEvent::Takeover { .. } => b.bump(Counter::AttackTakeover),
-            TelemetryEvent::ResyncFailed { .. } => {}
-            TelemetryEvent::DetectorAlert { magnitude_us, .. } => {
-                b.bump(Counter::DetectorAlerts);
-                b.record(Hist::DetectorMagnitudeUs, *magnitude_us);
-            }
-            TelemetryEvent::PoolExhausted { .. } => b.bump(Counter::HostPoolExhausted),
-            TelemetryEvent::SlotDenied => b.bump(Counter::HostSlotDenied),
-            TelemetryEvent::ConnEstablished { .. } => b.bump(Counter::HostConnEstablished),
-            TelemetryEvent::ConnReleased { .. } => b.bump(Counter::HostConnReleased),
-            TelemetryEvent::PoolHighWater { in_use } => {
-                b.raise(Gauge::PoolHighWater, f64::from(*in_use));
-            }
-            TelemetryEvent::FaultBurst { active, .. } => {
-                if *active {
-                    b.bump(Counter::FaultBursts);
-                }
-            }
-            TelemetryEvent::FaultEpisode { active, .. } => {
-                if *active {
-                    b.bump(Counter::FaultEpisodes);
-                }
-            }
-            TelemetryEvent::FaultFrame { kind, .. } => b.bump(match kind {
-                FaultKind::Loss => Counter::FaultFramesLost,
-                FaultKind::Corruption => Counter::FaultFramesCorrupted,
-                // Burst/fading/drift faults are episodic, not per-frame; a
-                // mislabelled frame event still counts as a lost frame.
-                FaultKind::Interference | FaultKind::Fading | FaultKind::Drift => {
-                    Counter::FaultFramesLost
-                }
-            }),
-            TelemetryEvent::SpanEnter { .. } => b.bump(Counter::SpanEnters),
-            TelemetryEvent::SpanExit {
-                kind,
-                sim_ns,
-                wall_ns,
-                self_sim_ns,
-                self_wall_ns,
-                ..
-            } => b.add_span(*kind, [1, *sim_ns, *self_sim_ns, *wall_ns, *self_wall_ns]),
-        }
-    }
-
-    fn flush(&mut self) {
-        self.fold_into_registry();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sink::{Telemetry, TelemetryRecord};
     use simkit::{Duration, Instant};
 
     #[test]
@@ -943,207 +729,154 @@ mod tests {
     #[test]
     fn registry_counters_gauges_histograms() {
         let mut r = MetricsRegistry::new();
-        r.inc("phy.tx");
-        r.add("phy.tx", 2);
+        for _ in 0..3 {
+            r.tally(&TelemetryEvent::TxStart {
+                channel: 1,
+                access_address: 0x1,
+                pdu_len: 2,
+                end: Instant::ZERO,
+            });
+        }
         assert_eq!(r.counter("phy.tx"), 3);
         assert_eq!(r.get(Counter::PhyTx), 3);
         assert_eq!(r.counter("missing"), 0);
-        r.set_gauge("sim.last_event_us", 1.5);
-        r.set_gauge("sim.last_event_us", 2.5);
-        assert_eq!(r.gauge("sim.last_event_us"), Some(2.5));
-        r.observe_us("attack.lead_us", 3.0);
-        assert_eq!(
-            r.histogram("attack.lead_us").map(HistogramUs::count),
-            Some(1)
-        );
-
-        let mut other = MetricsRegistry::new();
-        other.add("phy.tx", 10);
-        other.set_gauge("sim.last_event_us", 9.0);
-        other.observe_us("attack.lead_us", 4.0);
-        r.merge(&other);
-        assert_eq!(r.counter("phy.tx"), 13);
-        assert_eq!(r.gauge("sim.last_event_us"), Some(9.0));
-        assert_eq!(r.hist(Hist::LeadUs).map(HistogramUs::count), Some(2));
-
-        // A name outside the table has no slot: writes change nothing.
-        let before = r.clone();
-        r.inc("missing");
-        r.set_gauge("missing", 1.0);
-        r.observe_us("missing", 1.0);
-        r.add("attack.lead_us", 1); // a histogram name is not a counter
-        assert_eq!(r.counter("missing"), 0);
-        assert_eq!(r.gauge("missing"), None);
-        assert!(r.histogram("missing").is_none());
-        assert!(r.counters().eq(before.counters()));
-        assert!(r.gauges().eq(before.gauges()));
-        assert!(r.histograms().eq(before.histograms()));
+        r.tally(&TelemetryEvent::InjectionAttempt {
+            channel: 3,
+            lead: Duration::from_micros(3),
+        });
+        assert_eq!(r.hist(Hist::LeadUs).map(HistogramUs::count), Some(1));
+        assert_eq!(r.get(Counter::TelemetryEvents), 4);
+        // The registry keeps no gauges: a pool's high-water mark is a trace
+        // record only, counted as an event and nothing else.
+        r.tally(&TelemetryEvent::PoolHighWater { in_use: 9 });
+        assert_eq!(r.counter("host.pool_high_water"), 0);
+        assert_eq!(r.get(Counter::TelemetryEvents), 5);
+        // A histogram name is not a counter name.
+        assert_eq!(r.counter("attack.lead_us"), 0);
     }
 
     #[test]
     fn counter_saturates_instead_of_overflowing() {
         let mut r = MetricsRegistry::new();
-        r.add("phy.tx", u64::MAX - 1);
-        r.add("phy.tx", 5);
+        r.counters[Counter::PhyTx.index()] = u64::MAX - 1;
+        for _ in 0..5 {
+            r.tally(&TelemetryEvent::TxStart {
+                channel: 1,
+                access_address: 0x1,
+                pdu_len: 2,
+                end: Instant::ZERO,
+            });
+        }
         assert_eq!(r.counter("phy.tx"), u64::MAX);
+        let mut published = MetricsRegistry::new();
+        published.absorb(&mut r.clone());
+        published.absorb(&mut r);
+        assert_eq!(published.get(Counter::PhyTx), u64::MAX);
+    }
+
+    /// A world's telemetry with the metrics block on, fed `records`.
+    fn telemetry_fed(records: &[TelemetryRecord]) -> (Telemetry, SharedRegistry) {
+        let mut t = Telemetry::default();
+        let reg = t.enable_metrics(std::iter::empty());
+        for record in records {
+            t.emit_record(record);
+        }
+        (t, reg)
+    }
+
+    fn at(us: u64, event: TelemetryEvent) -> TelemetryRecord {
+        TelemetryRecord {
+            at: Instant::from_micros(us),
+            node: Some(0),
+            event,
+        }
     }
 
     #[test]
     fn sink_classifies_events() {
-        let sink = MetricsSink::new();
-        let reg = sink.handle();
-        let mut sink = sink;
-        {
-            let mut emit = |event: TelemetryEvent| {
-                sink.emit(&TelemetryRecord {
-                    at: Instant::from_micros(10),
-                    node: Some(0),
-                    event,
-                });
-            };
-            emit(TelemetryEvent::InjectionAttempt {
-                channel: 3,
-                lead: Duration::from_micros(40),
-            });
-            emit(TelemetryEvent::HeuristicVerdict {
-                verdict: Verdict::Success,
-                attempts_total: 1,
-            });
-            emit(TelemetryEvent::AnchorPrediction { error_us: -2.0 });
-            emit(TelemetryEvent::RxEnd {
-                channel: 1,
-                access_address: 0x1,
-                crc_ok: false,
-                interferers: 1,
-            });
-        }
-        // Tallies are buffered until the sink flushes.
+        let (mut t, reg) = telemetry_fed(&[
+            at(
+                10,
+                TelemetryEvent::InjectionAttempt {
+                    channel: 3,
+                    lead: Duration::from_micros(40),
+                },
+            ),
+            at(
+                10,
+                TelemetryEvent::HeuristicVerdict {
+                    verdict: Verdict::Success,
+                    attempts_total: 1,
+                },
+            ),
+            at(10, TelemetryEvent::AnchorPrediction { error_us: -2.0 }),
+            at(
+                10,
+                TelemetryEvent::RxEnd {
+                    channel: 1,
+                    access_address: 0x1,
+                    crc_ok: false,
+                    interferers: 1,
+                },
+            ),
+        ]);
+        // Tallies stay in the world's block until the world flushes.
         assert_eq!(reg.lock().counter("telemetry.events"), 0);
-        sink.flush();
+        t.flush_at(Instant::ZERO);
         let reg = reg.lock();
         assert_eq!(reg.counter("telemetry.events"), 4);
         assert_eq!(reg.counter("attack.attempts"), 1);
         assert_eq!(reg.counter("attack.success"), 1);
         assert_eq!(reg.counter("phy.rx_crc_bad"), 1);
+        assert_eq!(reg.hist(Hist::LeadUs).map(HistogramUs::count), Some(1));
         assert_eq!(
-            reg.histogram("attack.lead_us").map(HistogramUs::count),
+            reg.hist(Hist::AnchorErrorUs).map(HistogramUs::count),
             Some(1)
         );
-        assert_eq!(
-            reg.histogram("attack.anchor_error_us")
-                .map(HistogramUs::count),
-            Some(1)
-        );
-        assert_eq!(reg.gauge("sim.last_event_us"), Some(10.0));
     }
 
     #[test]
     fn span_exits_fold_into_kind_scoped_counters() {
-        let mut sink = MetricsSink::new();
-        let reg = sink.handle();
-        sink.emit(&TelemetryRecord {
-            at: Instant::from_micros(1),
-            node: None,
-            event: TelemetryEvent::SpanEnter {
-                id: 1,
-                kind: SpanKind::TrialSync,
-                detail: 0,
-            },
+        let mut r = MetricsRegistry::new();
+        r.tally(&TelemetryEvent::SpanEnter {
+            id: 1,
+            kind: SpanKind::TrialSync,
+            detail: 0,
         });
-        sink.emit(&TelemetryRecord {
-            at: Instant::from_micros(9),
-            node: None,
-            event: TelemetryEvent::SpanExit {
-                id: 1,
-                kind: SpanKind::TrialSync,
-                detail: 0,
-                sim_ns: 8_000,
-                wall_ns: 120,
-                self_sim_ns: 6_000,
-                self_wall_ns: 100,
-            },
+        r.tally(&TelemetryEvent::SpanExit {
+            id: 1,
+            kind: SpanKind::TrialSync,
+            detail: 0,
+            sim_ns: 8_000,
+            wall_ns: 120,
+            self_sim_ns: 6_000,
+            self_wall_ns: 100,
         });
-        sink.flush();
-        let reg = reg.lock();
-        assert_eq!(reg.counter("span.enters"), 1);
-        assert_eq!(reg.counter("span.trial_sync.count"), 1);
-        assert_eq!(reg.counter("span.trial_sync.sim_ns"), 8_000);
-        assert_eq!(reg.counter("span.trial_sync.self_sim_ns"), 6_000);
-        assert_eq!(reg.counter("span.trial_sync.wall_ns"), 120);
-        assert_eq!(reg.counter("span.trial_sync.self_wall_ns"), 100);
-        assert_eq!(reg.counter("span.trial_follow.count"), 0);
-    }
-
-    #[test]
-    fn dropping_the_sink_folds_buffered_tallies() {
-        let mut sink = MetricsSink::new();
-        let reg = sink.handle();
-        sink.emit(&TelemetryRecord {
-            at: Instant::from_micros(5),
-            node: None,
-            event: TelemetryEvent::TxEnd,
-        });
-        drop(sink);
-        assert_eq!(reg.lock().counter("telemetry.events"), 1);
-        assert_eq!(reg.lock().gauge("sim.last_event_us"), Some(5.0));
+        assert_eq!(r.counter("span.enters"), 1);
+        assert_eq!(r.counter("span.trial_sync.count"), 1);
+        assert_eq!(r.counter("span.trial_sync.sim_ns"), 8_000);
+        assert_eq!(r.counter("span.trial_sync.self_sim_ns"), 6_000);
+        assert_eq!(r.counter("span.trial_sync.wall_ns"), 120);
+        assert_eq!(r.counter("span.trial_sync.self_wall_ns"), 100);
+        assert_eq!(r.counter("span.trial_follow.count"), 0);
     }
 
     #[test]
     fn repeated_flushes_do_not_double_count() {
-        let mut sink = MetricsSink::new();
-        let reg = sink.handle();
-        sink.emit(&TelemetryRecord {
-            at: Instant::from_micros(1),
-            node: None,
-            event: TelemetryEvent::AnchorPrediction { error_us: 2.0 },
-        });
-        sink.flush();
-        sink.flush();
+        let (mut t, reg) =
+            telemetry_fed(&[at(1, TelemetryEvent::AnchorPrediction { error_us: 2.0 })]);
+        t.flush_at(Instant::ZERO);
+        t.flush_at(Instant::ZERO);
         let reg = reg.lock();
         assert_eq!(reg.counter("telemetry.events"), 1);
         assert_eq!(
-            reg.histogram("attack.anchor_error_us")
-                .map(HistogramUs::count),
+            reg.hist(Hist::AnchorErrorUs).map(HistogramUs::count),
             Some(1)
         );
     }
 
-    #[test]
-    fn iteration_is_name_sorted_regardless_of_insertion_order() {
-        // The registry backs experiment artefacts: its iteration order must
-        // be a pure function of the metric names, never of the order the
-        // simulation happened to first touch them (determinism pass).
-        let mut fwd = MetricsRegistry::new();
-        fwd.inc("attack.attempts");
-        fwd.inc("telemetry.events");
-        fwd.set_gauge("host.pool_high_water", 1.0);
-        fwd.set_gauge("sim.last_event_us", 2.0);
-        fwd.observe_us("attack.anchor_error_us", 1.0);
-        fwd.observe_us("link.widening_us", 2.0);
-        let mut rev = MetricsRegistry::new();
-        rev.observe_us("link.widening_us", 2.0);
-        rev.observe_us("attack.anchor_error_us", 1.0);
-        rev.set_gauge("sim.last_event_us", 2.0);
-        rev.set_gauge("host.pool_high_water", 1.0);
-        rev.inc("telemetry.events");
-        rev.inc("attack.attempts");
-        let names = |r: &MetricsRegistry| {
-            (
-                r.counters().map(|(k, _)| k).collect::<Vec<_>>(),
-                r.gauges().map(|(k, _)| k).collect::<Vec<_>>(),
-                r.histograms().map(|(k, _)| k).collect::<Vec<_>>(),
-            )
-        };
-        assert_eq!(names(&fwd), names(&rev));
-        assert_eq!(
-            fwd.counters().map(|(k, _)| k).collect::<Vec<_>>(),
-            vec!["attack.attempts", "telemetry.events"],
-            "counters iterate in name order"
-        );
-    }
-
-    /// Every counter name the sink has ever written, as the string-keyed
-    /// registry's fold listed them.
+    /// Every counter name, as the string-keyed registry's fold listed
+    /// them.
     const SINK_COUNTERS: [&str; 34] = [
         "telemetry.events",
         "sim.nodes",
@@ -1202,76 +935,53 @@ mod tests {
         "fault.frames_corrupted",
     ];
 
-    const SINK_HISTOGRAMS: [&str; 5] = [
-        "link.widening_us",
-        "attack.lead_us",
-        "attack.anchor_error_us",
-        "attack.ifs_delta_us",
-        "detector.magnitude_us",
-    ];
-
-    fn span_names() -> Vec<&'static str> {
-        SpanKind::ALL
-            .into_iter()
-            .flat_map(|kind| {
-                let n = kind.metric_names();
-                [n.count, n.sim_ns, n.self_sim_ns, n.wall_ns, n.self_wall_ns]
-            })
-            .collect()
-    }
-
     #[test]
     fn every_name_the_sink_writes_resolves_to_its_own_slot() {
         // An unknown name reads 0, so a typo in the table would silently
-        // zero a metric. Give every counter a distinct value and read each
-        // one back: a missing name reads 0 and two names sharing a slot
-        // read the same sum.
-        let counters: Vec<&str> = SINK_COUNTERS.into_iter().chain(span_names()).collect();
+        // zero a metric. Give every slot a distinct value and read each
+        // name back: a missing name reads 0 and two names sharing a slot
+        // read the same value.
         let mut r = MetricsRegistry::new();
-        for (value, name) in (1u64..).zip(&counters) {
-            r.add(name, value);
+        for (value, c) in (1u64..).zip(r.counters.iter_mut()) {
+            *c = value;
         }
-        for (value, name) in (1u64..).zip(&counters) {
-            assert_eq!(r.counter(name), value, "{name}");
+        for (value, c) in (100u64..).zip(r.spans.iter_mut().flatten()) {
+            *c = value;
         }
-        for name in TRACE_TRIAL_COUNTERS {
-            assert!(SINK_COUNTERS.contains(&name), "{name}");
-            assert_ne!(r.counter(name), 0, "{name}");
-        }
-        // The lookup binary-searches the table, and `counters()` walks it.
-        assert!(NAMES.windows(2).all(|w| w[0].0 < w[1].0));
-        let names: Vec<&str> = r.counters().map(|(name, _)| name).collect();
-        assert_eq!(names.len(), counters.len());
-        assert!(names.windows(2).all(|w| w[0] < w[1]), "{names:?}");
+        let mut seen: Vec<u64> = SINK_COUNTERS.iter().map(|n| r.counter(n)).collect();
         for kind in SpanKind::ALL {
             let n = kind.metric_names();
-            let expected = [n.count, n.sim_ns, n.self_sim_ns, n.wall_ns, n.self_wall_ns]
+            let by_name = [n.count, n.sim_ns, n.self_sim_ns, n.wall_ns, n.self_wall_ns]
                 .map(|name| r.counter(name));
-            assert_eq!(r.span_totals(kind), expected, "{}", kind.as_str());
+            assert_eq!(r.span_totals(kind), by_name, "{}", kind.as_str());
+            seen.extend(by_name);
         }
-        for (value, name) in [(1.0, "sim.last_event_us"), (2.0, "host.pool_high_water")] {
-            r.set_gauge(name, value);
-            assert_eq!(r.gauge(name), Some(value), "{name}");
-        }
-        for (i, name) in SINK_HISTOGRAMS.into_iter().enumerate() {
-            for _ in 0..=i {
-                r.observe_us(name, 1.0);
-            }
-        }
-        for (i, name) in SINK_HISTOGRAMS.into_iter().enumerate() {
-            let count = r.histogram(name).map(HistogramUs::count);
-            assert_eq!(count, Some(i as u64 + 1), "{name}");
-        }
-        assert_eq!(r.counter("phy.tx_typo"), 0);
+        assert!(seen.iter().all(|&v| v != 0), "{seen:?}");
+        seen.sort_unstable();
+        seen.dedup();
         assert_eq!(
+            seen.len(),
             NAMES.len(),
-            counters.len() + 2 + SINK_HISTOGRAMS.len(),
-            "the table holds exactly the names the sink writes"
+            "the table holds exactly these names"
         );
+        for name in TRACE_TRIAL_COUNTERS {
+            assert!(SINK_COUNTERS.contains(&name), "{name}");
+        }
+        // `Counter` is declared in name order, so a counter's slot is its
+        // rank among the table's counter names.
+        let counter_names = NAMES
+            .iter()
+            .filter(|(_, slot)| matches!(slot, Slot::Counter(_)))
+            .map(|(name, _)| *name);
+        for (value, name) in (1u64..).zip(counter_names) {
+            assert_eq!(r.counter(name), value, "{name}");
+        }
+        // The lookup binary-searches the table.
+        assert!(NAMES.windows(2).all(|w| w[0].0 < w[1].0));
+        assert_eq!(r.counter("phy.tx_typo"), 0);
     }
 
-    /// A varied event stream: counters, span totals, both gauges and three
-    /// histograms.
+    /// A varied event stream: counters, span totals and three histograms.
     fn stream(seed: u32) -> Vec<TelemetryRecord> {
         (0..40u32)
             .map(|i| {
@@ -1304,44 +1014,44 @@ mod tests {
                         interferers: 0,
                     },
                 };
-                TelemetryRecord {
-                    at: Instant::from_micros(u64::from(i)),
-                    node: None,
-                    event,
-                }
+                at(u64::from(i), event)
             })
             .collect()
     }
 
+    /// The published registry of a world fed each stream in turn, flushing
+    /// after each.
     fn fed(streams: &[&[TelemetryRecord]]) -> MetricsRegistry {
-        let mut sink = MetricsSink::new();
-        let reg = sink.handle();
+        let (mut t, reg) = telemetry_fed(&[]);
         for stream in streams {
             for record in *stream {
-                sink.emit(record);
+                t.emit_record(record);
             }
-            sink.flush();
+            t.flush_at(Instant::ZERO);
         }
-        drop(sink);
         let r = reg.lock().clone();
         r
     }
 
     #[test]
     fn merging_two_registries_matches_one_fed_both_streams() {
+        // Two flushes into one handle: the second merges into histograms
+        // the first moved in. It must match one flush of both streams.
         let (a, b) = (stream(3), stream(11));
-        let mut merged = fed(&[&a]);
-        merged.merge(&fed(&[&b]));
-        let both = fed(&[&a, &b]);
-        assert!(merged.counters().eq(both.counters()));
-        assert!(merged.gauges().eq(both.gauges()));
+        let merged = fed(&[&a, &b]);
+        let both: Vec<TelemetryRecord> = a.iter().chain(&b).cloned().collect();
+        let once = fed(&[&both]);
+        assert_eq!(merged.counters, once.counters);
+        assert_eq!(merged.spans, once.spans);
         let counts = |r: &MetricsRegistry| {
-            r.histograms()
-                .map(|(name, h)| (name, h.count(), h.bucket_counts().to_vec()))
+            r.histograms
+                .iter()
+                .flatten()
+                .map(|h| (h.count(), h.bucket_counts().to_vec()))
                 .collect::<Vec<_>>()
         };
-        assert_eq!(counts(&merged), counts(&both));
-        assert_eq!(counts(&both).len(), 3);
+        assert_eq!(counts(&merged), counts(&once));
+        assert_eq!(counts(&once).len(), 3);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use simkit::Instant;
 
 use crate::event::TelemetryEvent;
+use crate::metrics::{Counter, MetricsRegistry, SharedRegistry};
 use crate::span::{ClosedSpan, SpanId, SpanKind, SpanTracker};
 
 /// One emitted record: when, who, what.
@@ -32,11 +33,12 @@ pub trait TelemetrySink: Send {
     fn flush(&mut self) {}
 }
 
-/// The per-simulation dispatcher: a (usually empty) set of sinks.
+/// The per-simulation dispatcher: the world's metrics block, when on, and
+/// a (usually empty) set of trace sinks.
 ///
 /// Emit sites go through [`Telemetry::is_enabled`] or the deferred-build
-/// pattern so that, with no sinks attached, an emit compiles to a
-/// branch-and-return — the event value is never constructed.
+/// pattern so that, with neither metrics nor a sink on, an emit compiles
+/// to a branch-and-return — the event value is never constructed.
 ///
 /// # Example
 ///
@@ -47,6 +49,7 @@ pub trait TelemetrySink: Send {
 /// let mut telemetry = Telemetry::default();
 /// assert!(!telemetry.is_enabled());
 ///
+/// let registry = telemetry.enable_metrics(std::iter::empty());
 /// let sink = RingBufferSink::new(16);
 /// let ring = sink.handle();
 /// telemetry.add_sink(Box::new(sink));
@@ -56,10 +59,15 @@ pub trait TelemetrySink: Send {
 ///     event: TelemetryEvent::TxEnd,
 /// });
 /// assert_eq!(ring.lock().len(), 1);
+/// telemetry.flush_at(Instant::ZERO);
+/// assert_eq!(registry.lock().counter("telemetry.events"), 1);
 /// ```
 #[derive(Default)]
 pub struct Telemetry {
     sinks: Vec<Box<dyn TelemetrySink>>,
+    /// The block every record is tallied into, and the handle a flush
+    /// publishes it to.
+    metrics: Option<(MetricsRegistry, SharedRegistry)>,
     spans: SpanTracker,
 }
 
@@ -67,17 +75,35 @@ impl std::fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Telemetry")
             .field("sinks", &self.sinks.len())
+            .field("metrics", &self.metrics.is_some())
             .field("open_spans", &self.spans.open())
             .finish()
     }
 }
 
 impl Telemetry {
-    /// Whether any sink is attached. Hot emit sites check this before
-    /// building an event.
+    /// Whether the metrics block or any sink is on. Hot emit sites check
+    /// this before building an event.
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        !self.sinks.is_empty()
+        self.metrics.is_some() || !self.sinks.is_empty()
+    }
+
+    /// Turns on a fresh metrics block, tallies `replay` into it (the
+    /// records emitted before this call that it should count), and returns
+    /// the handle every later [`Telemetry::flush_at`] publishes the block
+    /// to. Calling it again starts a new block behind a new handle.
+    pub fn enable_metrics(
+        &mut self,
+        replay: impl IntoIterator<Item = TelemetryEvent>,
+    ) -> SharedRegistry {
+        let mut block = MetricsRegistry::new();
+        for event in replay {
+            block.tally(&event);
+        }
+        let handle = SharedRegistry::default();
+        self.metrics = Some((block, handle.clone()));
+        handle
     }
 
     /// Attaches a sink. Sinks receive every record emitted after attachment,
@@ -86,31 +112,15 @@ impl Telemetry {
         self.sinks.push(sink);
     }
 
-    /// Fans a record out to every sink.
+    /// Tallies a record into the metrics block and fans it out to every
+    /// sink.
     pub fn emit_record(&mut self, record: &TelemetryRecord) {
+        if let Some((block, _)) = &mut self.metrics {
+            block.tally(&record.event);
+        }
         for sink in &mut self.sinks {
             sink.emit(record);
         }
-    }
-
-    /// Builds the event lazily and fans it out; returns immediately when no
-    /// sink is attached.
-    #[inline]
-    pub fn emit_with(
-        &mut self,
-        at: Instant,
-        node: Option<u32>,
-        build: impl FnOnce() -> TelemetryEvent,
-    ) {
-        if self.sinks.is_empty() {
-            return;
-        }
-        let record = TelemetryRecord {
-            at,
-            node,
-            event: build(),
-        };
-        self.emit_record(&record);
     }
 
     /// Installs the wall clock used for span wall-time attribution — a
@@ -124,7 +134,7 @@ impl Telemetry {
 
     /// Opens a span and emits its [`TelemetryEvent::SpanEnter`] record.
     ///
-    /// With no sink attached this is a branch-and-return: no id is consumed,
+    /// With telemetry off this is a branch-and-return: no id is consumed,
     /// no clock is read, nothing is pushed, and the returned
     /// [`SpanId::DISABLED`] sentinel makes the matching
     /// [`Telemetry::span_exit`] a no-op too.
@@ -136,7 +146,7 @@ impl Telemetry {
         kind: SpanKind,
         detail: u32,
     ) -> SpanId {
-        if self.sinks.is_empty() {
+        if !self.is_enabled() {
             return SpanId::DISABLED;
         }
         let id = self.spans.enter(at, node, kind, detail);
@@ -156,10 +166,10 @@ impl Telemetry {
     /// Closes a span and emits its [`TelemetryEvent::SpanExit`] record with
     /// sim-time and wall-clock totals plus self-time (net of nested spans).
     /// No-op for [`SpanId::DISABLED`] or an id already closed (e.g. by the
-    /// end-of-run [`Telemetry::flush`]).
+    /// end-of-run [`Telemetry::flush_at`]).
     #[inline]
     pub fn span_exit(&mut self, at: Instant, id: SpanId) {
-        if id.is_disabled() || self.sinks.is_empty() {
+        if id.is_disabled() || !self.is_enabled() {
             return;
         }
         if let Some(closed) = self.spans.exit(at, id) {
@@ -189,58 +199,21 @@ impl Telemetry {
         self.spans.open()
     }
 
-    /// Closes every still-open span (topmost first) so sinks always see a
-    /// balanced enter/exit stream, then flushes every sink. Called by the
-    /// world at end of run.
+    /// Closes every still-open span (topmost first) so the metrics block
+    /// and the sinks always see a balanced enter/exit stream, publishes the
+    /// block's tallies to its handle, and flushes every sink. Called by the
+    /// world at end of run; read the handle only after it.
     pub fn flush_at(&mut self, at: Instant) {
         for closed in self.spans.close_all(at) {
             self.emit_closed_span(&closed);
         }
-        self.flush();
-    }
-
-    /// Flushes every sink.
-    pub fn flush(&mut self) {
+        if let Some((block, handle)) = &mut self.metrics {
+            if block.get(Counter::TelemetryEvents) != 0 {
+                handle.lock().absorb(block);
+            }
+        }
         for sink in &mut self.sinks {
             sink.flush();
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    struct Counting {
-        seen: std::sync::Arc<std::sync::atomic::AtomicU64>,
-    }
-
-    impl TelemetrySink for Counting {
-        fn emit(&mut self, _record: &TelemetryRecord) {
-            self.seen.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        }
-    }
-
-    #[test]
-    fn disabled_dispatcher_never_builds_the_event() {
-        let mut t = Telemetry::default();
-        let mut built = false;
-        t.emit_with(Instant::ZERO, None, || {
-            built = true;
-            TelemetryEvent::TxEnd
-        });
-        assert!(!built, "event closure ran with no sinks attached");
-    }
-
-    #[test]
-    fn records_fan_out_to_every_sink() {
-        let mut t = Telemetry::default();
-        let a = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
-        let b = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
-        t.add_sink(Box::new(Counting { seen: a.clone() }));
-        t.add_sink(Box::new(Counting { seen: b.clone() }));
-        t.emit_with(Instant::from_micros(5), Some(1), || TelemetryEvent::TxEnd);
-        assert_eq!(a.load(std::sync::atomic::Ordering::Relaxed), 1);
-        assert_eq!(b.load(std::sync::atomic::Ordering::Relaxed), 1);
     }
 }

@@ -9,9 +9,9 @@
 //!
 //! Spans ride the existing [`crate::TelemetryEvent`] bus as
 //! [`crate::TelemetryEvent::SpanEnter`] / [`crate::TelemetryEvent::SpanExit`]
-//! records, so every sink (ring, JSONL, metrics) sees them with no new
-//! plumbing, and the emit discipline is identical: with no sink attached a
-//! span enter/exit is a branch-and-return that never reads the clock, never
+//! records, so the metrics block and every sink (ring, JSONL) see them with
+//! no new plumbing, and the emit discipline is identical: with telemetry off
+//! a span enter/exit is a branch-and-return that never reads the clock, never
 //! touches the stack and never allocates.
 //!
 //! Nesting is LIFO **per node**: a node's radio does one thing at a time, so
@@ -23,7 +23,7 @@
 use simkit::Instant;
 
 /// Identifier of one span instance. `SpanId::DISABLED` (0) is returned by
-/// enter when no sink is attached; exiting it is a no-op, so callers never
+/// enter when telemetry is off; exiting it is a no-op, so callers never
 /// need to branch on whether telemetry is on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanId(u32);

@@ -25,7 +25,7 @@ use simkit::{Duration, Instant};
 
 use crate::heuristic::{injection_succeeded, InjectionAttempt, ObservedResponse};
 use crate::mitm::MitmHandoff;
-use crate::resync::{ResyncController, ResyncPolicy, ResyncState};
+use crate::resync::{ResyncController, ResyncPolicy};
 use crate::stats::{AttackStats, AttemptOutcome};
 use crate::tracked::{ConnectionSniffer, EventPlan, SnifferEvent, TrackedConnection};
 
@@ -338,11 +338,6 @@ impl Attacker {
         self.span_inject = SpanId::DISABLED;
         ctx.span_exit(self.span_follow);
         self.span_follow = SpanId::DISABLED;
-    }
-
-    /// Where the bounded-retry resynchronisation loop currently stands.
-    pub fn resync_state(&self) -> ResyncState {
-        self.resync.state()
     }
 
     /// Whether every resynchronisation retry has been spent (the harness

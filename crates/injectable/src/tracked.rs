@@ -261,12 +261,6 @@ impl TrackedConnection {
         false
     }
 
-    /// Registers an attacker-forged connection update so the tracker (and
-    /// hijack logic) follows the *slave's* future timeline.
-    pub fn register_forged_update(&mut self, update: UpdateRequest, instant: u16) {
-        self.pending_update = Some((update, instant));
-    }
-
     /// CSA#1 state for connection adoption.
     pub fn csa_unmapped(&self) -> u8 {
         self.csa.last_unmapped()

@@ -5,7 +5,7 @@
 use ble_devices::bulb_payloads;
 use ble_host::att::AttPdu;
 use ble_scenario::ScenarioBuilder;
-use ble_telemetry::{MetricsSink, RingBufferSink, TelemetryEvent, Verdict};
+use ble_telemetry::{Hist, RingBufferSink, TelemetryEvent, Verdict};
 use injectable::{Mission, MissionState};
 use simkit::Duration;
 
@@ -14,10 +14,8 @@ fn scenario_a_emits_attempt_then_verdict_into_sinks() {
     let mut s = ScenarioBuilder::attack_rig(1).hop_interval(36).build();
     let ring = RingBufferSink::new(1 << 16);
     let records = ring.handle();
-    let metrics = MetricsSink::new();
-    let registry = metrics.handle();
     s.world.add_telemetry_sink(Box::new(ring));
-    s.world.add_telemetry_sink(Box::new(metrics));
+    let registry = s.world.enable_metrics();
     s.run_until_connected();
 
     let att = AttPdu::WriteRequest {
@@ -64,9 +62,9 @@ fn scenario_a_emits_attempt_then_verdict_into_sinks() {
     assert!(attempts >= 1);
     assert_eq!(attempts, verdicts);
 
-    // The metrics sink classified the same stream consistently, and agrees
-    // with the attacker's own statistics. (The sink buffers tallies until
-    // the world flushes its sinks.) The ring guard must be released first:
+    // The world's metrics block classified the same stream consistently,
+    // and agrees with the attacker's own statistics. (The block reaches the
+    // registry when the world flushes.) The ring guard must be released first:
     // flushing closes still-open spans, which emits records into every
     // attached sink — including the ring whose mutex the guard holds.
     drop(ring);
@@ -80,10 +78,10 @@ fn scenario_a_emits_attempt_then_verdict_into_sinks() {
         "link-layer anchors recorded"
     );
     assert!(reg.counter("phy.tx") > 0, "PHY transmissions recorded");
-    let lead = reg.histogram("attack.lead_us").expect("lead histogram");
+    let lead = reg.hist(Hist::LeadUs).expect("lead histogram");
     assert_eq!(lead.count(), stats_attempts);
     let anchor_err = reg
-        .histogram("attack.anchor_error_us")
+        .hist(Hist::AnchorErrorUs)
         .expect("anchor error histogram");
     assert!(anchor_err.count() > 0);
 }
