@@ -140,10 +140,10 @@ fn main() {
     println!("Reading: the zero rows are the unimpaired controls; rising burst");
     println!("duty or loss probability costs the attacker more attempts and, at");
     println!("the top of the loss sweep, the success rate itself. Attempt means");
-    println!("are computed over successful trials only, so heavy loss can show a");
-    println!("local dip: it kills the legitimate connection faster, and trials");
-    println!("that still succeed do so cheaply against the freshly re-synced");
-    println!("replacement connection.");
+    println!("are computed over successful trials only, and every trial of a");
+    println!("loss row replays the plan's one loss and corruption sequence, so");
+    println!("a loss row's attempt columns move as one draw, not as independent");
+    println!("ones, and need not rise monotonically with loss.");
     if let Some(path) = cli.json.as_deref() {
         let mut combined = burst_rows;
         combined.extend(loss_rows);

@@ -9,6 +9,7 @@
 //! medium schedules per frame (the quantity the channel-sharding rework
 //! keeps independent of world size).
 
+use bench::telemetry::phase_profile_from_registry;
 use bench::trial::{STALL_TICKS, SYNC_BUDGET};
 use bench::{
     attack, print_series_to, run_point, Bounce, Cli, StallWatchdog, TrialConfig, TrialMetrics,
@@ -17,13 +18,15 @@ use bench::{
 use ble_devices::Lightbulb;
 use ble_phy::Environment;
 use ble_scenario::{ScenarioBuilder, TelemetryMode};
+use ble_telemetry::SpanKind;
 use simkit::Duration;
 
 /// One dense-band trial: paper rig plus `pairs` background pairs in the
 /// dense hall; inject until the first confirmed success or the budget runs
 /// out. The trial's band statistics ride along as counters: frames put on
 /// the air (every transmitter, attacker included), `RxStart` events the
-/// medium scheduled, and receptions corrupted by an overlapping frame.
+/// medium scheduled, and receptions corrupted by an overlapping frame. Its
+/// `trial-sync`/`trial-follow` spans report where the simulated time goes.
 fn run_dense_trial(seed: u64, pairs: usize, cfg: &TrialConfig) -> TrialOutcome {
     let mut sc = ScenarioBuilder::paper_rig(seed)
         .environment(Environment::dense_hall())
@@ -33,33 +36,38 @@ fn run_dense_trial(seed: u64, pairs: usize, cfg: &TrialConfig) -> TrialOutcome {
         .build();
     let mut attempts = None;
     let mut effect_observed = false;
-    if sc.wait_synchronised(SYNC_BUDGET) {
+    // No span clock: the phases report simulated time only, so the hot
+    // path reads no clock and the wall columns stay 0.
+    let sync_span = sc.world.span_enter(SpanKind::TrialSync, 0);
+    let synced = sc.wait_synchronised(SYNC_BUDGET);
+    sc.world.span_exit(sync_span);
+    if synced {
         // Dense-band collisions can cycle the victim connection while the
         // attacker injects blind; the bulb re-advertises and the Central
         // reconnects on its own, so a stalled attacker only needs its scan
         // restarted.
+        let follow_span = sc.world.span_enter(SpanKind::TrialFollow, 0);
         attempts = attack(
             &mut sc,
             cfg,
             Some(StallWatchdog::new(STALL_TICKS, Bounce::Resync)),
         );
+        sc.world.span_exit(follow_span);
         effect_observed = sc.victim::<Lightbulb>().app.pings > 0;
     }
     sc.world.flush_telemetry();
     let totals = sc.delivery_totals().expect("tracker was enabled");
-    let collisions = sc
-        .metrics()
-        .map(|reg| reg.lock().counter("phy.collision"))
-        .unwrap_or(0);
+    let reg = sc.metrics().expect("the trial runs with metrics").lock();
     TrialOutcome {
         attempts,
         sim_seconds: sc.now().as_micros_f64() / 1e6,
         effect_observed,
         metrics: Some(TrialMetrics {
+            phase_profile: phase_profile_from_registry(&reg),
             counters: vec![
                 ("tx_frames", totals.tx_frames),
                 ("scheduled_rx_starts", totals.scheduled_rx_starts),
-                ("collisions", collisions),
+                ("collisions", reg.counter("phy.collision")),
             ],
             ..TrialMetrics::default()
         }),

@@ -1,17 +1,24 @@
 //! One injection trial = one data point of Figure 9.
 //!
 //! Every experiment's attack phase is the same loop, [`attack`]: arm the
-//! injection, poll the attacker in 200 ms ticks, and stop at the first
-//! confirmed success, when the attacker's bounded resync gives up, or at
-//! the budget. A [`StallWatchdog`] restarts a desynchronised attacker;
-//! each experiment picks its tick count and what a bounce drops first.
-//! [`run_trial`] wraps the loop with the paper rig's set-up, spans and
-//! metric capture; binaries whose worlds need more set-up (exp5's
-//! multi-connection Central) or report other numbers (exp6's band
-//! statistics) call [`attack`] from their own trial function.
+//! injection and stop at the first confirmed success, when the attacker's
+//! bounded resync gives up, or at the budget. Both waits that decide a
+//! trial stop exactly, through [`ble_phy::World::run_until_or`]:
+//! [`Scenario::wait_synchronised`] returns at the event that lets the
+//! attacker follow with the Slave's sequence bits, so the injection is
+//! armed at that instant, and [`attack`] returns at the event that
+//! records the deciding verdict, so no simulated time runs past it. A
+//! [`StallWatchdog`] restarts a desynchronised attacker; it still samples
+//! every 200 ms of simulated time after arming, and each experiment picks
+//! its tick count and what a bounce drops first. [`run_trial`] wraps the
+//! loop with the paper rig's set-up, spans and metric capture; binaries
+//! whose worlds need more set-up (exp5's multi-connection Central) or
+//! report other numbers (exp6's band statistics) call [`attack`] from
+//! their own trial function.
 
 use ble_devices::Lightbulb;
 use ble_link::Llid;
+use ble_phy::World;
 use ble_scenario::{Scenario, ScenarioBuilder};
 use ble_telemetry::SpanKind;
 use injectable::{Attacker, Mission};
@@ -23,10 +30,10 @@ use crate::telemetry::{TelemetryMode, TrialMetrics};
 /// synchronising the attacker before it counts as a failure.
 pub const SYNC_BUDGET: Duration = Duration::from_secs(30);
 
-/// Polling tick of the attack loop.
+/// How often the attack loop's watchdog samples the attacker.
 const ATTACK_TICK: Duration = Duration::from_millis(200);
 
-/// Unsynchronised attack-loop ticks tolerated before a bounce.
+/// Unsynchronised watchdog ticks tolerated before a bounce.
 pub const STALL_TICKS: u32 = 10;
 
 /// The attack phase of a trial: what to inject and for how long. The scene
@@ -199,11 +206,12 @@ impl StallWatchdog {
 }
 
 /// The attack loop: arms a one-shot injection of `cfg.payload` and runs
-/// 200 ms ticks until the first confirmed success, until the attacker's
-/// bounded resync runs out of retries (the trial is then lost and burning
-/// the rest of the budget would not change that), or for
-/// `cfg.sim_budget`. `watchdog` runs after every tick that did not stop
-/// the loop. Returns the attempts before the first success.
+/// the world until the event that gives the first confirmed success, until
+/// the event at which the attacker's bounded resync runs out of retries
+/// (the trial is then lost and burning the rest of the budget would not
+/// change that), or for `cfg.sim_budget`. `watchdog` samples the attacker
+/// every 200 ms of simulated time after arming. Returns the attempts
+/// before the first success.
 pub fn attack(
     sc: &mut Scenario,
     cfg: &TrialConfig,
@@ -214,15 +222,17 @@ pub fn attack(
         payload: cfg.payload.clone(),
         wanted_successes: 1,
     });
+    let attacker_id = sc.attacker_id.expect("scene has an attacker");
+    let decided = |w: &World| {
+        w.node::<Attacker>(attacker_id)
+            .is_some_and(|a| a.stats().successes() >= 1 || a.resync_exhausted())
+    };
     let deadline = sc.now() + cfg.sim_budget;
-    while sc.now() < deadline {
-        sc.run_for(ATTACK_TICK);
-        let attacker = sc.attacker();
-        if attacker.stats().successes() >= 1 {
-            return attacker.stats().attempts_to_first_success();
-        }
-        if attacker.resync_exhausted() {
-            return None;
+    let mut tick = sc.now();
+    while tick < deadline {
+        tick += ATTACK_TICK;
+        if sc.world.run_until_or(tick, decided) {
+            return sc.attacker().stats().attempts_to_first_success();
         }
         if let Some(watchdog) = watchdog.as_mut() {
             watchdog.tick(sc);
@@ -333,8 +343,24 @@ mod tests {
 
     #[test]
     fn trial_phases_land_in_the_phase_profile() {
-        let out = paper_trial(42, &TrialConfig::default());
-        let metrics = out.metrics.expect("default telemetry mode is Metrics");
+        // A JSONL trace rides along with the metrics, so the trial's own
+        // transmissions can be counted.
+        let trace =
+            std::env::temp_dir().join(format!("bench_trial_phases_{}.jsonl", std::process::id()));
+        let cfg = TrialConfig {
+            telemetry: TelemetryMode::Jsonl(trace.clone()),
+            ..TrialConfig::default()
+        };
+        let out = paper_trial(42, &cfg);
+        let text = std::fs::read_to_string(&trace).expect("the trial wrote its trace");
+        std::fs::remove_file(&trace).ok();
+        let transmissions = text
+            .lines()
+            .filter_map(ble_telemetry::parse_line)
+            .filter(|r| matches!(r.event, ble_telemetry::TelemetryEvent::TxStart { .. }))
+            .count();
+        assert!(!out.telemetry_downgraded);
+        let metrics = out.metrics.expect("metrics ride along with a trace");
         let phase = |name: &str| {
             metrics
                 .phase_profile
@@ -359,10 +385,97 @@ mod tests {
         assert!(phase("attacker-scan").count >= 1);
         assert!(phase("attacker-follow").count >= 1);
         assert!(phase("attacker-inject").count >= 1);
-        assert!(phase("channel-airtime").count > 10);
+        // One airtime span per transmission; the flush closes the span of
+        // a frame still on the air when the trial stops.
+        assert!(transmissions > 0);
+        assert_eq!(
+            phase("channel-airtime").count,
+            u64::try_from(transmissions).unwrap()
+        );
         // Airtime nests under the trial phases, so the trial phases' self
         // time is strictly less than their total.
         assert!(follow.self_sim_ns < follow.sim_ns);
+    }
+
+    /// The attack loop as it ran before it stopped at the deciding event:
+    /// arm, then decide at the end of each 200 ms tick.
+    fn polled_attack(
+        sc: &mut Scenario,
+        cfg: &TrialConfig,
+        mut watchdog: Option<StallWatchdog>,
+    ) -> Option<u32> {
+        sc.attacker_mut().arm(Mission::InjectRaw {
+            llid: cfg.llid,
+            payload: cfg.payload.clone(),
+            wanted_successes: 1,
+        });
+        let deadline = sc.now() + cfg.sim_budget;
+        while sc.now() < deadline {
+            sc.run_for(ATTACK_TICK);
+            let attacker = sc.attacker();
+            if attacker.stats().successes() >= 1 {
+                return attacker.stats().attempts_to_first_success();
+            }
+            if attacker.resync_exhausted() {
+                return None;
+            }
+            if let Some(watchdog) = watchdog.as_mut() {
+                watchdog.tick(sc);
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn the_exact_stop_decides_as_polling_from_the_same_arming_instant() {
+        use ble_telemetry::{RingBufferSink, TelemetryEvent, Verdict};
+
+        let cfg = TrialConfig {
+            telemetry: TelemetryMode::Off,
+            ..TrialConfig::default()
+        };
+        let watchdog = || Some(StallWatchdog::new(STALL_TICKS, Bounce::Central));
+        let mut successes = 0;
+        for hop in [25, 150] {
+            for i in 0..50 {
+                let rig = || {
+                    ScenarioBuilder::paper_rig(trial_seed(2_300, i))
+                        .hop_interval(hop)
+                        .telemetry(TelemetryMode::Off)
+                        .build()
+                };
+                let (mut exact, mut polled) = (rig(), rig());
+                let sink = RingBufferSink::new(1 << 16);
+                let ring = sink.handle();
+                exact.world.add_telemetry_sink(Box::new(sink));
+                assert!(exact.wait_synchronised(SYNC_BUDGET));
+                assert!(polled.wait_synchronised(SYNC_BUDGET));
+                assert_eq!(exact.now(), polled.now(), "same arming instant");
+                let attempts = attack(&mut exact, &cfg, watchdog());
+                let reference = polled_attack(&mut polled, &cfg, watchdog());
+                assert_eq!(attempts, reference, "hop {hop}, trial {i}");
+                if attempts.is_none() {
+                    continue;
+                }
+                successes += 1;
+                let ring = ring.lock();
+                let verdict = ring
+                    .iter()
+                    .find(|r| {
+                        matches!(
+                            r.event,
+                            TelemetryEvent::HeuristicVerdict {
+                                verdict: Verdict::Success,
+                                ..
+                            }
+                        )
+                    })
+                    .expect("a confirmed success records its verdict");
+                assert_eq!(verdict.at, exact.now(), "hop {hop}, trial {i}");
+                assert!(ring.iter().all(|r| r.at <= exact.now()));
+            }
+        }
+        assert!(successes >= 90, "{successes} of 100 trials succeeded");
     }
 
     #[test]

@@ -1427,9 +1427,7 @@ impl World {
     /// on is tallied, and so is a `NodeAdded` for each node that joined
     /// before, as a sink attached now would see them.
     pub fn enable_metrics(&mut self) -> SharedRegistry {
-        let joined = self.inner.nodes.iter().map(|s| TelemetryEvent::NodeAdded {
-            label: s.config.label.clone(),
-        });
+        let joined = u64::try_from(self.inner.nodes.len()).unwrap_or(u64::MAX);
         self.inner.telemetry.enable_metrics(joined)
     }
 
@@ -1629,15 +1627,28 @@ impl World {
     /// Runs all events up to and including time `t`, then advances the
     /// clock to `t`.
     pub fn run_until(&mut self, t: Instant) {
-        loop {
-            match self.inner.queue.peek_time() {
-                Some(next) if next <= t => {
-                    self.step();
-                }
-                _ => break,
+        self.run_until_or(t, |_| false);
+    }
+
+    /// [`World::run_until`] that stops at the event which makes `stop`
+    /// hold. `stop` is checked before the first step and after every
+    /// event; once it holds this returns `true` with the clock at that
+    /// event's instant and any events due at the same instant still
+    /// queued, so a later `run_until` resumes exactly where a plain run
+    /// would have been. Returns `false`, with the clock at `t`, when `stop`
+    /// never held.
+    pub fn run_until_or(&mut self, t: Instant, mut stop: impl FnMut(&World) -> bool) -> bool {
+        if stop(self) {
+            return true;
+        }
+        while self.inner.queue.peek_time().is_some_and(|next| next <= t) {
+            self.step();
+            if stop(self) {
+                return true;
             }
         }
         self.inner.queue.advance_to(t);
+        false
     }
 
     /// Runs for a span of simulated time from *now*.

@@ -853,22 +853,26 @@ impl Scenario {
     }
 
     /// Runs until the connection is up and the attacker follows it with
-    /// sequence state. Returns `false` on setup timeout.
+    /// sequence state, and stops at the event that makes both hold (see
+    /// [`World::run_until_or`]). Returns `false` on setup timeout.
+    ///
+    /// # Panics
+    /// If the scene was built without an attacker.
     pub fn wait_synchronised(&mut self, budget: Duration) -> bool {
         let deadline = self.world.now() + budget;
-        while self.world.now() < deadline {
-            self.world.run_for(Duration::from_millis(100));
-            let connected = self.central().ll.is_connected();
-            let following = self
-                .attacker()
-                .connection()
-                .map(|c| c.has_slave_seq())
-                .unwrap_or(false);
-            if connected && following {
-                return true;
-            }
-        }
-        false
+        let (central, attacker) = (
+            self.central_id,
+            self.attacker_id.expect("scene has an attacker"),
+        );
+        self.world.run_until_or(deadline, |w| {
+            let connected = w
+                .node::<Central>(central)
+                .is_some_and(|c| c.ll.is_connected());
+            connected
+                && w.node::<Attacker>(attacker)
+                    .and_then(Attacker::connection)
+                    .is_some_and(|c| c.has_slave_seq())
+        })
     }
 
     /// Runs until the legitimate connection is up and the attacker follows

@@ -602,9 +602,20 @@ impl MetricsRegistry {
         }
     }
 
+    /// Counts `n` [`TelemetryEvent::NodeAdded`] records, as `n` calls of
+    /// [`MetricsRegistry::tally`] would, without building them.
+    pub fn tally_nodes_added(&mut self, n: u64) {
+        self.add(Counter::TelemetryEvents, n);
+        self.add(Counter::SimNodes, n);
+    }
+
     fn bump(&mut self, counter: Counter) {
+        self.add(counter, 1);
+    }
+
+    fn add(&mut self, counter: Counter, n: u64) {
         if let Some(c) = self.counters.get_mut(counter.index()) {
-            *c = c.saturating_add(1);
+            *c = c.saturating_add(n);
         }
     }
 
@@ -756,6 +767,22 @@ mod tests {
     }
 
     #[test]
+    fn nodes_added_count_as_their_tallied_records_would() {
+        let mut tallied = MetricsRegistry::new();
+        for label in ["phone", "bulb", "attacker"] {
+            tallied.tally(&TelemetryEvent::NodeAdded {
+                label: label.into(),
+            });
+        }
+        let mut counted = MetricsRegistry::new();
+        counted.tally_nodes_added(3);
+        for name in ["sim.nodes", "telemetry.events"] {
+            assert_eq!(counted.counter(name), 3, "{name}");
+            assert_eq!(counted.counter(name), tallied.counter(name), "{name}");
+        }
+    }
+
+    #[test]
     fn counter_saturates_instead_of_overflowing() {
         let mut r = MetricsRegistry::new();
         r.counters[Counter::PhyTx.index()] = u64::MAX - 1;
@@ -777,7 +804,7 @@ mod tests {
     /// A world's telemetry with the metrics block on, fed `records`.
     fn telemetry_fed(records: &[TelemetryRecord]) -> (Telemetry, SharedRegistry) {
         let mut t = Telemetry::default();
-        let reg = t.enable_metrics(std::iter::empty());
+        let reg = t.enable_metrics(0);
         for record in records {
             t.emit_record(record);
         }

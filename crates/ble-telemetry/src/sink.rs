@@ -49,7 +49,7 @@ pub trait TelemetrySink: Send {
 /// let mut telemetry = Telemetry::default();
 /// assert!(!telemetry.is_enabled());
 ///
-/// let registry = telemetry.enable_metrics(std::iter::empty());
+/// let registry = telemetry.enable_metrics(0);
 /// let sink = RingBufferSink::new(16);
 /// let ring = sink.handle();
 /// telemetry.add_sink(Box::new(sink));
@@ -89,18 +89,14 @@ impl Telemetry {
         self.metrics.is_some() || !self.sinks.is_empty()
     }
 
-    /// Turns on a fresh metrics block, tallies `replay` into it (the
-    /// records emitted before this call that it should count), and returns
-    /// the handle every later [`Telemetry::flush_at`] publishes the block
-    /// to. Calling it again starts a new block behind a new handle.
-    pub fn enable_metrics(
-        &mut self,
-        replay: impl IntoIterator<Item = TelemetryEvent>,
-    ) -> SharedRegistry {
+    /// Turns on a fresh metrics block, counts a
+    /// [`TelemetryEvent::NodeAdded`] into it for each of the
+    /// `joined_nodes` nodes already in the world, and returns the handle
+    /// every later [`Telemetry::flush_at`] publishes the block to. Calling
+    /// it again starts a new block behind a new handle.
+    pub fn enable_metrics(&mut self, joined_nodes: u64) -> SharedRegistry {
         let mut block = MetricsRegistry::new();
-        for event in replay {
-            block.tally(&event);
-        }
+        block.tally_nodes_added(joined_nodes);
         let handle = SharedRegistry::default();
         self.metrics = Some((block, handle.clone()));
         handle
@@ -192,11 +188,6 @@ impl Telemetry {
             },
         };
         self.emit_record(&record);
-    }
-
-    /// Number of spans currently open (test/diagnostic aid).
-    pub fn open_spans(&self) -> usize {
-        self.spans.open()
     }
 
     /// Closes every still-open span (topmost first) so the metrics block

@@ -21,7 +21,8 @@
 //!
 //! `--update-baselines` writes leg `a`'s outputs as the baselines instead
 //! (review the diff before committing); a binary whose legs disagree gets
-//! no baseline. Every leg's outputs land in `target/gate/` for post-mortem
+//! no baseline, and a baseline whose normalised content did not move is
+//! left as it is. Every leg's outputs land in `target/gate/` for post-mortem
 //! diffs, and the kill/resume sidecars in `target/gate/checkpoints/<name>/`.
 
 use std::path::{Path, PathBuf};
@@ -153,6 +154,25 @@ fn compare_stdout(baseline: &str, current: &str) -> Result<(), String> {
          run `cargo xtask gate --update-baselines` and commit the diff",
         first_divergence(baseline, current)
     ))
+}
+
+/// Writes leg `a`'s output `current` as the baseline at `path`, unless
+/// the committed baseline already holds the same content: a JSON artefact
+/// compared after [`normalize_json`], a stdout baseline (normalised when it
+/// was written) byte for byte. Returns whether the file was written.
+fn update_baseline(path: &Path, kind: Kind, current: &str) -> Result<bool, String> {
+    if let Ok(baseline) = std::fs::read_to_string(path) {
+        let unchanged = if kind.writes_json() {
+            normalize_json(&baseline) == normalize_json(current)
+        } else {
+            baseline == current
+        };
+        if unchanged {
+            return Ok(false);
+        }
+    }
+    std::fs::write(path, current).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    Ok(true)
 }
 
 struct Gate {
@@ -297,9 +317,11 @@ impl Gate {
         let path = self.baseline_path(name, kind);
         let current = a.json.as_deref().unwrap_or(&a.stdout);
         if self.update {
-            std::fs::write(&path, current)
-                .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-            return Ok(format!("{legs}; baseline written to {}", path.display()));
+            return if update_baseline(&path, kind, current)? {
+                Ok(format!("{legs}; baseline written to {}", path.display()))
+            } else {
+                Ok(format!("{legs}; baseline unchanged"))
+            };
         }
         let baseline = std::fs::read_to_string(&path).map_err(|e| {
             format!(
@@ -388,7 +410,7 @@ pub fn run(args: &[String]) -> ExitCode {
         eprintln!("xtask gate: {failures} of {total} binaries failed");
         ExitCode::FAILURE
     } else if gate.update {
-        println!("xtask gate: {total} baselines written");
+        println!("xtask gate: {total} baselines checked, moved ones rewritten");
         ExitCode::SUCCESS
     } else {
         println!("xtask gate: {total} binaries identical across legs and within their baselines");
@@ -410,6 +432,60 @@ mod tests {
         assert!(err.contains("- under attack : runs flagged 5/5"), "{err}");
         assert!(err.contains("+ under attack : runs flagged 4/5"), "{err}");
         assert!(err.contains("--update-baselines"), "{err}");
+    }
+
+    /// Runs [`update_baseline`] over a baseline file holding `committed`
+    /// and returns whether it wrote, and the file's bytes after.
+    fn refresh(kind: Kind, committed: &str, current: &str) -> (bool, String) {
+        let ext = if kind.writes_json() { "json" } else { "txt" };
+        let path = std::env::temp_dir().join(format!(
+            "xtask_gate_baseline_{}_{ext}.{ext}",
+            std::process::id()
+        ));
+        std::fs::write(&path, committed).unwrap();
+        let written = update_baseline(&path, kind, current).unwrap();
+        let after = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        (written, after)
+    }
+
+    #[test]
+    fn a_json_baseline_is_rewritten_only_when_its_content_moved() {
+        let committed = r#"[{"succeeded":5,"trials_per_sec":1200.5,"peak_rss_kb":3400}]"#;
+        // Wall fields alone moved: the committed bytes stay.
+        let wall_only = r#"[{"succeeded":5,"trials_per_sec":990.1,"peak_rss_kb":3512}]"#;
+        assert_eq!(
+            refresh(Kind::Sweep, committed, wall_only),
+            (false, committed.to_string())
+        );
+        let moved = r#"[{"succeeded":4,"trials_per_sec":990.1,"peak_rss_kb":3512}]"#;
+        assert_eq!(
+            refresh(Kind::Resumable, committed, moved),
+            (true, moved.to_string())
+        );
+    }
+
+    #[test]
+    fn a_stdout_baseline_is_rewritten_only_when_its_content_moved() {
+        let committed = "=== IDS ===\nunder attack : runs flagged 5/5\n";
+        assert_eq!(
+            refresh(Kind::Stdout, committed, committed),
+            (false, committed.to_string())
+        );
+        let moved = committed.replace("5/5", "4/5");
+        assert_eq!(refresh(Kind::Stdout, committed, &moved), (true, moved));
+    }
+
+    #[test]
+    fn a_missing_baseline_is_written() {
+        let path = std::env::temp_dir().join(format!(
+            "xtask_gate_missing_baseline_{}.txt",
+            std::process::id()
+        ));
+        std::fs::remove_file(&path).ok();
+        assert!(update_baseline(&path, Kind::Stdout, "row\n").unwrap());
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "row\n");
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
