@@ -426,15 +426,81 @@ mod tests {
         None
     }
 
-    #[test]
-    fn the_exact_stop_decides_as_polling_from_the_same_arming_instant() {
+    /// What one seed's exact attack did, once checked against the polled
+    /// reference run from the same arming instant.
+    struct Decided {
+        attempts: Option<u32>,
+        /// The watchdog bounced the Central at least once.
+        bounced: bool,
+        exhausted: bool,
+    }
+
+    /// Builds `rig` twice and synchronises both; if they synchronised,
+    /// runs [`attack`] on one and [`polled_attack`] on the other, each
+    /// with a watchdog bouncing `bounce` if one is given, and checks that
+    /// both decide alike and that a success's verdict record is the exact
+    /// run's last record.
+    fn exact_matches_polled(
+        rig: impl Fn() -> Scenario,
+        cfg: &TrialConfig,
+        bounce: Option<Bounce>,
+        label: &str,
+    ) -> Decided {
         use ble_telemetry::{RingBufferSink, TelemetryEvent, Verdict};
 
+        let watchdog = || bounce.map(|b| StallWatchdog::new(STALL_TICKS, b));
+        let (mut exact, mut polled) = (rig(), rig());
+        let sink = RingBufferSink::new(1 << 17);
+        let ring = sink.handle();
+        exact.world.add_telemetry_sink(Box::new(sink));
+        let synced = exact.wait_synchronised(SYNC_BUDGET);
+        assert_eq!(synced, polled.wait_synchronised(SYNC_BUDGET), "{label}");
+        assert_eq!(exact.now(), polled.now(), "{label}: same arming instant");
+        if !synced {
+            return Decided {
+                attempts: None,
+                bounced: false,
+                exhausted: false,
+            };
+        }
+        let attempts = attack(&mut exact, cfg, watchdog());
+        let reference = polled_attack(&mut polled, cfg, watchdog());
+        assert_eq!(attempts, reference, "{label}");
+        let ring = ring.lock();
+        assert_eq!(ring.evicted(), 0, "{label}: the ring holds the trial");
+        if attempts.is_some() {
+            let verdict = ring
+                .iter()
+                .find(|r| {
+                    matches!(
+                        r.event,
+                        TelemetryEvent::HeuristicVerdict {
+                            verdict: Verdict::Success,
+                            ..
+                        }
+                    )
+                })
+                .expect("a confirmed success records its verdict");
+            assert_eq!(verdict.at, exact.now(), "{label}");
+            assert!(ring.iter().all(|r| r.at <= exact.now()), "{label}");
+        }
+        let bounced = ring
+            .iter()
+            .any(|r| matches!(r.event, TelemetryEvent::ConnectionClosed { reason: 0x13 }));
+        drop(ring);
+        Decided {
+            attempts,
+            bounced,
+            exhausted: exact.attacker().resync_exhausted(),
+        }
+    }
+
+    #[test]
+    fn the_exact_stop_decides_as_polling_from_the_same_arming_instant() {
         let cfg = TrialConfig {
             telemetry: TelemetryMode::Off,
             ..TrialConfig::default()
         };
-        let watchdog = || Some(StallWatchdog::new(STALL_TICKS, Bounce::Central));
         let mut successes = 0;
         for hop in [25, 150] {
             for i in 0..50 {
@@ -444,38 +510,68 @@ mod tests {
                         .telemetry(TelemetryMode::Off)
                         .build()
                 };
-                let (mut exact, mut polled) = (rig(), rig());
-                let sink = RingBufferSink::new(1 << 16);
-                let ring = sink.handle();
-                exact.world.add_telemetry_sink(Box::new(sink));
-                assert!(exact.wait_synchronised(SYNC_BUDGET));
-                assert!(polled.wait_synchronised(SYNC_BUDGET));
-                assert_eq!(exact.now(), polled.now(), "same arming instant");
-                let attempts = attack(&mut exact, &cfg, watchdog());
-                let reference = polled_attack(&mut polled, &cfg, watchdog());
-                assert_eq!(attempts, reference, "hop {hop}, trial {i}");
-                if attempts.is_none() {
-                    continue;
-                }
-                successes += 1;
-                let ring = ring.lock();
-                let verdict = ring
-                    .iter()
-                    .find(|r| {
-                        matches!(
-                            r.event,
-                            TelemetryEvent::HeuristicVerdict {
-                                verdict: Verdict::Success,
-                                ..
-                            }
-                        )
-                    })
-                    .expect("a confirmed success records its verdict");
-                assert_eq!(verdict.at, exact.now(), "hop {hop}, trial {i}");
-                assert!(ring.iter().all(|r| r.at <= exact.now()));
+                let label = format!("hop {hop}, trial {i}");
+                let decided = exact_matches_polled(rig, &cfg, Some(Bounce::Central), &label);
+                successes += usize::from(decided.attempts.is_some());
             }
         }
         assert!(successes >= 90, "{successes} of 100 trials succeeded");
+    }
+
+    #[test]
+    fn the_exact_stop_keeps_bounces_and_exhaustion_on_a_lossy_channel() {
+        // Heavy data-channel loss: the attacker keeps losing the
+        // connection. With ablation_faults' resync policy and a watchdog,
+        // the watchdog bounces the Central; with a one-retry policy and
+        // no watchdog, the resync runs out. Both stops must decide as the
+        // polled loop does.
+        use injectable::ResyncPolicy;
+        use simkit::{FaultPlan, FrameLossRule, Instant};
+
+        let loss = (0..37u8).fold(FaultPlan::seeded(0x1055), |plan, channel| {
+            plan.with_loss(FrameLossRule {
+                from: Instant::ZERO,
+                until: Instant::from_micros(95_000_000),
+                channel: Some(channel),
+                loss_prob: 0.6,
+                corrupt_prob: 0.3,
+            })
+        });
+        let patient = ResyncPolicy {
+            campaign_hops: 900,
+            backoff_base: Duration::from_millis(250),
+            backoff_cap: Duration::from_secs(2),
+            max_retries: 4,
+        };
+        let brief = ResyncPolicy {
+            campaign_hops: 30,
+            backoff_base: Duration::from_millis(100),
+            backoff_cap: Duration::from_millis(200),
+            max_retries: 1,
+        };
+        let cfg = TrialConfig {
+            sim_budget: Duration::from_secs(60),
+            telemetry: TelemetryMode::Off,
+            ..TrialConfig::default()
+        };
+        let (mut bounced, mut exhausted) = (0, 0);
+        for i in 0..20 {
+            for (policy, bounce) in [(&patient, Some(Bounce::Central)), (&brief, None)] {
+                let rig = || {
+                    ScenarioBuilder::paper_rig(trial_seed(2_400, i))
+                        .attacker_resync(policy.clone())
+                        .faults(loss.clone())
+                        .telemetry(TelemetryMode::Off)
+                        .build()
+                };
+                let label = format!("lossy trial {i}, {policy:?}");
+                let decided = exact_matches_polled(rig, &cfg, bounce, &label);
+                bounced += usize::from(decided.bounced);
+                exhausted += usize::from(decided.exhausted && decided.attempts.is_none());
+            }
+        }
+        assert!(bounced > 0, "no trial bounced the Central");
+        assert!(exhausted > 0, "no trial exhausted its resync");
     }
 
     #[test]
