@@ -13,17 +13,17 @@ use bench::{
     attack, print_series_to, run_point, Bounce, Cli, StallWatchdog, TrialConfig, TrialOutcome,
 };
 use ble_devices::Lightbulb;
-use ble_scenario::ScenarioBuilder;
+use ble_host::ConnHandle;
+use ble_scenario::{Scenario, ScenarioBuilder};
 use simkit::Duration;
 
 /// Sync-phase ticks (100 ms each) without a followed connection before
 /// the target link is bounced.
 const UNFOLLOWED_TICKS: u32 = 30;
 
-/// One multi-connection trial: bring up `conns` concurrent connections,
-/// aim the attacker at the newest one, inject until the first confirmed
-/// success or the budget runs out.
-fn run_multi_conn_trial(seed: u64, conns: usize, cfg: &TrialConfig) -> TrialOutcome {
+/// Builds a trial's world with `conns` Central slots and aims the
+/// attacker at the newest one. Returns the scenario and the target handle.
+fn build_multi_conn(seed: u64, conns: usize) -> (Scenario, ConnHandle) {
     let mut sc = ScenarioBuilder::paper_rig(seed)
         .multi_peripheral(conns)
         .build();
@@ -37,6 +37,14 @@ fn run_multi_conn_trial(seed: u64, conns: usize, cfg: &TrialConfig) -> TrialOutc
         sc.central().conn_handles()[0]
     };
     assert!(sc.aim_attacker_at(target), "fresh handle cannot be stale");
+    (sc, target)
+}
+
+/// One multi-connection trial: bring up `conns` concurrent connections,
+/// aim the attacker at the newest one, inject until the first confirmed
+/// success or the budget runs out.
+fn run_multi_conn_trial(seed: u64, conns: usize, cfg: &TrialConfig) -> TrialOutcome {
+    let (mut sc, target) = build_multi_conn(seed, conns);
     // Serial establishment: every slot must hold a live connection before
     // the attack phase starts, or the row would not measure `conns`
     // concurrent connections at all.
@@ -115,4 +123,57 @@ fn main() {
         &rows,
         cli.json.as_deref(),
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bench::trial::trial_seed;
+
+    /// Trials whose set-up once wedged: a sibling slot's transmission
+    /// abandoned an initiating slot's `CONNECT_IND` on the shared radio, and
+    /// that slot stayed `scanning` for the rest of the budget.
+    /// `(seed base, trial index, connections)`.
+    const SETUP_WEDGES: [(u64, u64, usize); 6] = [
+        (5002, 22, 2),
+        (5004, 12, 4),
+        (5004, 13, 4),
+        (5004, 17, 4),
+        (5008, 4, 8),
+        (5008, 7, 8),
+    ];
+
+    /// Trials whose target slot wedged the same way after the sniffer-sync
+    /// watchdog bounced it, so the attacker never followed.
+    const BOUNCE_WEDGES: [(u64, u64, usize); 3] = [(5004, 24, 4), (5008, 3, 8), (5008, 13, 8)];
+
+    #[test]
+    fn abandoned_connect_ind_does_not_wedge_set_up() {
+        for (base, i, conns) in SETUP_WEDGES {
+            let (mut sc, _) = build_multi_conn(trial_seed(base, i), conns);
+            sc.wait_connections(conns, Duration::from_secs(120));
+            let central = sc.central();
+            for handle in central.conn_handles() {
+                let state = central.ll_for(handle).map(|ll| ll.state_name());
+                assert_eq!(
+                    state,
+                    Some("connected"),
+                    "base {base} trial {i}: slot {} is not connected",
+                    handle.index()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn bounced_target_reconnects_and_the_attack_succeeds() {
+        let cfg = TrialConfig::default();
+        for (base, i, conns) in BOUNCE_WEDGES {
+            let outcome = run_multi_conn_trial(trial_seed(base, i), conns, &cfg);
+            assert!(
+                outcome.attempts.is_some(),
+                "base {base} trial {i}: no confirmed injection"
+            );
+        }
+    }
 }

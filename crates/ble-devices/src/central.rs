@@ -20,6 +20,10 @@
 //! - received frames route by access address (each live connection has a
 //!   unique one; advertising frames go to the slot currently initiating);
 //! - `TxDone` routes to the slot that last started a transmission;
+//! - a transmission that replaces a sibling slot's in-flight frame abandons
+//!   it: the frame may still reach its peer, but no `TxDone` follows, so
+//!   the sibling is told ([`LinkLayer::on_tx_abandoned`]) and an abandoned
+//!   `CONNECT_IND` sends its slot back to scanning;
 //! - connection establishment is serialised — one slot scans at a time —
 //!   exactly as a single-radio Central must.
 //!
@@ -35,6 +39,7 @@ use ble_host::{
     ConnHandle, ConnectionManager, GattServer, HostEvent, HostStack, PacketPool, QosPolicy,
     SecurityAction, DEFAULT_BUF_CAPACITY, MAX_POOL_CLIENTS,
 };
+use ble_invariants::invariant;
 use ble_link::{ConnectionParams, DeviceAddress, LinkLayer, SleepClockAccuracy};
 use ble_phy::{AccessAddress, NodeCtx, RadioEvent, RadioListener, TimerKey};
 use ble_telemetry::TelemetryEvent;
@@ -252,10 +257,7 @@ impl Central {
         if !self.conns.is_current(handle) {
             return None;
         }
-        match handle.index() {
-            0 => Some(&self.ll),
-            i => self.extras.get(i - 1).map(|p| &p.ll),
-        }
+        self.slot_ll(handle.index())
     }
 
     /// The host stack behind `handle`, or `None` for a stale handle.
@@ -277,12 +279,8 @@ impl Central {
         if !self.conns.is_current(handle) {
             return false;
         }
-        let ll = match handle.index() {
-            0 => &mut self.ll,
-            i => match self.extras.get_mut(i - 1) {
-                Some(p) => &mut p.ll,
-                None => return false,
-            },
+        let Some(ll) = self.slot_ll_mut(handle.index()) else {
+            return false;
         };
         if !ll.is_connected() {
             return false;
@@ -299,6 +297,20 @@ impl Central {
 
     fn multi_peer(&self) -> bool {
         !self.extras.is_empty()
+    }
+
+    fn slot_ll(&self, slot: usize) -> Option<&LinkLayer> {
+        match slot {
+            0 => Some(&self.ll),
+            i => self.extras.get(i - 1).map(|p| &p.ll),
+        }
+    }
+
+    fn slot_ll_mut(&mut self, slot: usize) -> Option<&mut LinkLayer> {
+        match slot {
+            0 => Some(&mut self.ll),
+            i => self.extras.get_mut(i - 1).map(|p| &mut p.ll),
+        }
     }
 
     // ------------------------------------------------------------------
@@ -346,6 +358,7 @@ impl Central {
         // frame: the busy-flag edge misses back-to-back (true→true) starts,
         // which would route the eventual `TxDone` to the wrong slot.
         let tx_before = ctx.tx_start_count();
+        let was_transmitting = ctx.is_transmitting();
         if slot == 0 {
             self.ll.handle(ctx, event, &mut self.host);
         } else {
@@ -355,6 +368,14 @@ impl Central {
             p.ll.handle(ctx, event, &mut p.host);
         }
         if ctx.tx_start_count() != tx_before {
+            // The new frame replaced a sibling's in-flight one, which will
+            // never raise its `TxDone`: tell the sibling so an abandoned
+            // `CONNECT_IND` does not leave it waiting forever.
+            if was_transmitting && self.tx_owner != slot {
+                if let Some(ll) = self.slot_ll_mut(self.tx_owner) {
+                    ll.on_tx_abandoned(ctx);
+                }
+            }
             self.tx_owner = slot;
         }
         if slot == 0 {
@@ -365,6 +386,14 @@ impl Central {
         if self.multi_peer() {
             self.emit_pool_telemetry(ctx);
         }
+        invariant!(
+            (0..=self.extras.len()).all(|s| {
+                self.slot_ll(s).is_none_or(|ll| !ll.connect_pending())
+                    || (self.tx_owner == s && ctx.is_transmitting())
+            }),
+            "shared-radio-connect",
+            "a slot awaits its CONNECT_IND's TxDone but does not own the radio's frame"
+        );
     }
 
     /// Hands the radio to the next queued slot once the current initiation

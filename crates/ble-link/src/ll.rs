@@ -421,6 +421,12 @@ impl LinkLayer {
         matches!(self.state, State::Connected(_))
     }
 
+    /// Whether a `CONNECT_IND` this initiator sent is still awaiting its
+    /// `TxDone` (the Link Layer becomes Master when it arrives).
+    pub fn connect_pending(&self) -> bool {
+        self.pending_connect.is_some()
+    }
+
     /// Snapshot of the live connection, if any.
     pub fn connection_info(&self) -> Option<ConnectionInfo> {
         let State::Connected(c) = &self.state else {
@@ -538,6 +544,20 @@ impl LinkLayer {
             target: Some((target, params)),
         });
         self.scan_current(ctx);
+    }
+
+    /// Tells this Link Layer that a shared radio abandoned its in-flight
+    /// frame: another Link Layer on the node started transmitting before
+    /// the frame ended, so no `TxDone` will follow for it. An initiator
+    /// whose `CONNECT_IND` was abandoned drops the attempt and resumes
+    /// scanning for the peer's next `ADV_IND`, as the `IfsAction::Connect`
+    /// guard does when the overlap happens the other way round. Any other
+    /// abandoned frame needs no recovery: a connection's next event timer
+    /// is already armed.
+    pub fn on_tx_abandoned(&mut self, ctx: &mut NodeCtx<'_>) {
+        if self.pending_connect.take().is_some() {
+            self.scan_current(ctx);
+        }
     }
 
     /// Adopts an existing connection — the hijacker's entry point.

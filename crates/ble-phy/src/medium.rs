@@ -552,8 +552,11 @@ impl SimInner {
         // For a single protocol machine, starting a second transmission is
         // a bug — debug builds assert; release builds (and shared-radio
         // nodes, whose independent machines cannot globally schedule)
-        // abandon the in-flight frame (it stays on the air as interference)
-        // and retune to the new one.
+        // abandon the in-flight frame and switch to the new one. The
+        // abandoned frame stays on the air to its full end, so it still
+        // interferes and still reaches a receiver locked onto it, but its
+        // `TxEnd` finds the radio sending the new frame and raises no
+        // `TxDone`.
         invariant!(
             self.node_state(node).config.shared_radio
                 || !matches!(self.node_state(node).radio, RadioState::Tx { .. }),

@@ -165,9 +165,14 @@ impl NodeConfig {
     /// A single-machine node treats a transmit or receive request while
     /// already transmitting as a protocol bug (debug builds assert). A
     /// shared radio cannot globally schedule its independent machines, so
-    /// overlapping requests are expected there: the in-flight frame is
-    /// abandoned mid-air (it keeps interfering, like a real collision) and
-    /// the radio retunes to the new request.
+    /// overlapping requests are expected there. A receive request while
+    /// transmitting is ignored. A transmit request abandons the in-flight
+    /// frame: the radio switches to the new frame, and only the new frame
+    /// raises `TxDone`. The abandoned frame still stays on the air to its
+    /// full end: it interferes like any other frame, and a receiver that
+    /// locked onto it still decodes it whole. The machine that sent it gets
+    /// no `TxDone`, so the multiplexer above the radio must tell it (see
+    /// [`NodeCtx::tx_start_count`]).
     pub fn with_shared_radio(mut self) -> Self {
         self.shared_radio = true;
         self
@@ -242,7 +247,10 @@ impl<'a> NodeCtx<'a> {
     ///
     /// Any reception in progress is abandoned (the radio is half-duplex).
     /// Calling this while already transmitting is a protocol-machine bug:
-    /// debug builds assert, release builds retune to the new frame.
+    /// debug builds assert, release builds switch to the new frame. On a
+    /// shared radio ([`NodeConfig::with_shared_radio`]) it is expected: the
+    /// in-flight frame stays on the air to its full end, and still reaches
+    /// a receiver locked onto it, but only the new frame raises `TxDone`.
     pub fn transmit(&mut self, channel: Channel, frame: RawFrame) -> TxHandle {
         self.sim.transmit(self.node, channel, frame)
     }

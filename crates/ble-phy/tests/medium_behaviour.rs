@@ -782,6 +782,57 @@ fn shared_radio_ignored_start_rx_keeps_the_listener_index_consistent() {
 }
 
 #[test]
+fn shared_radio_abandoned_frame_still_lands_and_raises_no_tx_done() {
+    // A shared-radio node starts frame B 100 µs into its frame A. The radio
+    // abandons A, yet A stays on the air to its full end, so a receiver
+    // already locked onto it decodes it whole. Only B raises `TxDone`: the
+    // machine that sent A never hears that its frame ended.
+    in_both_modes(|mode| {
+        let ch6 = Channel::new(6).unwrap();
+        let mut sim = World::new(Environment::ideal(), SimRng::seed_from(8));
+        sim.set_delivery_mode(mode);
+        let mut shared = Recorder::default();
+        shared.on_timer_tx.push((1, CH, frame(&[0x11; 20]))); // A: 224 µs
+        shared.on_timer_tx.push((2, ch6, frame(&[0x22; 4]))); // B: 96 µs
+        let s = sim.add_node(
+            NodeConfig::new("shared", Position::ORIGIN).with_shared_radio(),
+            shared,
+        );
+        let r = sim.add_node(
+            NodeConfig::new("rx", Position::new(1.0, 0.0)),
+            Recorder::default(),
+        );
+        sim.with_ctx(r, |ctx| ctx.start_rx(CH, AccessFilter::One(AA), 0xABCDEF));
+        sim.with_ctx(s, |ctx| {
+            ctx.set_timer_at(Instant::from_micros(100), TimerKey(1)); // A: 100..324 µs
+            ctx.set_timer_at(Instant::from_micros(200), TimerKey(2)); // B: 200..296 µs
+        });
+        sim.run_for(Duration::from_millis(1));
+        let rec = recorder(&sim, r);
+        assert_eq!(rec.received().len(), 1, "the abandoned frame is delivered");
+        let a = rec.received()[0];
+        assert!(a.crc_ok, "the abandoned frame arrives whole");
+        assert_eq!(a.pdu, vec![0x11; 20]);
+        assert_eq!(
+            a.duration(),
+            Duration::from_micros(224),
+            "A is not cut short"
+        );
+        assert_eq!(a.end.as_nanos() / 1_000, 324, "A lasts to its full end");
+        let tx_done: Vec<_> = recorder(&sim, s)
+            .events
+            .iter()
+            .filter_map(|e| match e {
+                RadioEvent::TxDone { at } => Some(at.as_nanos()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(tx_done, vec![296_000], "one TxDone, for B; none for A");
+        rx_log(&sim, r)
+    });
+}
+
+#[test]
 fn delivery_order_is_stable_across_identically_seeded_worlds() {
     // Regression for the `txs: HashMap → BTreeMap` migration (determinism
     // pass): with several transmissions in flight, the medium iterates the
