@@ -12,14 +12,13 @@ use bench::trial::STALL_TICKS;
 use bench::{
     attack, print_series_to, run_point, Bounce, Cli, StallWatchdog, TrialConfig, TrialOutcome,
 };
-use ble_devices::Lightbulb;
+use ble_devices::{Central, Lightbulb};
 use ble_host::ConnHandle;
+use ble_link::LinkLayer;
+use ble_phy::{NodeId, World};
 use ble_scenario::{Scenario, ScenarioBuilder};
-use simkit::Duration;
-
-/// Sync-phase ticks (100 ms each) without a followed connection before
-/// the target link is bounced.
-const UNFOLLOWED_TICKS: u32 = 30;
+use injectable::Attacker;
+use simkit::{Duration, Instant};
 
 /// Builds a trial's world with `conns` Central slots and aims the
 /// attacker at the newest one. Returns the scenario and the target handle.
@@ -40,6 +39,59 @@ fn build_multi_conn(seed: u64, conns: usize) -> (Scenario, ConnHandle) {
     (sc, target)
 }
 
+/// The Link Layer of the Central's connection slot `slot`, while the slot
+/// holds a connection (a bounce releases it until the slot reconnects).
+fn slot_ll(w: &World, central: NodeId, slot: usize) -> Option<&LinkLayer> {
+    let central = w.node::<Central>(central)?;
+    central.ll_for(central.conn_manager().handle_at(slot)?)
+}
+
+/// Synchronises the attacker on the link in Central slot `slot`: runs
+/// until the attacker follows it with the Slave's sequence bits while all
+/// `conns` slots are live, and stops at the event that makes both hold
+/// (see [`World::run_until_or`]). Returns `false` at `deadline`.
+///
+/// The sniffer follows a link only from its `CONNECT_IND`, which it can
+/// miss because it scans one advertising channel at a time, and a link
+/// that stays up never sends another. So once the target link has run its
+/// first connection event with the attacker following nothing, the link
+/// is bounced for a fresh `CONNECT_IND`, and the loop runs until it is
+/// down before it looks again. It waits for that first event rather than
+/// the Central's `TxDone`, because the sniffer decodes the `CONNECT_IND` a
+/// propagation delay after the Central has sent it.
+fn sync_attacker(sc: &mut Scenario, slot: usize, conns: usize, deadline: Instant) -> bool {
+    let central = sc.central_id;
+    let attacker = sc.attacker_id.expect("scene has an attacker");
+    let synced = |w: &World| {
+        w.node::<Attacker>(attacker)
+            .and_then(Attacker::connection)
+            .is_some_and(|c| c.has_slave_seq())
+            && w.node::<Central>(central)
+                .is_some_and(|c| c.live_connections() >= conns)
+    };
+    let unfollowed = |w: &World| {
+        w.node::<Attacker>(attacker)
+            .is_some_and(|a| a.connection().is_none())
+            && slot_ll(w, central, slot)
+                .and_then(LinkLayer::connection_info)
+                .is_some_and(|c| c.next_event_counter >= 1)
+    };
+    let synced_or_unfollowed = |w: &World| synced(w) || unfollowed(w);
+    let down = |w: &World| slot_ll(w, central, slot).is_none_or(|ll| !ll.is_connected());
+    loop {
+        if !sc.world.run_until_or(deadline, synced_or_unfollowed) {
+            return false;
+        }
+        if synced(&sc.world) {
+            return true;
+        }
+        Bounce::Slot(slot).apply(sc);
+        if !sc.world.run_until_or(deadline, down) {
+            return false;
+        }
+    }
+}
+
 /// One multi-connection trial: bring up `conns` concurrent connections,
 /// aim the attacker at the newest one, inject until the first confirmed
 /// success or the budget runs out.
@@ -48,42 +100,24 @@ fn run_multi_conn_trial(seed: u64, conns: usize, cfg: &TrialConfig) -> TrialOutc
     // Serial establishment: every slot must hold a live connection before
     // the attack phase starts, or the row would not measure `conns`
     // concurrent connections at all.
-    let mut synced = sc.wait_connections(conns, Duration::from_secs(120));
-    if synced {
-        // Attacker synchronisation against the target connection. The
-        // sniffer scans one advertising channel at a time, so it usually
-        // misses the target's one CONNECT_IND during serial bring-up — and
-        // an established slot never sends another. Bounce the target link
-        // whenever the attacker has gone a while without following: the
-        // slot auto-reconnects with a fresh CONNECT_IND for the sniffer.
-        let deadline = sc.now() + Duration::from_secs(120);
-        let mut watchdog = StallWatchdog::new(UNFOLLOWED_TICKS, Bounce::Slot(target.index()));
-        synced = loop {
-            if sc.now() >= deadline {
-                break false;
-            }
-            sc.run_for(Duration::from_millis(100));
-            let following = sc
-                .attacker()
-                .connection()
-                .map(|c| c.has_slave_seq())
-                .unwrap_or(false);
-            if following && sc.live_connections() >= conns {
-                break true;
-            }
-            watchdog.tick(&mut sc);
-        };
-    }
+    let budget = Duration::from_secs(120);
+    let synced = sc.wait_connections(conns, budget) && {
+        let deadline = sc.now() + budget;
+        sync_attacker(&mut sc, target.index(), conns, deadline)
+    };
     let mut attempts = None;
     let mut effect_observed = false;
     if synced {
-        // The Central re-establishes dropped slots on its own (fresh
-        // CONNECT_IND), so a desynchronised attacker only needs its scan
-        // restarted.
+        // A sniffer that loses the target while its link stays up gets no
+        // fresh CONNECT_IND from a scan restart alone, so a stall bounces
+        // the target slot.
         attempts = attack(
             &mut sc,
             cfg,
-            Some(StallWatchdog::new(STALL_TICKS, Bounce::Resync)),
+            Some(StallWatchdog::new(
+                STALL_TICKS,
+                Bounce::Slot(target.index()),
+            )),
         );
         // Observable effect on the *target* peripheral's application.
         effect_observed = if conns > 1 {
@@ -165,14 +199,63 @@ mod tests {
         }
     }
 
-    #[test]
-    fn bounced_target_reconnects_and_the_attack_succeeds() {
+    /// 8-connection trials whose attacker lost the target while its link
+    /// stayed up, and idled to the end of the budget while the attack's
+    /// watchdog only restarted the scan (`Bounce::Resync`).
+    const LOST_WHILE_UP: [(u64, u64, usize); 3] = [(2032, 20, 8), (2032, 40, 8), (12353, 34, 8)];
+
+    /// Trials whose set-up ends with the target the last slot up and its
+    /// `CONNECT_IND` missed by the sniffer, one per multi-link row.
+    const UNFOLLOWED_SET_UPS: [(u64, u64, usize); 3] = [(5002, 2, 2), (5004, 2, 4), (5008, 1, 8)];
+
+    fn assert_trials_succeed(trials: &[(u64, u64, usize)]) {
         let cfg = TrialConfig::default();
-        for (base, i, conns) in BOUNCE_WEDGES {
+        for &(base, i, conns) in trials {
             let outcome = run_multi_conn_trial(trial_seed(base, i), conns, &cfg);
             assert!(
                 outcome.attempts.is_some(),
                 "base {base} trial {i}: no confirmed injection"
+            );
+        }
+    }
+
+    #[test]
+    fn bounced_target_reconnects_and_the_attack_succeeds() {
+        assert_trials_succeed(&BOUNCE_WEDGES);
+    }
+
+    #[test]
+    fn a_target_lost_while_its_link_stays_up_is_bounced() {
+        assert_trials_succeed(&LOST_WHILE_UP);
+    }
+
+    #[test]
+    fn an_unfollowed_target_is_bounced_at_its_first_connection_event() {
+        for (base, i, conns) in UNFOLLOWED_SET_UPS {
+            let (mut sc, target) = build_multi_conn(trial_seed(base, i), conns);
+            assert!(sc.wait_connections(conns, Duration::from_secs(120)));
+            let up = sc.now();
+            let info = sc
+                .central()
+                .ll_for(target)
+                .and_then(LinkLayer::connection_info)
+                .expect("the target slot is up");
+            assert_eq!(info.next_event_counter, 0, "base {base} trial {i}");
+            let first_anchor =
+                up + ble_link::timing::transmit_window_offset(info.params.win_offset);
+            // Bounced at its first anchor, the link sends its TERMINATE_IND
+            // at the next event and is down once that frame has gone out.
+            let deadline = first_anchor + info.params.interval() + Duration::from_millis(1);
+            let before = sc.central().disconnections;
+            assert!(!sync_attacker(&mut sc, target.index(), conns, deadline));
+            assert_eq!(
+                sc.central().disconnections,
+                before + 1,
+                "base {base} trial {i}: the target was not bounced by {deadline:?}"
+            );
+            assert!(
+                slot_ll(&sc.world, sc.central_id, target.index()).is_none(),
+                "base {base} trial {i}: the target slot is still held"
             );
         }
     }

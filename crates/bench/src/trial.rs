@@ -124,11 +124,13 @@ impl TrialOutcome {
     }
 }
 
-/// What a [`StallWatchdog`] drops before restarting the attacker's scan.
+/// What a bounce drops before restarting the attacker's scan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Bounce {
-    /// Nothing: the Central re-establishes a dropped link on its own, so a
-    /// desynchronised attacker only needs its scan restarted.
+    /// Nothing: only the scan restarts. The sniffer follows a link only
+    /// from its `CONNECT_IND`, so this recovers the attacker only if the
+    /// link drops and the Central re-establishes it; a link that stays up
+    /// never sends a fresh one.
     Resync,
     /// The Central's link, so a fresh `CONNECT_REQ` reaches the sniffer.
     /// This is what the paper's operators did when the attacker lost a
@@ -137,6 +139,30 @@ pub enum Bounce {
     /// The connection in this Central slot. Each bounce bumps the slot's
     /// generation, so the current handle is looked up at bounce time.
     Slot(usize),
+}
+
+impl Bounce {
+    /// Drops what this bounce names, if it is up, and restarts the
+    /// attacker's scan in case the resync loop went quiet (a no-op while
+    /// the attacker is already scanning or following).
+    pub fn apply(self, sc: &mut Scenario) {
+        match self {
+            Bounce::Resync => {}
+            Bounce::Central => {
+                if sc.central().ll.is_connected() {
+                    sc.central_mut().ll.request_disconnect(0x13);
+                }
+            }
+            Bounce::Slot(slot) => {
+                if let Some(current) = sc.central().conn_manager().handle_at(slot) {
+                    sc.bounce_connection(current);
+                }
+            }
+        }
+        let attacker_id = sc.attacker_id.expect("scene has an attacker");
+        sc.world
+            .with_node_ctx::<Attacker, _>(attacker_id, |a, ctx| a.restart_resync(ctx));
+    }
 }
 
 /// Watchdog over a trial loop's ticks: counts ticks in a row on which the
@@ -181,27 +207,9 @@ impl StallWatchdog {
 
     /// Records one tick of `sc` and bounces when the stall is long enough.
     pub fn tick(&mut self, sc: &mut Scenario) {
-        if !self.note(sc.attacker().connection().is_some()) {
-            return;
+        if self.note(sc.attacker().connection().is_some()) {
+            self.bounce.apply(sc);
         }
-        match self.bounce {
-            Bounce::Resync => {}
-            Bounce::Central => {
-                if sc.central().ll.is_connected() {
-                    sc.central_mut().ll.request_disconnect(0x13);
-                }
-            }
-            Bounce::Slot(slot) => {
-                if let Some(current) = sc.central().conn_manager().handle_at(slot) {
-                    sc.bounce_connection(current);
-                }
-            }
-        }
-        // Restart the scan in case the resync loop went quiet (a no-op
-        // while the attacker is already scanning or following).
-        let attacker_id = sc.attacker_id.expect("scene has an attacker");
-        sc.world
-            .with_node_ctx::<Attacker, _>(attacker_id, |a, ctx| a.restart_resync(ctx));
     }
 }
 

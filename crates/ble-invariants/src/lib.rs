@@ -185,24 +185,28 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "protocol invariant [window]")]
     fn inverted_window_fires() {
         invariant_window!(10u64, 3u64);
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "protocol invariant [sn-nesn]")]
     fn wide_sn_fires() {
         invariant_sn_nesn!(2u8, 0u8);
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "protocol invariant [channel]")]
     fn out_of_range_channel_fires() {
         invariant_channel!(37u8);
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "protocol invariant [named]")]
     fn generic_invariant_fires() {
         invariant!(false, "named", "details {}", 42);
@@ -218,6 +222,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "exceeds one byte")]
     fn oversized_len_fires() {
         let _ = len_u8(256);

@@ -220,6 +220,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "channel-map")]
     fn csa1_empty_map_trips_invariant_in_debug() {
         let map = ChannelMap::from_indices(&[]);

@@ -800,17 +800,17 @@ impl Scenario {
         self.central_mut().disconnect(handle, 0x13)
     }
 
-    /// Runs until `want` Central slots hold live connections (bounded by
-    /// `budget`). Returns whether the target was reached.
+    /// Runs until `want` Central slots hold live connections, and stops at
+    /// the event that brings the last of them up (see
+    /// [`World::run_until_or`]). Returns `false` when `budget` runs out
+    /// first.
     pub fn wait_connections(&mut self, want: usize, budget: Duration) -> bool {
         let deadline = self.world.now() + budget;
-        while self.world.now() < deadline {
-            if self.live_connections() >= want {
-                return true;
-            }
-            self.world.run_for(Duration::from_millis(100));
-        }
-        self.live_connections() >= want
+        let central = self.central_id;
+        self.world.run_until_or(deadline, |w| {
+            w.node::<Central>(central)
+                .is_some_and(|c| c.live_connections() >= want)
+        })
     }
 
     /// Advances the simulation.
@@ -1011,6 +1011,29 @@ mod tests {
                 "slot {h} not established"
             );
         }
+    }
+
+    #[test]
+    fn wait_connections_stops_when_the_last_slot_comes_up() {
+        let mut sc = ScenarioBuilder::legit(5).multi_peripheral(4).build();
+        assert!(sc.wait_connections(4, Duration::from_secs(20)));
+        // A Master comes up at its CONNECT_IND's `TxDone`, with that instant
+        // as its anchor reference and no connection event run yet. Exactly
+        // one slot must read so: the wait stopped at that event, not on a
+        // later poll.
+        let now = sc.now();
+        let central = sc.central();
+        let just_up: Vec<_> = central
+            .conn_handles()
+            .into_iter()
+            .filter(|&h| {
+                central
+                    .ll_for(h)
+                    .and_then(ble_link::LinkLayer::connection_info)
+                    .is_some_and(|c| c.next_event_counter == 0 && c.last_anchor == now)
+            })
+            .collect();
+        assert_eq!(just_up.len(), 1, "slots up at {now:?}: {just_up:?}");
     }
 
     #[test]
