@@ -181,6 +181,15 @@ mod tests {
     /// watchdog bounced it, so the attacker never followed.
     const BOUNCE_WEDGES: [(u64, u64, usize); 3] = [(5004, 24, 4), (5008, 3, 8), (5008, 13, 8)];
 
+    /// 8-connection trials whose attacker lost the target while its link
+    /// stayed up, and idled to the end of the budget while the attack's
+    /// watchdog only restarted the scan (`Bounce::Resync`).
+    const LOST_WHILE_UP: [(u64, u64, usize); 3] = [(2032, 20, 8), (2032, 40, 8), (12353, 34, 8)];
+
+    /// Trials whose set-up ends with the target the last slot up and its
+    /// `CONNECT_IND` missed by the sniffer, one per multi-link row.
+    const UNFOLLOWED_SET_UPS: [(u64, u64, usize); 3] = [(5002, 2, 2), (5004, 2, 4), (5008, 1, 8)];
+
     #[test]
     fn abandoned_connect_ind_does_not_wedge_set_up() {
         for (base, i, conns) in SETUP_WEDGES {
@@ -199,34 +208,16 @@ mod tests {
         }
     }
 
-    /// 8-connection trials whose attacker lost the target while its link
-    /// stayed up, and idled to the end of the budget while the attack's
-    /// watchdog only restarted the scan (`Bounce::Resync`).
-    const LOST_WHILE_UP: [(u64, u64, usize); 3] = [(2032, 20, 8), (2032, 40, 8), (12353, 34, 8)];
-
-    /// Trials whose set-up ends with the target the last slot up and its
-    /// `CONNECT_IND` missed by the sniffer, one per multi-link row.
-    const UNFOLLOWED_SET_UPS: [(u64, u64, usize); 3] = [(5002, 2, 2), (5004, 2, 4), (5008, 1, 8)];
-
-    fn assert_trials_succeed(trials: &[(u64, u64, usize)]) {
+    #[test]
+    fn bounced_target_reconnects_and_the_attack_succeeds() {
         let cfg = TrialConfig::default();
-        for &(base, i, conns) in trials {
+        for (base, i, conns) in BOUNCE_WEDGES.into_iter().chain(LOST_WHILE_UP) {
             let outcome = run_multi_conn_trial(trial_seed(base, i), conns, &cfg);
             assert!(
                 outcome.attempts.is_some(),
                 "base {base} trial {i}: no confirmed injection"
             );
         }
-    }
-
-    #[test]
-    fn bounced_target_reconnects_and_the_attack_succeeds() {
-        assert_trials_succeed(&BOUNCE_WEDGES);
-    }
-
-    #[test]
-    fn a_target_lost_while_its_link_stays_up_is_bounced() {
-        assert_trials_succeed(&LOST_WHILE_UP);
     }
 
     #[test]
