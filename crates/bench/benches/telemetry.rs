@@ -2,8 +2,11 @@
 //!
 //! `emit_disabled` is the number the zero-cost claim rests on: with no
 //! sink attached, `NodeCtx::emit` must be a branch-and-return that never
-//! builds the event. `emit_ring_sink` prices the enabled path
-//! (event construction + ring push) for comparison.
+//! builds the event. `emit_metrics_only` prices the path every
+//! Metrics-mode trial takes (the event tallied straight into the world's
+//! block), and `emit_ring_sink` the record path (event construction,
+//! tally and ring push) for comparison. The `span_*` benchmarks price an
+//! enter/exit pair on the same three paths.
 
 use ble_phy::{Environment, NodeConfig, NodeCtx, Position, RadioEvent, RadioListener, World};
 use ble_telemetry::{RingBufferSink, SpanKind, TelemetryEvent};
@@ -26,6 +29,20 @@ fn sim_with_one_node() -> (World, ble_phy::NodeId) {
 fn bench_emit_disabled(c: &mut Criterion) {
     let (mut sim, id) = sim_with_one_node();
     c.bench_function("telemetry/emit_disabled", |b| {
+        sim.with_ctx(id, |ctx| {
+            b.iter(|| {
+                ctx.emit(|| TelemetryEvent::CrcFail {
+                    channel: std::hint::black_box(7),
+                })
+            })
+        });
+    });
+}
+
+fn bench_emit_metrics_only(c: &mut Criterion) {
+    let (mut sim, id) = sim_with_one_node();
+    let _registry = sim.enable_metrics();
+    c.bench_function("telemetry/emit_metrics_only", |b| {
         sim.with_ctx(id, |ctx| {
             b.iter(|| {
                 ctx.emit(|| TelemetryEvent::CrcFail {
@@ -70,7 +87,23 @@ fn bench_span_disabled(c: &mut Criterion) {
     });
 }
 
-/// The enabled path for comparison: id allocation, stack push/remove, two
+/// The Metrics-mode path: id allocation, stack push/remove and two
+/// tallies into the block, with no clock installed, as in an untimed
+/// campaign trial.
+fn bench_span_metrics_only(c: &mut Criterion) {
+    let (mut sim, id) = sim_with_one_node();
+    let _registry = sim.enable_metrics();
+    c.bench_function("telemetry/span_metrics_only", |b| {
+        sim.with_ctx(id, |ctx| {
+            b.iter(|| {
+                let span = ctx.span_enter(SpanKind::ChannelAirtime, std::hint::black_box(7));
+                ctx.span_exit(span);
+            })
+        });
+    });
+}
+
+/// The record path for comparison: id allocation, stack push/remove, two
 /// clock reads and two ring pushes per pair.
 fn bench_span_ring_sink(c: &mut Criterion) {
     fn clock() -> u64 {
@@ -92,8 +125,10 @@ fn bench_span_ring_sink(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_emit_disabled,
+    bench_emit_metrics_only,
     bench_emit_ring_sink,
     bench_span_disabled,
+    bench_span_metrics_only,
     bench_span_ring_sink
 );
 criterion_main!(benches);

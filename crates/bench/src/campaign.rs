@@ -37,7 +37,7 @@ use crate::cli::Cli;
 use crate::report::SeriesReport;
 use crate::stats::Summary;
 use crate::telemetry::{merge_histogram, merge_phase_profile, HistRow, PhaseProfile};
-use crate::trial::{trial_seed, TrialOutcome};
+use crate::trial::{trial_seed, with_span_weight, TrialOutcome};
 
 /// Chunks each worker may run ahead of the fold in the multi-threaded
 /// engine: the bound on finished chunks waiting to be folded. Wide, so a
@@ -224,8 +224,10 @@ pub type ChunkOutcomes = Vec<Option<TrialOutcome>>;
 /// Stops after merging `max_chunks` chunks when set (the kill-and-resume
 /// hook). Returns the number of chunks merged.
 ///
-/// A panicking trial is caught, reported on stderr with its seed, and
-/// handed on as `None`. All cursors are `u64`: a campaign larger than the
+/// A chunk's first trial runs with the chunk's length as its span weight
+/// and the others with 0, so [`crate::run_trial`] times one trial per
+/// chunk. A panicking trial is caught, reported on stderr with its seed,
+/// and handed on as `None`. All cursors are `u64`: a campaign larger than the
 /// platform's `usize` never truncates. Workers claim chunks in order but
 /// never more than [`WINDOW_CHUNKS_PER_WORKER`] per worker ahead of the
 /// fold, and the caller folds each chunk as soon as its predecessors are
@@ -262,7 +264,13 @@ where
         let mut buf: ChunkOutcomes = Vec::with_capacity(usize::try_from(hi - lo).unwrap_or(0));
         for i in lo..hi {
             let seed = trial_seed(seed_base, i);
-            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| runner(seed))) {
+            // Only a chunk's first trial reads the span clock; it stands
+            // for the whole chunk in the row's wall columns.
+            let weight = if i == lo { hi - lo } else { 0 };
+            let ran = with_span_weight(weight, || {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| runner(seed)))
+            });
+            match ran {
                 Ok(outcome) => buf.push(Some(outcome)),
                 Err(_) => {
                     eprintln!(
@@ -940,6 +948,88 @@ mod tests {
                 "chunk_size {chunk_size}"
             );
         }
+    }
+
+    #[test]
+    fn only_each_chunks_first_trial_is_timed_and_it_stands_for_its_chunk() {
+        use crate::trial::span_weight;
+        use std::collections::BTreeMap;
+
+        for count in [1u64, 5, 64, 65, 100, 5_000] {
+            let chunk = chunk_size_for(count);
+            let weights = Mutex::new(BTreeMap::new());
+            run_chunked(
+                3,
+                count,
+                chunk,
+                0,
+                None,
+                &|seed| {
+                    weights.lock().unwrap().insert(seed, span_weight());
+                    synth_outcome(seed)
+                },
+                |_, _| {},
+            );
+            let weights = weights.into_inner().unwrap();
+            let by_index: Vec<u64> = (0..count).map(|i| weights[&trial_seed(3, i)]).collect();
+            for (i, &w) in (0u64..).zip(&by_index) {
+                let chunk_len = chunk.min(count - i);
+                let expected = if i % chunk == 0 { chunk_len } else { 0 };
+                assert_eq!(w, expected, "count {count}, trial {i}");
+            }
+            assert_eq!(by_index.iter().sum::<u64>(), count, "count {count}");
+        }
+        assert_eq!(span_weight(), 1, "outside the engine every trial is timed");
+    }
+
+    #[test]
+    fn timing_one_trial_per_chunk_keeps_the_profile_and_weights_its_wall() {
+        use crate::trial::{run_trial, TrialConfig};
+        use ble_scenario::ScenarioBuilder;
+
+        let cli = Cli::from_args(Vec::new(), 130);
+        let cfg = TrialConfig::default();
+        let trial = |seed| run_trial(ScenarioBuilder::paper_rig(seed), &cfg);
+        let sampled = run_point(&cli, "test", "p", 1.0, 31, trial);
+        let mut every = SeriesAccumulator::new(130);
+        for i in 0..130 {
+            every.fold(&trial(trial_seed(31, i)));
+        }
+        let every = every.report("p", 1.0);
+        assert_eq!(sampled.raw, every.raw);
+        let sim = |r: &PhaseProfile| (r.phase, r.count, r.sim_ns, r.self_sim_ns);
+        assert_eq!(
+            sampled.phase_profile.iter().map(sim).collect::<Vec<_>>(),
+            every.phase_profile.iter().map(sim).collect::<Vec<_>>(),
+        );
+        for row in &sampled.phase_profile {
+            assert!(row.wall_ns >= row.self_wall_ns, "{row:?}");
+        }
+        let timed = |phase| {
+            sampled
+                .phase_profile
+                .iter()
+                .find(|r| r.phase == phase)
+                .map_or(0, |r| r.wall_ns)
+        };
+        assert!(timed("trial-sync") > 0 && timed("trial-follow") > 0);
+        // A timed trial's wall stands for its weight in trials, and an
+        // untimed one reads no clock and adds no wall.
+        let weight = 1 << 20;
+        let rows = |w| {
+            let out = with_span_weight(w, || trial(trial_seed(31, 1)));
+            out.metrics.expect("metrics on").phase_profile
+        };
+        let weighted = rows(weight);
+        assert!(weighted.iter().any(|r| r.wall_ns > 0));
+        assert!(weighted
+            .iter()
+            .all(|r| r.wall_ns % weight == 0 && r.self_wall_ns % weight == 0));
+        let untimed = rows(0);
+        assert!(!untimed.is_empty());
+        assert!(untimed
+            .iter()
+            .all(|r| r.wall_ns == 0 && r.self_wall_ns == 0));
     }
 
     #[test]

@@ -45,18 +45,25 @@ impl Summary {
     /// Panics on an empty sample.
     pub fn of(values: &[u32]) -> Summary {
         assert!(!values.is_empty(), "summary of empty sample");
-        let mut sorted: Vec<f64> = values.iter().map(|&v| v as f64).collect();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
+        // An in-place integer sort needs no scratch buffer, and equal
+        // integers are interchangeable, so the order and every sum below
+        // match a stable sort of the values as `f64`.
+        let mut sorted = values.to_vec();
+        sorted.sort_unstable();
         let n = sorted.len();
-        let mean = sorted.iter().sum::<f64>() / n as f64;
-        let variance = sorted.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / n as f64;
+        let mean = sorted.iter().map(|&v| f64::from(v)).sum::<f64>() / n as f64;
+        let variance = sorted
+            .iter()
+            .map(|&v| (f64::from(v) - mean).powi(2))
+            .sum::<f64>()
+            / n as f64;
         Summary {
             n,
-            min: sorted[0],
+            min: f64::from(sorted[0]),
             q1: quantile(&sorted, 0.25),
             median: quantile(&sorted, 0.5),
             q3: quantile(&sorted, 0.75),
-            max: sorted[n - 1],
+            max: f64::from(sorted[n - 1]),
             mean,
             variance,
         }
@@ -64,16 +71,16 @@ impl Summary {
 }
 
 /// Linear-interpolated quantile of a sorted sample.
-fn quantile(sorted: &[f64], q: f64) -> f64 {
+fn quantile(sorted: &[u32], q: f64) -> f64 {
     let n = sorted.len();
     if n == 1 {
-        return sorted[0];
+        return f64::from(sorted[0]);
     }
     let pos = q * (n - 1) as f64;
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;
     let frac = pos - lo as f64;
-    sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+    f64::from(sorted[lo]) * (1.0 - frac) + f64::from(sorted[hi]) * frac
 }
 
 #[cfg(test)]

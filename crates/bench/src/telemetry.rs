@@ -86,6 +86,7 @@ pub fn phase_profile_from_registry(reg: &MetricsRegistry) -> Vec<PhaseProfile> {
 /// Folds one trial's phase rows into a series accumulator (rows keyed by
 /// phase name; counts and durations add).
 pub fn merge_phase_profile(acc: &mut Vec<PhaseProfile>, rows: &[PhaseProfile]) {
+    let known = acc.len();
     for row in rows {
         match acc.iter_mut().find(|a| a.phase == row.phase) {
             Some(a) => {
@@ -100,11 +101,14 @@ pub fn merge_phase_profile(acc: &mut Vec<PhaseProfile>, rows: &[PhaseProfile]) {
     }
     // Keep a canonical phase order regardless of which trial introduced a
     // kind first (artefact bytes must not depend on per-trial span sets).
-    acc.sort_by_key(|r| {
-        SpanKind::parse(r.phase)
-            .map(SpanKind::index)
-            .unwrap_or(usize::MAX)
-    });
+    // Merging into known rows keeps the order, so only a new row re-sorts.
+    if acc.len() > known {
+        acc.sort_by_key(|r| {
+            SpanKind::parse(r.phase)
+                .map(SpanKind::index)
+                .unwrap_or(usize::MAX)
+        });
+    }
 }
 
 /// Metrics extracted from one trial's registry after the run.

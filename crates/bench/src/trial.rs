@@ -16,6 +16,8 @@
 //! report other numbers (exp6's band statistics) call [`attack`] from
 //! their own trial function.
 
+use std::cell::Cell;
+
 use ble_devices::Lightbulb;
 use ble_link::Llid;
 use ble_phy::World;
@@ -249,19 +251,51 @@ pub fn attack(
     None
 }
 
+thread_local! {
+    /// How many trials the next [`run_trial`] on this thread stands for in
+    /// its span wall columns: 1 outside the campaign engine, and inside it
+    /// the chunk's length for a chunk's first trial and 0 for the others,
+    /// which read no span clock.
+    static SPAN_WEIGHT: Cell<u64> = const { Cell::new(1) };
+}
+
+/// Runs `f` with the span weight `weight` on this thread (see
+/// [`span_weight`]), restoring the previous weight afterwards. `f` must
+/// not unwind.
+pub(crate) fn with_span_weight<T>(weight: u64, f: impl FnOnce() -> T) -> T {
+    let outer = SPAN_WEIGHT.replace(weight);
+    let out = f();
+    SPAN_WEIGHT.set(outer);
+    out
+}
+
+/// How many trials the next [`run_trial`] on this thread stands for in
+/// its span wall columns (0: it reads no span clock).
+pub(crate) fn span_weight() -> u64 {
+    SPAN_WEIGHT.get()
+}
+
 /// Runs one paper-rig trial to its first confirmed injection: builds
 /// `rig` with `cfg.telemetry`, synchronises, runs [`attack`] with a
 /// 10-tick watchdog that bounces the Central, and checks the bulb.
+///
+/// Inside the campaign engine only a chunk's first trial reads the span
+/// clock, and its `wall_ns`/`self_wall_ns` are multiplied by the chunk's
+/// length, so a row's wall columns estimate all its trials; the others
+/// report 0 wall. Called anywhere else, the trial times every span.
 pub fn run_trial(rig: ScenarioBuilder, cfg: &TrialConfig) -> TrialOutcome {
     let wall_start = crate::wallclock::Stopwatch::start();
+    let weight = span_weight();
     // Sinks attach before node bootstrap; a failed JSONL sink degrades the
     // trial to metrics-only, recorded so report rows can flag that the
-    // artefact the user asked for does not exist. Spans read the
-    // quarantined harness clock (R8) and are no-ops without a sink.
-    let mut sc = rig
-        .telemetry(cfg.telemetry.clone())
-        .span_clock(crate::wallclock::monotonic_ns)
-        .build();
+    // artefact the user asked for does not exist. Spans are no-ops with
+    // telemetry off, and read the quarantined harness clock (R8) only in
+    // a timed trial.
+    let mut rig = rig.telemetry(cfg.telemetry.clone());
+    if weight > 0 {
+        rig = rig.span_clock(crate::wallclock::monotonic_ns);
+    }
+    let mut sc = rig.build();
     let registry = sc.metrics().cloned();
     let sync_span = sc.world.span_enter(SpanKind::TrialSync, 0);
     let synced = sc.wait_synchronised(SYNC_BUDGET);
@@ -290,8 +324,14 @@ pub fn run_trial(rig: ScenarioBuilder, cfg: &TrialConfig) -> TrialOutcome {
         attempts,
         sim_seconds: sc.now().as_micros_f64() / 1e6,
         effect_observed,
-        metrics: registry
-            .map(|reg| TrialMetrics::from_registry(&reg.lock(), sync_wall_s, attack_wall_s)),
+        metrics: registry.map(|reg| {
+            let mut metrics = TrialMetrics::from_registry(&reg.lock(), sync_wall_s, attack_wall_s);
+            for row in &mut metrics.phase_profile {
+                row.wall_ns = row.wall_ns.saturating_mul(weight);
+                row.self_wall_ns = row.self_wall_ns.saturating_mul(weight);
+            }
+            metrics
+        }),
         telemetry_downgraded: sc.telemetry_downgraded,
     }
 }
@@ -781,5 +821,103 @@ mod tests {
         assert_eq!(clean.succeeded, 4, "close-range trials all succeed");
         assert_eq!(row.succeeded, 2);
         assert_eq!(row.raw, [clean.raw[0], clean.raw[2]]);
+    }
+
+    /// Runs one trial of `rig` with metrics on, and with a ring sink too
+    /// when `traced`, and returns the registry it publishes. The ring
+    /// attaches right after the build, so every record the trial's run
+    /// emits goes through the sink path. No span clock is installed, so
+    /// the wall columns read 0 and the whole registry is deterministic.
+    fn published_registry(
+        rig: ScenarioBuilder,
+        bounce: Bounce,
+        traced: bool,
+    ) -> ble_telemetry::MetricsRegistry {
+        use ble_telemetry::RingBufferSink;
+
+        let mut sc = rig.telemetry(TelemetryMode::Metrics).build();
+        let registry = sc.metrics().cloned().expect("metrics on");
+        let ring = traced.then(|| {
+            let sink = RingBufferSink::new(64);
+            let ring = sink.handle();
+            sc.world.add_telemetry_sink(Box::new(sink));
+            ring
+        });
+        let sync_span = sc.world.span_enter(SpanKind::TrialSync, 0);
+        let synced = sc.wait_synchronised(SYNC_BUDGET);
+        sc.world.span_exit(sync_span);
+        if synced {
+            let follow_span = sc.world.span_enter(SpanKind::TrialFollow, 0);
+            let cfg = short_budget();
+            attack(&mut sc, &cfg, Some(StallWatchdog::new(STALL_TICKS, bounce)));
+            sc.world.span_exit(follow_span);
+        }
+        sc.world.flush_telemetry();
+        if let Some(ring) = ring {
+            let ring = ring.lock();
+            let seen = u64::try_from(ring.len()).unwrap() + ring.evicted();
+            assert!(seen > 64, "the sink saw the trial: {seen} records");
+        }
+        let published = registry.lock().clone();
+        published
+    }
+
+    #[test]
+    fn metrics_only_publishes_what_a_traced_trial_publishes() {
+        // `{:?}` prints every counter, span total and histogram field,
+        // floats in their shortest round-trip form, so equal renderings
+        // are bit-for-bit equal registries.
+        use ble_telemetry::{Counter, Hist};
+        use simkit::{FaultPlan, FrameLossRule, Instant};
+
+        let same = |label: &str, rig: &dyn Fn() -> ScenarioBuilder, bounce| {
+            let metered = published_registry(rig(), bounce, false);
+            let traced = published_registry(rig(), bounce, true);
+            assert_eq!(format!("{metered:?}"), format!("{traced:?}"), "{label}");
+            metered
+        };
+        let paper = same(
+            "paper rig",
+            &|| ScenarioBuilder::paper_rig(trial_seed(1_000, 3)),
+            Bounce::Central,
+        );
+        assert!(paper.hist(Hist::LeadUs).is_some_and(|h| h.count() > 0));
+        assert_eq!(paper.span_totals(SpanKind::TrialFollow)[0], 1);
+        // ablation_faults' 0.35 loss row: per-frame loss and corruption.
+        let loss = (0..37u8).fold(FaultPlan::seeded(0x1055), |plan, channel| {
+            plan.with_loss(FrameLossRule {
+                from: Instant::ZERO,
+                until: Instant::from_micros(95_000_000),
+                channel: Some(channel),
+                loss_prob: 0.35,
+                corrupt_prob: 0.175,
+            })
+        });
+        let lossy = same(
+            "loss row",
+            &|| {
+                ScenarioBuilder::paper_rig(trial_seed(11_006, 0))
+                    .attacker_resync(injectable::ResyncPolicy {
+                        campaign_hops: 900,
+                        backoff_base: Duration::from_millis(250),
+                        backoff_cap: Duration::from_secs(2),
+                        max_retries: 4,
+                    })
+                    .faults(loss.clone())
+            },
+            Bounce::Central,
+        );
+        assert!(lossy.get(Counter::FaultFramesLost) > 0);
+        assert!(lossy.get(Counter::FaultFramesCorrupted) > 0);
+        let dense = same(
+            "dense band",
+            &|| {
+                ScenarioBuilder::paper_rig(trial_seed(6_008, 0))
+                    .environment(ble_phy::Environment::dense_hall())
+                    .background_pairs(8)
+            },
+            Bounce::Resync,
+        );
+        assert!(dense.get(Counter::SimNodes) > 16);
     }
 }

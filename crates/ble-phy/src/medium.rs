@@ -467,22 +467,18 @@ impl SimInner {
         self.telemetry.is_enabled()
     }
 
-    /// Emits a typed event to the metrics block and the telemetry sinks.
-    /// The closure only runs when either is on, so disabled telemetry
-    /// costs a load or two and a branch.
+    /// Emits a typed event to the metrics block and the telemetry sinks
+    /// ([`Telemetry::emit`]). The closure only runs when either is on, so
+    /// disabled telemetry costs a load or two and a branch.
+    #[inline]
     pub(crate) fn emit(
         &mut self,
         at: Instant,
         node: Option<NodeId>,
         build: impl FnOnce() -> TelemetryEvent,
     ) {
-        if !self.telemetry.is_enabled() {
-            return;
-        }
-        let event = build();
         let node = node.and_then(|n| u32::try_from(n.0).ok());
-        self.telemetry
-            .emit_record(&TelemetryRecord { at, node, event });
+        self.telemetry.emit(at, node, build);
     }
 
     /// Opens a hierarchical span attributed to `node` (or the simulation
@@ -1492,7 +1488,13 @@ impl World {
     pub fn add_boxed_node(&mut self, config: NodeConfig, node: Box<dyn Node>) -> NodeId {
         let rng = self.inner.rng.fork();
         let id = NodeId(self.inner.nodes.len());
-        let label = config.label.clone();
+        // A scenario adds its nodes before telemetry turns on, so this
+        // closure, and its label clone, usually never runs.
+        let now = self.inner.now();
+        self.inner
+            .emit(now, Some(id), || TelemetryEvent::NodeAdded {
+                label: config.label.clone(),
+            });
         self.inner.nodes.push(NodeState {
             config,
             rng,
@@ -1501,9 +1503,6 @@ impl World {
             tx_starts: 0,
         });
         self.nodes.push(node);
-        let now = self.inner.now();
-        self.inner
-            .emit(now, Some(id), || TelemetryEvent::NodeAdded { label });
         id
     }
 

@@ -1,6 +1,7 @@
 //! The emit path production takes — `NodeCtx::emit` and
 //! `NodeCtx::span_enter` through the world into its `Telemetry` — in its
-//! three states: nothing on, the metrics block only, and trace sinks.
+//! three states: nothing on, the metrics block only, and trace sinks, which
+//! must tally the same block.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // test code may panic freely
 
@@ -187,4 +188,23 @@ fn metrics_only_tallies_every_record_a_sink_would_see() {
             .map(|h| h.count()),
         Some(built)
     );
+}
+
+#[test]
+fn metrics_publish_the_same_block_with_or_without_a_sink() {
+    // Metrics only takes the record-free path and a sink the record path;
+    // `{:?}` prints every slot, floats in round-trip form, so equal
+    // renderings are bit-for-bit equal blocks.
+    let mut plain = None;
+    run(|w| plain = Some(w.enable_metrics()));
+    let (mut traced, mut shared_ring) = (None, None);
+    run(|w| {
+        traced = Some(w.enable_metrics());
+        shared_ring = Some(ring(w));
+    });
+    assert!(!records(&shared_ring.unwrap()).is_empty());
+    let (plain, traced) = (plain.unwrap(), traced.unwrap());
+    let plain = format!("{:?}", *plain.lock());
+    assert!(plain.contains("histograms: [Some("), "{plain}");
+    assert_eq!(plain, format!("{:?}", *traced.lock()));
 }

@@ -486,7 +486,9 @@ impl MetricsRegistry {
     ///
     /// The event→metric mapping is this one exhaustive match (xtask R4):
     /// adding a [`TelemetryEvent`] variant forces a decision here about
-    /// how it is counted.
+    /// how it is counted. It is always inlined, so an emit site that
+    /// builds a known variant compiles to that variant's slot updates.
+    #[inline(always)]
     pub fn tally(&mut self, event: &TelemetryEvent) {
         self.bump(Counter::TelemetryEvents);
         match event {
@@ -609,16 +611,19 @@ impl MetricsRegistry {
         self.add(Counter::SimNodes, n);
     }
 
+    #[inline]
     fn bump(&mut self, counter: Counter) {
         self.add(counter, 1);
     }
 
+    #[inline]
     fn add(&mut self, counter: Counter, n: u64) {
         if let Some(c) = self.counters.get_mut(counter.index()) {
             *c = c.saturating_add(n);
         }
     }
 
+    #[inline]
     fn add_span(&mut self, kind: SpanKind, totals: SpanTotals) {
         if let Some(mine) = self.spans.get_mut(kind.index()) {
             for (m, t) in mine.iter_mut().zip(totals) {
@@ -627,6 +632,7 @@ impl MetricsRegistry {
         }
     }
 
+    #[inline]
     fn record(&mut self, hist: Hist, value_us: f64) {
         if let Some(h) = self.histograms.get_mut(hist.index()) {
             h.get_or_insert_with(HistogramUs::default).record(value_us);

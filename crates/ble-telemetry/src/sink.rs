@@ -37,8 +37,9 @@ pub trait TelemetrySink: Send {
 /// a (usually empty) set of trace sinks.
 ///
 /// Emit sites go through [`Telemetry::is_enabled`] or the deferred-build
-/// pattern so that, with neither metrics nor a sink on, an emit compiles
-/// to a branch-and-return — the event value is never constructed.
+/// pattern ([`Telemetry::emit`]) so that, with neither metrics nor a sink
+/// on, an emit compiles to a branch-and-return — the event value is never
+/// constructed — and with metrics only, to the event's slot updates.
 ///
 /// # Example
 ///
@@ -119,6 +120,26 @@ impl Telemetry {
         }
     }
 
+    /// Emits the event `build` returns, building it only when it has a
+    /// reader. With the metrics block on and no sink attached (every
+    /// Metrics-mode trial) the event is tallied straight into the block:
+    /// no record, no sink loop, and the inlined
+    /// [`MetricsRegistry::tally`] reduces to the event's own slot updates.
+    /// With a sink attached the record goes through
+    /// [`Telemetry::emit_record`]; with neither, `build` never runs.
+    #[inline]
+    pub fn emit(&mut self, at: Instant, node: Option<u32>, build: impl FnOnce() -> TelemetryEvent) {
+        if !self.sinks.is_empty() {
+            self.emit_record(&TelemetryRecord {
+                at,
+                node,
+                event: build(),
+            });
+        } else if let Some((block, _)) = &mut self.metrics {
+            block.tally(&build());
+        }
+    }
+
     /// Installs the wall clock used for span wall-time attribution — a
     /// monotonic-nanoseconds function injected by the harness so this crate
     /// never reads `std::time` itself (the only sanctioned clock lives in
@@ -146,16 +167,11 @@ impl Telemetry {
             return SpanId::DISABLED;
         }
         let id = self.spans.enter(at, node, kind, detail);
-        let record = TelemetryRecord {
-            at,
-            node,
-            event: TelemetryEvent::SpanEnter {
-                id: id.raw(),
-                kind,
-                detail,
-            },
-        };
-        self.emit_record(&record);
+        self.emit(at, node, || TelemetryEvent::SpanEnter {
+            id: id.raw(),
+            kind,
+            detail,
+        });
         id
     }
 
@@ -173,21 +189,17 @@ impl Telemetry {
         }
     }
 
+    #[inline]
     fn emit_closed_span(&mut self, closed: &ClosedSpan) {
-        let record = TelemetryRecord {
-            at: closed.exit_at,
-            node: closed.node,
-            event: TelemetryEvent::SpanExit {
-                id: closed.id.raw(),
-                kind: closed.kind,
-                detail: closed.detail,
-                sim_ns: closed.sim_ns,
-                wall_ns: closed.wall_ns,
-                self_sim_ns: closed.self_sim_ns,
-                self_wall_ns: closed.self_wall_ns,
-            },
-        };
-        self.emit_record(&record);
+        self.emit(closed.exit_at, closed.node, || TelemetryEvent::SpanExit {
+            id: closed.id.raw(),
+            kind: closed.kind,
+            detail: closed.detail,
+            sim_ns: closed.sim_ns,
+            wall_ns: closed.wall_ns,
+            self_sim_ns: closed.self_sim_ns,
+            self_wall_ns: closed.self_wall_ns,
+        });
     }
 
     /// Closes every still-open span (topmost first) so the metrics block
