@@ -12,14 +12,21 @@
 //! the attacker's cost (attempts to first success, success rate within the
 //! budget) and the victim's health (`victim_drops`: connection drops summed
 //! over the row's trials, a `[metric]` line and a JSON extra). The stall
-//! watchdog stays off here: a harness bounce would be counted as a victim
-//! drop.
+//! watchdog stays off here, because its bounces would mix harness drops
+//! into the attack phase's; the set-up wait's own bounces are subtracted.
 
 use bench::trial::SYNC_BUDGET;
 use bench::{attack, print_series_to, run_point, Cli, TrialConfig, TrialMetrics, TrialOutcome};
 use ble_devices::Lightbulb;
-use ble_scenario::ScenarioBuilder;
+use ble_scenario::{Scenario, ScenarioBuilder};
 use simkit::Duration;
+
+/// The victim's connection drops, less the set-up wait's bounces, which
+/// are the harness's and not the countermeasure's.
+fn victim_drops(sc: &Scenario) -> u64 {
+    let drops = sc.victim::<Lightbulb>().disconnections as u64;
+    drops.saturating_sub(u64::from(sc.bounces))
+}
 
 /// One trial at widening scale `scale`. A trial that never synchronises
 /// is a failure in the requested-trial denominator, like everywhere else.
@@ -32,13 +39,12 @@ fn run_widening_trial(seed: u64, scale: f64, cfg: &TrialConfig) -> TrialOutcome 
     } else {
         None
     };
-    let bulb = sc.victim::<Lightbulb>();
     TrialOutcome {
         attempts,
         sim_seconds: sc.now().as_micros_f64() / 1e6,
-        effect_observed: bulb.app.pings > 0,
+        effect_observed: sc.victim::<Lightbulb>().app.pings > 0,
         metrics: Some(TrialMetrics {
-            counters: vec![("victim_drops", bulb.disconnections as u64)],
+            counters: vec![("victim_drops", victim_drops(&sc))],
             ..TrialMetrics::default()
         }),
         telemetry_downgraded: false,
@@ -75,4 +81,26 @@ fn main() {
     println!("Reading: smaller widening ⇒ the injection needs more attempts (or");
     println!("fails outright), while victim connection drops rise — the paper's");
     println!("predicted reliability cost of the countermeasure.");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bench::trial::trial_seed;
+
+    #[test]
+    fn a_set_up_bounce_is_not_a_victim_drop() {
+        let mut sc = ScenarioBuilder::paper_rig(trial_seed(9_000, 0)).build();
+        assert!(sc.wait_synchronised(SYNC_BUDGET));
+        // After this bounce, the set-up wait finds the re-established link
+        // unfollowed and bounces it again. The victim sees every bounce as
+        // a drop, and the trial counts none of them.
+        sc.bounce_target();
+        sc.run_for(Duration::from_secs(1));
+        assert!(sc.wait_synchronised(SYNC_BUDGET));
+        assert!(sc.bounces > 1, "the set-up wait did not bounce");
+        let drops = sc.victim::<Lightbulb>().disconnections;
+        assert_eq!(drops as u64, u64::from(sc.bounces));
+        assert_eq!(victim_drops(&sc), 0);
+    }
 }

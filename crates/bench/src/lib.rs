@@ -29,4 +29,6 @@ pub use cli::Cli;
 pub use report::{print_series, print_series_to, SeriesReport};
 pub use stats::Summary;
 pub use telemetry::{HistRow, TelemetryMode, TrialMetrics};
-pub use trial::{attack, run_trial, Bounce, StallWatchdog, TrialConfig, TrialOutcome};
+pub use trial::{
+    attack, build_trial, run_built, run_trial, StallWatchdog, TrialConfig, TrialOutcome,
+};

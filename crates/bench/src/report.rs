@@ -662,7 +662,6 @@ mod tests {
             out.metrics = Some(TrialMetrics {
                 anchor_error: Some(anchor),
                 lead_time: Some(lead),
-                ifs_delta: None,
                 events_total: 100,
                 events_per_sec: 50.0,
                 phase_profile: Vec::new(),

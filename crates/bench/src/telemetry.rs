@@ -118,8 +118,6 @@ pub struct TrialMetrics {
     pub anchor_error: Option<HistogramUs>,
     /// Injection lead-time histogram (µs before the predicted anchor).
     pub lead_time: Option<HistogramUs>,
-    /// Observed Slave-response IFS deviation histogram (µs).
-    pub ifs_delta: Option<HistogramUs>,
     /// Total telemetry events emitted during the trial.
     pub events_total: u64,
     /// Telemetry events per wall-clock second over the whole trial.
@@ -142,7 +140,6 @@ impl TrialMetrics {
         TrialMetrics {
             anchor_error: reg.hist(Hist::AnchorErrorUs).cloned(),
             lead_time: reg.hist(Hist::LeadUs).cloned(),
-            ifs_delta: reg.hist(Hist::IfsDeltaUs).cloned(),
             events_total,
             events_per_sec: events_total as f64 / wall,
             phase_profile: phase_profile_from_registry(reg),
@@ -190,7 +187,6 @@ mod tests {
         assert!((m.events_per_sec - 250.0).abs() < 1e-9);
         assert_eq!(m.lead_time.as_ref().map(HistogramUs::count), Some(1));
         assert_eq!(m.anchor_error.as_ref().map(HistogramUs::count), Some(1));
-        assert!(m.ifs_delta.is_none());
     }
 
     #[test]

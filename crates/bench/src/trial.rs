@@ -1,20 +1,20 @@
 //! One injection trial = one data point of Figure 9.
 //!
-//! Every experiment's attack phase is the same loop, [`attack`]: arm the
-//! injection and stop at the first confirmed success, when the attacker's
-//! bounded resync gives up, or at the budget. Both waits that decide a
-//! trial stop exactly, through [`ble_phy::World::run_until_or`]:
-//! [`Scenario::wait_synchronised`] returns at the event that lets the
-//! attacker follow with the Slave's sequence bits, so the injection is
-//! armed at that instant, and [`attack`] returns at the event that
-//! records the deciding verdict, so no simulated time runs past it. A
-//! [`StallWatchdog`] restarts a desynchronised attacker; it still samples
-//! every 200 ms of simulated time after arming, and each experiment picks
-//! its tick count and what a bounce drops first. [`run_trial`] wraps the
-//! loop with the paper rig's set-up, spans and metric capture; binaries
-//! whose worlds need more set-up (exp5's multi-connection Central) or
-//! report other numbers (exp6's band statistics) call [`attack`] from
-//! their own trial function.
+//! A trial is built, then run. [`build_trial`] turns a scene description
+//! into a [`Scenario`] with the trial's telemetry, and [`run_built`] runs
+//! the paper's recipe on it: [`Scenario::wait_synchronised`] brings every
+//! link up and stops at the event that lets the attacker follow the
+//! target with the Slave's sequence bits, [`attack`] arms the injection
+//! at that instant and stops at the event that records the deciding
+//! verdict, and the target's bulb tells whether the command took effect.
+//! Both waits stop exactly, through [`ble_phy::World::run_until_or`], so
+//! no simulated time runs past a decision. A [`StallWatchdog`] bounces
+//! the target ([`Scenario::bounce_target`]) when the attacker stays
+//! desynchronised; it still samples every 200 ms of simulated time after
+//! arming. [`run_trial`] is the two steps in one call, and every sweep
+//! binary runs its trials through it or through the two steps, except
+//! `ablation_widening`, which composes the set-up wait with an [`attack`]
+//! that has no watchdog.
 
 use std::cell::Cell;
 
@@ -126,49 +126,9 @@ impl TrialOutcome {
     }
 }
 
-/// What a bounce drops before restarting the attacker's scan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Bounce {
-    /// Nothing: only the scan restarts. The sniffer follows a link only
-    /// from its `CONNECT_IND`, so this recovers the attacker only if the
-    /// link drops and the Central re-establishes it; a link that stays up
-    /// never sends a fresh one.
-    Resync,
-    /// The Central's link, so a fresh `CONNECT_REQ` reaches the sniffer.
-    /// This is what the paper's operators did when the attacker lost a
-    /// connection that cycled while it was injecting blind.
-    Central,
-    /// The connection in this Central slot. Each bounce bumps the slot's
-    /// generation, so the current handle is looked up at bounce time.
-    Slot(usize),
-}
-
-impl Bounce {
-    /// Drops what this bounce names, if it is up, and restarts the
-    /// attacker's scan in case the resync loop went quiet (a no-op while
-    /// the attacker is already scanning or following).
-    pub fn apply(self, sc: &mut Scenario) {
-        match self {
-            Bounce::Resync => {}
-            Bounce::Central => {
-                if sc.central().ll.is_connected() {
-                    sc.central_mut().ll.request_disconnect(0x13);
-                }
-            }
-            Bounce::Slot(slot) => {
-                if let Some(current) = sc.central().conn_manager().handle_at(slot) {
-                    sc.bounce_connection(current);
-                }
-            }
-        }
-        let attacker_id = sc.attacker_id.expect("scene has an attacker");
-        sc.world
-            .with_node_ctx::<Attacker, _>(attacker_id, |a, ctx| a.restart_resync(ctx));
-    }
-}
-
 /// Watchdog over a trial loop's ticks: counts ticks in a row on which the
-/// attacker follows no connection and bounces after `limit` of them.
+/// attacker follows no connection and bounces the target after `limit` of
+/// them.
 ///
 /// The Central's own connection state is deliberately **not** consulted:
 /// an earlier revision only counted ticks while the Central was connected,
@@ -179,17 +139,12 @@ impl Bounce {
 pub struct StallWatchdog {
     limit: u32,
     stalled: u32,
-    bounce: Bounce,
 }
 
 impl StallWatchdog {
-    /// Bounces with `bounce` after `limit` unsynchronised ticks in a row.
-    pub fn new(limit: u32, bounce: Bounce) -> Self {
-        StallWatchdog {
-            limit,
-            stalled: 0,
-            bounce,
-        }
+    /// Bounces after `limit` unsynchronised ticks in a row.
+    pub fn new(limit: u32) -> Self {
+        StallWatchdog { limit, stalled: 0 }
     }
 
     /// Records one tick. Returns `true` when the stall has lasted long
@@ -207,10 +162,11 @@ impl StallWatchdog {
         false
     }
 
-    /// Records one tick of `sc` and bounces when the stall is long enough.
+    /// Records one tick of `sc` and bounces the target when the stall is
+    /// long enough.
     pub fn tick(&mut self, sc: &mut Scenario) {
         if self.note(sc.attacker().connection().is_some()) {
-            self.bounce.apply(sc);
+            sc.bounce_target();
         }
     }
 }
@@ -252,10 +208,10 @@ pub fn attack(
 }
 
 thread_local! {
-    /// How many trials the next [`run_trial`] on this thread stands for in
-    /// its span wall columns: 1 outside the campaign engine, and inside it
-    /// the chunk's length for a chunk's first trial and 0 for the others,
-    /// which read no span clock.
+    /// How many trials the next trial built and run on this thread stands
+    /// for in its span wall columns: 1 outside the campaign engine, and
+    /// inside it the chunk's length for a chunk's first trial and 0 for the
+    /// others, which read no span clock.
     static SPAN_WEIGHT: Cell<u64> = const { Cell::new(1) };
 }
 
@@ -269,33 +225,39 @@ pub(crate) fn with_span_weight<T>(weight: u64, f: impl FnOnce() -> T) -> T {
     out
 }
 
-/// How many trials the next [`run_trial`] on this thread stands for in
-/// its span wall columns (0: it reads no span clock).
+/// How many trials the next trial built and run on this thread stands for
+/// in its span wall columns (0: it reads no span clock).
 pub(crate) fn span_weight() -> u64 {
     SPAN_WEIGHT.get()
 }
 
-/// Runs one paper-rig trial to its first confirmed injection: builds
-/// `rig` with `cfg.telemetry`, synchronises, runs [`attack`] with a
-/// 10-tick watchdog that bounces the Central, and checks the bulb.
+/// The build step of a trial: builds `rig` with `cfg.telemetry`.
 ///
-/// Inside the campaign engine only a chunk's first trial reads the span
-/// clock, and its `wall_ns`/`self_wall_ns` are multiplied by the chunk's
-/// length, so a row's wall columns estimate all its trials; the others
-/// report 0 wall. Called anywhere else, the trial times every span.
-pub fn run_trial(rig: ScenarioBuilder, cfg: &TrialConfig) -> TrialOutcome {
-    let wall_start = crate::wallclock::Stopwatch::start();
-    let weight = span_weight();
+/// Inside the campaign engine only a chunk's first trial installs the span
+/// clock (see [`run_built`]); called anywhere else, the trial times every
+/// span. Spans are no-ops with telemetry off.
+pub fn build_trial(rig: ScenarioBuilder, cfg: &TrialConfig) -> Scenario {
     // Sinks attach before node bootstrap; a failed JSONL sink degrades the
     // trial to metrics-only, recorded so report rows can flag that the
-    // artefact the user asked for does not exist. Spans are no-ops with
-    // telemetry off, and read the quarantined harness clock (R8) only in
-    // a timed trial.
-    let mut rig = rig.telemetry(cfg.telemetry.clone());
-    if weight > 0 {
-        rig = rig.span_clock(crate::wallclock::monotonic_ns);
+    // artefact the user asked for does not exist. Spans read the
+    // quarantined harness clock (R8) only in a timed trial.
+    let rig = rig.telemetry(cfg.telemetry.clone());
+    if span_weight() > 0 {
+        rig.span_clock(crate::wallclock::monotonic_ns).build()
+    } else {
+        rig.build()
     }
-    let mut sc = rig.build();
+}
+
+/// The run step of a trial, on a scene from [`build_trial`]: synchronises,
+/// runs [`attack`] with a 10-tick watchdog, and checks the target's bulb.
+///
+/// Inside the campaign engine a chunk's first trial multiplies its phase
+/// rows' `wall_ns`/`self_wall_ns` by the chunk's length, so a row's wall
+/// columns estimate all its trials; the others report 0 wall.
+pub fn run_built(sc: &mut Scenario, cfg: &TrialConfig) -> TrialOutcome {
+    let wall_start = crate::wallclock::Stopwatch::start();
+    let weight = span_weight();
     let registry = sc.metrics().cloned();
     let sync_span = sc.world.span_enter(SpanKind::TrialSync, 0);
     let synced = sc.wait_synchronised(SYNC_BUDGET);
@@ -306,17 +268,13 @@ pub fn run_trial(rig: ScenarioBuilder, cfg: &TrialConfig) -> TrialOutcome {
     let mut attack_wall_s = 0.0;
     if synced {
         let follow_span = sc.world.span_enter(SpanKind::TrialFollow, 0);
-        attempts = attack(
-            &mut sc,
-            cfg,
-            Some(StallWatchdog::new(STALL_TICKS, Bounce::Central)),
-        );
+        attempts = attack(sc, cfg, Some(StallWatchdog::new(STALL_TICKS)));
         sc.world.span_exit(follow_span);
         attack_wall_s = wall_start.elapsed_s() - sync_wall_s;
         // The verify span closes before the flush below, or its exit
         // record would miss the registry snapshot.
         let verify_span = sc.world.span_enter(SpanKind::TrialVerify, 0);
-        effect_observed = sc.victim::<Lightbulb>().app.pings > 0;
+        effect_observed = sc.target::<Lightbulb>().app.pings > 0;
         sc.world.span_exit(verify_span);
     }
     sc.world.flush_telemetry();
@@ -336,6 +294,12 @@ pub fn run_trial(rig: ScenarioBuilder, cfg: &TrialConfig) -> TrialOutcome {
     }
 }
 
+/// Runs one trial to its first confirmed injection: [`build_trial`], then
+/// [`run_built`].
+pub fn run_trial(rig: ScenarioBuilder, cfg: &TrialConfig) -> TrialOutcome {
+    run_built(&mut build_trial(rig, cfg), cfg)
+}
+
 /// Seed for trial `i` of a series with seed base `base`: a golden-ratio
 /// stride (`i · 2⁶⁴/φ`, wrapping) away from the base.
 ///
@@ -353,6 +317,8 @@ mod tests {
     use super::*;
     use crate::campaign::run_point;
     use crate::cli::Cli;
+    use injectable::ResyncPolicy;
+    use simkit::{FaultPlan, FrameLossRule, Instant};
 
     fn paper_trial(seed: u64, cfg: &TrialConfig) -> TrialOutcome {
         run_trial(ScenarioBuilder::paper_rig(seed), cfg)
@@ -445,6 +411,30 @@ mod tests {
         assert!(follow.self_sim_ns < follow.sim_ns);
     }
 
+    /// `ablation_faults`' loss plan: every data-channel frame lost with
+    /// probability `p`, and the survivors corrupted with `p/2`.
+    fn loss_plan(p: f64) -> FaultPlan {
+        (0..37u8).fold(FaultPlan::seeded(0x1055), |plan, channel| {
+            plan.with_loss(FrameLossRule {
+                from: Instant::ZERO,
+                until: Instant::from_micros(95_000_000),
+                channel: Some(channel),
+                loss_prob: p,
+                corrupt_prob: p * 0.5,
+            })
+        })
+    }
+
+    /// `ablation_faults`' resync policy.
+    fn tight_resync() -> ResyncPolicy {
+        ResyncPolicy {
+            campaign_hops: 900,
+            backoff_base: Duration::from_millis(250),
+            backoff_cap: Duration::from_secs(2),
+            max_retries: 4,
+        }
+    }
+
     /// The attack loop as it ran before it stopped at the deciding event:
     /// arm, then decide at the end of each 200 ms tick.
     fn polled_attack(
@@ -478,25 +468,24 @@ mod tests {
     /// reference run from the same arming instant.
     struct Decided {
         attempts: Option<u32>,
-        /// The watchdog bounced the Central at least once.
+        /// The watchdog bounced the target at least once.
         bounced: bool,
         exhausted: bool,
     }
 
     /// Builds `rig` twice and synchronises both; if they synchronised,
     /// runs [`attack`] on one and [`polled_attack`] on the other, each
-    /// with a watchdog bouncing `bounce` if one is given, and checks that
-    /// both decide alike and that a success's verdict record is the exact
-    /// run's last record.
+    /// with a watchdog if `watched`, and checks that both decide alike and
+    /// that a success's verdict record is the exact run's last record.
     fn exact_matches_polled(
         rig: impl Fn() -> Scenario,
         cfg: &TrialConfig,
-        bounce: Option<Bounce>,
+        watched: bool,
         label: &str,
     ) -> Decided {
         use ble_telemetry::{RingBufferSink, TelemetryEvent, Verdict};
 
-        let watchdog = || bounce.map(|b| StallWatchdog::new(STALL_TICKS, b));
+        let watchdog = || watched.then(|| StallWatchdog::new(STALL_TICKS));
         let (mut exact, mut polled) = (rig(), rig());
         let sink = RingBufferSink::new(1 << 17);
         let ring = sink.handle();
@@ -559,7 +548,7 @@ mod tests {
                         .build()
                 };
                 let label = format!("hop {hop}, trial {i}");
-                let decided = exact_matches_polled(rig, &cfg, Some(Bounce::Central), &label);
+                let decided = exact_matches_polled(rig, &cfg, true, &label);
                 successes += usize::from(decided.attempts.is_some());
             }
         }
@@ -570,27 +559,11 @@ mod tests {
     fn the_exact_stop_keeps_bounces_and_exhaustion_on_a_lossy_channel() {
         // Heavy data-channel loss: the attacker keeps losing the
         // connection. With ablation_faults' resync policy and a watchdog,
-        // the watchdog bounces the Central; with a one-retry policy and
-        // no watchdog, the resync runs out. Both stops must decide as the
+        // the watchdog bounces the target; with a one-retry policy and no
+        // watchdog, the resync runs out. Both stops must decide as the
         // polled loop does.
-        use injectable::ResyncPolicy;
-        use simkit::{FaultPlan, FrameLossRule, Instant};
-
-        let loss = (0..37u8).fold(FaultPlan::seeded(0x1055), |plan, channel| {
-            plan.with_loss(FrameLossRule {
-                from: Instant::ZERO,
-                until: Instant::from_micros(95_000_000),
-                channel: Some(channel),
-                loss_prob: 0.6,
-                corrupt_prob: 0.3,
-            })
-        });
-        let patient = ResyncPolicy {
-            campaign_hops: 900,
-            backoff_base: Duration::from_millis(250),
-            backoff_cap: Duration::from_secs(2),
-            max_retries: 4,
-        };
+        let loss = loss_plan(0.6);
+        let patient = tight_resync();
         let brief = ResyncPolicy {
             campaign_hops: 30,
             backoff_base: Duration::from_millis(100),
@@ -604,7 +577,7 @@ mod tests {
         };
         let (mut bounced, mut exhausted) = (0, 0);
         for i in 0..20 {
-            for (policy, bounce) in [(&patient, Some(Bounce::Central)), (&brief, None)] {
+            for (policy, watched) in [(&patient, true), (&brief, false)] {
                 let rig = || {
                     ScenarioBuilder::paper_rig(trial_seed(2_400, i))
                         .attacker_resync(policy.clone())
@@ -613,12 +586,12 @@ mod tests {
                         .build()
                 };
                 let label = format!("lossy trial {i}, {policy:?}");
-                let decided = exact_matches_polled(rig, &cfg, bounce, &label);
+                let decided = exact_matches_polled(rig, &cfg, watched, &label);
                 bounced += usize::from(decided.bounced);
                 exhausted += usize::from(decided.exhausted && decided.attempts.is_none());
             }
         }
-        assert!(bounced > 0, "no trial bounced the Central");
+        assert!(bounced > 0, "no trial bounced the target");
         assert!(exhausted > 0, "no trial exhausted its resync");
     }
 
@@ -665,7 +638,7 @@ mod tests {
         // was connected, so a simultaneous Central + attacker outage never
         // bounced and the trial idled its whole budget away. The watchdog
         // must fire from attacker desynchronisation alone.
-        let mut stall = StallWatchdog::new(STALL_TICKS, Bounce::Central);
+        let mut stall = StallWatchdog::new(STALL_TICKS);
         for _ in 0..STALL_TICKS - 1 {
             assert!(!stall.note(false));
         }
@@ -729,9 +702,9 @@ mod tests {
 
     /// A mild but non-trivial impairment plan: every fault family is
     /// represented, yet the trial still succeeds at close range.
-    fn mild_fault_plan() -> simkit::FaultPlan {
-        use simkit::{DriftExcursion, FadingEpisode, FrameLossRule, Instant, InterferenceBurst};
-        simkit::FaultPlan::seeded(0xFA17)
+    fn mild_fault_plan() -> FaultPlan {
+        use simkit::{DriftExcursion, FadingEpisode, InterferenceBurst};
+        FaultPlan::seeded(0xFA17)
             .with_loss(FrameLossRule {
                 from: Instant::ZERO,
                 until: Instant::from_micros(60_000_000),
@@ -747,8 +720,8 @@ mod tests {
             .with_burst(InterferenceBurst::duty_cycle(
                 9,
                 Instant::ZERO,
-                simkit::Duration::from_secs(60),
-                simkit::Duration::from_millis(50),
+                Duration::from_secs(60),
+                Duration::from_millis(50),
                 0.2,
                 -40.0,
             ))
@@ -786,7 +759,7 @@ mod tests {
 
     #[test]
     fn empty_fault_plan_is_a_true_no_op() {
-        let rig = ScenarioBuilder::paper_rig(47).faults(simkit::FaultPlan::seeded(999));
+        let rig = ScenarioBuilder::paper_rig(47).faults(FaultPlan::seeded(999));
         let a = run_trial(rig, &short_budget());
         let b = paper_trial(47, &short_budget());
         assert_eq!(a.attempts, b.attempts, "empty plan must not perturb");
@@ -828,11 +801,7 @@ mod tests {
     /// attaches right after the build, so every record the trial's run
     /// emits goes through the sink path. No span clock is installed, so
     /// the wall columns read 0 and the whole registry is deterministic.
-    fn published_registry(
-        rig: ScenarioBuilder,
-        bounce: Bounce,
-        traced: bool,
-    ) -> ble_telemetry::MetricsRegistry {
+    fn published_registry(rig: ScenarioBuilder, traced: bool) -> ble_telemetry::MetricsRegistry {
         use ble_telemetry::RingBufferSink;
 
         let mut sc = rig.telemetry(TelemetryMode::Metrics).build();
@@ -849,7 +818,7 @@ mod tests {
         if synced {
             let follow_span = sc.world.span_enter(SpanKind::TrialFollow, 0);
             let cfg = short_budget();
-            attack(&mut sc, &cfg, Some(StallWatchdog::new(STALL_TICKS, bounce)));
+            attack(&mut sc, &cfg, Some(StallWatchdog::new(STALL_TICKS)));
             sc.world.span_exit(follow_span);
         }
         sc.world.flush_telemetry();
@@ -868,56 +837,154 @@ mod tests {
         // floats in their shortest round-trip form, so equal renderings
         // are bit-for-bit equal registries.
         use ble_telemetry::{Counter, Hist};
-        use simkit::{FaultPlan, FrameLossRule, Instant};
 
-        let same = |label: &str, rig: &dyn Fn() -> ScenarioBuilder, bounce| {
-            let metered = published_registry(rig(), bounce, false);
-            let traced = published_registry(rig(), bounce, true);
+        let same = |label: &str, rig: &dyn Fn() -> ScenarioBuilder| {
+            let metered = published_registry(rig(), false);
+            let traced = published_registry(rig(), true);
             assert_eq!(format!("{metered:?}"), format!("{traced:?}"), "{label}");
             metered
         };
-        let paper = same(
-            "paper rig",
-            &|| ScenarioBuilder::paper_rig(trial_seed(1_000, 3)),
-            Bounce::Central,
-        );
+        let paper = same("paper rig", &|| {
+            ScenarioBuilder::paper_rig(trial_seed(1_000, 3))
+        });
         assert!(paper.hist(Hist::LeadUs).is_some_and(|h| h.count() > 0));
         assert_eq!(paper.span_totals(SpanKind::TrialFollow)[0], 1);
         // ablation_faults' 0.35 loss row: per-frame loss and corruption.
-        let loss = (0..37u8).fold(FaultPlan::seeded(0x1055), |plan, channel| {
-            plan.with_loss(FrameLossRule {
-                from: Instant::ZERO,
-                until: Instant::from_micros(95_000_000),
-                channel: Some(channel),
-                loss_prob: 0.35,
-                corrupt_prob: 0.175,
-            })
+        let loss = loss_plan(0.35);
+        let lossy = same("loss row", &|| {
+            ScenarioBuilder::paper_rig(trial_seed(11_006, 0))
+                .attacker_resync(tight_resync())
+                .faults(loss.clone())
         });
-        let lossy = same(
-            "loss row",
-            &|| {
-                ScenarioBuilder::paper_rig(trial_seed(11_006, 0))
-                    .attacker_resync(injectable::ResyncPolicy {
-                        campaign_hops: 900,
-                        backoff_base: Duration::from_millis(250),
-                        backoff_cap: Duration::from_secs(2),
-                        max_retries: 4,
-                    })
-                    .faults(loss.clone())
-            },
-            Bounce::Central,
-        );
         assert!(lossy.get(Counter::FaultFramesLost) > 0);
         assert!(lossy.get(Counter::FaultFramesCorrupted) > 0);
-        let dense = same(
-            "dense band",
-            &|| {
-                ScenarioBuilder::paper_rig(trial_seed(6_008, 0))
-                    .environment(ble_phy::Environment::dense_hall())
-                    .background_pairs(8)
-            },
-            Bounce::Resync,
-        );
+        let dense = same("dense band", &|| {
+            ScenarioBuilder::paper_rig(trial_seed(6_008, 0))
+                .environment(ble_phy::Environment::dense_hall())
+                .background_pairs(8)
+        });
         assert!(dense.get(Counter::SimNodes) > 16);
+    }
+
+    /// exp5 set-ups that once wedged: a sibling slot's transmission
+    /// abandoned an initiating slot's `CONNECT_IND` on the shared radio,
+    /// and that slot stayed `scanning` for the rest of the budget.
+    /// `(seed base, trial index, connections)`.
+    const SETUP_WEDGES: [(u64, u64, usize); 6] = [
+        (5002, 22, 2),
+        (5004, 12, 4),
+        (5004, 13, 4),
+        (5004, 17, 4),
+        (5008, 4, 8),
+        (5008, 7, 8),
+    ];
+
+    /// Trials of `ablation_faults`' 0.6 loss row (seed base 11 104) whose
+    /// sniffer missed the `CONNECT_IND` of a link that then stayed up, so
+    /// the attacker never followed it within [`SYNC_BUDGET`] until the
+    /// set-up wait bounced an unfollowed target.
+    const LOSS_ROW_UNFOLLOWED: [u64; 4] = [12, 55, 66, 68];
+
+    /// exp5 trials whose target slot wedged like [`SETUP_WEDGES`] after the
+    /// set-up wait bounced it, so the attacker never followed.
+    const BOUNCE_WEDGES: [(u64, u64, usize); 3] = [(5004, 24, 4), (5008, 3, 8), (5008, 13, 8)];
+
+    /// 8-connection exp5 trials whose attacker lost the target while its
+    /// link stayed up, and idled to the end of the budget while the
+    /// attack's watchdog only restarted the scan.
+    const LOST_WHILE_UP: [(u64, u64, usize); 3] = [(2032, 20, 8), (2032, 40, 8), (12353, 34, 8)];
+
+    /// exp5 set-ups that end with the target the last slot up and its
+    /// `CONNECT_IND` missed by the sniffer, one per multi-link row.
+    const UNFOLLOWED_SET_UPS: [(u64, u64, usize); 3] = [(5002, 2, 2), (5004, 2, 4), (5008, 1, 8)];
+
+    #[test]
+    fn set_ups_that_once_wedged_synchronise() {
+        let multi_conn = SETUP_WEDGES.map(|(base, i, conns)| {
+            let rig = ScenarioBuilder::paper_rig(trial_seed(base, i)).multi_peripheral(conns);
+            (format!("base {base} trial {i}"), rig)
+        });
+        let loss = loss_plan(0.6);
+        let lossy = LOSS_ROW_UNFOLLOWED.map(|i| {
+            let rig = ScenarioBuilder::paper_rig(trial_seed(11_104, i))
+                .attacker_resync(tight_resync())
+                .faults(loss.clone());
+            (format!("loss 0.6 trial {i}"), rig)
+        });
+        for (label, rig) in multi_conn.into_iter().chain(lossy) {
+            let mut sc = rig.build();
+            assert!(sc.wait_synchronised(SYNC_BUDGET), "{label}: no sync");
+            let central = sc.central();
+            for handle in central.conn_handles() {
+                let state = central.ll_for(handle).map(ble_link::LinkLayer::state_name);
+                assert_eq!(
+                    state,
+                    Some("connected"),
+                    "{label}: slot {} is not connected",
+                    handle.index()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn bounced_target_reconnects_and_the_attack_succeeds() {
+        let cfg = TrialConfig {
+            telemetry: TelemetryMode::Off,
+            ..TrialConfig::default()
+        };
+        for (base, i, conns) in BOUNCE_WEDGES.into_iter().chain(LOST_WHILE_UP) {
+            let rig = ScenarioBuilder::paper_rig(trial_seed(base, i)).multi_peripheral(conns);
+            let outcome = run_trial(rig, &cfg);
+            assert!(
+                outcome.attempts.is_some(),
+                "base {base} trial {i}: no confirmed injection"
+            );
+        }
+    }
+
+    #[test]
+    fn an_unfollowed_target_is_bounced_at_its_first_connection_event() {
+        use ble_devices::Central;
+
+        for (base, i, conns) in UNFOLLOWED_SET_UPS {
+            let mut sc = ScenarioBuilder::paper_rig(trial_seed(base, i))
+                .multi_peripheral(conns)
+                .build();
+            let central = sc.central_id;
+            let all_up = sc.world.run_until_or(sc.now() + SYNC_BUDGET, |w| {
+                w.node::<Central>(central)
+                    .is_some_and(|c| c.live_connections() >= conns)
+            });
+            assert!(all_up, "base {base} trial {i}");
+            let up = sc.now();
+            let target = *sc.extra_conn_handles.last().expect("a multi-link scene");
+            let info = sc
+                .central()
+                .ll_for(target)
+                .and_then(ble_link::LinkLayer::connection_info)
+                .expect("the target slot is up");
+            assert_eq!(info.next_event_counter, 0, "base {base} trial {i}");
+            let first_anchor =
+                up + ble_link::timing::transmit_window_offset(info.params.win_offset);
+            // Bounced at its first anchor, the link sends its TERMINATE_IND
+            // at the next event and is down once that frame has gone out.
+            let deadline = first_anchor + info.params.interval() + Duration::from_millis(1);
+            let before = sc.central().disconnections;
+            assert!(!sc.wait_synchronised(deadline - up));
+            assert_eq!(
+                sc.central().disconnections,
+                before + 1,
+                "base {base} trial {i}: the target was not bounced by {deadline:?}"
+            );
+            assert_eq!(sc.bounces, 1, "base {base} trial {i}");
+            assert!(
+                sc.central()
+                    .conn_manager()
+                    .handle_at(sc.target_slot())
+                    .is_none(),
+                "base {base} trial {i}: the target slot is still held"
+            );
+        }
     }
 }

@@ -42,7 +42,7 @@ use std::path::PathBuf;
 
 use ble_devices::{Central, Keyfob, Lightbulb, Smartwatch, CENTRAL_SLOTS};
 use ble_host::ConnHandle;
-use ble_link::{ConnectionParams, DeviceAddress};
+use ble_link::{ConnectionParams, DeviceAddress, LinkLayer};
 use ble_phy::{
     AccessAddress, Environment, Node, NodeConfig, NodeId, PhyMode, Position, Wall, World,
 };
@@ -224,7 +224,8 @@ impl ScenarioBuilder {
     /// every classic node, each claiming one Central connection slot, so
     /// `multi_peripheral(1)` builds a world byte-identical to not calling
     /// this at all. Establishment is serialised: the Central connects the
-    /// victim first, then each extra peer in slot order.
+    /// victim first, then each extra peer in slot order. The attacker is
+    /// aimed at the newest slot's peer ([`Scenario::target_slot`]).
     pub fn multi_peripheral(mut self, n: usize) -> Self {
         self.extra_peripherals = n.clamp(1, CENTRAL_SLOTS) - 1;
         self
@@ -622,7 +623,7 @@ impl ScenarioBuilder {
             world.install_faults(plan);
         }
 
-        Scenario {
+        let mut scenario = Scenario {
             world,
             kind: self.kind,
             victim_id,
@@ -635,7 +636,14 @@ impl ScenarioBuilder {
             extra_peripheral_ids,
             extra_conn_handles,
             background_ids,
+            bounces: 0,
+        };
+        // The attacker targets the newest slot. Establishment is serialised
+        // with the victim first, so that is the last link to come up.
+        if let (Some(_), Some(&target)) = (attacker_id, scenario.extra_conn_handles.last()) {
+            scenario.aim_attacker_at(target);
         }
+        scenario
     }
 }
 
@@ -669,6 +677,9 @@ pub struct Scenario {
     /// `(transmitter, receiver)` arena ids of the background pairs added by
     /// [`ScenarioBuilder::background_pairs`], pair order.
     pub background_ids: Vec<(NodeId, NodeId)>,
+    /// How many times [`Scenario::bounce_target`] has dropped the target
+    /// link.
+    pub bounces: u32,
 }
 
 impl Scenario {
@@ -800,19 +811,6 @@ impl Scenario {
         self.central_mut().disconnect(handle, 0x13)
     }
 
-    /// Runs until `want` Central slots hold live connections, and stops at
-    /// the event that brings the last of them up (see
-    /// [`World::run_until_or`]). Returns `false` when `budget` runs out
-    /// first.
-    pub fn wait_connections(&mut self, want: usize, budget: Duration) -> bool {
-        let deadline = self.world.now() + budget;
-        let central = self.central_id;
-        self.world.run_until_or(deadline, |w| {
-            w.node::<Central>(central)
-                .is_some_and(|c| c.live_connections() >= want)
-        })
-    }
-
     /// Advances the simulation.
     pub fn run_for(&mut self, d: Duration) {
         self.world.run_for(d);
@@ -852,72 +850,117 @@ impl Scenario {
         }
     }
 
-    /// Runs until the connection is up and the attacker follows it with
-    /// sequence state, and stops at the event that makes both hold (see
-    /// [`World::run_until_or`]). Returns `false` on setup timeout.
+    /// Central connection slot of the link the attacker is aimed at: the
+    /// newest slot, so slot 0 (the victim's) in a single-link scene.
+    pub fn target_slot(&self) -> usize {
+        self.extra_conn_handles.len()
+    }
+
+    /// The peripheral behind [`Scenario::target_slot`], downcast to its
+    /// concrete device type.
+    ///
+    /// # Panics
+    /// If `P` is not the target's type.
+    pub fn target<P: std::any::Any>(&self) -> &P {
+        let id = self
+            .extra_peripheral_ids
+            .last()
+            .copied()
+            .unwrap_or(self.victim_id);
+        self.world
+            .node::<P>(id)
+            .expect("target has the requested type")
+    }
+
+    /// Bounces the target link: drops it if it is up, so that its slot
+    /// re-establishes and the sniffer sees a fresh `CONNECT_IND`, and
+    /// restarts the attacker's scan in case its resync loop went quiet (a
+    /// no-op while the attacker is already scanning or following). The
+    /// set-up wait and the attack's stall watchdog both bounce this way.
+    ///
+    /// # Panics
+    /// If the scene was built without an attacker.
+    pub fn bounce_target(&mut self) {
+        if let Some(current) = self.central().conn_manager().handle_at(self.target_slot()) {
+            if self.bounce_connection(current) {
+                self.bounces += 1;
+            }
+        }
+        let attacker = self.attacker_id.expect("scene has an attacker");
+        self.world
+            .with_node_ctx::<Attacker, _>(attacker, |a, ctx| a.restart_resync(ctx));
+    }
+
+    /// Runs until every Central slot holds a live connection and the
+    /// attacker follows the target link with the Slave's sequence bits,
+    /// and stops at the event that makes both hold (see
+    /// [`World::run_until_or`]). Returns `false` when `budget` runs out
+    /// first.
+    ///
+    /// The sniffer follows a link only from its `CONNECT_IND`, which it can
+    /// miss because it scans one advertising channel at a time, and a link
+    /// that stays up never sends another. So once every slot is up,
+    /// whenever the target link has run its first connection event while
+    /// the attacker follows nothing, the wait bounces the target
+    /// ([`Scenario::bounce_target`]) and runs until it is down before it
+    /// looks again. It waits for that first event rather than the
+    /// Central's `TxDone`, because the sniffer decodes the `CONNECT_IND` a
+    /// propagation delay after the Central has sent it.
     ///
     /// # Panics
     /// If the scene was built without an attacker.
     pub fn wait_synchronised(&mut self, budget: Duration) -> bool {
         let deadline = self.world.now() + budget;
-        let (central, attacker) = (
-            self.central_id,
-            self.attacker_id.expect("scene has an attacker"),
-        );
-        self.world.run_until_or(deadline, |w| {
-            let connected = w
-                .node::<Central>(central)
-                .is_some_and(|c| c.ll.is_connected());
-            connected
-                && w.node::<Attacker>(attacker)
-                    .and_then(Attacker::connection)
-                    .is_some_and(|c| c.has_slave_seq())
-        })
-    }
-
-    /// Runs until the legitimate connection is up and the attacker follows
-    /// it, then lets the sniffer settle for 400 ms (bounded wait).
-    ///
-    /// # Panics
-    /// If the setup does not converge within the bound.
-    pub fn run_until_connected(&mut self) {
-        for _ in 0..100 {
-            self.world.run_for(Duration::from_millis(100));
-            let connected = self.central().ll.is_connected();
-            let following = self.attacker().connection().is_some();
-            if connected && following {
-                // Give the sniffer a few events to learn the slave's
-                // SN/NESN bits.
-                self.world.run_for(Duration::from_millis(400));
-                return;
+        let (central, slot) = (self.central_id, self.target_slot());
+        let attacker = self.attacker_id.expect("scene has an attacker");
+        let slots = slot + 1;
+        let all_up = |w: &World| {
+            w.node::<Central>(central)
+                .is_some_and(|c| c.live_connections() >= slots)
+        };
+        if !self.world.run_until_or(deadline, all_up) {
+            return false;
+        }
+        loop {
+            let mut synced = false;
+            let synced_or_unfollowed = |w: &World| {
+                let (Some(c), Some(a)) = (w.node::<Central>(central), w.node::<Attacker>(attacker))
+                else {
+                    return false;
+                };
+                match a.connection() {
+                    Some(conn) => {
+                        synced = conn.has_slave_seq() && c.live_connections() >= slots;
+                        synced
+                    }
+                    None => slot_ll(c, slot)
+                        .and_then(LinkLayer::connection_info)
+                        .is_some_and(|info| info.next_event_counter >= 1),
+                }
+            };
+            if !self.world.run_until_or(deadline, synced_or_unfollowed) {
+                return false;
+            }
+            if synced {
+                return true;
+            }
+            self.bounce_target();
+            let down = |w: &World| {
+                w.node::<Central>(central)
+                    .and_then(|c| slot_ll(c, slot))
+                    .is_none_or(|ll| !ll.is_connected())
+            };
+            if !self.world.run_until_or(deadline, down) {
+                return false;
             }
         }
-        panic!(
-            "setup failed: central connected={}, attacker following={}",
-            self.central().ll.is_connected(),
-            self.attacker().connection().is_some()
-        );
     }
+}
 
-    /// Like [`run_until_connected`] but waits for full sequence state and
-    /// settles without panicking on timeout (the §VI scenario harness).
-    ///
-    /// [`run_until_connected`]: Scenario::run_until_connected
-    pub fn run_until_following(&mut self) {
-        for _ in 0..100 {
-            self.world.run_for(Duration::from_millis(100));
-            let ok = self.central().ll.is_connected()
-                && self
-                    .attacker()
-                    .connection()
-                    .map(|t| t.has_slave_seq())
-                    .unwrap_or(false);
-            if ok {
-                break;
-            }
-        }
-        self.world.run_for(Duration::from_millis(400));
-    }
+/// The Link Layer of the Central's connection slot `slot`, while the slot
+/// holds a connection (a bounce releases it until the slot reconnects).
+fn slot_ll(central: &Central, slot: usize) -> Option<&LinkLayer> {
+    central.ll_for(central.conn_manager().handle_at(slot)?)
 }
 
 impl std::fmt::Debug for Scenario {
@@ -997,11 +1040,15 @@ mod tests {
         let mut sc = ScenarioBuilder::legit(5).multi_peripheral(4).build();
         assert_eq!(sc.extra_peripheral_ids.len(), 3);
         assert_eq!(sc.extra_conn_handles.len(), 3);
-        assert!(
-            sc.wait_connections(4, Duration::from_secs(20)),
-            "only {} of 4 connections up",
-            sc.live_connections()
-        );
+        assert_eq!(sc.target_slot(), 3);
+        let central = sc.central_id;
+        let all_up = sc
+            .world
+            .run_until_or(sc.now() + Duration::from_secs(20), |w| {
+                w.node::<Central>(central)
+                    .is_some_and(|c| c.live_connections() >= 4)
+            });
+        assert!(all_up, "only {} of 4 connections up", sc.live_connections());
         // Every occupied slot reports Established in the manager too.
         let central = sc.central();
         for h in central.conn_handles() {
@@ -1013,8 +1060,7 @@ mod tests {
         }
         // A Master comes up at its CONNECT_IND's `TxDone`, with that instant
         // as its anchor reference and no connection event run yet. Exactly
-        // one slot must read so: the wait stopped at that event, not on a
-        // later poll.
+        // one slot must read so: the run stopped at that event.
         let now = sc.now();
         let just_up: Vec<_> = central
             .conn_handles()

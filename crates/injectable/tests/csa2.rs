@@ -20,7 +20,7 @@ fn csa2_rig(seed: u64) -> Scenario {
 #[test]
 fn connection_and_traffic_work_over_csa2() {
     let mut s = csa2_rig(40);
-    s.run_until_connected();
+    assert!(s.wait_synchronised(Duration::from_secs(10)));
     let control = s.victim_control_handle();
     {
         let central = s.central();
@@ -43,7 +43,7 @@ fn connection_and_traffic_work_over_csa2() {
 #[test]
 fn sniffer_follows_csa2_connections() {
     let mut s = csa2_rig(41);
-    s.run_until_connected();
+    assert!(s.wait_synchronised(Duration::from_secs(10)));
     s.run_for(Duration::from_secs(3));
     let attacker = s.attacker();
     let conn = attacker.connection().expect("following");
@@ -55,7 +55,7 @@ fn sniffer_follows_csa2_connections() {
 #[test]
 fn injection_works_over_csa2() {
     let mut s = csa2_rig(42);
-    s.run_until_connected();
+    assert!(s.wait_synchronised(Duration::from_secs(10)));
     let att = AttPdu::WriteRequest {
         handle: s.victim_control_handle(),
         value: bulb_payloads::colour(9, 8, 7),
@@ -80,7 +80,7 @@ fn master_hijack_works_over_csa2() {
     use ble_link::{AddressType, DeviceAddress, UpdateRequest};
     let mut s = csa2_rig(43);
     s.central_mut().auto_reconnect = true;
-    s.run_until_connected();
+    assert!(s.wait_synchronised(Duration::from_secs(10)));
     s.central_mut().auto_reconnect = false;
     let control = s.victim_control_handle();
     s.attacker_mut().arm(Mission::HijackMaster {

@@ -27,7 +27,7 @@ fn detector(s: &Scenario, id: NodeId) -> &InjectionDetector {
 #[test]
 fn clean_traffic_raises_no_alerts() {
     let (mut s, id) = rig_with_detector(70);
-    s.run_until_connected();
+    assert!(s.wait_synchronised(Duration::from_secs(10)));
     let control = s.victim_control_handle();
     // Plenty of legitimate traffic, including real writes.
     for i in 0..10u8 {
@@ -52,7 +52,7 @@ fn clean_traffic_raises_no_alerts() {
 #[test]
 fn injection_campaign_is_detected() {
     let (mut s, id) = rig_with_detector(71);
-    s.run_until_connected();
+    assert!(s.wait_synchronised(Duration::from_secs(10)));
     s.run_for(Duration::from_secs(2)); // detector warm-up
     let control = s.victim_control_handle();
 

@@ -16,7 +16,7 @@ fn rig(seed: u64, hop_interval: u16) -> Scenario {
 #[test]
 fn injected_write_turns_the_bulb_off() {
     let mut s = rig(1, 36);
-    s.run_until_connected();
+    assert!(s.wait_synchronised(Duration::from_secs(10)));
     let control = s.victim_control_handle();
     assert!(!s.victim::<Lightbulb>().app.on);
     // Legitimate traffic first: the central turns the bulb on.
@@ -52,7 +52,7 @@ fn injected_write_turns_the_bulb_off() {
 #[test]
 fn injected_read_captures_the_device_name() {
     let mut s = rig(2, 36);
-    s.run_until_connected();
+    assert!(s.wait_synchronised(Duration::from_secs(10)));
     let name_handle = s
         .victim::<Lightbulb>()
         .host
@@ -85,7 +85,7 @@ fn repeated_injections_all_land() {
     // Pace the campaign so the legitimate Master keeps seeing responses on
     // the non-attacked events and the connection stays healthy throughout.
     s.attacker_mut().set_inject_gap(2);
-    s.run_until_connected();
+    assert!(s.wait_synchronised(Duration::from_secs(10)));
     s.attacker_mut().arm(Mission::InjectRaw {
         llid: ble_link::Llid::StartOrComplete,
         payload: att_write_frame(control, bulb_payloads::colour(1, 2, 3)),
@@ -116,7 +116,7 @@ fn injection_attempts_eventually_succeed_even_with_failures() {
         .attacker_distance(8.0)
         .central_distance(2.0)
         .build();
-    s.run_until_connected();
+    assert!(s.wait_synchronised(Duration::from_secs(10)));
     let att = AttPdu::WriteRequest {
         handle: s.victim_control_handle(),
         value: bulb_payloads::power_on(),

@@ -38,7 +38,7 @@ fn rig(seed: u64, hop_interval: u16) -> Scenario {
 #[test]
 fn slave_hijack_evicts_bulb_and_serves_forged_name() {
     let mut s = rig(10, 36);
-    s.run_until_connected();
+    assert!(s.wait_synchronised(Duration::from_secs(10)));
 
     s.attacker_mut().arm(Mission::HijackSlave {
         host: hacked_host(),
@@ -95,7 +95,7 @@ fn slave_hijack_evicts_bulb_and_serves_forged_name() {
 #[test]
 fn slave_hijack_keeps_master_connection_alive_long_term() {
     let mut s = rig(11, 24);
-    s.run_until_connected();
+    assert!(s.wait_synchronised(Duration::from_secs(10)));
     s.attacker_mut().arm(Mission::HijackSlave {
         host: hacked_host(),
     });

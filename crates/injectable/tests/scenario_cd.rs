@@ -71,7 +71,7 @@ fn add_slave_half(s: &mut Scenario, half: MitmSlaveHalf) -> ble_phy::NodeId {
 #[test]
 fn master_hijack_steals_the_slave_and_drives_its_features() {
     let mut s = rig(20);
-    s.run_until_connected();
+    assert!(s.wait_synchronised(Duration::from_secs(10)));
     assert!(!s.victim::<Lightbulb>().app.on);
     let control = s.victim_control_handle();
 
@@ -121,7 +121,7 @@ fn master_hijack_steals_the_slave_and_drives_its_features() {
 #[test]
 fn mitm_intercepts_and_rewrites_traffic_on_the_fly() {
     let mut s = rig(21);
-    s.run_until_connected();
+    assert!(s.wait_synchronised(Duration::from_secs(10)));
     let control = s.victim_control_handle();
 
     // Scenario D: the slave half mirrors the bulb's GATT profile.
@@ -187,7 +187,7 @@ fn mitm_blackhole_denies_service() {
     // §VIII: "initiating a Man-in-the-Middle and not forwarding the
     // legitimate traffic to perform a denial of service".
     let mut s = rig(22);
-    s.run_until_connected();
+    assert!(s.wait_synchronised(Duration::from_secs(10)));
     let control = s.victim_control_handle();
     let handoff = new_handoff();
     handoff.lock().forward = false;

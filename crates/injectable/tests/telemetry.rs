@@ -16,7 +16,7 @@ fn scenario_a_emits_attempt_then_verdict_into_sinks() {
     let records = ring.handle();
     s.world.add_telemetry_sink(Box::new(ring));
     let registry = s.world.enable_metrics();
-    s.run_until_connected();
+    assert!(s.wait_synchronised(Duration::from_secs(10)));
 
     let att = AttPdu::WriteRequest {
         handle: s.victim_control_handle(),
@@ -89,7 +89,7 @@ fn scenario_a_emits_attempt_then_verdict_into_sinks() {
 #[test]
 fn ring_buffer_attaches_mid_run_and_keeps_newest() {
     let mut s = ScenarioBuilder::attack_rig(2).hop_interval(36).build();
-    s.run_until_connected();
+    assert!(s.wait_synchronised(Duration::from_secs(10)));
     // Attach late, with a tiny capacity: the sink must replay node labels
     // and then keep only the newest records.
     let ring = RingBufferSink::new(16);

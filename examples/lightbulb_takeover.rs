@@ -16,7 +16,10 @@ fn build(seed: u64) -> Scenario {
     let mut s = ScenarioBuilder::example(seed).build();
     s.set_victim_auto_readvertise(false);
     s.central_mut().auto_reconnect = false;
-    s.run_until_following();
+    assert!(
+        s.wait_synchronised(Duration::from_secs(10)),
+        "the attacker never synchronised"
+    );
     s
 }
 
