@@ -9,33 +9,10 @@
 //! medium schedules per frame (the quantity the channel-sharding rework
 //! keeps independent of world size).
 
-use bench::{build_trial, print_series_to, run_built, run_point, Cli, TrialConfig, TrialOutcome};
+use bench::{build_trial, print_series_to, run_built, run_point, Cli, TrialConfig};
 use ble_phy::Environment;
 use ble_scenario::ScenarioBuilder;
 use simkit::Duration;
-
-/// One dense-band trial: the paper rig's trial with `pairs` background
-/// pairs in the dense hall. The trial's band statistics ride along as
-/// counters: frames put on the air (every transmitter, attacker included),
-/// `RxStart` events the medium scheduled, and receptions corrupted by an
-/// overlapping frame.
-fn run_dense_trial(seed: u64, pairs: usize, cfg: &TrialConfig) -> TrialOutcome {
-    let rig = ScenarioBuilder::paper_rig(seed)
-        .environment(Environment::dense_hall())
-        .background_pairs(pairs)
-        .delivery_tracker(128);
-    let mut sc = build_trial(rig, cfg);
-    let mut outcome = run_built(&mut sc, cfg);
-    if let (Some(metrics), Some(reg)) = (outcome.metrics.as_mut(), sc.metrics()) {
-        let totals = sc.delivery_totals().expect("tracker was enabled");
-        metrics.counters = vec![
-            ("tx_frames", totals.tx_frames),
-            ("scheduled_rx_starts", totals.scheduled_rx_starts),
-            ("collisions", reg.lock().counter("phy.collision")),
-        ];
-    }
-    outcome
-}
 
 fn main() {
     let cli = Cli::parse(10);
@@ -52,7 +29,27 @@ fn main() {
             "background_pairs",
             pairs as f64,
             base + pairs as u64,
-            |seed| run_dense_trial(seed, pairs, &cfg),
+            |seed| {
+                let rig = ScenarioBuilder::paper_rig(seed)
+                    .environment(Environment::dense_hall())
+                    .background_pairs(pairs)
+                    .delivery_tracker(128);
+                let mut sc = build_trial(rig, &cfg);
+                let mut outcome = run_built(&mut sc, &cfg);
+                // The band statistics ride along as counters: frames put on
+                // the air (every transmitter, attacker included), `RxStart`
+                // events the medium scheduled, and receptions corrupted by
+                // an overlapping frame.
+                if let (Some(metrics), Some(reg)) = (outcome.metrics.as_mut(), sc.metrics()) {
+                    let totals = sc.delivery_totals().expect("tracker was enabled");
+                    metrics.counters = vec![
+                        ("tx_frames", totals.tx_frames),
+                        ("scheduled_rx_starts", totals.scheduled_rx_starts),
+                        ("collisions", reg.lock().counter("phy.collision")),
+                    ];
+                }
+                outcome
+            },
         );
         let frames = row.counter("tx_frames").max(1) as f64;
         let collisions = row.counter("collisions") as f64 / frames;

@@ -933,7 +933,7 @@ impl Scenario {
                         synced = conn.has_slave_seq() && c.live_connections() >= slots;
                         synced
                     }
-                    None => slot_ll(c, slot)
+                    None => held_link(c, slot)
                         .and_then(LinkLayer::connection_info)
                         .is_some_and(|info| info.next_event_counter >= 1),
                 }
@@ -947,7 +947,7 @@ impl Scenario {
             self.bounce_target();
             let down = |w: &World| {
                 w.node::<Central>(central)
-                    .and_then(|c| slot_ll(c, slot))
+                    .and_then(|c| held_link(c, slot))
                     .is_none_or(|ll| !ll.is_connected())
             };
             if !self.world.run_until_or(deadline, down) {
@@ -959,7 +959,7 @@ impl Scenario {
 
 /// The Link Layer of the Central's connection slot `slot`, while the slot
 /// holds a connection (a bounce releases it until the slot reconnects).
-fn slot_ll(central: &Central, slot: usize) -> Option<&LinkLayer> {
+fn held_link(central: &Central, slot: usize) -> Option<&LinkLayer> {
     central.ll_for(central.conn_manager().handle_at(slot)?)
 }
 
