@@ -798,13 +798,15 @@ mod tests {
 
     /// Runs one trial of `rig` with metrics on, and with a ring sink too
     /// when `traced`, and returns the registry it publishes. The ring
-    /// attaches right after the build, so every record the trial's run
-    /// emits goes through the sink path. No span clock is installed, so
-    /// the wall columns read 0 and the whole registry is deterministic.
+    /// attaches between the build and run steps, so every record the
+    /// trial's run emits goes through the sink path. At span weight 0 no
+    /// span clock is installed, so the wall columns read 0 and the whole
+    /// registry is deterministic.
     fn published_registry(rig: ScenarioBuilder, traced: bool) -> ble_telemetry::MetricsRegistry {
         use ble_telemetry::RingBufferSink;
 
-        let mut sc = rig.telemetry(TelemetryMode::Metrics).build();
+        let cfg = short_budget();
+        let mut sc = with_span_weight(0, || build_trial(rig, &cfg));
         let registry = sc.metrics().cloned().expect("metrics on");
         let ring = traced.then(|| {
             let sink = RingBufferSink::new(64);
@@ -812,16 +814,7 @@ mod tests {
             sc.world.add_telemetry_sink(Box::new(sink));
             ring
         });
-        let sync_span = sc.world.span_enter(SpanKind::TrialSync, 0);
-        let synced = sc.wait_synchronised(SYNC_BUDGET);
-        sc.world.span_exit(sync_span);
-        if synced {
-            let follow_span = sc.world.span_enter(SpanKind::TrialFollow, 0);
-            let cfg = short_budget();
-            attack(&mut sc, &cfg, Some(StallWatchdog::new(STALL_TICKS)));
-            sc.world.span_exit(follow_span);
-        }
-        sc.world.flush_telemetry();
+        with_span_weight(0, || run_built(&mut sc, &cfg));
         if let Some(ring) = ring {
             let ring = ring.lock();
             let seen = u64::try_from(ring.len()).unwrap() + ring.evicted();
