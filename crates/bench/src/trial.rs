@@ -872,12 +872,6 @@ mod tests {
         (5008, 7, 8),
     ];
 
-    /// Trials of `ablation_faults`' 0.6 loss row (seed base 11 104) whose
-    /// sniffer missed the `CONNECT_IND` of a link that then stayed up, so
-    /// the attacker never followed it within [`SYNC_BUDGET`] until the
-    /// set-up wait bounced an unfollowed target.
-    const LOSS_ROW_UNFOLLOWED: [u64; 4] = [12, 55, 66, 68];
-
     /// exp5 trials whose target slot wedged like [`SETUP_WEDGES`] after the
     /// set-up wait bounced it, so the attacker never followed.
     const BOUNCE_WEDGES: [(u64, u64, usize); 3] = [(5004, 24, 4), (5008, 3, 8), (5008, 13, 8)];
@@ -897,8 +891,11 @@ mod tests {
             let rig = ScenarioBuilder::paper_rig(trial_seed(base, i)).multi_peripheral(conns);
             (format!("base {base} trial {i}"), rig)
         });
+        // Trials of `ablation_faults`' 0.6 loss row that never
+        // synchronised within the budget until the set-up wait bounced an
+        // unfollowed target.
         let loss = loss_plan(0.6);
-        let lossy = LOSS_ROW_UNFOLLOWED.map(|i| {
+        let lossy = [12, 55, 66, 68].map(|i| {
             let rig = ScenarioBuilder::paper_rig(trial_seed(11_104, i))
                 .attacker_resync(tight_resync())
                 .faults(loss.clone());
