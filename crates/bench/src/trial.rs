@@ -127,26 +127,20 @@ impl TrialOutcome {
 }
 
 /// Watchdog over a trial loop's ticks: counts ticks in a row on which the
-/// attacker follows no connection and bounces the target after `limit` of
-/// them.
+/// attacker follows no connection and bounces the target after
+/// [`STALL_TICKS`] of them.
 ///
 /// The Central's own connection state is deliberately **not** consulted:
 /// an earlier revision only counted ticks while the Central was connected,
 /// which meant a simultaneous Central + attacker outage reset the counter
 /// every tick and the bounce never fired — the trial then idled until its
 /// whole budget was burned.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct StallWatchdog {
-    limit: u32,
     stalled: u32,
 }
 
 impl StallWatchdog {
-    /// Bounces after `limit` unsynchronised ticks in a row.
-    pub fn new(limit: u32) -> Self {
-        StallWatchdog { limit, stalled: 0 }
-    }
-
     /// Records one tick. Returns `true` when the stall has lasted long
     /// enough to bounce (and starts counting afresh).
     fn note(&mut self, attacker_synced: bool) -> bool {
@@ -155,7 +149,7 @@ impl StallWatchdog {
             return false;
         }
         self.stalled += 1;
-        if self.stalled >= self.limit {
+        if self.stalled >= STALL_TICKS {
             self.stalled = 0;
             return true;
         }
@@ -268,7 +262,7 @@ pub fn run_built(sc: &mut Scenario, cfg: &TrialConfig) -> TrialOutcome {
     let mut attack_wall_s = 0.0;
     if synced {
         let follow_span = sc.world.span_enter(SpanKind::TrialFollow, 0);
-        attempts = attack(sc, cfg, Some(StallWatchdog::new(STALL_TICKS)));
+        attempts = attack(sc, cfg, Some(StallWatchdog::default()));
         sc.world.span_exit(follow_span);
         attack_wall_s = wall_start.elapsed_s() - sync_wall_s;
         // The verify span closes before the flush below, or its exit
@@ -485,7 +479,7 @@ mod tests {
     ) -> Decided {
         use ble_telemetry::{RingBufferSink, TelemetryEvent, Verdict};
 
-        let watchdog = || watched.then(|| StallWatchdog::new(STALL_TICKS));
+        let watchdog = || watched.then(StallWatchdog::default);
         let (mut exact, mut polled) = (rig(), rig());
         let sink = RingBufferSink::new(1 << 17);
         let ring = sink.handle();
@@ -493,6 +487,7 @@ mod tests {
         let synced = exact.wait_synchronised(SYNC_BUDGET);
         assert_eq!(synced, polled.wait_synchronised(SYNC_BUDGET), "{label}");
         assert_eq!(exact.now(), polled.now(), "{label}: same arming instant");
+        let set_up_bounces = exact.bounces;
         if !synced {
             return Decided {
                 attempts: None,
@@ -521,13 +516,10 @@ mod tests {
             assert_eq!(verdict.at, exact.now(), "{label}");
             assert!(ring.iter().all(|r| r.at <= exact.now()), "{label}");
         }
-        let bounced = ring
-            .iter()
-            .any(|r| matches!(r.event, TelemetryEvent::ConnectionClosed { reason: 0x13 }));
         drop(ring);
         Decided {
             attempts,
-            bounced,
+            bounced: exact.bounces > set_up_bounces,
             exhausted: exact.attacker().resync_exhausted(),
         }
     }
@@ -638,7 +630,7 @@ mod tests {
         // was connected, so a simultaneous Central + attacker outage never
         // bounced and the trial idled its whole budget away. The watchdog
         // must fire from attacker desynchronisation alone.
-        let mut stall = StallWatchdog::new(STALL_TICKS);
+        let mut stall = StallWatchdog::default();
         for _ in 0..STALL_TICKS - 1 {
             assert!(!stall.note(false));
         }

@@ -20,7 +20,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use bench::trial::{trial_seed, STALL_TICKS, SYNC_BUDGET};
+use bench::trial::{trial_seed, SYNC_BUDGET};
 use bench::{
     attack, build_trial, SeriesAccumulator, StallWatchdog, TelemetryMode, TrialConfig,
     TrialMetrics, TrialOutcome,
@@ -487,8 +487,7 @@ fn trial_step_allocations(mode: TelemetryMode) -> [f64; 3] {
         let mut attempts = None;
         if synced {
             let follow_span = sc.world.span_enter(ble_telemetry::SpanKind::TrialFollow, 0);
-            let watchdog = StallWatchdog::new(STALL_TICKS);
-            attempts = attack(&mut sc, &cfg, Some(watchdog));
+            attempts = attack(&mut sc, &cfg, Some(StallWatchdog::default()));
             sc.world.span_exit(follow_span);
         }
         let ((), flush) = counted(|| sc.world.flush_telemetry());
