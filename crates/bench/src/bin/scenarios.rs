@@ -200,9 +200,8 @@ fn scenario_b(rows: &mut Vec<Row>) {
 
 /// Runs scenario B against one peripheral type.
 fn run_b_peripheral(seed: u64, kind: DeviceKind) -> (bool, Option<u32>) {
-    let mut s = ScenarioBuilder::scene(seed).device(kind).build();
+    let mut s = scene(seed, kind);
     s.set_victim_auto_readvertise(false);
-    s.wait_synchronised(SYNC_BUDGET);
     s.central_mut().auto_reconnect = false;
     s.attacker_mut().arm(Mission::HijackSlave {
         host: hacked_host(seed),

@@ -22,9 +22,9 @@ fn key_report(keycode: u8) -> Vec<u8> {
 #[test]
 fn hijacked_slave_injects_keystrokes_via_hid_profile() {
     let mut s = ScenarioBuilder::attack_rig(60).hop_interval(36).build();
+    assert!(s.wait_synchronised(Duration::from_secs(10)));
     s.set_victim_auto_readvertise(false);
     s.central_mut().auto_reconnect = false;
-    assert!(s.wait_synchronised(Duration::from_secs(10)));
 
     // The forged device: keyboard profile instead of the bulb's.
     let mut server = GattServer::new();

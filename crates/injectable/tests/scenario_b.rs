@@ -24,12 +24,15 @@ fn hacked_host() -> Box<HostStack> {
     ))
 }
 
-/// The standard rig with both auto-recovery behaviours disabled: the bulb
-/// must not re-advertise instantly, or the real central reconnects to it.
+/// The standard rig, synchronised, with both auto-recovery behaviours
+/// then disabled: the bulb must not re-advertise instantly, or the real
+/// central reconnects to it. They stay on during the set-up wait, which
+/// may bounce the link.
 fn rig(seed: u64, hop_interval: u16) -> Scenario {
     let mut s = ScenarioBuilder::attack_rig(seed)
         .hop_interval(hop_interval)
         .build();
+    assert!(s.wait_synchronised(Duration::from_secs(10)));
     s.set_victim_auto_readvertise(false);
     s.central_mut().auto_reconnect = false;
     s
@@ -38,7 +41,6 @@ fn rig(seed: u64, hop_interval: u16) -> Scenario {
 #[test]
 fn slave_hijack_evicts_bulb_and_serves_forged_name() {
     let mut s = rig(10, 36);
-    assert!(s.wait_synchronised(Duration::from_secs(10)));
 
     s.attacker_mut().arm(Mission::HijackSlave {
         host: hacked_host(),
@@ -95,7 +97,6 @@ fn slave_hijack_evicts_bulb_and_serves_forged_name() {
 #[test]
 fn slave_hijack_keeps_master_connection_alive_long_term() {
     let mut s = rig(11, 24);
-    assert!(s.wait_synchronised(Duration::from_secs(10)));
     s.attacker_mut().arm(Mission::HijackSlave {
         host: hacked_host(),
     });

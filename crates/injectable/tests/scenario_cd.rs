@@ -9,8 +9,11 @@ use ble_scenario::{Scenario, ScenarioBuilder};
 use injectable::{new_handoff, Mission, MissionState, MitmSlaveHalf, RewriteRule};
 use simkit::{Duration, SimRng};
 
+/// The standard rig, synchronised, with the Central's reconnection then
+/// disabled. It stays on during the set-up wait, which may bounce the link.
 fn rig(seed: u64) -> Scenario {
     let mut s = ScenarioBuilder::attack_rig(seed).hop_interval(36).build();
+    assert!(s.wait_synchronised(Duration::from_secs(10)));
     s.central_mut().auto_reconnect = false;
     s
 }
@@ -71,7 +74,6 @@ fn add_slave_half(s: &mut Scenario, half: MitmSlaveHalf) -> ble_phy::NodeId {
 #[test]
 fn master_hijack_steals_the_slave_and_drives_its_features() {
     let mut s = rig(20);
-    assert!(s.wait_synchronised(Duration::from_secs(10)));
     assert!(!s.victim::<Lightbulb>().app.on);
     let control = s.victim_control_handle();
 
@@ -121,7 +123,6 @@ fn master_hijack_steals_the_slave_and_drives_its_features() {
 #[test]
 fn mitm_intercepts_and_rewrites_traffic_on_the_fly() {
     let mut s = rig(21);
-    assert!(s.wait_synchronised(Duration::from_secs(10)));
     let control = s.victim_control_handle();
 
     // Scenario D: the slave half mirrors the bulb's GATT profile.
@@ -187,7 +188,6 @@ fn mitm_blackhole_denies_service() {
     // §VIII: "initiating a Man-in-the-Middle and not forwarding the
     // legitimate traffic to perform a denial of service".
     let mut s = rig(22);
-    assert!(s.wait_synchronised(Duration::from_secs(10)));
     let control = s.victim_control_handle();
     let handoff = new_handoff();
     handoff.lock().forward = false;

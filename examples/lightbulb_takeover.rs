@@ -14,12 +14,12 @@ use simkit::{Duration, SimRng};
 
 fn build(seed: u64) -> Scenario {
     let mut s = ScenarioBuilder::example(seed).build();
-    s.set_victim_auto_readvertise(false);
-    s.central_mut().auto_reconnect = false;
     assert!(
         s.wait_synchronised(Duration::from_secs(10)),
         "the attacker never synchronised"
     );
+    s.set_victim_auto_readvertise(false);
+    s.central_mut().auto_reconnect = false;
     s
 }
 
