@@ -5,7 +5,8 @@
 //! equally-seeded runs) and a wall-clock duration read through an injected
 //! clock (see [`SpanTracker::set_clock`]) so profiling never leaks
 //! `std::time` into this crate (lint rule R8 — the only sanctioned clock
-//! lives in `bench::wallclock`).
+//! lives in `bench::wallclock`). Airtime spans carry simulated time only
+//! (see [`SpanKind::wall_timed`]).
 //!
 //! Spans ride the existing [`crate::TelemetryEvent`] bus as
 //! [`crate::TelemetryEvent::SpanEnter`] / [`crate::TelemetryEvent::SpanExit`]
@@ -71,6 +72,7 @@ pub enum SpanKind {
     /// the eq. 7 verdict on it.
     AttackerInject,
     /// PHY: one transmission occupying a channel (detail = channel index).
+    /// Simulated time only: it reads no wall clock.
     ChannelAirtime,
     /// Link Layer: processing one LL control PDU (detail = opcode).
     LlProcedure,
@@ -145,6 +147,24 @@ impl SpanKind {
             "channel-airtime" => Some(SpanKind::ChannelAirtime),
             "ll-procedure" => Some(SpanKind::LlProcedure),
             _ => None,
+        }
+    }
+
+    /// Whether spans of this kind read the wall clock. A `channel-airtime`
+    /// span stays open while every other node runs, until its frame leaves
+    /// the air, so its wall time would time their work, and overlapping
+    /// frames would time it many times over: it carries simulated time
+    /// only, and its wall columns read 0.
+    pub fn wall_timed(self) -> bool {
+        match self {
+            SpanKind::ChannelAirtime => false,
+            SpanKind::TrialSync
+            | SpanKind::TrialFollow
+            | SpanKind::TrialVerify
+            | SpanKind::AttackerScan
+            | SpanKind::AttackerFollow
+            | SpanKind::AttackerInject
+            | SpanKind::LlProcedure => true,
         }
     }
 
@@ -228,10 +248,12 @@ impl SpanTracker {
         self.clock = Some(clock);
     }
 
-    fn wall_now(&self) -> u64 {
+    /// The wall clock for a span of `kind`: 0 without a clock or for a
+    /// kind that is not [`SpanKind::wall_timed`].
+    fn wall_now(&self, kind: SpanKind) -> u64 {
         match self.clock {
-            Some(clock) => clock(),
-            None => 0,
+            Some(clock) if kind.wall_timed() => clock(),
+            _ => 0,
         }
     }
 
@@ -254,7 +276,7 @@ impl SpanTracker {
             detail,
             node,
             enter_sim: at,
-            enter_wall_ns: self.wall_now(),
+            enter_wall_ns: self.wall_now(kind),
             child_sim_ns: 0,
             child_wall_ns: 0,
         });
@@ -291,15 +313,22 @@ impl SpanTracker {
     }
 
     fn close(&mut self, at: Instant, frame: Frame, idx: usize) -> ClosedSpan {
-        let wall_now = self.wall_now();
         let sim_ns = at.as_nanos().saturating_sub(frame.enter_sim.as_nanos());
-        let wall_ns = wall_now.saturating_sub(frame.enter_wall_ns);
+        let wall_ns = self
+            .wall_now(frame.kind)
+            .saturating_sub(frame.enter_wall_ns);
         // Charge this span's total to the frame directly beneath its old
-        // position, so that frame's eventual self-time nets it out.
+        // position, so that frame's eventual self-time nets it out. A span
+        // without wall time passes its children's wall time on instead.
+        let charged_wall_ns = if frame.kind.wall_timed() {
+            wall_ns
+        } else {
+            frame.child_wall_ns
+        };
         if idx > 0 {
             if let Some(parent) = self.stack.get_mut(idx - 1) {
                 parent.child_sim_ns = parent.child_sim_ns.saturating_add(sim_ns);
-                parent.child_wall_ns = parent.child_wall_ns.saturating_add(wall_ns);
+                parent.child_wall_ns = parent.child_wall_ns.saturating_add(charged_wall_ns);
             }
         }
         ClosedSpan {
@@ -406,6 +435,25 @@ mod tests {
         let closed = t.exit(at(90), s).expect("closes");
         assert_eq!(closed.wall_ns, 100, "one 100-tick step between reads");
         assert_eq!(closed.sim_ns, 40_000);
+        // An airtime span reads no clock, and passes the wall time of a
+        // span nested in it on to the span beneath it.
+        let follow = t.enter(at(90), None, SpanKind::TrialFollow, 0);
+        let air = t.enter(at(90), Some(1), SpanKind::ChannelAirtime, 3);
+        let inject = t.enter(at(91), Some(2), SpanKind::AttackerInject, 0);
+        let inject = t.exit(at(92), inject).expect("closes");
+        let air = t.exit(at(95), air).expect("closes");
+        let follow = t.exit(at(99), follow).expect("closes");
+        assert_eq!(inject.wall_ns, 100);
+        assert_eq!((air.wall_ns, air.self_wall_ns), (0, 0));
+        assert_eq!(air.sim_ns, 5_000);
+        assert_eq!(
+            follow.wall_ns, 300,
+            "four clock reads, none by the airtime span"
+        );
+        assert_eq!(
+            follow.self_wall_ns, 200,
+            "the nested inject span is netted out"
+        );
     }
 
     #[test]
