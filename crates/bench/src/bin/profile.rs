@@ -90,7 +90,10 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    let phases = outcome.metrics.map(|m| m.phase_profile).unwrap_or_default();
+    let phases = outcome
+        .metrics
+        .map(|m| m.timing.phase_profile())
+        .unwrap_or_default();
     print!("{}", phase_table(&phases));
     print!("{}", airtime_table(&records));
 
@@ -404,7 +407,7 @@ mod tests {
         for r in trace() {
             reg.tally(&r.event);
         }
-        let out = phase_table(&bench::telemetry::phase_profile_from_registry(&reg));
+        let out = phase_table(&bench::TimingBlock::from_registry(&reg).phase_profile());
         assert!(out.contains("trial-sync"));
         assert!(out.contains("attacker-scan"));
         assert!(out.contains("channel-airtime"));

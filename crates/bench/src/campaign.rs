@@ -30,13 +30,13 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Condvar, Mutex, PoisonError};
 
-use ble_telemetry::{HistogramUs, SpanKind};
+use ble_telemetry::HistogramUs;
 use json_reader::Value;
 
 use crate::cli::Cli;
 use crate::report::SeriesReport;
 use crate::stats::Summary;
-use crate::telemetry::{merge_histogram, merge_phase_profile, HistRow, PhaseProfile};
+use crate::telemetry::TimingBlock;
 use crate::trial::{trial_seed, with_span_weight, TrialOutcome};
 
 /// Chunks each worker may run ahead of the fold in the multi-threaded
@@ -90,8 +90,8 @@ pub fn bench_threads(max: u64) -> usize {
 /// Memory: everything here is O(1) per trial except `raw`, which keeps one
 /// `u32` per *successful* trial because the artefact format publishes the
 /// raw attempt counts in seed order. Four bytes per trial is the floor the
-/// format imposes — the ~300-byte `TrialOutcome` (inline histograms,
-/// phase profiles) is what streaming eliminates.
+/// format imposes — a `TrialOutcome` and its boxed timing block, about
+/// 730 bytes, is what streaming eliminates.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SeriesAccumulator {
     requested: u64,
@@ -100,11 +100,9 @@ pub struct SeriesAccumulator {
     raw: Vec<u32>,
     unconfirmed_effects: u64,
     telemetry_downgrades: u64,
-    anchor_error: Option<HistogramUs>,
-    lead_time: Option<HistogramUs>,
+    timing: TimingBlock,
     events_sum: f64,
     events_n: u64,
-    phase_profile: Vec<PhaseProfile>,
     counters: Vec<(String, u64)>,
 }
 
@@ -120,11 +118,9 @@ impl SeriesAccumulator {
             raw: Vec::new(),
             unconfirmed_effects: 0,
             telemetry_downgrades: 0,
-            anchor_error: None,
-            lead_time: None,
+            timing: TimingBlock::default(),
             events_sum: 0.0,
             events_n: 0,
-            phase_profile: Vec::new(),
             counters: Vec::new(),
         }
     }
@@ -136,9 +132,7 @@ impl SeriesAccumulator {
             self.raw.push(a);
         }
         if let Some(m) = o.metrics.as_ref() {
-            merge_histogram(&mut self.anchor_error, m.anchor_error.as_ref());
-            merge_histogram(&mut self.lead_time, m.lead_time.as_ref());
-            merge_phase_profile(&mut self.phase_profile, &m.phase_profile);
+            self.timing.merge(&m.timing);
             if m.events_per_sec > 0.0 {
                 self.events_sum += m.events_per_sec;
                 self.events_n = self.events_n.saturating_add(1);
@@ -186,6 +180,7 @@ impl SeriesAccumulator {
         } else {
             Summary::of(&self.raw)
         };
+        let summary = |h: &HistogramUs| (!h.is_empty()).then(|| h.summary());
         SeriesReport {
             parameter: parameter.to_string(),
             value,
@@ -193,18 +188,15 @@ impl SeriesAccumulator {
             trials: self.requested,
             attempts,
             raw: self.raw.clone(),
-            anchor_error_us: self
-                .anchor_error
-                .as_ref()
-                .map(|h| HistRow::from(h.summary())),
-            lead_time_us: self.lead_time.as_ref().map(|h| HistRow::from(h.summary())),
+            anchor_error_us: summary(&self.timing.anchor_error),
+            lead_time_us: summary(&self.timing.lead_time),
             events_per_sec: (self.events_n > 0).then(|| self.events_sum / self.events_n as f64),
             trials_per_sec: 0.0,
             peak_rss_kb: None,
             unconfirmed_effects: self.unconfirmed_effects,
             telemetry_downgrades: self.telemetry_downgrades,
             panicked_trials: self.panicked,
-            phase_profile: self.phase_profile.clone(),
+            phase_profile: self.timing.phase_profile(),
             counters: self.counters.clone(),
             extras: Vec::new(),
         }
@@ -571,8 +563,9 @@ struct CampaignHeader {
     value: f64,
 }
 
-/// Sidecar format version (2 added the per-trial counters).
-const CHECKPOINT_VERSION: u64 = 2;
+/// Sidecar format version (2 added the per-trial counters; 3 stores the
+/// timing block's fixed layout, bucket counts and span totals by position).
+const CHECKPOINT_VERSION: u64 = 3;
 
 fn f64_bits_hex(v: f64) -> String {
     format!("{:016x}", v.to_bits())
@@ -585,21 +578,17 @@ fn f64_from_bits_hex(s: &str) -> Option<f64> {
     u64::from_str_radix(s, 16).ok().map(f64::from_bits)
 }
 
-fn hist_checkpoint_json(h: Option<&HistogramUs>) -> String {
-    let Some(h) = h else {
-        return "null".to_string();
-    };
-    let bounds: Vec<String> = h
-        .bounds()
-        .iter()
-        .map(|b| format!("\"{}\"", f64_bits_hex(*b)))
-        .collect();
-    let counts: Vec<String> = h.bucket_counts().iter().map(u64::to_string).collect();
+/// A JSON array of the items' `Display` forms.
+fn json_list<T: std::fmt::Display>(items: impl IntoIterator<Item = T>) -> String {
+    let items: Vec<String> = items.into_iter().map(|x| x.to_string()).collect();
+    format!("[{}]", items.join(","))
+}
+
+fn hist_checkpoint_json(h: &HistogramUs) -> String {
     format!(
-        "{{\"bounds_bits\":[{}],\"counts\":[{}],\"count\":{},\"sum_bits\":\"{}\",\
-         \"min_bits\":\"{}\",\"max_bits\":\"{}\"}}",
-        bounds.join(","),
-        counts.join(","),
+        "{{\"counts\":{},\"count\":{},\"sum_bits\":\"{}\",\"min_bits\":\"{}\",\
+         \"max_bits\":\"{}\"}}",
+        json_list(h.bucket_counts()),
         h.count(),
         f64_bits_hex(h.sum()),
         f64_bits_hex(h.min_value()),
@@ -613,18 +602,6 @@ fn checkpoint_line(header: &CampaignHeader, next_chunk: u64, acc: &SeriesAccumul
             && acc.counters.iter().all(|(n, _)| !n.contains(['"', '\\'])),
         "parameter and counter names are plain identifiers"
     );
-    let raw: Vec<String> = acc.raw.iter().map(u32::to_string).collect();
-    let phases: Vec<String> = acc
-        .phase_profile
-        .iter()
-        .map(|p| {
-            format!(
-                "{{\"phase\":\"{}\",\"count\":{},\"sim_ns\":{},\"self_sim_ns\":{},\
-                 \"wall_ns\":{},\"self_wall_ns\":{}}}",
-                p.phase, p.count, p.sim_ns, p.self_sim_ns, p.wall_ns, p.self_wall_ns
-            )
-        })
-        .collect();
     let counters: Vec<String> = acc
         .counters
         .iter()
@@ -635,7 +612,7 @@ fn checkpoint_line(header: &CampaignHeader, next_chunk: u64, acc: &SeriesAccumul
          \"parameter\":\"{}\",\"value_bits\":\"{}\",\"next_chunk\":{next_chunk},\
          \"acc\":{{\"requested\":{},\"completed\":{},\"panicked\":{},\
          \"unconfirmed\":{},\"downgrades\":{},\"events_n\":{},\"events_sum_bits\":\"{}\",\
-         \"raw\":[{}],\"anchor\":{},\"lead\":{},\"phases\":[{}],\"counters\":{{{}}}}}}}",
+         \"raw\":{},\"anchor\":{},\"lead\":{},\"spans\":{},\"counters\":{{{}}}}}}}",
         header.seed,
         header.count,
         header.chunk_size,
@@ -648,10 +625,10 @@ fn checkpoint_line(header: &CampaignHeader, next_chunk: u64, acc: &SeriesAccumul
         acc.telemetry_downgrades,
         acc.events_n,
         f64_bits_hex(acc.events_sum),
-        raw.join(","),
-        hist_checkpoint_json(acc.anchor_error.as_ref()),
-        hist_checkpoint_json(acc.lead_time.as_ref()),
-        phases.join(","),
+        json_list(&acc.raw),
+        hist_checkpoint_json(&acc.timing.anchor_error),
+        hist_checkpoint_json(&acc.timing.lead_time),
+        json_list(acc.timing.spans.iter().map(json_list)),
         counters.join(","),
     )
 }
@@ -751,30 +728,30 @@ fn f64_field(obj: &Value, key: &str) -> Option<f64> {
     obj.get(key)?.as_str().and_then(f64_from_bits_hex)
 }
 
-fn hist_from_json(v: &Value) -> Option<Option<HistogramUs>> {
-    if *v == Value::Null {
-        return Some(None);
+/// A JSON array of exactly `N` items, each read by `item`.
+fn array_of<T: Copy + Default, const N: usize>(
+    v: &Value,
+    item: impl Fn(&Value) -> Option<T>,
+) -> Option<[T; N]> {
+    let items = v.as_arr()?;
+    if items.len() != N {
+        return None;
     }
-    let bounds: Vec<f64> = v
-        .get("bounds_bits")?
-        .as_arr()?
-        .iter()
-        .map(|b| b.as_str().and_then(f64_from_bits_hex))
-        .collect::<Option<_>>()?;
-    let counts: Vec<u64> = v
-        .get("counts")?
-        .as_arr()?
-        .iter()
-        .map(Value::num)
-        .collect::<Option<_>>()?;
-    Some(Some(HistogramUs::from_parts(
-        bounds,
-        counts,
+    let mut out = [T::default(); N];
+    for (slot, v) in out.iter_mut().zip(items) {
+        *slot = item(v)?;
+    }
+    Some(out)
+}
+
+fn hist_from_json(v: &Value) -> Option<HistogramUs> {
+    HistogramUs::from_parts(
+        array_of(v.get("counts")?, Value::num)?,
         v.get("count")?.num()?,
         f64_field(v, "sum_bits")?,
         f64_field(v, "min_bits")?,
         f64_field(v, "max_bits")?,
-    )?))
+    )
 }
 
 fn acc_from_json(v: &Value, header: &CampaignHeader) -> Option<SeriesAccumulator> {
@@ -793,21 +770,6 @@ fn acc_from_json(v: &Value, header: &CampaignHeader) -> Option<SeriesAccumulator
     if (raw.len() as u64) > completed {
         return None;
     }
-    let mut phase_profile = Vec::new();
-    for p in v.get("phases")?.as_arr()? {
-        let num = |key| p.get(key).and_then(Value::num::<u64>);
-        // Resolve the phase name back to its `&'static str`; an unknown
-        // name means the sidecar came from an incompatible build.
-        let kind = SpanKind::parse(p.get("phase")?.as_str()?)?;
-        phase_profile.push(PhaseProfile {
-            phase: kind.as_str(),
-            count: num("count")?,
-            sim_ns: num("sim_ns")?,
-            self_sim_ns: num("self_sim_ns")?,
-            wall_ns: num("wall_ns")?,
-            self_wall_ns: num("self_wall_ns")?,
-        });
-    }
     Some(SeriesAccumulator {
         requested,
         completed,
@@ -815,11 +777,13 @@ fn acc_from_json(v: &Value, header: &CampaignHeader) -> Option<SeriesAccumulator
         raw,
         unconfirmed_effects: num("unconfirmed")?,
         telemetry_downgrades: num("downgrades")?,
-        anchor_error: hist_from_json(v.get("anchor")?)?,
-        lead_time: hist_from_json(v.get("lead")?)?,
+        timing: TimingBlock {
+            anchor_error: hist_from_json(v.get("anchor")?)?,
+            lead_time: hist_from_json(v.get("lead")?)?,
+            spans: array_of(v.get("spans")?, |row| array_of(row, Value::num))?,
+        },
         events_sum: f64_field(v, "events_sum_bits")?,
         events_n: num("events_n")?,
-        phase_profile,
         counters: v
             .get("counters")?
             .as_obj()?
@@ -832,7 +796,8 @@ fn acc_from_json(v: &Value, header: &CampaignHeader) -> Option<SeriesAccumulator
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::TrialMetrics;
+    use crate::telemetry::{PhaseProfile, TrialMetrics};
+    use ble_telemetry::SpanKind;
 
     /// Cheap deterministic synthetic outcome: a splitmix64-style scramble
     /// of the trial seed decides success, attempts, a metric block and two
@@ -845,14 +810,13 @@ mod tests {
         x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
         x ^= x >> 31;
         let attempts = (!x.is_multiple_of(16)).then_some(u32::try_from(x % 50).unwrap_or(0) + 1);
-        let mut lead = HistogramUs::default();
-        lead.record((x % 200) as f64);
+        let mut timing = TimingBlock::default();
+        timing.lead_time.record((x % 200) as f64);
         let metrics = TrialMetrics {
+            timing: Box::new(timing),
             events_total: x % 1000,
             events_per_sec: (x % 1000) as f64 / 3.0,
-            lead_time: Some(lead),
             counters: vec![("frames", x % 10_000), ("drops", x % 3)],
-            ..TrialMetrics::default()
         };
         TrialOutcome {
             attempts,
@@ -1018,7 +982,7 @@ mod tests {
         let weight = 1 << 20;
         let rows = |w| {
             let out = with_span_weight(w, || trial(trial_seed(31, 1)));
-            out.metrics.expect("metrics on").phase_profile
+            out.metrics.expect("metrics on").timing.phase_profile()
         };
         let weighted = rows(weight);
         assert!(weighted.iter().any(|r| r.wall_ns > 0));
@@ -1049,18 +1013,8 @@ mod tests {
             acc.fold(&synth_outcome(trial_seed(9, i)));
         }
         acc.fold_panicked();
-        // A phase row exercises the SpanKind name round-trip.
-        merge_phase_profile(
-            &mut acc.phase_profile,
-            &[PhaseProfile {
-                phase: "trial-sync",
-                count: 3,
-                sim_ns: 100,
-                self_sim_ns: 90,
-                wall_ns: 5,
-                self_wall_ns: 4,
-            }],
-        );
+        // Span totals round-trip by position, not by phase name.
+        acc.timing.spans[SpanKind::TrialSync.index()] = [3, 100, 90, 5, 4];
         assert_eq!(acc.counters.len(), 2, "the fixture carries counters");
         let header = CampaignHeader {
             seed: 9,
@@ -1108,6 +1062,15 @@ mod tests {
         write_checkpoint(&path, &header, 1, &acc);
         acc.fold(&synth_outcome(3));
         write_checkpoint(&path, &header, 2, &acc);
+        // A hand-edited histogram sum that decodes to NaN would resume into
+        // a row whose `mean` prints as `NaN`, which is not JSON.
+        let sum_bits = |v: f64| format!("\"sum_bits\":\"{}\"", f64_bits_hex(v));
+        let nan = checkpoint_line(&header, 3, &acc).replacen(
+            &sum_bits(acc.timing.lead_time.sum()),
+            &sum_bits(f64::NAN),
+            1,
+        );
+        assert!(nan.contains(&sum_bits(f64::NAN)));
         // Simulate a kill mid-append: a torn final line.
         {
             use std::io::Write as _;
@@ -1115,7 +1078,8 @@ mod tests {
                 .append(true)
                 .open(&path)
                 .unwrap();
-            f.write_all(b"{\"v\":2,\"seed\":3,\"count\":20,\"chu")
+            writeln!(f, "{nan}").unwrap();
+            f.write_all(b"{\"v\":3,\"seed\":3,\"count\":20,\"chu")
                 .unwrap();
         }
         match load_checkpoint(&path, &header) {
@@ -1131,6 +1095,11 @@ mod tests {
             ..header.clone()
         };
         assert!(matches!(load_checkpoint(&path, &other), Loaded::Mismatch));
+        // So must a sidecar of the previous format.
+        let v2 = dir.join("v2.jsonl");
+        let line = checkpoint_line(&header, 2, &acc).replacen("{\"v\":3,", "{\"v\":2,", 1);
+        std::fs::write(&v2, format!("{line}\n")).unwrap();
+        assert!(matches!(load_checkpoint(&v2, &header), Loaded::Mismatch));
         // A missing file is a fresh start, not an error.
         assert!(matches!(
             load_checkpoint(&dir.join("absent.jsonl"), &header),

@@ -28,7 +28,7 @@ pub use campaign::{run_campaign_with, run_point, CampaignConfig, CampaignRun, Se
 pub use cli::Cli;
 pub use report::{print_series, print_series_to, SeriesReport};
 pub use stats::Summary;
-pub use telemetry::{HistRow, TelemetryMode, TrialMetrics};
+pub use telemetry::{TelemetryMode, TimingBlock, TrialMetrics};
 pub use trial::{
     attack, build_trial, run_built, run_trial, StallWatchdog, TrialConfig, TrialOutcome,
 };

@@ -3,9 +3,11 @@
 use std::io::Write as _;
 use std::path::PathBuf;
 
+use ble_telemetry::HistSummary;
+
 use crate::campaign::SeriesAccumulator;
 use crate::stats::Summary;
-use crate::telemetry::{HistRow, PhaseProfile};
+use crate::telemetry::PhaseProfile;
 use crate::trial::TrialOutcome;
 
 /// One row of an experiment series: a parameter value and its outcome
@@ -28,9 +30,9 @@ pub struct SeriesReport {
     pub raw: Vec<u32>,
     /// Anchor-prediction-error summary (µs), merged across the row's
     /// trials; absent when telemetry was off or nothing was recorded.
-    pub anchor_error_us: Option<HistRow>,
+    pub anchor_error_us: Option<HistSummary>,
     /// Injection lead-time summary (µs), merged across the row's trials.
-    pub lead_time_us: Option<HistRow>,
+    pub lead_time_us: Option<HistSummary>,
     /// Mean telemetry events per wall-clock second across the row's trials;
     /// `None` when no trial recorded a rate (telemetry off or no events).
     /// An earlier revision emitted `0.0` for that case, which misread as a
@@ -289,8 +291,9 @@ pub fn artefact_dir() -> PathBuf {
 /// Artefact bytes are a pure function of the row values: every field is a
 /// scalar, `Vec` (seed order) or fixed-shape histogram summary — there is no
 /// map-backed field whose insertion order could show through, and the
-/// per-trial metrics feeding the rows come out of the name-sorted
-/// (`BTreeMap`) telemetry registry. `cargo xtask gate` holds the
+/// per-trial metrics feeding the rows travel in the registry's fixed
+/// layout ([`crate::TimingBlock`]), whose phase rows come out in
+/// [`ble_telemetry::SpanKind::ALL`] order. `cargo xtask gate` holds the
 /// binaries to this byte-for-byte (modulo the wall-clock fields above).
 pub fn rows_to_json(rows: &[SeriesReport]) -> String {
     let mut out = String::from("[\n");
@@ -362,7 +365,7 @@ pub fn rows_to_json(rows: &[SeriesReport]) -> String {
 }
 
 /// Encodes an optional histogram summary as a JSON object or `null`.
-fn hist_json(row: Option<&HistRow>) -> String {
+fn hist_json(row: Option<&HistSummary>) -> String {
     match row {
         Some(h) => format!(
             "{{\"count\":{},\"mean\":{:.3},\"p50\":{},\"p90\":{},\"p95\":{},\
@@ -561,8 +564,8 @@ mod tests {
     fn json_bytes_do_not_depend_on_metric_insertion_order() {
         // Determinism guarantee: two rows built from outcomes whose metric
         // registries were populated in different orders serialise to the
-        // same bytes — the registry is name-sorted and the row itself has
-        // no map-backed field.
+        // same bytes — the registry is a fixed layout and the row itself
+        // has no map-backed field.
         use crate::telemetry::TrialMetrics;
         use ble_telemetry::{MetricsRegistry, TelemetryEvent};
         let build = |reverse: bool| {
@@ -642,7 +645,7 @@ mod tests {
         for i in 0..100 {
             h.record(f64::from(i));
         }
-        let row = HistRow::from(h.summary());
+        let row = h.summary();
         let json = hist_json(Some(&row));
         assert!(json.contains("\"p95\":"));
         assert!(row.p95 >= row.p90);
@@ -651,20 +654,16 @@ mod tests {
 
     #[test]
     fn metric_block_merges_into_row() {
-        use crate::telemetry::TrialMetrics;
-        use ble_telemetry::HistogramUs;
+        use crate::telemetry::{TimingBlock, TrialMetrics};
         let mut o = outcomes(&[3, 5]);
         for (i, out) in o.iter_mut().enumerate() {
-            let mut anchor = HistogramUs::default();
-            anchor.record(4.0 + i as f64);
-            let mut lead = HistogramUs::default();
-            lead.record(36.0);
+            let mut timing = TimingBlock::default();
+            timing.anchor_error.record(4.0 + i as f64);
+            timing.lead_time.record(36.0);
             out.metrics = Some(TrialMetrics {
-                anchor_error: Some(anchor),
-                lead_time: Some(lead),
+                timing: Box::new(timing),
                 events_total: 100,
                 events_per_sec: 50.0,
-                phase_profile: Vec::new(),
                 counters: vec![("frames", 10)],
             });
         }

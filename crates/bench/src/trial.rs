@@ -278,9 +278,9 @@ pub fn run_built(sc: &mut Scenario, cfg: &TrialConfig) -> TrialOutcome {
         effect_observed,
         metrics: registry.map(|reg| {
             let mut metrics = TrialMetrics::from_registry(&reg.lock(), sync_wall_s, attack_wall_s);
-            for row in &mut metrics.phase_profile {
-                row.wall_ns = row.wall_ns.saturating_mul(weight);
-                row.self_wall_ns = row.self_wall_ns.saturating_mul(weight);
+            for [.., wall_ns, self_wall_ns] in &mut metrics.timing.spans {
+                *wall_ns = wall_ns.saturating_mul(weight);
+                *self_wall_ns = self_wall_ns.saturating_mul(weight);
             }
             metrics
         }),
@@ -343,10 +343,14 @@ mod tests {
         let metrics = out.metrics.expect("default telemetry mode is Metrics");
         assert!(metrics.events_total > 0);
         assert!(metrics.events_per_sec > 0.0);
-        let lead = metrics.lead_time.expect("injection attempts were made");
-        assert!(lead.count() >= 1);
-        let anchor = metrics.anchor_error.expect("anchors were observed");
-        assert!(anchor.count() >= 1);
+        assert!(
+            metrics.timing.lead_time.count() >= 1,
+            "injection attempts were made"
+        );
+        assert!(
+            metrics.timing.anchor_error.count() >= 1,
+            "anchors were observed"
+        );
     }
 
     #[test]
@@ -369,13 +373,13 @@ mod tests {
             .count();
         assert!(!out.telemetry_downgraded);
         let metrics = out.metrics.expect("metrics ride along with a trace");
+        let phases = metrics.timing.phase_profile();
         let phase = |name: &str| {
-            metrics
-                .phase_profile
+            phases
                 .iter()
                 .find(|p| p.phase == name)
                 .copied()
-                .unwrap_or_else(|| panic!("phase {name} missing: {:?}", metrics.phase_profile))
+                .unwrap_or_else(|| panic!("phase {name} missing: {phases:?}"))
         };
         let sync = phase("trial-sync");
         assert_eq!(sync.count, 1);

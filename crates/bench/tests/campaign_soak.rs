@@ -26,8 +26,7 @@
 use bench::campaign::{run_campaign_with, CampaignConfig, SeriesAccumulator};
 use bench::report::{peak_rss_kb, rows_to_json};
 use bench::trial::trial_seed;
-use bench::{SeriesReport, TrialMetrics, TrialOutcome};
-use ble_telemetry::HistogramUs;
+use bench::{SeriesReport, TimingBlock, TrialMetrics, TrialOutcome};
 
 const SEED: u64 = 4_242;
 const SMALL: u64 = 10_000;
@@ -37,6 +36,18 @@ const BIG: u64 = 1_000_000;
 /// the cross-check renders) fits comfortably; the ~300 MB a buffered
 /// `Vec<TrialOutcome>` would need does not.
 const BUDGET_KB: u64 = 64 * 1024;
+
+#[test]
+fn a_trial_outcome_stays_small_by_value() {
+    // Up to `chunk_size × workers × 32` outcomes wait for the fold, so
+    // their by-value size is what the budget above prices. Histograms
+    // carried inline once pushed this soak to 84.6 MB, and inlining today's
+    // two fixed-layout histograms (a 440-byte outcome) moved its growth
+    // from 33 to 51 MB. The timing block stays boxed, and the outcome may
+    // not outgrow the 248 bytes it had with heap histograms.
+    let size = std::mem::size_of::<TrialOutcome>();
+    assert!(size <= 248, "TrialOutcome is {size} bytes by value");
+}
 
 /// Deterministic synthetic trial: a splitmix64 scramble of the per-trial
 /// seed, shaped like a plausible outcome.
@@ -48,13 +59,13 @@ fn synth(seed: u64) -> TrialOutcome {
     x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^= x >> 31;
     let attempts = (!x.is_multiple_of(16)).then_some(u32::try_from(x % 50).unwrap_or(0) + 1);
-    let mut lead = HistogramUs::default();
-    lead.record((x % 200) as f64);
+    let mut timing = TimingBlock::default();
+    timing.lead_time.record((x % 200) as f64);
     let metrics = TrialMetrics {
+        timing: Box::new(timing),
         events_total: x % 1000,
         events_per_sec: (x % 1000) as f64 / 3.0,
-        lead_time: Some(lead),
-        ..TrialMetrics::default()
+        counters: Vec::new(),
     };
     TrialOutcome {
         attempts,
@@ -100,6 +111,7 @@ fn million_trial_campaign_holds_rss_flat_and_drops_no_data() {
     let rss_big = peak_rss_kb().expect("VmHWM in /proc/self/status");
 
     let growth = rss_big.saturating_sub(rss_small);
+    eprintln!("peak RSS growth from 10k to 1M trials: {growth} kB");
     assert!(
         growth < BUDGET_KB,
         "peak RSS grew {growth} kB between the 10k and 1M campaigns \

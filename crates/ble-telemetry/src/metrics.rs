@@ -1,37 +1,39 @@
 //! Counters and fixed-bucket microsecond histograms.
 //!
 //! A [`MetricsRegistry`] is one fixed-layout block: a `u64` slot per
-//! [`Counter`], five per [`SpanKind`] and five [`Hist`] histograms created
-//! on first use. A world's [`crate::Telemetry`] owns one block and
+//! [`Counter`], five per [`SpanKind`] and one [`HistogramUs`] per
+//! [`Hist`]. A world's [`crate::Telemetry`] owns one block and
 //! [`MetricsRegistry::tally`]s every record into it; a flush publishes the
 //! block into a [`SharedRegistry`]. One sorted name table maps every
 //! counter name to its slot for reading by name, while the bench rig
 //! addresses slots directly. Filling, reading and dropping a trial's
-//! registry touches no map.
+//! registry touches no map and no heap.
 
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::event::{FaultKind, TelemetryEvent, Verdict};
 use crate::span::SpanKind;
 
-/// Default histogram bucket upper bounds, in microseconds. Chosen around
-/// the paper's timing scales: sub-µs clock error, the ±5 µs heuristic
-/// tolerance, 150 µs IFS, ms-scale connection intervals.
-pub const DEFAULT_BOUNDS_US: [f64; 16] = [
+/// Histogram bucket upper bounds, in microseconds: the one layout of every
+/// [`HistogramUs`]. Chosen around the paper's timing scales: sub-µs clock
+/// error, the ±5 µs heuristic tolerance, 150 µs IFS, ms-scale connection
+/// intervals.
+pub const BOUNDS_US: [f64; 16] = [
     0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1_000.0, 2_000.0, 5_000.0, 10_000.0,
     20_000.0, 50_000.0,
 ];
 
-/// A fixed-bucket histogram of microsecond *magnitudes*.
+/// A fixed-bucket histogram of microsecond *magnitudes*, one count per
+/// [`BOUNDS_US`] bucket plus an overflow bucket. A plain value: recording,
+/// merging and copying one touch no heap.
 ///
 /// Signed inputs (anchor error, IFS delta) are recorded as `|v|`; the
 /// histogram answers "how large are the timing deviations", not their sign
 /// (the signed values are still available per-event in a JSONL trace).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HistogramUs {
-    bounds: Vec<f64>,
     /// One count per bound, plus a final overflow bucket.
-    counts: Vec<u64>,
+    counts: [u64; BOUNDS_US.len() + 1],
     count: u64,
     sum: f64,
     min: f64,
@@ -40,7 +42,13 @@ pub struct HistogramUs {
 
 impl Default for HistogramUs {
     fn default() -> Self {
-        HistogramUs::with_bounds(&DEFAULT_BOUNDS_US)
+        HistogramUs {
+            counts: [0; BOUNDS_US.len() + 1],
+            count: 0,
+            sum: 0.0,
+            min: f64::INFINITY,
+            max: 0.0,
+        }
     }
 }
 
@@ -69,19 +77,6 @@ pub struct HistSummary {
 }
 
 impl HistogramUs {
-    /// A histogram with the given ascending bucket upper bounds.
-    pub fn with_bounds(bounds: &[f64]) -> Self {
-        let counts = vec![0; bounds.len().saturating_add(1)];
-        HistogramUs {
-            bounds: bounds.to_vec(),
-            counts,
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: 0.0,
-        }
-    }
-
     /// Records one value (magnitude is taken; see the type docs).
     pub fn record(&mut self, value_us: f64) {
         let v = value_us.abs();
@@ -92,11 +87,10 @@ impl HistogramUs {
         self.sum += v;
         self.min = self.min.min(v);
         self.max = self.max.max(v);
-        let slot = self
-            .bounds
+        let slot = BOUNDS_US
             .iter()
             .position(|b| v <= *b)
-            .unwrap_or(self.bounds.len());
+            .unwrap_or(BOUNDS_US.len());
         if let Some(c) = self.counts.get_mut(slot) {
             *c = c.saturating_add(1);
         }
@@ -113,13 +107,8 @@ impl HistogramUs {
     }
 
     /// Per-bucket counts (last entry is the overflow bucket).
-    pub fn bucket_counts(&self) -> &[u64] {
+    pub fn bucket_counts(&self) -> &[u64; BOUNDS_US.len() + 1] {
         &self.counts
-    }
-
-    /// Bucket upper bounds.
-    pub fn bounds(&self) -> &[f64] {
-        &self.bounds
     }
 
     /// Exact sum of recorded magnitudes.
@@ -138,29 +127,24 @@ impl HistogramUs {
     }
 
     /// Rebuilds a histogram from previously-extracted parts (the campaign
-    /// checkpoint round-trip). Returns `None` when the shape is inconsistent
-    /// (`counts` must be one longer than `bounds` for the overflow bucket,
-    /// and the per-bucket counts must total `count`).
+    /// checkpoint round-trip), or `None` when the parts are not a state
+    /// recording could reach: the per-bucket counts must total `count`,
+    /// `sum` and `max` must be finite, and `min` must be +∞ when nothing
+    /// was recorded and a finite value no greater than `max` otherwise.
     pub fn from_parts(
-        bounds: Vec<f64>,
-        counts: Vec<u64>,
+        counts: [u64; BOUNDS_US.len() + 1],
         count: u64,
         sum: f64,
         min: f64,
         max: f64,
     ) -> Option<Self> {
-        if counts.len() != bounds.len().saturating_add(1) {
-            return None;
-        }
-        let mut total = 0u64;
-        for c in &counts {
-            total = total.saturating_add(*c);
-        }
-        if total != count {
-            return None;
-        }
-        Some(HistogramUs {
-            bounds,
+        let total = counts.iter().fold(0u64, |t, c| t.saturating_add(*c));
+        let extremes = if count == 0 {
+            min == f64::INFINITY
+        } else {
+            min.is_finite() && min <= max
+        };
+        (total == count && sum.is_finite() && max.is_finite() && extremes).then_some(HistogramUs {
             counts,
             count,
             sum,
@@ -181,40 +165,21 @@ impl HistogramUs {
         for (i, c) in self.counts.iter().enumerate() {
             cum = cum.saturating_add(*c);
             if cum as f64 >= target {
-                return match self.bounds.get(i) {
-                    Some(b) => *b,
-                    None => self.max,
-                };
+                return BOUNDS_US.get(i).copied().unwrap_or(self.max);
             }
         }
         self.max
     }
 
-    /// Resets all recorded values, keeping the bucket layout.
-    pub fn clear(&mut self) {
-        for c in &mut self.counts {
-            *c = 0;
-        }
-        self.count = 0;
-        self.sum = 0.0;
-        self.min = f64::INFINITY;
-        self.max = 0.0;
-    }
-
-    /// Folds another histogram into this one. Returns `false` (and leaves
-    /// `self` untouched) when the bucket layouts differ.
-    pub fn merge(&mut self, other: &HistogramUs) -> bool {
-        if self.bounds != other.bounds {
-            return false;
-        }
-        for (mine, theirs) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *mine = mine.saturating_add(*theirs);
+    /// Folds another histogram into this one.
+    pub fn merge(&mut self, other: &HistogramUs) {
+        for (mine, theirs) in self.counts.iter_mut().zip(other.counts) {
+            *mine = mine.saturating_add(theirs);
         }
         self.count = self.count.saturating_add(other.count);
         self.sum += other.sum;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
-        true
     }
 
     /// Summary statistics (zeros when empty).
@@ -287,7 +252,7 @@ impl Counter {
 }
 
 /// Every histogram the registry records (µs magnitudes). Each has one
-/// lazily created slot in a [`MetricsRegistry`].
+/// slot in a [`MetricsRegistry`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Hist {
     /// `attack.anchor_error_us`: the attacker's anchor-prediction error.
@@ -422,7 +387,7 @@ fn slot(name: &str) -> Option<Slot> {
 pub struct MetricsRegistry {
     counters: [u64; COUNTERS],
     spans: [SpanTotals; SpanKind::ALL.len()],
-    histograms: [Option<HistogramUs>; HISTS],
+    histograms: [HistogramUs; HISTS],
 }
 
 impl Default for MetricsRegistry {
@@ -430,7 +395,7 @@ impl Default for MetricsRegistry {
         MetricsRegistry {
             counters: [0; COUNTERS],
             spans: [[0; 5]; SpanKind::ALL.len()],
-            histograms: Default::default(),
+            histograms: [HistogramUs::default(); HISTS],
         }
     }
 }
@@ -478,7 +443,7 @@ impl MetricsRegistry {
 
     /// A histogram, if any observation was recorded.
     pub fn hist(&self, hist: Hist) -> Option<&HistogramUs> {
-        self.histograms.get(hist.index())?.as_ref()
+        self.histograms.get(hist.index()).filter(|h| !h.is_empty())
     }
 
     /// Tallies one event: `telemetry.events`, plus the counter, span
@@ -574,11 +539,8 @@ impl MetricsRegistry {
     }
 
     /// Publishes a block's tallies into this registry and empties the
-    /// block: counters and span totals add (and read 0 in `block`
-    /// afterwards), and each non-empty histogram moves into an empty slot
-    /// or merges into a filled one. The move is bit-identical to merging
-    /// into a fresh histogram: `0.0 + sum` is `sum`, and min and max start
-    /// at +∞ and 0.0 over non-negative magnitudes.
+    /// block: counters and span totals add and histograms merge, and then
+    /// `block` reads as a new registry.
     pub(crate) fn absorb(&mut self, block: &mut MetricsRegistry) {
         let mine = self
             .counters
@@ -588,20 +550,10 @@ impl MetricsRegistry {
         for (m, t) in mine.zip(theirs) {
             *m = m.saturating_add(*t);
         }
-        block.counters = [0; COUNTERS];
-        block.spans = [[0; 5]; SpanKind::ALL.len()];
-        for (mine, theirs) in self.histograms.iter_mut().zip(&mut block.histograms) {
-            let Some(h) = theirs.as_mut().filter(|h| !h.is_empty()) else {
-                continue;
-            };
-            match mine {
-                Some(m) => {
-                    m.merge(h);
-                    h.clear();
-                }
-                None => *mine = theirs.take(),
-            }
+        for (mine, theirs) in self.histograms.iter_mut().zip(&block.histograms) {
+            mine.merge(theirs);
         }
+        *block = MetricsRegistry::default();
     }
 
     /// Counts `n` [`TelemetryEvent::NodeAdded`] records, as `n` calls of
@@ -635,7 +587,7 @@ impl MetricsRegistry {
     #[inline]
     fn record(&mut self, hist: Hist, value_us: f64) {
         if let Some(h) = self.histograms.get_mut(hist.index()) {
-            h.get_or_insert_with(HistogramUs::default).record(value_us);
+            h.record(value_us);
         }
     }
 }
@@ -648,22 +600,29 @@ mod tests {
 
     #[test]
     fn bucket_boundaries_are_inclusive_upper_bounds() {
-        let mut h = HistogramUs::with_bounds(&[1.0, 10.0, 100.0]);
-        h.record(1.0); // lands in [.., 1.0]
-        h.record(1.000_001); // lands in (1.0, 10.0]
-        h.record(10.0); // boundary: (1.0, 10.0]
-        h.record(100.0); // boundary: (10.0, 100.0]
-        h.record(1_000.0); // overflow
-        assert_eq!(h.bucket_counts(), &[1, 2, 1, 1]);
+        let mut h = HistogramUs::default();
+        h.record(0.5); // boundary: [.., 0.5]
+        h.record(0.500_001); // lands in (0.5, 1.0]
+        h.record(1.0); // boundary: (0.5, 1.0]
+        h.record(50_000.0); // boundary: the last bound's bucket
+        h.record(50_000.001); // overflow
+        let mut expected = [0; BOUNDS_US.len() + 1];
+        expected[0] = 1;
+        expected[1] = 2;
+        expected[BOUNDS_US.len() - 1] = 1;
+        expected[BOUNDS_US.len()] = 1;
+        assert_eq!(h.bucket_counts(), &expected);
         assert_eq!(h.count(), 5);
     }
 
     #[test]
     fn negative_values_record_their_magnitude() {
-        let mut h = HistogramUs::with_bounds(&[5.0, 50.0]);
+        let mut h = HistogramUs::default();
         h.record(-3.0);
         h.record(-30.0);
-        assert_eq!(h.bucket_counts(), &[1, 1, 0]);
+        let bucket = |bound: f64| BOUNDS_US.iter().position(|b| *b == bound).unwrap();
+        assert_eq!(h.bucket_counts()[bucket(5.0)], 1);
+        assert_eq!(h.bucket_counts()[bucket(50.0)], 1);
         let s = h.summary();
         assert!((s.mean - 16.5).abs() < 1e-9);
         assert_eq!(s.min, 3.0);
@@ -681,7 +640,7 @@ mod tests {
 
     #[test]
     fn quantiles_step_through_bucket_bounds() {
-        let mut h = HistogramUs::with_bounds(&[1.0, 2.0, 5.0]);
+        let mut h = HistogramUs::default();
         for _ in 0..50 {
             h.record(0.7); // bucket ≤1
         }
@@ -696,51 +655,75 @@ mod tests {
         assert_eq!(h.quantile(0.75), 2.0);
         assert_eq!(h.quantile(0.95), 5.0);
         // Overflow values report the exact max.
-        h.record(77.0);
-        assert_eq!(h.quantile(1.0), 77.0);
+        h.record(77_000.0);
+        assert_eq!(h.quantile(1.0), 77_000.0);
     }
 
     #[test]
-    fn merge_requires_identical_layouts() {
-        let mut a = HistogramUs::with_bounds(&[1.0, 2.0]);
-        let mut b = HistogramUs::with_bounds(&[1.0, 2.0]);
+    fn merge_adds_counts_and_keeps_the_extremes() {
+        let mut a = HistogramUs::default();
+        let mut b = HistogramUs::default();
         a.record(0.5);
         b.record(1.5);
-        b.record(9.0);
-        assert!(a.merge(&b));
+        b.record(90_000.0);
+        a.merge(&b);
         assert_eq!(a.count(), 3);
-        assert_eq!(a.bucket_counts(), &[1, 1, 1]);
-        let other_layout = HistogramUs::with_bounds(&[3.0]);
-        assert!(!a.merge(&other_layout));
-        assert_eq!(a.count(), 3, "failed merge must not corrupt");
+        assert_eq!(a.bucket_counts().iter().sum::<u64>(), 3);
+        assert_eq!((a.min_value(), a.max_value()), (0.5, 90_000.0));
+        // An empty histogram is the merge's identity, bit for bit.
+        let before = a;
+        a.merge(&HistogramUs::default());
+        assert_eq!(a.sum().to_bits(), before.sum().to_bits());
+        assert_eq!(a, before);
     }
 
     #[test]
     fn from_parts_round_trips_a_populated_histogram() {
-        let mut h = HistogramUs::with_bounds(&[1.0, 10.0, 100.0]);
+        let mut h = HistogramUs::default();
         h.record(0.5);
         h.record(7.0);
-        h.record(250.0);
-        let rebuilt = HistogramUs::from_parts(
-            h.bounds().to_vec(),
-            h.bucket_counts().to_vec(),
-            h.count(),
-            h.sum(),
-            h.min_value(),
-            h.max_value(),
-        )
-        .expect("consistent parts");
+        h.record(250_000.0);
+        let parts = |h: &HistogramUs| {
+            HistogramUs::from_parts(
+                *h.bucket_counts(),
+                h.count(),
+                h.sum(),
+                h.min_value(),
+                h.max_value(),
+            )
+        };
+        let rebuilt = parts(&h).expect("consistent parts");
         assert_eq!(rebuilt, h);
+        assert_eq!(parts(&HistogramUs::default()), Some(HistogramUs::default()));
         // A merge after the round-trip behaves like a merge before it.
-        let mut a = h.clone();
-        let mut b = rebuilt;
-        assert!(a.merge(&h) && b.merge(&h));
+        let (mut a, mut b) = (h, rebuilt);
+        a.merge(&h);
+        b.merge(&h);
         assert_eq!(a, b);
-        // Inconsistent parts are rejected, not silently accepted: a bucket
-        // total that disagrees with `count`, and a counts vector whose
-        // length does not match `bounds.len() + 1`.
-        assert!(HistogramUs::from_parts(vec![1.0], vec![1, 2], 4, 0.0, 0.0, 0.0).is_none());
-        assert!(HistogramUs::from_parts(vec![1.0], vec![1], 1, 0.0, 0.0, 0.0).is_none());
+    }
+
+    #[test]
+    fn from_parts_rejects_states_no_recording_reaches() {
+        let mut one = [0; BOUNDS_US.len() + 1];
+        one[3] = 1;
+        let none = [0; BOUNDS_US.len() + 1];
+        let inf = f64::INFINITY;
+        assert!(HistogramUs::from_parts(one, 1, 4.0, 4.0, 4.0).is_some());
+        // Bucket counts that disagree with `count`.
+        assert!(HistogramUs::from_parts(one, 2, 4.0, 4.0, 4.0).is_none());
+        // A sum or max that is not finite: a `NaN` mean is not JSON.
+        assert!(HistogramUs::from_parts(one, 1, f64::NAN, 4.0, 4.0).is_none());
+        assert!(HistogramUs::from_parts(one, 1, inf, 4.0, 4.0).is_none());
+        assert!(HistogramUs::from_parts(one, 1, 4.0, 4.0, inf).is_none());
+        assert!(HistogramUs::from_parts(one, 1, 4.0, 4.0, f64::NAN).is_none());
+        // A recorded histogram's min is finite and no greater than its max.
+        assert!(HistogramUs::from_parts(one, 1, 4.0, inf, 4.0).is_none());
+        assert!(HistogramUs::from_parts(one, 1, 4.0, f64::NAN, 4.0).is_none());
+        assert!(HistogramUs::from_parts(one, 1, 4.0, 5.0, 4.0).is_none());
+        // An empty one's min is +∞.
+        assert!(HistogramUs::from_parts(none, 0, 0.0, inf, 0.0).is_some());
+        assert!(HistogramUs::from_parts(none, 0, 0.0, 0.0, 0.0).is_none());
+        assert!(HistogramUs::from_parts(none, 0, 0.0, f64::NAN, 0.0).is_none());
     }
 
     #[test]
@@ -1069,22 +1052,16 @@ mod tests {
     #[test]
     fn merging_two_registries_matches_one_fed_both_streams() {
         // Two flushes into one handle: the second merges into histograms
-        // the first moved in. It must match one flush of both streams.
+        // the first filled. It must match one flush of both streams.
         let (a, b) = (stream(3), stream(11));
         let merged = fed(&[&a, &b]);
         let both: Vec<TelemetryRecord> = a.iter().chain(&b).cloned().collect();
         let once = fed(&[&both]);
         assert_eq!(merged.counters, once.counters);
         assert_eq!(merged.spans, once.spans);
-        let counts = |r: &MetricsRegistry| {
-            r.histograms
-                .iter()
-                .flatten()
-                .map(|h| (h.count(), h.bucket_counts().to_vec()))
-                .collect::<Vec<_>>()
-        };
+        let counts = |r: &MetricsRegistry| r.histograms.map(|h| (h.count(), *h.bucket_counts()));
         assert_eq!(counts(&merged), counts(&once));
-        assert_eq!(counts(&once).len(), 3);
+        assert_eq!(once.histograms.iter().filter(|h| !h.is_empty()).count(), 3);
     }
 
     #[test]
@@ -1097,12 +1074,14 @@ mod tests {
             }
         }
         let mut fresh = HistogramUs::default();
-        assert!(fresh.merge(&expected));
+        fresh.merge(&expected);
         let r = fed(&[&records]);
         let moved = r.hist(Hist::AnchorErrorUs).expect("recorded");
         assert_eq!(moved, &fresh);
-        assert_eq!(moved.sum().to_bits(), fresh.sum().to_bits());
-        assert_eq!(moved.min_value().to_bits(), fresh.min_value().to_bits());
-        assert_eq!(moved.max_value().to_bits(), fresh.max_value().to_bits());
+        assert_eq!(moved.sum().to_bits(), expected.sum().to_bits());
+        assert_eq!(moved.min_value().to_bits(), expected.min_value().to_bits());
+        assert_eq!(moved.max_value().to_bits(), expected.max_value().to_bits());
+        // Nothing recorded reads as no histogram.
+        assert!(r.hist(Hist::DetectorMagnitudeUs).is_none());
     }
 }
