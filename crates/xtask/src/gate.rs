@@ -157,17 +157,21 @@ fn compare_stdout(baseline: &str, current: &str) -> Result<(), String> {
 }
 
 /// Writes leg `a`'s output `current` as the baseline at `path`, unless
-/// the committed baseline already holds the same content: a JSON artefact
-/// compared after [`normalize_json`], a stdout baseline (normalised when it
-/// was written) byte for byte. Returns whether the file was written.
-fn update_baseline(path: &Path, kind: Kind, current: &str) -> Result<bool, String> {
+/// the committed baseline already holds the same content and passes: a
+/// stdout baseline (normalised when it was written) byte for byte, and a
+/// JSON artefact, given with leg `b`'s as `rerun`, after
+/// [`normalize_json`] and under [`compare_artefacts`]' wall rules. Returns
+/// whether the file was written.
+fn update_baseline(path: &Path, current: &str, rerun: Option<&str>) -> Result<bool, String> {
     if let Ok(baseline) = std::fs::read_to_string(path) {
-        let unchanged = if kind.writes_json() {
-            normalize_json(&baseline) == normalize_json(current)
-        } else {
-            baseline == current
+        let holds = match rerun {
+            Some(rerun) => {
+                normalize_json(&baseline) == normalize_json(current)
+                    && compare_artefacts(&baseline, current, rerun).is_ok()
+            }
+            None => baseline == current,
         };
-        if unchanged {
+        if holds {
             return Ok(false);
         }
     }
@@ -317,7 +321,7 @@ impl Gate {
         let path = self.baseline_path(name, kind);
         let current = a.json.as_deref().unwrap_or(&a.stdout);
         if self.update {
-            return if update_baseline(&path, kind, current)? {
+            return if update_baseline(&path, current, b.json.as_deref())? {
                 Ok(format!("{legs}; baseline written to {}", path.display()))
             } else {
                 Ok(format!("{legs}; baseline unchanged"))
@@ -435,15 +439,16 @@ mod tests {
     }
 
     /// Runs [`update_baseline`] over a baseline file holding `committed`
-    /// and returns whether it wrote, and the file's bytes after.
-    fn refresh(kind: Kind, committed: &str, current: &str) -> (bool, String) {
-        let ext = if kind.writes_json() { "json" } else { "txt" };
+    /// and returns whether it wrote, and the file's bytes after. A JSON
+    /// baseline is refreshed with `current` as both legs' artefact.
+    fn refresh(json: bool, committed: &str, current: &str) -> (bool, String) {
+        let ext = if json { "json" } else { "txt" };
         let path = std::env::temp_dir().join(format!(
             "xtask_gate_baseline_{}_{ext}.{ext}",
             std::process::id()
         ));
         std::fs::write(&path, committed).unwrap();
-        let written = update_baseline(&path, kind, current).unwrap();
+        let written = update_baseline(&path, current, json.then_some(current)).unwrap();
         let after = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_file(&path).ok();
         (written, after)
@@ -452,28 +457,34 @@ mod tests {
     #[test]
     fn a_json_baseline_is_rewritten_only_when_its_content_moved() {
         let committed = r#"[{"succeeded":5,"trials_per_sec":1200.5,"peak_rss_kb":3400}]"#;
-        // Wall fields alone moved: the committed bytes stay.
+        // Wall fields alone moved, within their rules: the committed bytes
+        // stay.
         let wall_only = r#"[{"succeeded":5,"trials_per_sec":990.1,"peak_rss_kb":3512}]"#;
         assert_eq!(
-            refresh(Kind::Sweep, committed, wall_only),
+            refresh(true, committed, wall_only),
             (false, committed.to_string())
         );
-        let moved = r#"[{"succeeded":4,"trials_per_sec":990.1,"peak_rss_kb":3512}]"#;
+        // A wall field past its rule fails the gate, so the refresh writes
+        // it although the normalised content is the same.
+        let past_rule = r#"[{"succeeded":5,"trials_per_sec":990.1,"peak_rss_kb":9000}]"#;
+        assert!(compare_artefacts(committed, past_rule, past_rule).is_err());
         assert_eq!(
-            refresh(Kind::Resumable, committed, moved),
-            (true, moved.to_string())
+            refresh(true, committed, past_rule),
+            (true, past_rule.to_string())
         );
+        let moved = r#"[{"succeeded":4,"trials_per_sec":990.1,"peak_rss_kb":3512}]"#;
+        assert_eq!(refresh(true, committed, moved), (true, moved.to_string()));
     }
 
     #[test]
     fn a_stdout_baseline_is_rewritten_only_when_its_content_moved() {
         let committed = "=== IDS ===\nunder attack : runs flagged 5/5\n";
         assert_eq!(
-            refresh(Kind::Stdout, committed, committed),
+            refresh(false, committed, committed),
             (false, committed.to_string())
         );
         let moved = committed.replace("5/5", "4/5");
-        assert_eq!(refresh(Kind::Stdout, committed, &moved), (true, moved));
+        assert_eq!(refresh(false, committed, &moved), (true, moved));
     }
 
     #[test]
@@ -483,7 +494,7 @@ mod tests {
             std::process::id()
         ));
         std::fs::remove_file(&path).ok();
-        assert!(update_baseline(&path, Kind::Stdout, "row\n").unwrap());
+        assert!(update_baseline(&path, "row\n", None).unwrap());
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "row\n");
         std::fs::remove_file(&path).ok();
     }
