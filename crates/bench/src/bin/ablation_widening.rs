@@ -11,9 +11,9 @@
 //! We sweep the widening scale and report both sides of that trade-off:
 //! the attacker's cost (attempts to first success, success rate within the
 //! budget) and the victim's health (`victim_drops`: connection drops summed
-//! over the row's trials, a `[metric]` line and a JSON extra). The stall
-//! watchdog stays off here, because its bounces would mix harness drops
-//! into the attack phase's; the set-up wait's own bounces are subtracted.
+//! over the row's trials, a `[metric]` line and a JSON extra). The attack
+//! runs without bounces here, because they would mix harness drops into
+//! the attack phase's; the set-up wait's own bounces are subtracted.
 
 use bench::trial::SYNC_BUDGET;
 use bench::{attack, print_series_to, run_point, Cli, TrialConfig, TrialMetrics, TrialOutcome};
@@ -35,7 +35,7 @@ fn run_widening_trial(seed: u64, scale: f64, cfg: &TrialConfig) -> TrialOutcome 
         .widening_scale(scale)
         .build();
     let attempts = if sc.wait_synchronised(SYNC_BUDGET) {
-        attack(&mut sc, cfg, None)
+        attack(&mut sc, cfg, false)
     } else {
         None
     };

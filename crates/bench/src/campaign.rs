@@ -814,7 +814,6 @@ mod tests {
         timing.lead_time.record((x % 200) as f64);
         let metrics = TrialMetrics {
             timing: Box::new(timing),
-            events_total: x % 1000,
             events_per_sec: (x % 1000) as f64 / 3.0,
             counters: vec![("frames", x % 10_000), ("drops", x % 3)],
         };

@@ -29,6 +29,4 @@ pub use cli::Cli;
 pub use report::{print_series, print_series_to, SeriesReport};
 pub use stats::Summary;
 pub use telemetry::{TelemetryMode, TimingBlock, TrialMetrics};
-pub use trial::{
-    attack, build_trial, run_built, run_trial, StallWatchdog, TrialConfig, TrialOutcome,
-};
+pub use trial::{attack, build_trial, run_built, run_trial, TrialConfig, TrialOutcome};

@@ -662,7 +662,6 @@ mod tests {
             timing.lead_time.record(36.0);
             out.metrics = Some(TrialMetrics {
                 timing: Box::new(timing),
-                events_total: 100,
                 events_per_sec: 50.0,
                 counters: vec![("frames", 10)],
             });

@@ -89,8 +89,6 @@ pub struct TrialMetrics {
     /// The trial's histograms and span totals, boxed so that a
     /// [`crate::TrialOutcome`] stays small by value.
     pub timing: Box<TimingBlock>,
-    /// Total telemetry events emitted during the trial.
-    pub events_total: u64,
     /// Telemetry events per wall-clock second over the whole trial.
     pub events_per_sec: f64,
     /// Experiment-defined per-trial event counts (exp6's band statistics,
@@ -103,12 +101,10 @@ impl TrialMetrics {
     /// Builds the per-trial block from a registry snapshot and the two
     /// experiment-phase wall-clock timings, which price `events_per_sec`.
     pub fn from_registry(reg: &MetricsRegistry, sync_wall_s: f64, attack_wall_s: f64) -> Self {
-        let events_total = reg.get(Counter::TelemetryEvents);
         let wall = (sync_wall_s + attack_wall_s).max(1e-9);
         TrialMetrics {
             timing: Box::new(TimingBlock::from_registry(reg)),
-            events_total,
-            events_per_sec: events_total as f64 / wall,
+            events_per_sec: reg.get(Counter::TelemetryEvents) as f64 / wall,
             counters: Vec::new(),
         }
     }
@@ -133,7 +129,6 @@ mod tests {
             reg.tally(&TelemetryEvent::TxEnd);
         }
         let m = TrialMetrics::from_registry(&reg, 1.0, 1.0);
-        assert_eq!(m.events_total, 500);
         assert!((m.events_per_sec - 250.0).abs() < 1e-9);
         assert_eq!(m.timing.lead_time.count(), 1);
         assert_eq!(m.timing.anchor_error.count(), 1);

@@ -7,20 +7,18 @@
 //! target with the Slave's sequence bits, [`attack`] arms the injection
 //! at that instant and stops at the event that records the deciding
 //! verdict, and the target's bulb tells whether the command took effect.
-//! Both waits stop exactly, through [`ble_phy::World::run_until_or`], so
-//! no simulated time runs past a decision. A [`StallWatchdog`] bounces
-//! the target ([`Scenario::bounce_target`]) when the attacker stays
-//! desynchronised; it still samples every 200 ms of simulated time after
-//! arming. [`run_trial`] is the two steps in one call, and every sweep
-//! binary runs its trials through it or through the two steps, except
-//! `ablation_widening`, which composes the set-up wait with an [`attack`]
-//! that has no watchdog.
+//! Both waits run through [`Scenario::run_bouncing`]: they stop exactly
+//! at the deciding event, so no simulated time runs past a decision, and
+//! they bounce the target ([`Scenario::bounce_target`]) at the event where
+//! the attacker follows nothing while the link runs. [`run_trial`] is the
+//! two steps in one call, and every sweep binary runs its trials through it
+//! or through the two steps, except `ablation_widening`, which composes the
+//! set-up wait with an [`attack`] that does not bounce.
 
 use std::cell::Cell;
 
 use ble_devices::Lightbulb;
 use ble_link::Llid;
-use ble_phy::World;
 use ble_scenario::{Scenario, ScenarioBuilder};
 use ble_telemetry::SpanKind;
 use injectable::{Attacker, Mission};
@@ -32,20 +30,13 @@ use crate::telemetry::{TelemetryMode, TrialMetrics};
 /// synchronising the attacker before it counts as a failure.
 pub const SYNC_BUDGET: Duration = Duration::from_secs(30);
 
-/// How often the attack loop's watchdog samples the attacker.
-const ATTACK_TICK: Duration = Duration::from_millis(200);
-
-/// Unsynchronised watchdog ticks tolerated before a bounce.
-pub const STALL_TICKS: u32 = 10;
-
 /// The attack phase of a trial: what to inject and for how long. The scene
 /// itself is a [`ScenarioBuilder`] each trial closure builds from its seed.
 #[derive(Debug, Clone)]
 pub struct TrialConfig {
-    /// Raw Link-Layer payload to inject.
+    /// Raw Link-Layer payload to inject, as a start or complete L2CAP
+    /// frame.
     pub payload: Vec<u8>,
-    /// LLID for the injected frame.
-    pub llid: Llid,
     /// Give up after this much simulated attack time.
     pub sim_budget: Duration,
     /// Telemetry capture mode (default: in-memory metrics).
@@ -57,7 +48,6 @@ impl Default for TrialConfig {
     fn default() -> Self {
         TrialConfig {
             payload: canonical_write_payload(),
-            llid: Llid::StartOrComplete,
             sim_budget: Duration::from_secs(120),
             telemetry: TelemetryMode::default(),
         }
@@ -126,79 +116,35 @@ impl TrialOutcome {
     }
 }
 
-/// Watchdog over a trial loop's ticks: counts ticks in a row on which the
-/// attacker follows no connection and bounces the target after
-/// [`STALL_TICKS`] of them.
-///
-/// The Central's own connection state is deliberately **not** consulted:
-/// an earlier revision only counted ticks while the Central was connected,
-/// which meant a simultaneous Central + attacker outage reset the counter
-/// every tick and the bounce never fired — the trial then idled until its
-/// whole budget was burned.
-#[derive(Debug, Clone, Default)]
-pub struct StallWatchdog {
-    stalled: u32,
-}
-
-impl StallWatchdog {
-    /// Records one tick. Returns `true` when the stall has lasted long
-    /// enough to bounce (and starts counting afresh).
-    fn note(&mut self, attacker_synced: bool) -> bool {
-        if attacker_synced {
-            self.stalled = 0;
-            return false;
-        }
-        self.stalled += 1;
-        if self.stalled >= STALL_TICKS {
-            self.stalled = 0;
-            return true;
-        }
-        false
-    }
-
-    /// Records one tick of `sc` and bounces the target when the stall is
-    /// long enough.
-    pub fn tick(&mut self, sc: &mut Scenario) {
-        if self.note(sc.attacker().connection().is_some()) {
-            sc.bounce_target();
-        }
-    }
-}
-
 /// The attack loop: arms a one-shot injection of `cfg.payload` and runs
 /// the world until the event that gives the first confirmed success, until
 /// the event at which the attacker's bounded resync runs out of retries
 /// (the trial is then lost and burning the rest of the budget would not
-/// change that), or for `cfg.sim_budget`. `watchdog` samples the attacker
-/// every 200 ms of simulated time after arming. Returns the attempts
-/// before the first success.
-pub fn attack(
-    sc: &mut Scenario,
-    cfg: &TrialConfig,
-    mut watchdog: Option<StallWatchdog>,
-) -> Option<u32> {
+/// change that), or for `cfg.sim_budget`. With `bounce`, the run bounces
+/// the target at the event where the attacker loses it (see
+/// [`Scenario::run_bouncing`]). Returns the attempts before the first
+/// success.
+pub fn attack(sc: &mut Scenario, cfg: &TrialConfig, bounce: bool) -> Option<u32> {
     sc.attacker_mut().arm(Mission::InjectRaw {
-        llid: cfg.llid,
+        llid: Llid::StartOrComplete,
         payload: cfg.payload.clone(),
         wanted_successes: 1,
     });
-    let attacker_id = sc.attacker_id.expect("scene has an attacker");
-    let decided = |w: &World| {
-        w.node::<Attacker>(attacker_id)
-            .is_some_and(|a| a.stats().successes() >= 1 || a.resync_exhausted())
-    };
+    let decided = |a: &Attacker| a.stats().successes() >= 1 || a.resync_exhausted();
     let deadline = sc.now() + cfg.sim_budget;
-    let mut tick = sc.now();
-    while tick < deadline {
-        tick += ATTACK_TICK;
-        if sc.world.run_until_or(tick, decided) {
-            return sc.attacker().stats().attempts_to_first_success();
-        }
-        if let Some(watchdog) = watchdog.as_mut() {
-            watchdog.tick(sc);
-        }
+    let stopped = if bounce {
+        sc.run_bouncing(deadline, |_, a| decided(a))
+    } else {
+        let attacker = sc.attacker_id.expect("scene has an attacker");
+        sc.world.run_until_or(deadline, |w| {
+            w.node::<Attacker>(attacker).is_some_and(decided)
+        })
+    };
+    if stopped {
+        sc.attacker().stats().attempts_to_first_success()
+    } else {
+        None
     }
-    None
 }
 
 thread_local! {
@@ -244,7 +190,7 @@ pub fn build_trial(rig: ScenarioBuilder, cfg: &TrialConfig) -> Scenario {
 }
 
 /// The run step of a trial, on a scene from [`build_trial`]: synchronises,
-/// runs [`attack`] with a 10-tick watchdog, and checks the target's bulb.
+/// runs a bouncing [`attack`], and checks the target's bulb.
 ///
 /// Inside the campaign engine a chunk's first trial multiplies its phase
 /// rows' `wall_ns`/`self_wall_ns` by the chunk's length, so a row's wall
@@ -262,7 +208,7 @@ pub fn run_built(sc: &mut Scenario, cfg: &TrialConfig) -> TrialOutcome {
     let mut attack_wall_s = 0.0;
     if synced {
         let follow_span = sc.world.span_enter(SpanKind::TrialFollow, 0);
-        attempts = attack(sc, cfg, Some(StallWatchdog::default()));
+        attempts = attack(sc, cfg, true);
         sc.world.span_exit(follow_span);
         attack_wall_s = wall_start.elapsed_s() - sync_wall_s;
         // The verify span closes before the flush below, or its exit
@@ -341,7 +287,6 @@ mod tests {
         // Default mode is Metrics: the trial must carry a metric block with
         // the attack-phase histograms populated.
         let metrics = out.metrics.expect("default telemetry mode is Metrics");
-        assert!(metrics.events_total > 0);
         assert!(metrics.events_per_sec > 0.0);
         assert!(
             metrics.timing.lead_time.count() >= 1,
@@ -433,30 +378,23 @@ mod tests {
         }
     }
 
-    /// The attack loop as it ran before it stopped at the deciding event:
-    /// arm, then decide at the end of each 200 ms tick.
-    fn polled_attack(
-        sc: &mut Scenario,
-        cfg: &TrialConfig,
-        mut watchdog: Option<StallWatchdog>,
-    ) -> Option<u32> {
+    /// The attack loop as it ran before it stopped at the deciding event,
+    /// without bounces: arm, then decide at the end of each 200 ms tick.
+    fn polled_attack(sc: &mut Scenario, cfg: &TrialConfig) -> Option<u32> {
         sc.attacker_mut().arm(Mission::InjectRaw {
-            llid: cfg.llid,
+            llid: Llid::StartOrComplete,
             payload: cfg.payload.clone(),
             wanted_successes: 1,
         });
         let deadline = sc.now() + cfg.sim_budget;
         while sc.now() < deadline {
-            sc.run_for(ATTACK_TICK);
+            sc.run_for(Duration::from_millis(200));
             let attacker = sc.attacker();
             if attacker.stats().successes() >= 1 {
                 return attacker.stats().attempts_to_first_success();
             }
             if attacker.resync_exhausted() {
                 return None;
-            }
-            if let Some(watchdog) = watchdog.as_mut() {
-                watchdog.tick(sc);
             }
         }
         None
@@ -466,24 +404,16 @@ mod tests {
     /// reference run from the same arming instant.
     struct Decided {
         attempts: Option<u32>,
-        /// The watchdog bounced the target at least once.
-        bounced: bool,
         exhausted: bool,
     }
 
     /// Builds `rig` twice and synchronises both; if they synchronised,
-    /// runs [`attack`] on one and [`polled_attack`] on the other, each
-    /// with a watchdog if `watched`, and checks that both decide alike and
-    /// that a success's verdict record is the exact run's last record.
-    fn exact_matches_polled(
-        rig: impl Fn() -> Scenario,
-        cfg: &TrialConfig,
-        watched: bool,
-        label: &str,
-    ) -> Decided {
+    /// runs [`attack`] without bounces on one and [`polled_attack`] on the
+    /// other, and checks that both decide alike and that a success's
+    /// verdict record is the exact run's last record.
+    fn exact_matches_polled(rig: impl Fn() -> Scenario, cfg: &TrialConfig, label: &str) -> Decided {
         use ble_telemetry::{RingBufferSink, TelemetryEvent, Verdict};
 
-        let watchdog = || watched.then(StallWatchdog::default);
         let (mut exact, mut polled) = (rig(), rig());
         let sink = RingBufferSink::new(1 << 17);
         let ring = sink.handle();
@@ -491,16 +421,14 @@ mod tests {
         let synced = exact.wait_synchronised(SYNC_BUDGET);
         assert_eq!(synced, polled.wait_synchronised(SYNC_BUDGET), "{label}");
         assert_eq!(exact.now(), polled.now(), "{label}: same arming instant");
-        let set_up_bounces = exact.bounces;
         if !synced {
             return Decided {
                 attempts: None,
-                bounced: false,
                 exhausted: false,
             };
         }
-        let attempts = attack(&mut exact, cfg, watchdog());
-        let reference = polled_attack(&mut polled, cfg, watchdog());
+        let attempts = attack(&mut exact, cfg, false);
+        let reference = polled_attack(&mut polled, cfg);
         assert_eq!(attempts, reference, "{label}");
         let ring = ring.lock();
         assert_eq!(ring.evicted(), 0, "{label}: the ring holds the trial");
@@ -523,7 +451,6 @@ mod tests {
         drop(ring);
         Decided {
             attempts,
-            bounced: exact.bounces > set_up_bounces,
             exhausted: exact.attacker().resync_exhausted(),
         }
     }
@@ -544,7 +471,7 @@ mod tests {
                         .build()
                 };
                 let label = format!("hop {hop}, trial {i}");
-                let decided = exact_matches_polled(rig, &cfg, true, &label);
+                let decided = exact_matches_polled(rig, &cfg, &label);
                 successes += usize::from(decided.attempts.is_some());
             }
         }
@@ -554,10 +481,10 @@ mod tests {
     #[test]
     fn the_exact_stop_keeps_bounces_and_exhaustion_on_a_lossy_channel() {
         // Heavy data-channel loss: the attacker keeps losing the
-        // connection. With ablation_faults' resync policy and a watchdog,
-        // the watchdog bounces the target; with a one-retry policy and no
-        // watchdog, the resync runs out. Both stops must decide as the
-        // polled loop does.
+        // connection. With ablation_faults' resync policy, a bouncing
+        // attack bounces the target; with a one-retry policy and no
+        // bounces, the resync runs out. Without bounces, both policies'
+        // stops must decide as the polled loop does.
         let loss = loss_plan(0.6);
         let patient = tight_resync();
         let brief = ResyncPolicy {
@@ -573,7 +500,7 @@ mod tests {
         };
         let (mut bounced, mut exhausted) = (0, 0);
         for i in 0..20 {
-            for (policy, watched) in [(&patient, true), (&brief, false)] {
+            for (policy, bounce) in [(&patient, true), (&brief, false)] {
                 let rig = || {
                     ScenarioBuilder::paper_rig(trial_seed(2_400, i))
                         .attacker_resync(policy.clone())
@@ -582,9 +509,16 @@ mod tests {
                         .build()
                 };
                 let label = format!("lossy trial {i}, {policy:?}");
-                let decided = exact_matches_polled(rig, &cfg, watched, &label);
-                bounced += usize::from(decided.bounced);
+                let decided = exact_matches_polled(rig, &cfg, &label);
                 exhausted += usize::from(decided.exhausted && decided.attempts.is_none());
+                if bounce {
+                    let mut sc = rig();
+                    if sc.wait_synchronised(SYNC_BUDGET) {
+                        let set_up_bounces = sc.bounces;
+                        attack(&mut sc, &cfg, true);
+                        bounced += usize::from(sc.bounces > set_up_bounces);
+                    }
+                }
             }
         }
         assert!(bounced > 0, "no trial bounced the target");
@@ -626,28 +560,6 @@ mod tests {
         for i in 0..10_000u64 {
             assert!(seen.insert(trial_seed(42, i)), "seed collision at i={i}");
         }
-    }
-
-    #[test]
-    fn stall_tracker_bounces_even_when_the_central_is_also_down() {
-        // Regression: the old watchdog only counted ticks while the Central
-        // was connected, so a simultaneous Central + attacker outage never
-        // bounced and the trial idled its whole budget away. The watchdog
-        // must fire from attacker desynchronisation alone.
-        let mut stall = StallWatchdog::default();
-        for _ in 0..STALL_TICKS - 1 {
-            assert!(!stall.note(false));
-        }
-        assert!(stall.note(false), "bounce fires after the threshold");
-        // …and the counter restarts cleanly afterwards.
-        assert!(!stall.note(false));
-        // A synced tick resets the stall: the full threshold is required
-        // again before the next bounce.
-        assert!(!stall.note(true));
-        for _ in 0..STALL_TICKS - 1 {
-            assert!(!stall.note(false));
-        }
-        assert!(stall.note(false));
     }
 
     #[test]
@@ -736,36 +648,36 @@ mod tests {
         }
     }
 
+    /// Runs one trial of `rig` with [`short_budget`], and returns its
+    /// outcome and the telemetry events its registry counted.
+    fn counted_trial(rig: ScenarioBuilder) -> (TrialOutcome, u64) {
+        let cfg = short_budget();
+        let mut sc = build_trial(rig, &cfg);
+        let out = run_built(&mut sc, &cfg);
+        let registry = sc.metrics().expect("metrics on").lock();
+        (out, registry.get(ble_telemetry::Counter::TelemetryEvents))
+    }
+
     #[test]
     fn same_seed_and_fault_plan_reproduce_the_trial_exactly() {
-        let run = || {
-            let rig = ScenarioBuilder::paper_rig(46).faults(mild_fault_plan());
-            run_trial(rig, &short_budget())
-        };
-        let (a, b) = (run(), run());
+        let run = || counted_trial(ScenarioBuilder::paper_rig(46).faults(mild_fault_plan()));
+        let ((a, a_events), (b, b_events)) = (run(), run());
         assert_eq!(a.attempts, b.attempts);
         assert_eq!(a.sim_seconds, b.sim_seconds);
         assert_eq!(a.effect_observed, b.effect_observed);
-        let (ma, mb) = (
-            a.metrics.expect("metrics on"),
-            b.metrics.expect("metrics on"),
-        );
-        assert_eq!(ma.events_total, mb.events_total);
+        assert!(a_events > 0);
+        assert_eq!(a_events, b_events);
     }
 
     #[test]
     fn empty_fault_plan_is_a_true_no_op() {
-        let rig = ScenarioBuilder::paper_rig(47).faults(FaultPlan::seeded(999));
-        let a = run_trial(rig, &short_budget());
-        let b = paper_trial(47, &short_budget());
+        let (a, a_events) =
+            counted_trial(ScenarioBuilder::paper_rig(47).faults(FaultPlan::seeded(999)));
+        let (b, b_events) = counted_trial(ScenarioBuilder::paper_rig(47));
         assert_eq!(a.attempts, b.attempts, "empty plan must not perturb");
         assert_eq!(a.sim_seconds, b.sim_seconds);
         assert_eq!(a.effect_observed, b.effect_observed);
-        let (ma, mb) = (
-            a.metrics.expect("metrics on"),
-            b.metrics.expect("metrics on"),
-        );
-        assert_eq!(ma.events_total, mb.events_total);
+        assert_eq!(a_events, b_events);
     }
 
     #[test]
@@ -927,6 +839,90 @@ mod tests {
                 "base {base} trial {i}: no confirmed injection"
             );
         }
+    }
+
+    #[test]
+    fn a_target_lost_after_arming_is_bounced_at_the_loss() {
+        use ble_telemetry::{RingBufferSink, TelemetryEvent};
+
+        // exp1's hop-150 trial 203: the attacker loses the link after
+        // arming, and the attack bounces it once before it succeeds.
+        let rig = || {
+            let mut sc = ScenarioBuilder::paper_rig(trial_seed(1_150, 203))
+                .hop_interval(150)
+                .telemetry(TelemetryMode::Off)
+                .build();
+            assert!(sc.wait_synchronised(SYNC_BUDGET));
+            sc
+        };
+        let cfg = TrialConfig {
+            telemetry: TelemetryMode::Off,
+            ..TrialConfig::default()
+        };
+        let mut sc = rig();
+        let set_up_bounces = sc.bounces;
+        let sink = RingBufferSink::new(1 << 16);
+        let ring = sink.handle();
+        sc.world.add_telemetry_sink(Box::new(sink));
+        assert!(attack(&mut sc, &cfg, true).is_some(), "the attack recovers");
+        assert!(sc.bounces > set_up_bounces, "the attack bounced the target");
+        let lost = ring
+            .lock()
+            .iter()
+            .find(|r| matches!(r.event, TelemetryEvent::SnifferLost { .. }))
+            .expect("the attacker lost the target")
+            .at;
+        // The same trial, its budget ending one microsecond before the loss
+        // and at the loss: the target's disconnect is requested in between.
+        let bounces_by = |end: Instant| {
+            let mut sc = rig();
+            let cfg = TrialConfig {
+                sim_budget: end - sc.now(),
+                ..cfg.clone()
+            };
+            assert_eq!(attack(&mut sc, &cfg, true), None);
+            assert_eq!(sc.now(), end);
+            sc.bounces - set_up_bounces
+        };
+        assert_eq!(bounces_by(lost - Duration::from_micros(1)), 0);
+        assert_eq!(bounces_by(lost), 1, "no bounce at the loss");
+    }
+
+    #[test]
+    fn an_outage_of_both_the_central_and_the_attacker_does_not_idle_the_budget() {
+        // The attack is armed while the target link is down and the
+        // attacker follows nothing. The Central reconnects on its own, and
+        // when the sniffer misses that CONNECT_IND the attack must bounce
+        // the new link rather than wait out its budget.
+        use ble_devices::Central;
+
+        let cfg = TrialConfig {
+            sim_budget: Duration::from_secs(30),
+            telemetry: TelemetryMode::Off,
+            ..TrialConfig::default()
+        };
+        let mut bounced = 0;
+        for i in 0..8 {
+            let mut sc = ScenarioBuilder::paper_rig(trial_seed(3_000, i))
+                .telemetry(TelemetryMode::Off)
+                .build();
+            assert!(sc.wait_synchronised(SYNC_BUDGET), "trial {i}");
+            sc.bounce_target();
+            let (central, attacker) = (sc.central_id, sc.attacker_id.expect("an attacker"));
+            let both_down = sc
+                .world
+                .run_until_or(sc.now() + Duration::from_secs(1), |w| {
+                    w.node::<Central>(central)
+                        .is_some_and(|c| !c.ll.is_connected())
+                        && w.node::<Attacker>(attacker)
+                            .is_some_and(|a| a.connection().is_none())
+                });
+            assert!(both_down, "trial {i}");
+            let before = sc.bounces;
+            assert!(attack(&mut sc, &cfg, true).is_some(), "trial {i} idled");
+            bounced += usize::from(sc.bounces > before);
+        }
+        assert!(bounced > 0, "no trial needed a bounce");
     }
 
     #[test]

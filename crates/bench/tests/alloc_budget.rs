@@ -22,8 +22,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use bench::trial::{trial_seed, SYNC_BUDGET};
 use bench::{
-    attack, build_trial, SeriesAccumulator, StallWatchdog, TelemetryMode, TrialConfig,
-    TrialMetrics, TrialOutcome,
+    attack, build_trial, SeriesAccumulator, TelemetryMode, TrialConfig, TrialMetrics, TrialOutcome,
 };
 use ble_host::gatt::props;
 use ble_host::{GattServer, HostStack, Uuid};
@@ -487,7 +486,7 @@ fn trial_step_allocations(mode: TelemetryMode) -> [f64; 3] {
         let mut attempts = None;
         if synced {
             let follow_span = sc.world.span_enter(ble_telemetry::SpanKind::TrialFollow, 0);
-            attempts = attack(&mut sc, &cfg, Some(StallWatchdog::default()));
+            attempts = attack(&mut sc, &cfg, true);
             sc.world.span_exit(follow_span);
         }
         let ((), flush) = counted(|| sc.world.flush_telemetry());

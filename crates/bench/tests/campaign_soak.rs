@@ -63,7 +63,6 @@ fn synth(seed: u64) -> TrialOutcome {
     timing.lead_time.record((x % 200) as f64);
     let metrics = TrialMetrics {
         timing: Box::new(timing),
-        events_total: x % 1000,
         events_per_sec: (x % 1000) as f64 / 3.0,
         counters: Vec::new(),
     };

@@ -260,17 +260,6 @@ impl Central {
         self.slot_ll(handle.index())
     }
 
-    /// The host stack behind `handle`, or `None` for a stale handle.
-    pub fn host_for_mut(&mut self, handle: ConnHandle) -> Option<&mut HostStack> {
-        if !self.conns.is_current(handle) {
-            return None;
-        }
-        match handle.index() {
-            0 => Some(&mut self.host),
-            i => self.extras.get_mut(i - 1).map(|p| &mut p.host),
-        }
-    }
-
     /// Requests a Link-Layer disconnect of the connection behind `handle`.
     /// The owning slot re-establishes on its own (auto-reconnect), sending
     /// a fresh `CONNECT_IND`. Returns `false` — and sends nothing — for a

@@ -48,7 +48,7 @@ use ble_phy::{
 };
 use ble_telemetry::{JsonlSink, SharedRegistry};
 use injectable::{Attacker, AttackerConfig, ResyncPolicy};
-use simkit::{DriftClock, Duration, FaultPlan, SimRng};
+use simkit::{DriftClock, Duration, FaultPlan, Instant, SimRng};
 
 /// Which victim Peripheral the scenario stars.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -817,7 +817,7 @@ impl Scenario {
     }
 
     /// Current simulated time.
-    pub fn now(&self) -> simkit::Instant {
+    pub fn now(&self) -> Instant {
         self.world.now()
     }
 
@@ -875,8 +875,8 @@ impl Scenario {
     /// Bounces the target link: drops it if it is up, so that its slot
     /// re-establishes and the sniffer sees a fresh `CONNECT_IND`, and
     /// restarts the attacker's scan in case its resync loop went quiet (a
-    /// no-op while the attacker is already scanning or following). The
-    /// set-up wait and the attack's stall watchdog both bounce this way.
+    /// no-op while the attacker is already scanning or following).
+    /// [`Scenario::run_bouncing`] bounces this way.
     ///
     /// # Panics
     /// If the scene was built without an attacker.
@@ -894,54 +894,70 @@ impl Scenario {
     /// Runs until every Central slot holds a live connection and the
     /// attacker follows the target link with the Slave's sequence bits,
     /// and stops at the event that makes both hold (see
-    /// [`World::run_until_or`]). Returns `false` when `budget` runs out
-    /// first.
-    ///
-    /// The sniffer follows a link only from its `CONNECT_IND`, which it can
-    /// miss because it scans one advertising channel at a time, and a link
-    /// that stays up never sends another. So once every slot is up,
-    /// whenever the target link has run its first connection event while
-    /// the attacker follows nothing, the wait bounces the target
-    /// ([`Scenario::bounce_target`]) and runs until it is down before it
-    /// looks again. It waits for that first event rather than the
-    /// Central's `TxDone`, because the sniffer decodes the `CONNECT_IND` a
-    /// propagation delay after the Central has sent it.
+    /// [`Scenario::run_bouncing`], which bounces an unfollowed target).
+    /// Returns `false` when `budget` runs out first.
     ///
     /// # Panics
     /// If the scene was built without an attacker.
     pub fn wait_synchronised(&mut self, budget: Duration) -> bool {
         let deadline = self.world.now() + budget;
-        let (central, slot) = (self.central_id, self.target_slot());
-        let attacker = self.attacker_id.expect("scene has an attacker");
-        let slots = slot + 1;
+        let central = self.central_id;
+        let slots = self.target_slot() + 1;
         let all_up = |w: &World| {
             w.node::<Central>(central)
                 .is_some_and(|c| c.live_connections() >= slots)
         };
-        if !self.world.run_until_or(deadline, all_up) {
-            return false;
-        }
+        self.world.run_until_or(deadline, all_up)
+            && self.run_bouncing(deadline, |w, a| {
+                a.connection().is_some_and(|conn| conn.has_slave_seq()) && all_up(w)
+            })
+    }
+
+    /// Runs until `done` holds for the world and its attacker, and stops at
+    /// the event that makes it hold (see [`World::run_until_or`]). Returns
+    /// `false` when `deadline` comes first.
+    ///
+    /// The sniffer follows a link only from its `CONNECT_IND`, which it can
+    /// miss because it scans one advertising channel at a time, and a link
+    /// that stays up never sends another. So whenever the attacker follows
+    /// nothing while the target link has run a connection event, the run
+    /// bounces the target ([`Scenario::bounce_target`]) and runs until it is
+    /// down before it looks again: during set-up at the link's first event,
+    /// and during an attack at the event where the attacker loses the link.
+    /// It waits for that first event rather than the Central's `TxDone`,
+    /// because the sniffer decodes the `CONNECT_IND` a propagation delay
+    /// after the Central has sent it.
+    ///
+    /// Each event reads the attacker first, and the Central only while the
+    /// attacker follows nothing.
+    ///
+    /// # Panics
+    /// If the scene was built without an attacker.
+    pub fn run_bouncing(
+        &mut self,
+        deadline: Instant,
+        mut done: impl FnMut(&World, &Attacker) -> bool,
+    ) -> bool {
+        let (central, slot) = (self.central_id, self.target_slot());
+        let attacker = self.attacker_id.expect("scene has an attacker");
         loop {
-            let mut synced = false;
-            let synced_or_unfollowed = |w: &World| {
-                let (Some(c), Some(a)) = (w.node::<Central>(central), w.node::<Attacker>(attacker))
-                else {
+            let mut finished = false;
+            let done_or_unfollowed = |w: &World| {
+                let Some(a) = w.node::<Attacker>(attacker) else {
                     return false;
                 };
-                match a.connection() {
-                    Some(conn) => {
-                        synced = conn.has_slave_seq() && c.live_connections() >= slots;
-                        synced
-                    }
-                    None => held_link(c, slot)
-                        .and_then(LinkLayer::connection_info)
-                        .is_some_and(|info| info.next_event_counter >= 1),
-                }
+                finished = done(w, a);
+                finished
+                    || a.connection().is_none()
+                        && w.node::<Central>(central)
+                            .and_then(|c| held_link(c, slot))
+                            .and_then(LinkLayer::connection_info)
+                            .is_some_and(|info| info.next_event_counter >= 1)
             };
-            if !self.world.run_until_or(deadline, synced_or_unfollowed) {
+            if !self.world.run_until_or(deadline, done_or_unfollowed) {
                 return false;
             }
-            if synced {
+            if finished {
                 return true;
             }
             self.bounce_target();
