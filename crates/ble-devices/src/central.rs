@@ -268,7 +268,7 @@ impl Central {
         if !self.conns.is_current(handle) {
             return false;
         }
-        let Some(ll) = self.slot_ll_mut(handle.index()) else {
+        let Some((ll, _)) = self.slot_mut(handle.index()) else {
             return false;
         };
         if !ll.is_connected() {
@@ -295,10 +295,10 @@ impl Central {
         }
     }
 
-    fn slot_ll_mut(&mut self, slot: usize) -> Option<&mut LinkLayer> {
+    fn slot_mut(&mut self, slot: usize) -> Option<(&mut LinkLayer, &mut HostStack)> {
         match slot {
-            0 => Some(&mut self.ll),
-            i => self.extras.get_mut(i - 1).map(|p| &mut p.ll),
+            0 => Some((&mut self.ll, &mut self.host)),
+            i => self.extras.get_mut(i - 1).map(|p| (&mut p.ll, &mut p.host)),
         }
     }
 
@@ -348,30 +348,22 @@ impl Central {
         // which would route the eventual `TxDone` to the wrong slot.
         let tx_before = ctx.tx_start_count();
         let was_transmitting = ctx.is_transmitting();
-        if slot == 0 {
-            self.ll.handle(ctx, event, &mut self.host);
-        } else {
-            let Some(p) = self.extras.get_mut(slot - 1) else {
-                return;
-            };
-            p.ll.handle(ctx, event, &mut p.host);
-        }
+        let Some((ll, host)) = self.slot_mut(slot) else {
+            return;
+        };
+        ll.handle(ctx, event, host);
         if ctx.tx_start_count() != tx_before {
             // The new frame replaced a sibling's in-flight one, which will
             // never raise its `TxDone`: tell the sibling so an abandoned
             // `CONNECT_IND` does not leave it waiting forever.
             if was_transmitting && self.tx_owner != slot {
-                if let Some(ll) = self.slot_ll_mut(self.tx_owner) {
+                if let Some((ll, _)) = self.slot_mut(self.tx_owner) {
                     ll.on_tx_abandoned(ctx);
                 }
             }
             self.tx_owner = slot;
         }
-        if slot == 0 {
-            self.pump_primary(ctx);
-        } else {
-            self.pump_extra(ctx, slot);
-        }
+        self.pump(ctx, slot);
         if self.multi_peer() {
             self.emit_pool_telemetry(ctx);
         }
@@ -454,84 +446,35 @@ impl Central {
         }
     }
 
-    fn pump_primary(&mut self, ctx: &mut NodeCtx<'_>) {
-        while let Some(action) = self.host.take_action() {
-            match action {
-                SecurityAction::StartEncryption { key, rand, ediv } => {
-                    if self.ll.is_connected() {
-                        self.ll.request_encryption(ctx, key, rand, ediv);
-                    }
-                }
-            }
-        }
-        while let Some(event) = self.host.poll_event() {
-            match &event {
-                HostEvent::Connected { .. } => {
-                    self.connections += 1;
-                    let writes = self.on_connect_writes.clone();
-                    for (handle, value, acknowledged) in writes {
-                        if acknowledged {
-                            self.host.write(handle, value);
-                        } else {
-                            self.host.write_command(handle, &value);
-                        }
-                    }
-                    if self.pair_on_connect {
-                        if self.host.bonded_key().is_some() {
-                            self.host.encrypt_with_bonded_key();
-                        } else {
-                            self.host.start_pairing();
-                        }
-                    }
-                    self.note_established(ctx, 0);
-                }
-                HostEvent::Disconnected { reason } => {
-                    self.disconnections += 1;
-                    self.last_disconnect_reason = Some(*reason);
-                    self.note_released(ctx, 0);
-                    if self.auto_reconnect {
-                        let jitter = Duration::from_micros(self.rng.below(20_000));
-                        ctx.set_timer_local(
-                            self.reconnect_delay + jitter,
-                            TimerKey(RECONNECT_TIMER),
-                        );
-                    }
-                }
-                _ => {}
-            }
-            self.event_log.push_back(event);
-        }
-        // Re-run actions that may have been queued by event handling
-        // (e.g. pairing completion queues StartEncryption).
-        while let Some(action) = self.host.take_action() {
-            match action {
-                SecurityAction::StartEncryption { key, rand, ediv } => {
-                    if self.ll.is_connected() {
-                        self.ll.request_encryption(ctx, key, rand, ediv);
-                    }
-                }
-            }
-        }
-    }
-
-    fn pump_extra(&mut self, ctx: &mut NodeCtx<'_>, slot: usize) {
+    /// Drains one slot's host: starts the encryption its security actions
+    /// ask for, and handles its connection events.
+    fn pump(&mut self, ctx: &mut NodeCtx<'_>, slot: usize) {
+        self.run_security_actions(ctx, slot);
         loop {
-            let Some(p) = self.extras.get_mut(slot - 1) else {
+            let Some((_, host)) = self.slot_mut(slot) else {
                 return;
             };
-            let Some(event) = p.host.poll_event() else {
+            let Some(event) = host.poll_event() else {
                 break;
             };
             match &event {
                 HostEvent::Connected { .. } => {
                     self.connections += 1;
                     let writes = self.on_connect_writes.clone();
-                    if let Some(p) = self.extras.get_mut(slot - 1) {
+                    let pair = self.pair_on_connect && slot == 0;
+                    if let Some((_, host)) = self.slot_mut(slot) {
                         for (handle, value, acknowledged) in writes {
                             if acknowledged {
-                                p.host.write(handle, value);
+                                host.write(handle, value);
                             } else {
-                                p.host.write_command(handle, &value);
+                                host.write_command(handle, &value);
+                            }
+                        }
+                        if pair {
+                            if host.bonded_key().is_some() {
+                                host.encrypt_with_bonded_key();
+                            } else {
+                                host.start_pairing();
                             }
                         }
                     }
@@ -551,10 +494,23 @@ impl Central {
             }
             self.event_log.push_back(event);
         }
-        // Extra slots run plaintext: drain (and drop) any security actions
-        // so the queue cannot grow.
-        if let Some(p) = self.extras.get_mut(slot - 1) {
-            while p.host.take_action().is_some() {}
+        // Re-run actions that event handling may have queued (pairing
+        // completion queues StartEncryption).
+        self.run_security_actions(ctx, slot);
+    }
+
+    fn run_security_actions(&mut self, ctx: &mut NodeCtx<'_>, slot: usize) {
+        let Some((ll, host)) = self.slot_mut(slot) else {
+            return;
+        };
+        while let Some(action) = host.take_action() {
+            match action {
+                SecurityAction::StartEncryption { key, rand, ediv } => {
+                    if ll.is_connected() {
+                        ll.request_encryption(ctx, key, rand, ediv);
+                    }
+                }
+            }
         }
     }
 
