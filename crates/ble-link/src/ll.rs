@@ -305,6 +305,51 @@ struct Conn {
     version_sent: bool,
 }
 
+impl Conn {
+    /// A connection before its first event: counters, sequence bits and
+    /// procedures reset, the next event one interval after `last_anchor`,
+    /// and no window widening.
+    fn new(
+        role: Role,
+        params: ConnectionParams,
+        peer: DeviceAddress,
+        hop: HopSelection,
+        last_anchor: Instant,
+    ) -> Self {
+        Conn {
+            role,
+            params,
+            peer,
+            hop,
+            next_event_counter: 0,
+            current_channel: Channel::data_wrapped(0),
+            last_anchor,
+            intervals_since_anchor: 1,
+            window: WindowSpec {
+                extra: Duration::ZERO,
+                widening: Duration::ZERO,
+            },
+            sn: false,
+            nesn: false,
+            pending: None,
+            ctrl_queue: VecDeque::new(),
+            peer_md: false,
+            sent_md: false,
+            got_sync: false,
+            anchor_set: false,
+            in_event: false,
+            established: false,
+            pending_update: None,
+            pending_chmap: None,
+            terminate_after_tx: None,
+            sent_terminate: false,
+            events_since_listen: 0,
+            enc: EncState::off(),
+            version_sent: false,
+        }
+    }
+}
+
 enum State {
     Standby,
     Advertising(AdvState),
@@ -579,35 +624,11 @@ impl LinkLayer {
             ))
         };
         let mut conn = Box::new(Conn {
-            role: adopt.role,
-            params: adopt.params,
-            peer: adopt.peer,
-            hop,
             next_event_counter: adopt.next_event_counter,
-            current_channel: Channel::data_wrapped(0),
-            last_anchor: adopt.last_anchor,
-            intervals_since_anchor: 1,
-            window: WindowSpec {
-                extra: Duration::ZERO,
-                widening: Duration::ZERO,
-            },
             sn: adopt.sn,
             nesn: adopt.nesn,
-            pending: None,
-            ctrl_queue: VecDeque::new(),
-            peer_md: false,
-            sent_md: false,
-            got_sync: false,
-            anchor_set: false,
-            in_event: false,
             established: true,
-            pending_update: None,
-            pending_chmap: None,
-            terminate_after_tx: None,
-            sent_terminate: false,
-            events_since_listen: 0,
-            enc: EncState::off(),
-            version_sent: false,
+            ..Conn::new(adopt.role, adopt.params, adopt.peer, hop, adopt.last_anchor)
         });
         let params = adopt.params;
         let peer = adopt.peer;
@@ -1095,37 +1116,7 @@ impl LinkLayer {
         } else {
             HopSelection::Csa1(Csa1::new(params.hop_increment))
         };
-        let conn = Box::new(Conn {
-            role: Role::Master,
-            params,
-            peer,
-            hop,
-            next_event_counter: 0,
-            current_channel: Channel::data_wrapped(0),
-            last_anchor: connect_req_end,
-            intervals_since_anchor: 1,
-            window: WindowSpec {
-                extra: Duration::ZERO,
-                widening: Duration::ZERO,
-            },
-            sn: false,
-            nesn: false,
-            pending: None,
-            ctrl_queue: VecDeque::new(),
-            peer_md: false,
-            sent_md: false,
-            got_sync: false,
-            anchor_set: false,
-            in_event: false,
-            established: false,
-            pending_update: None,
-            pending_chmap: None,
-            terminate_after_tx: None,
-            sent_terminate: false,
-            events_since_listen: 0,
-            enc: EncState::off(),
-            version_sent: false,
-        });
+        let conn = Box::new(Conn::new(Role::Master, params, peer, hop, connect_req_end));
         self.disarm_all();
         self.state = State::Connected(conn);
         ctx.emit(|| TelemetryEvent::ConnectionEstablished {
@@ -1160,39 +1151,20 @@ impl LinkLayer {
         } else {
             HopSelection::Csa1(Csa1::new(params.hop_increment))
         };
-        let conn = Box::new(Conn {
-            role: Role::Slave,
+        // Provisional anchor chain reference: the nominal window start, so
+        // missed first events still predict future windows.
+        let mut conn = Box::new(Conn::new(
+            Role::Slave,
             params,
             peer,
             hop,
-            next_event_counter: 0,
-            current_channel: Channel::data_wrapped(0),
-            // Provisional anchor chain reference: the nominal window start,
-            // so missed first events still predict future windows.
-            last_anchor: connect_req_end + offset,
-            intervals_since_anchor: 0,
-            window: WindowSpec {
-                extra: transmit_window_size(params.win_size),
-                widening: w,
-            },
-            sn: false,
-            nesn: false,
-            pending: None,
-            ctrl_queue: VecDeque::new(),
-            peer_md: false,
-            sent_md: false,
-            got_sync: false,
-            anchor_set: false,
-            in_event: false,
-            established: false,
-            pending_update: None,
-            pending_chmap: None,
-            terminate_after_tx: None,
-            sent_terminate: false,
-            events_since_listen: 0,
-            enc: EncState::off(),
-            version_sent: false,
-        });
+            connect_req_end + offset,
+        ));
+        conn.intervals_since_anchor = 0;
+        conn.window = WindowSpec {
+            extra: transmit_window_size(params.win_size),
+            widening: w,
+        };
         self.disarm_all();
         self.state = State::Connected(conn);
         ctx.emit(|| TelemetryEvent::ConnectionEstablished {
