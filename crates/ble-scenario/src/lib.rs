@@ -40,7 +40,7 @@ pub use background::{BackgroundRx, BackgroundSchedule, BackgroundTx, RX_LEAD};
 
 use std::path::PathBuf;
 
-use ble_devices::{Central, Keyfob, Lightbulb, Smartwatch, CENTRAL_SLOTS};
+use ble_devices::{Central, Keyfob, Lightbulb, Peripheral, Smartwatch, CENTRAL_SLOTS};
 use ble_host::ConnHandle;
 use ble_link::{ConnectionParams, DeviceAddress, LinkLayer};
 use ble_phy::{
@@ -78,6 +78,29 @@ impl DeviceKind {
             DeviceKind::Lightbulb => "bulb",
             DeviceKind::Keyfob => "fob",
             DeviceKind::Smartwatch => "watch",
+        }
+    }
+
+    /// Builds this device with address byte `addr_seed` and its Link
+    /// Layer's widening scale set; returns it with its address.
+    fn build(
+        self,
+        addr_seed: u8,
+        widening_scale: f64,
+        rng: SimRng,
+    ) -> (Box<dyn Node>, DeviceAddress) {
+        fn boxed<A>(mut d: Peripheral<A>, widening_scale: f64) -> (Box<dyn Node>, DeviceAddress)
+        where
+            Peripheral<A>: Node,
+        {
+            d.ll.set_widening_scale(widening_scale);
+            let addr = d.ll.address();
+            (Box::new(d), addr)
+        }
+        match self {
+            DeviceKind::Lightbulb => boxed(Lightbulb::new(addr_seed, rng), widening_scale),
+            DeviceKind::Keyfob => boxed(Keyfob::new(addr_seed, rng), widening_scale),
+            DeviceKind::Smartwatch => boxed(Smartwatch::new(addr_seed, rng), widening_scale),
         }
     }
 }
@@ -410,29 +433,9 @@ impl ScenarioBuilder {
             world.enable_delivery_tracker(capacity);
         }
 
-        let (victim, victim_addr): (Box<dyn Node>, DeviceAddress) = {
-            let device_rng = rng.fork();
-            match self.kind {
-                DeviceKind::Lightbulb => {
-                    let mut d = Lightbulb::new(self.kind.addr_byte(), device_rng);
-                    d.ll.set_widening_scale(self.widening_scale);
-                    let addr = d.ll.address();
-                    (Box::new(d), addr)
-                }
-                DeviceKind::Keyfob => {
-                    let mut d = Keyfob::new(self.kind.addr_byte(), device_rng);
-                    d.ll.set_widening_scale(self.widening_scale);
-                    let addr = d.ll.address();
-                    (Box::new(d), addr)
-                }
-                DeviceKind::Smartwatch => {
-                    let mut d = Smartwatch::new(self.kind.addr_byte(), device_rng);
-                    d.ll.set_widening_scale(self.widening_scale);
-                    let addr = d.ll.address();
-                    (Box::new(d), addr)
-                }
-            }
-        };
+        let (victim, victim_addr) =
+            self.kind
+                .build(self.kind.addr_byte(), self.widening_scale, rng.fork());
 
         let params = ConnectionParams::typical(&mut rng, self.hop_interval);
         let central = Central::new(0xA0, victim_addr, params, rng.fork());
@@ -493,28 +496,9 @@ impl ScenarioBuilder {
         let mut extra_peripheral_ids = Vec::new();
         let mut extra_peers = Vec::new();
         for k in 0..self.extra_peripherals {
-            let device_rng = rng.fork();
-            let addr_seed = 0xD0 + k as u8;
-            let (node, addr): (Box<dyn Node>, DeviceAddress) = match self.kind {
-                DeviceKind::Lightbulb => {
-                    let mut d = Lightbulb::new(addr_seed, device_rng);
-                    d.ll.set_widening_scale(self.widening_scale);
-                    let addr = d.ll.address();
-                    (Box::new(d), addr)
-                }
-                DeviceKind::Keyfob => {
-                    let mut d = Keyfob::new(addr_seed, device_rng);
-                    d.ll.set_widening_scale(self.widening_scale);
-                    let addr = d.ll.address();
-                    (Box::new(d), addr)
-                }
-                DeviceKind::Smartwatch => {
-                    let mut d = Smartwatch::new(addr_seed, device_rng);
-                    d.ll.set_widening_scale(self.widening_scale);
-                    let addr = d.ll.address();
-                    (Box::new(d), addr)
-                }
-            };
+            let (node, addr) = self
+                .kind
+                .build(0xD0 + k as u8, self.widening_scale, rng.fork());
             let params = ConnectionParams::typical(&mut rng, self.hop_interval);
             let id = world.add_boxed_node(
                 NodeConfig::new(
