@@ -793,6 +793,33 @@ mod tests {
     /// `CONNECT_IND` missed by the sniffer, one per multi-link row.
     const UNFOLLOWED_SET_UPS: [(u64, u64, usize); 3] = [(5002, 2, 2), (5004, 2, 4), (5008, 1, 8)];
 
+    /// exp5's sweep at its default seed base, 25 trials per row. Debug
+    /// builds arm the medium's half-duplex invariant, so a Central slot
+    /// that started a frame over a sibling's would panic its trial.
+    #[test]
+    fn exp5s_sweep_succeeds_in_every_trial_on_one_radio() {
+        let cli = Cli::from_args(Vec::new(), 25);
+        let cfg = TrialConfig {
+            telemetry: TelemetryMode::Off,
+            ..TrialConfig::default()
+        };
+        for conns in [1u64, 2, 4, 8] {
+            let row = run_point(
+                &cli,
+                "exp5_multi_conn",
+                "connections",
+                conns as f64,
+                5_000 + conns,
+                |seed| {
+                    let rig = ScenarioBuilder::paper_rig(seed).multi_peripheral(conns as usize);
+                    run_trial(rig, &cfg)
+                },
+            );
+            assert_eq!(row.panicked_trials, 0, "{conns} connections");
+            assert_eq!(row.succeeded, 25, "{conns} connections");
+        }
+    }
+
     #[test]
     fn set_ups_that_once_wedged_synchronise() {
         let multi_conn = SETUP_WEDGES.map(|(base, i, conns)| {

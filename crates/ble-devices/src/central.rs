@@ -13,25 +13,34 @@
 //! [`CENTRAL_SLOTS`] fixed connection slots (a
 //! [`ConnectionManager`] slot with a generation-checked
 //! [`ConnHandle`]) and gives it its own [`LinkLayer`] + [`HostStack`] pair.
-//! All slots share the node's single radio and timer space:
+//! All slots share the node's single radio and timer space, and no slot
+//! ever starts a frame while another slot's frame is on the air:
 //!
 //! - every extra slot's Link Layer tags its timer keys with the slot index
 //!   ([`LinkLayer::set_timer_tag`]), so timers route back to their owner;
 //! - received frames route by access address (each live connection has a
 //!   unique one; advertising frames go to the slot currently initiating);
-//! - `TxDone` routes to the slot that last started a transmission;
-//! - a transmission that replaces a sibling slot's in-flight frame abandons
-//!   it: the frame may still reach its peer, but no `TxDone` follows, so
-//!   the sibling is told ([`LinkLayer::on_tx_abandoned`]) and an abandoned
-//!   `CONNECT_IND` sends its slot back to scanning;
+//! - `TxDone` routes to the slot whose event handling started the frame;
 //! - connection establishment is serialised — one slot scans at a time —
-//!   exactly as a single-radio Central must.
+//!   exactly as a single-radio Central must;
+//! - a slot's `CONNECT_IND` picks the WinOffset that puts its anchors at
+//!   least [`ANCHOR_GUARD`] from every live sibling's, modulo the shared
+//!   connection interval ([`win_offset_apart`]);
+//! - a slot whose frame is due while the radio transmits does not send
+//!   it: a Master skips that connection event (its counter and channel
+//!   still advance, and its Slave widens for the miss), a continuation
+//!   frame ends the event, and a `CONNECT_IND` waits for the peer's next
+//!   `ADV_IND`; a scan hop that finds the radio transmitting leaves the
+//!   receiver closed.
 //!
 //! All host stacks of a multi-peer Central draw TX buffers from one shared
 //! [`PacketPool`] under a [`QosPolicy::ReserveN`] policy, so one chatty
 //! connection cannot starve the others. A single-peer Central (no
 //! `add_peer` call) behaves — and schedules — byte-identically to the
 //! historical single-connection implementation.
+//!
+//! [`ANCHOR_GUARD`]: ble_link::timing::ANCHOR_GUARD
+//! [`win_offset_apart`]: ble_link::timing::win_offset_apart
 
 use std::collections::VecDeque;
 
@@ -40,10 +49,11 @@ use ble_host::{
     SecurityAction, DEFAULT_BUF_CAPACITY, MAX_POOL_CLIENTS,
 };
 use ble_invariants::invariant;
-use ble_link::{ConnectionParams, DeviceAddress, LinkLayer, SleepClockAccuracy};
+use ble_link::timing::transmit_window_offset;
+use ble_link::{ConnectionInfo, ConnectionParams, DeviceAddress, LinkLayer, SleepClockAccuracy};
 use ble_phy::{AccessAddress, NodeCtx, RadioEvent, RadioListener, TimerKey};
 use ble_telemetry::TelemetryEvent;
-use simkit::{Duration, SimRng};
+use simkit::{Duration, Instant, SimRng};
 
 use crate::peripheral::APP_TIMER_BASE;
 
@@ -96,7 +106,8 @@ pub struct Central {
     initiating: Option<usize>,
     /// Slots waiting for the radio to finish the current initiation.
     pending_initiations: VecDeque<usize>,
-    /// Slot whose Link Layer last started a transmission (`TxDone` routing).
+    /// Slot whose Link Layer started the frame on the air, or the last one
+    /// (`TxDone` routing).
     tx_owner: usize,
     /// Shared TX pool once the Central goes multi-peer.
     shared_pool: Option<PacketPool>,
@@ -167,7 +178,7 @@ impl Central {
         for slot in 1..=self.extras.len() {
             self.pending_initiations.push_back(slot);
         }
-        self.ll.start_initiating(ctx, self.target, self.params);
+        self.initiate(ctx, 0);
     }
 
     /// Requests Channel Selection Algorithm #2 (BLE 5) for future
@@ -302,6 +313,31 @@ impl Central {
         }
     }
 
+    /// The peripheral a slot connects to, and with which parameters.
+    fn slot_peer(&self, slot: usize) -> Option<(DeviceAddress, ConnectionParams)> {
+        match slot {
+            0 => Some((self.target, self.params)),
+            i => self.extras.get(i - 1).map(|p| (p.target, p.params)),
+        }
+    }
+
+    /// Starts `slot`'s initiation. Its `CONNECT_IND` places the new
+    /// connection's anchors apart from every other live slot's, so that
+    /// no two slots' connection events start together on the one radio.
+    fn initiate(&mut self, ctx: &mut NodeCtx<'_>, slot: usize) {
+        let apart_from = (0..=self.extras.len())
+            .filter(|&s| s != slot)
+            .filter_map(|s| self.slot_ll(s)?.connection_info())
+            .map(|info| anchor(&info))
+            .collect();
+        let Some((target, params)) = self.slot_peer(slot) else {
+            return;
+        };
+        if let Some((ll, _)) = self.slot_mut(slot) {
+            ll.start_initiating(ctx, target, params, apart_from);
+        }
+    }
+
     // ------------------------------------------------------------------
     // Event routing
     // ------------------------------------------------------------------
@@ -342,25 +378,14 @@ impl Central {
     }
 
     fn dispatch(&mut self, ctx: &mut NodeCtx<'_>, slot: usize, event: RadioEvent) {
-        // `tx_start_count` (not `is_transmitting`) detects a transmission
-        // started by this slot even when it replaced another slot's in-flight
-        // frame: the busy-flag edge misses back-to-back (true→true) starts,
-        // which would route the eventual `TxDone` to the wrong slot.
-        let tx_before = ctx.tx_start_count();
         let was_transmitting = ctx.is_transmitting();
         let Some((ll, host)) = self.slot_mut(slot) else {
             return;
         };
         ll.handle(ctx, event, host);
-        if ctx.tx_start_count() != tx_before {
-            // The new frame replaced a sibling's in-flight one, which will
-            // never raise its `TxDone`: tell the sibling so an abandoned
-            // `CONNECT_IND` does not leave it waiting forever.
-            if was_transmitting && self.tx_owner != slot {
-                if let Some((ll, _)) = self.slot_mut(self.tx_owner) {
-                    ll.on_tx_abandoned(ctx);
-                }
-            }
+        // No slot starts a frame while another's is on the air, so a frame
+        // start is the busy flag's rising edge, and its `TxDone` is ours.
+        if !was_transmitting && ctx.is_transmitting() {
             self.tx_owner = slot;
         }
         self.pump(ctx, slot);
@@ -372,7 +397,7 @@ impl Central {
                 self.slot_ll(s).is_none_or(|ll| !ll.connect_pending())
                     || (self.tx_owner == s && ctx.is_transmitting())
             }),
-            "shared-radio-connect",
+            "connect-owns-radio",
             "a slot awaits its CONNECT_IND's TxDone but does not own the radio's frame"
         );
     }
@@ -387,11 +412,7 @@ impl Central {
             return;
         };
         self.initiating = Some(slot);
-        if slot == 0 {
-            self.ll.start_initiating(ctx, self.target, self.params);
-        } else if let Some(p) = self.extras.get_mut(slot - 1) {
-            p.ll.start_initiating(ctx, p.target, p.params);
-        }
+        self.initiate(ctx, slot);
     }
 
     fn note_established(&mut self, ctx: &mut NodeCtx<'_>, slot: usize) {
@@ -539,7 +560,7 @@ impl Central {
             // The primary slot always restarts immediately — the historical
             // single-connection behaviour.
             self.initiating = Some(0);
-            self.ll.start_initiating(ctx, self.target, self.params);
+            self.initiate(ctx, 0);
             return;
         }
         let Some(p) = self.extras.get_mut(slot - 1) else {
@@ -558,6 +579,16 @@ impl Central {
         } else if !self.pending_initiations.contains(&slot) {
             self.pending_initiations.push_back(slot);
         }
+    }
+}
+
+/// The anchor a live Master's connection events repeat from: its last one
+/// or, before its first event, the one its `CONNECT_IND` set.
+fn anchor(info: &ConnectionInfo) -> Instant {
+    if info.next_event_counter == 0 {
+        info.last_anchor + transmit_window_offset(info.params.win_offset)
+    } else {
+        info.last_anchor
     }
 }
 

@@ -38,7 +38,8 @@ use crate::pdu::control::{ControlPdu, ERR_CONNECTION_TIMEOUT, ERR_MIC_FAILURE};
 use crate::pdu::data::{DataPdu, Llid};
 use crate::sca::SleepClockAccuracy;
 use crate::timing::{
-    connection_interval, transmit_window_offset, transmit_window_size, window_widening, T_IFS,
+    connection_interval, transmit_window_offset, transmit_window_size, win_offset_apart,
+    window_widening, T_IFS,
 };
 
 /// CRC preset for advertising channels.
@@ -218,6 +219,9 @@ struct ScanState {
     channel_pos: usize,
     /// Initiating: connect to this advertiser when seen.
     target: Option<(DeviceAddress, ConnectionParams)>,
+    /// Initiating: anchors of the node's other connections, which the new
+    /// connection's first anchor keeps apart from ([`win_offset_apart`]).
+    apart_from: Vec<Instant>,
 }
 
 /// Channel-selection engine for a connection: stateful CSA#1 or the
@@ -572,37 +576,31 @@ impl LinkLayer {
         self.state = State::Scanning(ScanState {
             channel_pos: 0,
             target: None,
+            apart_from: Vec::new(),
         });
         self.scan_current(ctx);
     }
 
     /// Starts initiating: scan for `target` and connect with `params`.
+    ///
+    /// `apart_from` holds the anchors of the node's other connections on
+    /// the same radio (none for a single-link node). The `CONNECT_IND` then
+    /// raises `params.win_offset` as far as [`win_offset_apart`] needs to
+    /// keep the new connection's anchors clear of theirs.
     pub fn start_initiating(
         &mut self,
         ctx: &mut NodeCtx<'_>,
         target: DeviceAddress,
         params: ConnectionParams,
+        apart_from: Vec<Instant>,
     ) {
         self.disarm_all();
         self.state = State::Scanning(ScanState {
             channel_pos: 0,
             target: Some((target, params)),
+            apart_from,
         });
         self.scan_current(ctx);
-    }
-
-    /// Tells this Link Layer that a shared radio abandoned its in-flight
-    /// frame: another Link Layer on the node started transmitting before
-    /// the frame ended, so no `TxDone` will follow for it. An initiator
-    /// whose `CONNECT_IND` was abandoned drops the attempt and resumes
-    /// scanning for the peer's next `ADV_IND`, as the `IfsAction::Connect`
-    /// guard does when the overlap happens the other way round. Any other
-    /// abandoned frame needs no recovery: a connection's next event timer
-    /// is already armed.
-    pub fn on_tx_abandoned(&mut self, ctx: &mut NodeCtx<'_>) {
-        if self.pending_connect.take().is_some() {
-            self.scan_current(ctx);
-        }
     }
 
     /// Adopts an existing connection — the hijacker's entry point.
@@ -800,11 +798,14 @@ impl LinkLayer {
         if ctx.is_receiving() {
             ctx.stop_rx();
         }
-        ctx.start_rx(
-            channel,
-            AccessFilter::One(ble_phy::AccessAddress::ADVERTISING),
-            ADV_CRC_INIT,
-        );
+        // Another Link Layer's frame on the node's radio keeps this hop deaf.
+        if !ctx.is_transmitting() {
+            ctx.start_rx(
+                channel,
+                AccessFilter::One(ble_phy::AccessAddress::ADVERTISING),
+                ADV_CRC_INIT,
+            );
+        }
         let now = ctx.now();
         self.arm_local(ctx, now, Duration::from_millis(10), purpose::SCAN_HOP);
     }
@@ -988,6 +989,15 @@ impl LinkLayer {
         };
         match action {
             IfsAction::Transmit { channel, frame } => {
+                if ctx.is_transmitting() {
+                    // Another Link Layer's frame is on the node's radio:
+                    // the event ends here, as if this frame were lost, and
+                    // an unacknowledged PDU goes out again next event.
+                    if let State::Connected(c) = &mut self.state {
+                        c.in_event = false;
+                    }
+                    return;
+                }
                 ctx.transmit(channel, frame);
             }
             IfsAction::ScanRsp { channel, pdu } => {
@@ -1003,13 +1013,11 @@ impl LinkLayer {
                 peer,
             } => {
                 if ctx.is_transmitting() {
-                    // Shared radio (multi-link Central): another Link Layer's
-                    // frame is on the air at our IFS deadline. A CONNECT_IND
-                    // sent now would clobber that frame and its `TxDone`
-                    // routing, so abandon this attempt and resume scanning
-                    // for the peer's next ADV_IND. A single-LL node is never
-                    // transmitting at its own IFS deadline, so this arm is
-                    // unreachable there.
+                    // Multi-link node: another Link Layer's frame is on the
+                    // radio at our IFS deadline. Drop this attempt and
+                    // resume scanning for the peer's next ADV_IND. A
+                    // single-LL node is never transmitting at its own IFS
+                    // deadline, so this arm is unreachable there.
                     self.scan_current(ctx);
                     return;
                 }
@@ -1018,10 +1026,6 @@ impl LinkLayer {
                     RawFrame::new(ble_phy::AccessAddress::ADVERTISING, pdu, ADV_CRC_INIT),
                 );
                 // Connection state is created on TxDone; remember intent.
-                self.state = State::Scanning(ScanState {
-                    channel_pos: 0,
-                    target: Some((peer, params)),
-                });
                 self.pending_connect = Some((params, peer));
             }
         }
@@ -1299,6 +1303,18 @@ impl LinkLayer {
         c.sent_md = false;
         match c.role {
             Role::Master => {
+                if ctx.is_transmitting() {
+                    // Another Link Layer's frame is on the node's radio:
+                    // skip this event. The anchor chain, counter and
+                    // channel advance; the Slave widens for the miss.
+                    let now = ctx.now();
+                    c.in_event = false;
+                    c.last_anchor = now;
+                    c.next_event_counter = c.next_event_counter.wrapping_add(1);
+                    let interval = c.params.interval();
+                    self.arm_local(ctx, now, interval, purpose::CONN_EVENT);
+                    return;
+                }
                 let pdu = self.build_outgoing(delegate);
                 let State::Connected(c) = &mut self.state else {
                     return;
@@ -1470,19 +1486,32 @@ impl LinkLayer {
         {
             if advertiser.octets == target.octets {
                 let channel = Channel::advertising_wrapped(scan.channel_pos);
-                let connect = AdvertisingPdu::ConnectReq {
-                    initiator: self.address,
-                    advertiser: *advertiser,
-                    params: *params,
-                    ch_sel: self.prefer_csa2,
-                };
                 let peer = *advertiser;
-                let params = *params;
+                let connect = |params| {
+                    AdvertisingPdu::ConnectReq {
+                        initiator: self.address,
+                        advertiser: peer,
+                        params,
+                        ch_sel: self.prefer_csa2,
+                    }
+                    .to_pdu()
+                };
+                // The new connection's anchors count from the CONNECT_IND's
+                // end, whose length no WinOffset changes.
+                let mut params = *params;
+                let air = ctx.phy().airtime_for_pdu(connect(params).len());
+                params.win_offset = win_offset_apart(
+                    params.win_offset,
+                    params.hop_interval,
+                    frame.end + T_IFS + air,
+                    &scan.apart_from,
+                );
+                let pdu = connect(params);
                 ctx.stop_rx();
                 self.disarm(purpose::SCAN_HOP);
                 self.ifs_action = Some(IfsAction::Connect {
                     channel,
-                    pdu: connect.to_pdu(),
+                    pdu,
                     params,
                     peer,
                 });

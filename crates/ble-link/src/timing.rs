@@ -5,7 +5,7 @@
 //! the attack exploits (eqs. 4–5).
 
 use ble_invariants::invariant_window;
-use simkit::Duration;
+use simkit::{Duration, Instant};
 
 /// The inter-frame spacing: 150 µs between consecutive frames of a
 /// connection event.
@@ -73,6 +73,59 @@ pub fn transmit_window_offset(win_offset: u16) -> Duration {
     UNIT_1_25_MS.saturating_add(UNIT_1_25_MS.saturating_mul(u64::from(win_offset)))
 }
 
+/// The least gap a multi-link node keeps between a new connection's
+/// anchors and those of its other connections: one WinOffset unit.
+pub const ANCHOR_GUARD: Duration = UNIT_1_25_MS;
+
+/// The `CONNECT_IND` WinOffset that keeps a new connection's anchors apart
+/// from `siblings`, the anchors of the node's other connections on the
+/// same radio, which share its `hop_interval`.
+///
+/// The new connection's first anchor falls `transmit_window_offset(w)`
+/// after `connect_end`, the end of its `CONNECT_IND`. This returns the
+/// first `w` from `from` upward, wrapping to 0 below `hop_interval`, whose
+/// first anchor sits at least [`ANCHOR_GUARD`] from every sibling anchor,
+/// modulo the interval: `from` itself when there are no siblings. When
+/// every offset is blocked, it returns the one farthest from its nearest
+/// sibling.
+pub fn win_offset_apart(
+    from: u16,
+    hop_interval: u16,
+    connect_end: Instant,
+    siblings: &[Instant],
+) -> u16 {
+    if siblings.is_empty() {
+        return from;
+    }
+    let interval = connection_interval(hop_interval);
+    let period = i64::try_from(interval.as_nanos())
+        .unwrap_or(i64::MAX)
+        .max(1);
+    // How far an anchor at `at` sits from its nearest sibling's, modulo
+    // the interval.
+    let clearance = |at: Instant| {
+        siblings.iter().fold(interval, |gap, &sibling| {
+            let ahead = at
+                .signed_delta_ns(sibling)
+                .rem_euclid(period)
+                .unsigned_abs();
+            let ahead = Duration::from_nanos(ahead);
+            gap.min(ahead).min(interval.saturating_sub(ahead))
+        })
+    };
+    let mut farthest = (from, Duration::ZERO);
+    for w in (from..hop_interval).chain(0..from.min(hop_interval)) {
+        let gap = clearance(connect_end + transmit_window_offset(w));
+        if gap >= ANCHOR_GUARD {
+            return w;
+        }
+        if gap > farthest.1 {
+            farthest = (w, gap);
+        }
+    }
+    farthest.0
+}
+
 /// Size of the transmit window: `WinSize × 1.25 ms`.
 pub fn transmit_window_size(win_size: u8) -> Duration {
     UNIT_1_25_MS.saturating_mul(u64::from(win_size))
@@ -110,6 +163,75 @@ mod tests {
         let one = window_widening(50.0, 50.0, connection_interval(36));
         let three = window_widening(50.0, 50.0, connection_interval(36) * 3);
         assert!(three > one);
+    }
+
+    /// The end of the `CONNECT_IND` in the offset picker's tests.
+    const END: Instant = Instant::from_micros(100_000);
+
+    /// The first anchor of offset `w` after a `CONNECT_IND` ending at `END`.
+    fn first_anchor(w: u16) -> Instant {
+        END + transmit_window_offset(w)
+    }
+
+    #[test]
+    fn win_offset_without_siblings_is_the_configured_one() {
+        assert_eq!(win_offset_apart(1, 36, END, &[]), 1);
+        assert_eq!(win_offset_apart(5, 36, END, &[]), 5);
+        // A sibling a full guard away, or more, blocks nothing.
+        let clear = [
+            first_anchor(1) + ANCHOR_GUARD,
+            first_anchor(1) - ANCHOR_GUARD,
+        ];
+        assert_eq!(win_offset_apart(1, 36, END, &clear), 1);
+    }
+
+    #[test]
+    fn a_sibling_within_the_guard_pushes_the_offset_out() {
+        // 0.5 ms after offset 1's anchor: offsets 1 (0.5 ms) and 2
+        // (0.75 ms) are blocked, offset 3 (1.75 ms) is clear.
+        let late = [first_anchor(1) + Duration::from_micros(500)];
+        assert_eq!(win_offset_apart(1, 36, END, &late), 3);
+        // 1 ms before offset 1's anchor: offset 2 is 2.25 ms clear.
+        let early = [first_anchor(1) - Duration::from_micros(1_000)];
+        assert_eq!(win_offset_apart(1, 36, END, &early), 2);
+        // Two siblings: the first clear offset lies past both.
+        let both = [
+            first_anchor(1) + Duration::from_micros(200),
+            first_anchor(3) + Duration::from_micros(300),
+        ];
+        assert_eq!(win_offset_apart(1, 36, END, &both), 5);
+    }
+
+    #[test]
+    fn the_guard_holds_across_the_intervals_wrap() {
+        let interval = connection_interval(36);
+        // Three intervals ahead and 0.4 ms before offset 1's anchor: the
+        // raw gap is over 134 ms, but modulo the interval it is 0.4 ms.
+        let ahead = [first_anchor(1) + interval * 3 - Duration::from_micros(400)];
+        assert_eq!(win_offset_apart(1, 36, END, &ahead), 2);
+        // One interval behind and 0.5 ms after offset 1's anchor.
+        let behind = [first_anchor(1) - interval + Duration::from_micros(500)];
+        assert_eq!(win_offset_apart(1, 36, END, &behind), 3);
+        // Modulo the interval, offset 35's anchor sits 1.25 ms before
+        // offset 0's. A sibling 0.1 ms before offset 0's blocks both, and
+        // the search wraps on to offset 1.
+        let wrap = [first_anchor(0) - Duration::from_micros(100)];
+        assert_eq!(win_offset_apart(35, 36, END, &wrap), 1);
+    }
+
+    #[test]
+    fn with_every_offset_blocked_the_farthest_wins() {
+        // A 7.5 ms interval has six offsets. A sibling sits on each
+        // offset's anchor, except offset 3's, which sits 1 ms late: offset
+        // 3 is then 1 ms clear and every other offset not at all.
+        let siblings: Vec<Instant> = (0..6)
+            .map(|w| match w {
+                3 => first_anchor(w) + Duration::from_micros(1_000),
+                _ => first_anchor(w),
+            })
+            .collect();
+        assert_eq!(win_offset_apart(0, 6, END, &siblings), 3);
+        assert_eq!(win_offset_apart(1, 6, END, &siblings), 3);
     }
 
     #[test]

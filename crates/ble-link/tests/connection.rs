@@ -124,7 +124,7 @@ fn connected_rig(seed: u64, hop_interval: u16) -> Rig {
         );
     });
     sim.with_node_ctx::<Device, _>(master_id, |dev, ctx| {
-        dev.ll.start_initiating(ctx, addr(0xB0), params);
+        dev.ll.start_initiating(ctx, addr(0xB0), params, Vec::new());
     });
     // Let advertising + connection establishment happen.
     sim.run_for(Duration::from_millis(500));
@@ -470,7 +470,7 @@ fn slave_latency_skips_events_but_connection_survives() {
             .start_advertising(ctx, vec![1], vec![], Duration::from_millis(60));
     });
     sim.with_node_ctx::<Device, _>(master_id, |dev, ctx| {
-        dev.ll.start_initiating(ctx, addr(0xB0), params);
+        dev.ll.start_initiating(ctx, addr(0xB0), params, Vec::new());
     });
     sim.run_for(Duration::from_secs(6));
     assert!(

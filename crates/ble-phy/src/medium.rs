@@ -197,8 +197,6 @@ struct NodeState {
     /// The open `ChannelAirtime` span for this node's in-flight
     /// transmission ([`SpanId::DISABLED`] when idle or telemetry is off).
     tx_span: SpanId,
-    /// Transmissions started by this node ([`NodeCtx::tx_start_count`]).
-    tx_starts: u64,
 }
 
 /// Receivers whose `RxStart` edge for one transmission is on the queue
@@ -545,17 +543,14 @@ impl SimInner {
         let now = self.now();
         let phy = self.node_state(node).config.phy;
         // Half-duplex: transmitting abandons any reception in progress.
-        // For a single protocol machine, starting a second transmission is
-        // a bug — debug builds assert; release builds (and shared-radio
-        // nodes, whose independent machines cannot globally schedule)
-        // abandon the in-flight frame and switch to the new one. The
-        // abandoned frame stays on the air to its full end, so it still
-        // interferes and still reaches a receiver locked onto it, but its
-        // `TxEnd` finds the radio sending the new frame and raises no
-        // `TxDone`.
+        // Starting a second transmission is a protocol-machine bug — debug
+        // builds assert; release builds abandon the in-flight frame and
+        // switch to the new one. The abandoned frame stays on the air to
+        // its full end, so it still interferes and still reaches a
+        // receiver locked onto it, but its `TxEnd` finds the radio sending
+        // the new frame and raises no `TxDone`.
         invariant!(
-            self.node_state(node).config.shared_radio
-                || !matches!(self.node_state(node).radio, RadioState::Tx { .. }),
+            !matches!(self.node_state(node).radio, RadioState::Tx { .. }),
             "half-duplex",
             "{}: transmit() while already transmitting",
             self.node_label(node)
@@ -565,7 +560,6 @@ impl SimInner {
         if let RadioState::Rx { channel: old, .. } = self.node_state(node).radio {
             Self::listeners_remove(&mut self.listeners, old, node);
         }
-        self.node_state_mut(node).tx_starts += 1;
         let airtime = frame.airtime(phy);
         let end = now + airtime;
         self.node_state_mut(node).radio = RadioState::Tx { until: end };
@@ -720,12 +714,11 @@ impl SimInner {
     ) {
         let now = self.now();
         // Opening the receiver mid-transmission is a protocol-machine bug —
-        // debug builds assert; release builds (and shared-radio nodes, where
-        // overlapping requests from independent machines are expected) ignore
-        // the request and let the transmission finish.
+        // debug builds assert; release builds ignore the request and let the
+        // transmission finish.
         if matches!(self.node_state(node).radio, RadioState::Tx { .. }) {
             invariant!(
-                self.node_state(node).config.shared_radio,
+                false,
                 "half-duplex",
                 "{}: start_rx() while transmitting",
                 self.node_label(node)
@@ -1202,10 +1195,6 @@ impl SimInner {
         matches!(self.node_state(node).radio, RadioState::Tx { .. })
     }
 
-    pub(crate) fn tx_start_count(&self, node: NodeId) -> u64 {
-        self.node_state(node).tx_starts
-    }
-
     pub(crate) fn set_timer_local_from(
         &mut self,
         node: NodeId,
@@ -1500,7 +1489,6 @@ impl World {
             rng,
             radio: RadioState::Idle,
             tx_span: SpanId::DISABLED,
-            tx_starts: 0,
         });
         self.nodes.push(node);
         id

@@ -141,7 +141,6 @@ pub struct NodeConfig {
     pub(crate) tx_power_dbm: f64,
     pub(crate) clock: DriftClock,
     pub(crate) phy: PhyMode,
-    pub(crate) shared_radio: bool,
 }
 
 impl NodeConfig {
@@ -154,28 +153,7 @@ impl NodeConfig {
             tx_power_dbm: 0.0,
             clock: DriftClock::ideal(),
             phy: PhyMode::Le1M,
-            shared_radio: false,
         }
-    }
-
-    /// Declares the node's radio as time-multiplexed between several
-    /// protocol state machines (e.g. a multi-connection Central running one
-    /// Link Layer per connection slot).
-    ///
-    /// A single-machine node treats a transmit or receive request while
-    /// already transmitting as a protocol bug (debug builds assert). A
-    /// shared radio cannot globally schedule its independent machines, so
-    /// overlapping requests are expected there. A receive request while
-    /// transmitting is ignored. A transmit request abandons the in-flight
-    /// frame: the radio switches to the new frame, and only the new frame
-    /// raises `TxDone`. The abandoned frame still stays on the air to its
-    /// full end: it interferes like any other frame, and a receiver that
-    /// locked onto it still decodes it whole. The machine that sent it gets
-    /// no `TxDone`, so the multiplexer above the radio must tell it (see
-    /// [`NodeCtx::tx_start_count`]).
-    pub fn with_shared_radio(mut self) -> Self {
-        self.shared_radio = true;
-        self
     }
 
     /// Sets the transmit power in dBm.
@@ -247,10 +225,10 @@ impl<'a> NodeCtx<'a> {
     ///
     /// Any reception in progress is abandoned (the radio is half-duplex).
     /// Calling this while already transmitting is a protocol-machine bug:
-    /// debug builds assert, release builds switch to the new frame. On a
-    /// shared radio ([`NodeConfig::with_shared_radio`]) it is expected: the
-    /// in-flight frame stays on the air to its full end, and still reaches
-    /// a receiver locked onto it, but only the new frame raises `TxDone`.
+    /// debug builds assert, release builds switch to the new frame. The
+    /// in-flight frame then stays on the air to its full end, and still
+    /// reaches a receiver locked onto it, but only the new frame raises
+    /// `TxDone`.
     pub fn transmit(&mut self, channel: Channel, frame: RawFrame) -> TxHandle {
         self.sim.transmit(self.node, channel, frame)
     }
@@ -281,16 +259,6 @@ impl<'a> NodeCtx<'a> {
     /// Whether the radio is currently transmitting.
     pub fn is_transmitting(&self) -> bool {
         self.sim.is_transmitting(self.node)
-    }
-
-    /// How many transmissions this node has started since the simulation
-    /// began. A multiplexer sharing the radio between several protocol
-    /// machines compares this across a machine's event handling to learn
-    /// which machine owns the in-flight transmission (and therefore the
-    /// next `TxDone`) — an `is_transmitting()` edge misses a back-to-back
-    /// replacement, where the flag reads `true` on both sides.
-    pub fn tx_start_count(&self) -> u64 {
-        self.sim.tx_start_count(self.node)
     }
 
     /// Arms a timer `local_delay` (by this node's clock) from *now*, with

@@ -731,27 +731,24 @@ fn retune_mid_reception_drops_the_lock_and_follows_the_new_channel() {
     });
 }
 
+// Release-build fallback: debug builds assert half-duplex instead.
+#[cfg(not(debug_assertions))]
 #[test]
-fn shared_radio_ignored_start_rx_keeps_the_listener_index_consistent() {
-    // A shared-radio node (PR 8 slots) requests start_rx mid-transmission:
-    // the request is ignored. The node must not appear in the listener
-    // index — a frame transmitted later on that channel is missed until
-    // the node genuinely reopens, identically in both modes.
+fn ignored_start_rx_keeps_the_listener_index_consistent() {
+    // A node requests start_rx mid-transmission: a release build ignores
+    // the request. The node must not appear in the listener index — a
+    // frame transmitted later on that channel is missed until the node
+    // genuinely reopens, identically in both modes.
     in_both_modes(|mode| {
         let mut sim = World::new(Environment::ideal(), SimRng::seed_from(8));
         sim.set_delivery_mode(mode);
-        let mut shared = Recorder::default();
-        shared.on_timer_tx.push((1, CH, frame(&[0x11; 20]))); // 224 µs airtime
-        shared
-            .on_timer_rx
+        let mut busy = Recorder::default();
+        busy.on_timer_tx.push((1, CH, frame(&[0x11; 20]))); // 224 µs airtime
+        busy.on_timer_rx
             .push((2, CH, AccessFilter::One(AA), 0xABCDEF)); // ignored: still Tx
-        shared
-            .on_timer_rx
+        busy.on_timer_rx
             .push((3, CH, AccessFilter::One(AA), 0xABCDEF)); // real reopen
-        let s = sim.add_node(
-            NodeConfig::new("shared", Position::ORIGIN).with_shared_radio(),
-            shared,
-        );
+        let s = sim.add_node(NodeConfig::new("busy", Position::ORIGIN), busy);
         let mut peer = Recorder::default();
         peer.on_timer_tx.push((1, CH, frame(&[0x22; 4])));
         let p = sim.add_node(NodeConfig::new("peer", Position::new(1.0, 0.0)), peer);
@@ -781,23 +778,22 @@ fn shared_radio_ignored_start_rx_keeps_the_listener_index_consistent() {
     });
 }
 
+// Release-build fallback: debug builds assert half-duplex instead.
+#[cfg(not(debug_assertions))]
 #[test]
-fn shared_radio_abandoned_frame_still_lands_and_raises_no_tx_done() {
-    // A shared-radio node starts frame B 100 µs into its frame A. The radio
-    // abandons A, yet A stays on the air to its full end, so a receiver
-    // already locked onto it decodes it whole. Only B raises `TxDone`: the
-    // machine that sent A never hears that its frame ended.
+fn abandoned_frame_still_lands_and_raises_no_tx_done() {
+    // A node starts frame B 100 µs into its frame A. A release build's
+    // radio abandons A, yet A stays on the air to its full end, so a
+    // receiver already locked onto it decodes it whole. Only B raises
+    // `TxDone`: the machine that sent A never hears that its frame ended.
     in_both_modes(|mode| {
         let ch6 = Channel::new(6).unwrap();
         let mut sim = World::new(Environment::ideal(), SimRng::seed_from(8));
         sim.set_delivery_mode(mode);
-        let mut shared = Recorder::default();
-        shared.on_timer_tx.push((1, CH, frame(&[0x11; 20]))); // A: 224 µs
-        shared.on_timer_tx.push((2, ch6, frame(&[0x22; 4]))); // B: 96 µs
-        let s = sim.add_node(
-            NodeConfig::new("shared", Position::ORIGIN).with_shared_radio(),
-            shared,
-        );
+        let mut busy = Recorder::default();
+        busy.on_timer_tx.push((1, CH, frame(&[0x11; 20]))); // A: 224 µs
+        busy.on_timer_tx.push((2, ch6, frame(&[0x22; 4]))); // B: 96 µs
+        let s = sim.add_node(NodeConfig::new("busy", Position::ORIGIN), busy);
         let r = sim.add_node(
             NodeConfig::new("rx", Position::new(1.0, 0.0)),
             Recorder::default(),

@@ -466,16 +466,12 @@ impl ScenarioBuilder {
                 .with_clock(clock(self.victim_sca_ppm, &mut rng)),
             victim,
         );
-        let mut central_cfg = NodeConfig::new("phone", Position::new(self.central_distance, 0.0))
-            .with_phy(self.phy)
-            .with_clock(clock(self.victim_sca_ppm, &mut rng));
-        if self.extra_peripherals > 0 {
-            // Multi-link Central: several Link Layers share one radio, so
-            // overlapping TX/RX requests are expected contention (modelled
-            // as collisions), not protocol-machine bugs.
-            central_cfg = central_cfg.with_shared_radio();
-        }
-        let central_id = world.add_node(central_cfg, central);
+        let central_id = world.add_node(
+            NodeConfig::new("phone", Position::new(self.central_distance, 0.0))
+                .with_phy(self.phy)
+                .with_clock(clock(self.victim_sca_ppm, &mut rng)),
+            central,
+        );
         let attacker_pos = self
             .attacker_pos_override
             .unwrap_or_else(|| Position::new(0.0, self.attacker_y_sign * self.attacker_distance));
@@ -1033,6 +1029,46 @@ mod tests {
         assert!(sc.extra_peripheral_ids.is_empty());
         assert!(sc.extra_conn_handles.is_empty());
         assert_eq!(sc.central().conn_handles().len(), 1);
+    }
+
+    #[test]
+    fn eight_links_keep_their_anchors_apart_on_one_radio() {
+        use ble_link::timing::ANCHOR_GUARD;
+
+        // Each anchor drifts by the Central's timer jitter, 1 µs per event.
+        let least = ANCHOR_GUARD - Duration::from_micros(50);
+        for seed in [3, 8, 21, 5_008, 424_242] {
+            let mut sc = ScenarioBuilder::paper_rig(seed).multi_peripheral(8).build();
+            assert!(sc.wait_synchronised(Duration::from_secs(30)), "seed {seed}");
+            // Two more intervals: every slot's last anchor is then an event
+            // it ran, not its CONNECT_IND's end.
+            sc.run_for(Duration::from_millis(90));
+            let central = sc.central();
+            let links: Vec<_> = central
+                .conn_handles()
+                .into_iter()
+                .filter_map(|h| central.ll_for(h)?.connection_info())
+                .collect();
+            assert_eq!(links.len(), 8, "seed {seed}: links down");
+            for (i, a) in links.iter().enumerate() {
+                for b in &links[i + 1..] {
+                    let interval = a.params.interval();
+                    let period = i64::try_from(interval.as_nanos()).unwrap();
+                    let ahead = a
+                        .last_anchor
+                        .signed_delta_ns(b.last_anchor)
+                        .rem_euclid(period);
+                    let ahead = Duration::from_nanos(ahead.unsigned_abs());
+                    let gap = ahead.min(interval - ahead);
+                    assert!(
+                        gap >= least,
+                        "seed {seed}: anchors {:?} and {:?} sit {gap:?} apart",
+                        a.last_anchor,
+                        b.last_anchor
+                    );
+                }
+            }
+        }
     }
 
     #[test]
