@@ -1072,6 +1072,33 @@ mod tests {
     }
 
     #[test]
+    fn a_busy_central_starts_no_frame_over_another() {
+        use ble_telemetry::{RingBufferSink, TelemetryEvent};
+
+        // Every link opens with a burst of write commands, so its first
+        // connection events run on with MD past a sibling's anchor.
+        for seed in 0..4 {
+            let mut sc = ScenarioBuilder::legit(seed).multi_peripheral(8).build();
+            let sink = RingBufferSink::new(1 << 16);
+            let ring = sink.handle();
+            sc.world.add_telemetry_sink(Box::new(sink));
+            let central = sc.central_id;
+            if let Some(c) = sc.world.node_mut::<Central>(central) {
+                c.on_connect_writes = (0..12).map(|h| (3 + h, vec![0x5A; 20], false)).collect();
+            }
+            sc.run_for(Duration::from_secs(3));
+            let phone = u32::try_from(central.index()).ok();
+            let mut free_at = Instant::ZERO;
+            for r in ring.lock().iter().filter(|r| r.node == phone) {
+                if let TelemetryEvent::TxStart { end, .. } = r.event {
+                    assert!(r.at >= free_at, "seed {seed}: a frame starts at {:?}", r.at);
+                    free_at = end;
+                }
+            }
+        }
+    }
+
+    #[test]
     fn multi_peripheral_connects_every_slot() {
         let mut sc = ScenarioBuilder::legit(5).multi_peripheral(4).build();
         assert_eq!(sc.extra_peripheral_ids.len(), 3);
