@@ -166,23 +166,25 @@ mod tests {
     }
 
     /// The end of the `CONNECT_IND` in the offset picker's tests.
-    const END: Instant = Instant::from_micros(100_000);
+    fn end() -> Instant {
+        Instant::from_micros(100_000)
+    }
 
-    /// The first anchor of offset `w` after a `CONNECT_IND` ending at `END`.
+    /// The first anchor of offset `w` after a `CONNECT_IND` ending at `end()`.
     fn first_anchor(w: u16) -> Instant {
-        END + transmit_window_offset(w)
+        end() + transmit_window_offset(w)
     }
 
     #[test]
     fn win_offset_without_siblings_is_the_configured_one() {
-        assert_eq!(win_offset_apart(1, 36, END, &[]), 1);
-        assert_eq!(win_offset_apart(5, 36, END, &[]), 5);
+        assert_eq!(win_offset_apart(1, 36, end(), &[]), 1);
+        assert_eq!(win_offset_apart(5, 36, end(), &[]), 5);
         // A sibling a full guard away, or more, blocks nothing.
         let clear = [
             first_anchor(1) + ANCHOR_GUARD,
             first_anchor(1) - ANCHOR_GUARD,
         ];
-        assert_eq!(win_offset_apart(1, 36, END, &clear), 1);
+        assert_eq!(win_offset_apart(1, 36, end(), &clear), 1);
     }
 
     #[test]
@@ -190,16 +192,16 @@ mod tests {
         // 0.5 ms after offset 1's anchor: offsets 1 (0.5 ms) and 2
         // (0.75 ms) are blocked, offset 3 (1.75 ms) is clear.
         let late = [first_anchor(1) + Duration::from_micros(500)];
-        assert_eq!(win_offset_apart(1, 36, END, &late), 3);
+        assert_eq!(win_offset_apart(1, 36, end(), &late), 3);
         // 1 ms before offset 1's anchor: offset 2 is 2.25 ms clear.
         let early = [first_anchor(1) - Duration::from_micros(1_000)];
-        assert_eq!(win_offset_apart(1, 36, END, &early), 2);
+        assert_eq!(win_offset_apart(1, 36, end(), &early), 2);
         // Two siblings: the first clear offset lies past both.
         let both = [
             first_anchor(1) + Duration::from_micros(200),
             first_anchor(3) + Duration::from_micros(300),
         ];
-        assert_eq!(win_offset_apart(1, 36, END, &both), 5);
+        assert_eq!(win_offset_apart(1, 36, end(), &both), 5);
     }
 
     #[test]
@@ -208,15 +210,15 @@ mod tests {
         // Three intervals ahead and 0.4 ms before offset 1's anchor: the
         // raw gap is over 134 ms, but modulo the interval it is 0.4 ms.
         let ahead = [first_anchor(1) + interval * 3 - Duration::from_micros(400)];
-        assert_eq!(win_offset_apart(1, 36, END, &ahead), 2);
+        assert_eq!(win_offset_apart(1, 36, end(), &ahead), 2);
         // One interval behind and 0.5 ms after offset 1's anchor.
         let behind = [first_anchor(1) - interval + Duration::from_micros(500)];
-        assert_eq!(win_offset_apart(1, 36, END, &behind), 3);
+        assert_eq!(win_offset_apart(1, 36, end(), &behind), 3);
         // Modulo the interval, offset 35's anchor sits 1.25 ms before
         // offset 0's. A sibling 0.1 ms before offset 0's blocks both, and
         // the search wraps on to offset 1.
         let wrap = [first_anchor(0) - Duration::from_micros(100)];
-        assert_eq!(win_offset_apart(35, 36, END, &wrap), 1);
+        assert_eq!(win_offset_apart(35, 36, end(), &wrap), 1);
     }
 
     #[test]
@@ -230,8 +232,8 @@ mod tests {
                 _ => first_anchor(w),
             })
             .collect();
-        assert_eq!(win_offset_apart(0, 6, END, &siblings), 3);
-        assert_eq!(win_offset_apart(1, 6, END, &siblings), 3);
+        assert_eq!(win_offset_apart(0, 6, end(), &siblings), 3);
+        assert_eq!(win_offset_apart(1, 6, end(), &siblings), 3);
     }
 
     #[test]
