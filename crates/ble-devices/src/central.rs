@@ -384,7 +384,8 @@ impl Central {
         };
         ll.handle(ctx, event, host);
         // No slot starts a frame while another's is on the air, so a frame
-        // start is the busy flag's rising edge, and its `TxDone` is ours.
+        // start is the busy flag's rising edge, and its `TxDone` is this
+        // slot's.
         if !was_transmitting && ctx.is_transmitting() {
             self.tx_owner = slot;
         }
