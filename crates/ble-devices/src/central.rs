@@ -372,7 +372,6 @@ impl Central {
         match event {
             RadioEvent::Timer { key, .. } => (key.0 >> 56) as usize,
             RadioEvent::TxDone { .. } => self.tx_owner,
-            RadioEvent::SyncDetected { access_address, .. } => self.slot_for_aa(*access_address),
             RadioEvent::FrameReceived(frame) => self.slot_for_aa(frame.access_address),
         }
     }

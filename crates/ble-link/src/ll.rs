@@ -285,8 +285,6 @@ struct Conn {
     peer_md: bool,
     /// MD bit of the last frame we sent in this event.
     sent_md: bool,
-    /// A frame synchronisation was detected in the current window.
-    got_sync: bool,
     /// The anchor for the current event has been captured (slave side):
     /// only the *first* frame of an event is an anchor point.
     anchor_set: bool,
@@ -339,7 +337,6 @@ impl Conn {
             ctrl_queue: VecDeque::new(),
             peer_md: false,
             sent_md: false,
-            got_sync: false,
             anchor_set: false,
             in_event: false,
             established: false,
@@ -777,9 +774,7 @@ impl LinkLayer {
             advertiser: self.address,
             data: adv.adv_data.clone(),
         };
-        if ctx.is_receiving() {
-            ctx.stop_rx();
-        }
+        ctx.stop_rx();
         ctx.transmit(
             channel,
             RawFrame::new(
@@ -795,9 +790,7 @@ impl LinkLayer {
             return;
         };
         let channel = Channel::advertising_wrapped(scan.channel_pos);
-        if ctx.is_receiving() {
-            ctx.stop_rx();
-        }
+        ctx.stop_rx();
         // Another Link Layer's frame on the node's radio keeps this hop deaf.
         if !ctx.is_transmitting() {
             ctx.start_rx(
@@ -916,14 +909,6 @@ impl LinkLayer {
                 }
             }
             RadioEvent::TxDone { at } => self.on_tx_done(ctx, at, delegate),
-            RadioEvent::SyncDetected { at, .. } => {
-                let _ = at;
-                if let State::Connected(c) = &mut self.state {
-                    if c.in_event {
-                        c.got_sync = true;
-                    }
-                }
-            }
             RadioEvent::FrameReceived(frame) => self.on_frame(ctx, frame, delegate),
         }
     }
@@ -941,9 +926,7 @@ impl LinkLayer {
                     let State::Advertising(adv) = &mut self.state else {
                         return;
                     };
-                    if ctx.is_receiving() {
-                        ctx.stop_rx();
-                    }
+                    ctx.stop_rx();
                     if adv.channel_pos < 2 {
                         adv.channel_pos += 1;
                         true
@@ -1075,7 +1058,6 @@ impl LinkLayer {
                         // Anchor (or continuation) frame sent: listen for the
                         // slave's response.
                         let channel = c.current_channel;
-                        c.got_sync = false;
                         ctx.start_rx(
                             channel,
                             AccessFilter::One(c.params.access_address),
@@ -1089,7 +1071,6 @@ impl LinkLayer {
                         // set MD; otherwise the event is over.
                         if c.peer_md || c.sent_md {
                             let channel = c.current_channel;
-                            c.got_sync = false;
                             ctx.start_rx(
                                 channel,
                                 AccessFilter::One(c.params.access_address),
@@ -1297,7 +1278,6 @@ impl LinkLayer {
         };
         c.current_channel = channel;
         c.in_event = true;
-        c.got_sync = false;
         c.anchor_set = false;
         c.peer_md = false;
         c.sent_md = false;
@@ -1320,9 +1300,7 @@ impl LinkLayer {
                     return;
                 };
                 let frame = Self::data_channel_frame(&c.params, &pdu);
-                if ctx.is_receiving() {
-                    ctx.stop_rx();
-                }
+                ctx.stop_rx();
                 let tx = ctx.transmit(channel, frame);
                 c.last_anchor = tx.start;
                 c.next_event_counter = c.next_event_counter.wrapping_add(1);
@@ -1335,9 +1313,7 @@ impl LinkLayer {
                 self.arm_local(ctx, tx.start, interval, purpose::CONN_EVENT);
             }
             Role::Slave => {
-                if ctx.is_receiving() {
-                    ctx.stop_rx();
-                }
+                ctx.stop_rx();
                 ctx.start_rx(
                     channel,
                     AccessFilter::One(c.params.access_address),
@@ -1362,13 +1338,11 @@ impl LinkLayer {
         let State::Connected(c) = &mut self.state else {
             return;
         };
-        if c.got_sync {
+        if ctx.is_locked() {
             // A frame is mid-air; FrameReceived will close the window.
             return;
         }
-        if ctx.is_receiving() {
-            ctx.stop_rx();
-        }
+        ctx.stop_rx();
         c.in_event = false;
         match c.role {
             Role::Master => {
@@ -1563,17 +1537,13 @@ impl LinkLayer {
             ctx.emit(|| TelemetryEvent::CrcFail {
                 channel: channel.index(),
             });
-            if ctx.is_receiving() {
-                ctx.stop_rx();
-            }
+            ctx.stop_rx();
             c.in_event = false;
             return;
         }
 
         let Ok(mut pdu) = DataPdu::from_bytes(&frame.pdu) else {
-            if ctx.is_receiving() {
-                ctx.stop_rx();
-            }
+            ctx.stop_rx();
             c.in_event = false;
             return;
         };
@@ -1667,9 +1637,7 @@ impl LinkLayer {
                 };
                 let frame_out = Self::data_channel_frame(&c.params, &response);
                 let channel = c.current_channel;
-                if ctx.is_receiving() {
-                    ctx.stop_rx();
-                }
+                ctx.stop_rx();
                 self.ifs_action = Some(IfsAction::Transmit {
                     channel,
                     frame: frame_out,
@@ -1687,18 +1655,14 @@ impl LinkLayer {
                     };
                     let frame_out = Self::data_channel_frame(&c.params, &next);
                     let channel = c.current_channel;
-                    if ctx.is_receiving() {
-                        ctx.stop_rx();
-                    }
+                    ctx.stop_rx();
                     self.ifs_action = Some(IfsAction::Transmit {
                         channel,
                         frame: frame_out,
                     });
                     self.arm_local(ctx, frame.end, T_IFS, purpose::IFS_ACTION);
                 } else {
-                    if ctx.is_receiving() {
-                        ctx.stop_rx();
-                    }
+                    ctx.stop_rx();
                     c.in_event = false;
                 }
             }
@@ -1912,9 +1876,7 @@ impl LinkLayer {
         reason: u8,
         delegate: &mut dyn LinkLayerDelegate,
     ) {
-        if ctx.is_receiving() {
-            ctx.stop_rx();
-        }
+        ctx.stop_rx();
         ctx.emit(|| TelemetryEvent::ConnectionClosed { reason });
         self.disarm_all();
         self.state = State::Standby;

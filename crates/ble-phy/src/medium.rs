@@ -30,9 +30,7 @@ use crate::fault::FaultState;
 use crate::frame::{RawFrame, ReceivedFrame};
 use crate::phy_mode::PhyMode;
 use crate::propagation::Environment;
-use crate::radio::{
-    AccessFilter, Node, NodeConfig, NodeCtx, NodeId, RadioEvent, TimerHandle, TimerKey,
-};
+use crate::radio::{AccessFilter, Node, NodeConfig, NodeCtx, NodeId, RadioEvent, TimerKey};
 
 /// Frame-delivery scheduling strategy of the medium.
 ///
@@ -83,10 +81,6 @@ enum SimEvent {
         tx_id: u64,
     },
     RxEnd {
-        node: NodeId,
-        tx_id: u64,
-    },
-    LateSync {
         node: NodeId,
         tx_id: u64,
     },
@@ -774,13 +768,11 @@ impl SimInner {
                 best = Some((tx_id, arrival));
             }
         }
-        if let Some((tx_id, arrival)) = best {
-            if self.try_lock(node, tx_id, arrival, None) {
-                self.queue
-                    .schedule_at(now, SimEvent::LateSync { node, tx_id });
-            }
+        // A lock releases the node's edges itself.
+        let locked = best.is_some_and(|(tx_id, arrival)| self.try_lock(node, tx_id, arrival, None));
+        if !locked {
+            self.release_edges(node);
         }
-        self.release_edges(node);
     }
 
     /// Attempts to lock `node`'s receiver onto transmission `tx_id` whose
@@ -937,12 +929,14 @@ impl SimInner {
         out
     }
 
-    /// Processes the arrival of `tx_id`'s leading edge at `node`. Returns a
-    /// sync notification to dispatch if the radio locked on.
-    fn handle_rx_start(&mut self, node: NodeId, tx_id: u64) -> Option<RadioEvent> {
+    /// Processes the arrival of `tx_id`'s leading edge at `node`: a lock,
+    /// a relock or interference on the locked reception.
+    fn handle_rx_start(&mut self, node: NodeId, tx_id: u64) {
         let now = self.now();
         let (tx_channel, tx_aa, tx_from, tx_len) = {
-            let tx = self.retained_tx(tx_id)?;
+            let Some(tx) = self.retained_tx(tx_id) else {
+                return;
+            };
             (
                 tx.channel,
                 tx.frame.access_address,
@@ -952,16 +946,16 @@ impl SimInner {
         };
         let already_locked = {
             let RadioState::Rx { channel, lock, .. } = &self.node_state(node).radio else {
-                return None;
+                return;
             };
             if *channel != tx_channel {
-                return None;
+                return;
             }
             match lock {
                 // The receiver opened at exactly this instant and locked
                 // onto this frame late, in `start_rx`: the frame must not
                 // be drawn a second time.
-                Some(lock) if lock.tx_id == tx_id => return None,
+                Some(lock) if lock.tx_id == tx_id => return,
                 lock => lock.is_some(),
             }
         };
@@ -971,7 +965,7 @@ impl SimInner {
             // delivery modes consume the same random stream.
             let mean = self.mean_power_dbm(tx_from, node);
             if !self.env.reachable_mean_dbm(mean) {
-                return None;
+                return;
             }
             let power_dbm = self.received_power_from_mean(mean);
             // A dominant late arrival steals the lock (receiver
@@ -983,7 +977,7 @@ impl SimInner {
                     ..
                 } = &self.node_state(node).radio
                 else {
-                    return None;
+                    return;
                 };
                 (
                     power_dbm >= lock.signal_dbm + self.env.capture.relock_threshold_db,
@@ -996,21 +990,15 @@ impl SimInner {
                 self.emit(now, Some(node), || TelemetryEvent::Relock {
                     channel: tx_channel.index(),
                 });
-                if self.try_lock(node, tx_id, now, Some(power_dbm)) {
-                    return Some(RadioEvent::SyncDetected {
-                        channel: tx_channel,
-                        access_address: tx_aa,
-                        at: now,
-                    });
-                }
-                return None;
+                self.try_lock(node, tx_id, now, Some(power_dbm));
+                return;
             }
             // Otherwise: interference on the locked reception.
             let RadioState::Rx {
                 lock: Some(lock), ..
             } = &mut self.node_state_mut(node).radio
             else {
-                return None;
+                return;
             };
             let mut spilled = false;
             if now < lock.end {
@@ -1022,27 +1010,19 @@ impl SimInner {
                     channel: tx_channel.index(),
                 });
             }
-            return None;
+            return;
         }
         // Unlocked: try to synchronise.
         let (filter, phy) = {
             let RadioState::Rx { filter, .. } = &self.node_state(node).radio else {
-                return None;
+                return;
             };
             (*filter, self.node_state(node).config.phy)
         };
         if !self.txs.get(tx_id).is_some_and(|tx| tx.phy == phy) || !filter.matches(tx_aa) {
-            return None;
+            return;
         }
-        if self.try_lock(node, tx_id, now, None) {
-            Some(RadioEvent::SyncDetected {
-                channel: tx_channel,
-                access_address: tx_aa,
-                at: now,
-            })
-        } else {
-            None
-        }
+        self.try_lock(node, tx_id, now, None);
     }
 
     /// Completes a locked reception. Returns the frame to deliver.
@@ -1187,8 +1167,13 @@ impl SimInner {
         }
     }
 
-    pub(crate) fn is_receiving(&self, node: NodeId) -> bool {
-        matches!(self.node_state(node).radio, RadioState::Rx { .. })
+    /// Whether `node`'s receiver holds a lock: from `try_lock` until the
+    /// locked frame's `RxEnd`, or until the radio leaves the reception.
+    pub(crate) fn is_locked(&self, node: NodeId) -> bool {
+        matches!(
+            self.node_state(node).radio,
+            RadioState::Rx { lock: Some(_), .. }
+        )
     }
 
     pub(crate) fn is_transmitting(&self, node: NodeId) -> bool {
@@ -1201,7 +1186,7 @@ impl SimInner {
         reference: Instant,
         local_delay: Duration,
         key: TimerKey,
-    ) -> TimerHandle {
+    ) {
         let local_delay = if self.faults.enabled() {
             // Drift excursions stretch (or shrink) this node's local clock
             // on top of its configured static drift.
@@ -1214,15 +1199,11 @@ impl SimInner {
             let clock = state.config.clock.clone();
             clock.true_after_jittered(reference, local_delay, &mut state.rng)
         };
-        TimerHandle(self.queue.schedule_at(at, SimEvent::Timer { node, key }))
+        self.queue.schedule_at(at, SimEvent::Timer { node, key });
     }
 
-    pub(crate) fn set_timer_at(&mut self, node: NodeId, at: Instant, key: TimerKey) -> TimerHandle {
-        TimerHandle(self.queue.schedule_at(at, SimEvent::Timer { node, key }))
-    }
-
-    pub(crate) fn cancel_timer(&mut self, handle: TimerHandle) {
-        self.queue.cancel(handle.0);
+    pub(crate) fn set_timer_at(&mut self, node: NodeId, at: Instant, key: TimerKey) {
+        self.queue.schedule_at(at, SimEvent::Timer { node, key });
     }
 
     /// Queues edge `edge` of fault-plan item `item`, if the item has one.
@@ -1232,7 +1213,7 @@ impl SimInner {
         }
     }
 
-    /// The transmission an `RxStart`, `RxEnd` or `LateSync` event names.
+    /// The transmission an `RxStart` or `RxEnd` event names.
     /// Each fires before its frame's retention ends, so it always finds it;
     /// a miss is a medium bug, which debug builds catch.
     fn retained_tx(&self, tx_id: u64) -> Option<&ActiveTx> {
@@ -1567,38 +1548,7 @@ impl World {
                     self.dispatch(node, ev);
                 }
             }
-            SimEvent::RxStart { node, tx_id } => {
-                if let Some(ev) = self.inner.handle_rx_start(node, tx_id) {
-                    self.dispatch(node, ev);
-                }
-            }
-            SimEvent::LateSync { node, tx_id } => {
-                let Some(aa) = self
-                    .inner
-                    .retained_tx(tx_id)
-                    .map(|tx| tx.frame.access_address)
-                else {
-                    return true;
-                };
-                let pending = match &self.inner.node_state(node).radio {
-                    RadioState::Rx {
-                        lock: Some(lock),
-                        channel,
-                        ..
-                    } if lock.tx_id == tx_id => Some((*channel, lock.arrival)),
-                    _ => None,
-                };
-                if let Some((channel, arrival)) = pending {
-                    self.dispatch(
-                        node,
-                        RadioEvent::SyncDetected {
-                            channel,
-                            access_address: aa,
-                            at: arrival,
-                        },
-                    );
-                }
-            }
+            SimEvent::RxStart { node, tx_id } => self.inner.handle_rx_start(node, tx_id),
             SimEvent::RxEnd { node, tx_id } => {
                 if let Some(frame) = self.inner.handle_rx_end(node, tx_id) {
                     self.dispatch(node, RadioEvent::FrameReceived(frame));

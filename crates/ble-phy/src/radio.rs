@@ -60,16 +60,6 @@ impl AccessFilter {
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq)]
 pub enum RadioEvent {
-    /// The receiver synchronised on a frame's preamble and access address.
-    /// Delivered at the frame's *start*; the body is still on the air.
-    SyncDetected {
-        /// Channel the synchronisation happened on.
-        channel: Channel,
-        /// Access address of the incoming frame.
-        access_address: AccessAddress,
-        /// Time the frame's leading edge arrived.
-        at: Instant,
-    },
     /// A complete frame was received (possibly with a failed CRC).
     FrameReceived(ReceivedFrame),
     /// A transmission started earlier has left the antenna.
@@ -175,10 +165,6 @@ impl NodeConfig {
     }
 }
 
-/// Handle to a pending timer, usable for cancellation.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct TimerHandle(pub(crate) simkit::EventId);
-
 /// The capability handle a listener acts through while processing an event.
 ///
 /// All methods operate on the listener's own node. The context exposes the
@@ -246,14 +232,18 @@ impl<'a> NodeCtx<'a> {
         self.sim.start_rx(self.node, channel, filter, crc_init);
     }
 
-    /// Closes the receiver.
+    /// Closes the receiver. Does nothing on a radio that is not receiving.
     pub fn stop_rx(&mut self) {
         self.sim.stop_rx(self.node);
     }
 
-    /// Whether the radio is currently in receive mode.
-    pub fn is_receiving(&self) -> bool {
-        self.sim.is_receiving(self.node)
+    /// Whether the receiver is locked onto a frame still on the air: from
+    /// the frame's synchronisation until its
+    /// [`RadioEvent::FrameReceived`], unless `stop_rx`, `start_rx` or
+    /// `transmit` drops the reception first. A lock that `start_rx` makes
+    /// late, within the preamble grace, holds on return.
+    pub fn is_locked(&self) -> bool {
+        self.sim.is_locked(self.node)
     }
 
     /// Whether the radio is currently transmitting.
@@ -263,9 +253,9 @@ impl<'a> NodeCtx<'a> {
 
     /// Arms a timer `local_delay` (by this node's clock) from *now*, with
     /// clock drift and wake-up jitter applied.
-    pub fn set_timer_local(&mut self, local_delay: Duration, key: TimerKey) -> TimerHandle {
+    pub fn set_timer_local(&mut self, local_delay: Duration, key: TimerKey) {
         let now = self.now();
-        self.set_timer_local_from(now, local_delay, key)
+        self.set_timer_local_from(now, local_delay, key);
     }
 
     /// Arms a timer `local_delay` (by this node's clock) from an arbitrary
@@ -276,21 +266,15 @@ impl<'a> NodeCtx<'a> {
         reference: Instant,
         local_delay: Duration,
         key: TimerKey,
-    ) -> TimerHandle {
+    ) {
         self.sim
-            .set_timer_local_from(self.node, reference, local_delay, key)
+            .set_timer_local_from(self.node, reference, local_delay, key);
     }
 
     /// Arms a timer at an exact true simulation time (no drift or jitter).
     /// Intended for tests and for omniscient instrumentation.
-    pub fn set_timer_at(&mut self, at: Instant, key: TimerKey) -> TimerHandle {
-        self.sim.set_timer_at(self.node, at, key)
-    }
-
-    /// Cancels a pending timer. Cancelling one that already fired is a
-    /// no-op.
-    pub fn cancel_timer(&mut self, handle: TimerHandle) {
-        self.sim.cancel_timer(handle);
+    pub fn set_timer_at(&mut self, at: Instant, key: TimerKey) {
+        self.sim.set_timer_at(self.node, at, key);
     }
 
     /// Whether the metrics block or a telemetry sink is on. Lets callers

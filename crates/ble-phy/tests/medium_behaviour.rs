@@ -5,9 +5,10 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // test code may panic freely
 
 use ble_phy::{
-    AccessAddress, AccessFilter, Channel, Environment, NodeConfig, NodeCtx, Position, RadioEvent,
-    RadioListener, RawFrame, ReceivedFrame, TimerKey, World,
+    AccessAddress, AccessFilter, Channel, Environment, NodeConfig, NodeCtx, NodeId, Position,
+    RadioEvent, RadioListener, RawFrame, ReceivedFrame, TimerKey, World,
 };
+use ble_telemetry::{RingBufferSink, SharedRing, TelemetryEvent};
 use simkit::{DriftClock, Duration, Instant, SimRng};
 
 /// A scriptable listener: records every event and optionally reacts.
@@ -34,12 +35,23 @@ impl Recorder {
             })
             .collect()
     }
-    fn syncs(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e, RadioEvent::SyncDetected { .. }))
-            .count()
-    }
+}
+
+/// Attaches a ring sink to `sim`, so that [`locks`] can count its locks.
+fn lock_ring(sim: &mut World) -> SharedRing {
+    let sink = RingBufferSink::new(usize::MAX);
+    let ring = sink.handle();
+    sim.add_telemetry_sink(Box::new(sink));
+    ring
+}
+
+/// The `RxLock` records of node `id`: one per lock and one per relock.
+fn locks(ring: &SharedRing, id: NodeId) -> usize {
+    let node = u32::try_from(id.index()).ok();
+    ring.lock()
+        .iter()
+        .filter(|r| r.node == node && matches!(r.event, TelemetryEvent::RxLock { .. }))
+        .count()
 }
 
 impl RadioListener for Recorder {
@@ -75,7 +87,7 @@ fn ideal_sim() -> World {
     World::new(Environment::ideal(), SimRng::seed_from(42))
 }
 
-fn recorder(sim: &World, id: ble_phy::NodeId) -> &Recorder {
+fn recorder(sim: &World, id: NodeId) -> &Recorder {
     sim.node::<Recorder>(id).expect("node is a Recorder")
 }
 
@@ -143,6 +155,7 @@ fn on_start_is_dispatched_by_world_start() {
 #[test]
 fn frame_is_delivered_with_correct_timing_and_content() {
     let mut sim = ideal_sim();
+    let ring = lock_ring(&mut sim);
     let tx_id = sim.add_node(
         NodeConfig::new("tx", Position::new(0.0, 0.0)),
         Recorder::default(),
@@ -169,7 +182,7 @@ fn frame_is_delivered_with_correct_timing_and_content() {
     assert_eq!(handle.end - handle.start, f.end - f.start);
     // Propagation at 2 m is ~7 ns.
     assert!(f.start.signed_delta_ns(handle.start).abs() < 20);
-    assert_eq!(rx.syncs(), 1);
+    assert_eq!(locks(&ring, rx_id), 1);
 
     // The transmitter got TxDone at frame end.
     let tx = recorder(&sim, tx_id);
@@ -410,6 +423,7 @@ fn non_overlapping_frames_both_delivered() {
 #[test]
 fn late_rx_open_within_grace_still_locks() {
     let mut sim = ideal_sim();
+    let ring = lock_ring(&mut sim);
     let mut tx_rec = Recorder::default();
     tx_rec.on_timer_tx.push((1, CH, frame(&[7; 8])));
     // Receiver opens 1.5 µs *after* the frame's leading edge: within the
@@ -430,7 +444,59 @@ fn late_rx_open_within_grace_still_locks() {
     let rx = recorder(&sim, r);
     assert_eq!(rx.received().len(), 1, "grace lock must catch the frame");
     assert!(rx.received()[0].crc_ok);
-    assert_eq!(rx.syncs(), 1);
+    assert_eq!(locks(&ring, r), 1);
+}
+
+#[test]
+fn is_locked_holds_from_the_lock_until_the_reception_ends() {
+    // Three 128 µs frames from 1 m away, at 100, 400 and 700 µs.
+    let mut sim = ideal_sim();
+    let mut tx_rec = Recorder::default();
+    for key in 1..=3 {
+        tx_rec.on_timer_tx.push((key, CH, frame(&[7; 8])));
+    }
+    let t = sim.add_node(NodeConfig::new("tx", Position::new(1.0, 0.0)), tx_rec);
+    let r = sim.add_node(NodeConfig::new("rx", Position::ORIGIN), Recorder::default());
+    sim.with_ctx(t, |ctx| {
+        for (key, at_us) in [(1, 100), (2, 400), (3, 700)] {
+            ctx.set_timer_at(Instant::from_micros(at_us), TimerKey(key));
+        }
+    });
+    let locked = |sim: &mut World| sim.with_ctx(r, |ctx| ctx.is_locked());
+
+    // A late lock within the grace holds as `start_rx` returns.
+    sim.run_until(Instant::from_nanos(101_500));
+    let late = sim.with_ctx(r, |ctx| {
+        ctx.start_rx(CH, AccessFilter::One(AA), 0xABCDEF);
+        ctx.is_locked()
+    });
+    assert!(late, "locked right after a late open");
+    sim.run_until(Instant::from_micros(150));
+    assert!(locked(&mut sim), "locked mid-frame");
+    sim.run_until(Instant::from_micros(300));
+    assert_eq!(recorder(&sim, r).received().len(), 1);
+    assert!(!locked(&mut sim), "no lock after the frame's FrameReceived");
+
+    // The receiver stays open and locks onto the second frame; closing it
+    // drops the lock, and the frame is never delivered.
+    sim.run_until(Instant::from_micros(450));
+    assert!(locked(&mut sim), "locked onto the second frame");
+    sim.with_ctx(r, |ctx| ctx.stop_rx());
+    assert!(!locked(&mut sim), "no lock after stop_rx");
+
+    // Transmitting mid-reception abandons the third frame.
+    sim.run_until(Instant::from_micros(600));
+    sim.with_ctx(r, |ctx| ctx.start_rx(CH, AccessFilter::One(AA), 0xABCDEF));
+    sim.run_until(Instant::from_micros(750));
+    assert!(locked(&mut sim), "locked onto the third frame");
+    sim.with_ctx(r, |ctx| ctx.transmit(Channel::data_wrapped(9), frame(&[1])));
+    assert!(!locked(&mut sim), "no lock after transmit");
+    sim.run_for(Duration::from_millis(1));
+    assert_eq!(
+        recorder(&sim, r).received().len(),
+        1,
+        "only the first frame"
+    );
 }
 
 #[test]
@@ -474,6 +540,43 @@ fn transmitting_node_cannot_receive_concurrently() {
     sim.run_for(Duration::from_millis(1));
     assert!(recorder(&sim, a).received().is_empty());
     assert!(recorder(&sim, b).received().is_empty());
+}
+
+#[test]
+fn stop_rx_leaves_a_radio_that_is_not_receiving_alone() {
+    // The sender closes its receiver mid-frame and the idle listener before
+    // the frame arrives: the frame still ends with `TxDone` and still
+    // reaches a third node that listens.
+    let mut sim = ideal_sim();
+    let mut tx_rec = Recorder::default();
+    tx_rec.on_timer_tx.push((1, CH, frame(&[3; 8])));
+    tx_rec.on_timer_stop.push(2);
+    let t = sim.add_node(NodeConfig::new("tx", Position::ORIGIN), tx_rec);
+    let idle = sim.add_node(
+        NodeConfig::new("idle", Position::new(1.0, 0.0)),
+        Recorder::default(),
+    );
+    let rx = sim.add_node(
+        NodeConfig::new("rx", Position::new(2.0, 0.0)),
+        Recorder::default(),
+    );
+    sim.with_ctx(t, |ctx| {
+        ctx.set_timer_at(Instant::from_micros(100), TimerKey(1));
+        ctx.set_timer_at(Instant::from_micros(150), TimerKey(2));
+    });
+    sim.with_ctx(rx, |ctx| ctx.start_rx(CH, AccessFilter::One(AA), 0xABCDEF));
+    sim.with_ctx(idle, |ctx| ctx.stop_rx());
+    sim.run_until(Instant::from_micros(160));
+    assert!(sim.with_ctx(t, |ctx| ctx.is_transmitting()));
+    sim.run_for(Duration::from_millis(1));
+    let done = recorder(&sim, t)
+        .events
+        .iter()
+        .filter(|e| matches!(e, RadioEvent::TxDone { .. }))
+        .count();
+    assert_eq!(done, 1, "the frame still ends with TxDone");
+    assert_eq!(recorder(&sim, rx).received().len(), 1);
+    assert!(recorder(&sim, idle).events.is_empty());
 }
 
 #[test]
@@ -589,7 +692,7 @@ fn long_range_world(mode: ble_phy::DeliveryMode) -> World {
 
 const FAR: Position = Position::new(3_000.0, 0.0);
 
-fn far_tx(sim: &mut World) -> ble_phy::NodeId {
+fn far_tx(sim: &mut World) -> NodeId {
     let mut tx = Recorder::default();
     tx.on_timer_tx.push((1, CH, frame(&[1, 2, 3, 4])));
     let id = sim.add_node(NodeConfig::new("tx", FAR).with_tx_power(20.0), tx);
@@ -599,7 +702,7 @@ fn far_tx(sim: &mut World) -> ble_phy::NodeId {
     id
 }
 
-fn rx_log(sim: &World, id: ble_phy::NodeId) -> Vec<String> {
+fn rx_log(sim: &World, id: NodeId) -> Vec<String> {
     recorder(sim, id)
         .events
         .iter()
@@ -616,6 +719,7 @@ fn receiver_closing_between_tx_start_and_arrival_misses_the_frame() {
     // exactly as the broadcast oracle's unconditional edge does.
     in_both_modes(|mode| {
         let mut sim = long_range_world(mode);
+        let ring = lock_ring(&mut sim);
         far_tx(&mut sim);
         let mut rx = Recorder::default();
         rx.on_timer_stop.push(2);
@@ -629,7 +733,7 @@ fn receiver_closing_between_tx_start_and_arrival_misses_the_frame() {
             recorder(&sim, r).received().is_empty(),
             "a closed receiver must miss the in-flight frame"
         );
-        assert_eq!(recorder(&sim, r).syncs(), 0);
+        assert_eq!(locks(&ring, r), 0);
         rx_log(&sim, r)
     });
 }
@@ -643,6 +747,7 @@ fn receiver_closing_and_reopening_before_arrival_hears_the_frame_once() {
     // locked frame as interference.
     in_both_modes(|mode| {
         let mut sim = long_range_world(mode);
+        let ring = lock_ring(&mut sim);
         far_tx(&mut sim);
         let mut rx = Recorder::default();
         rx.on_timer_stop.push(2);
@@ -658,7 +763,7 @@ fn receiver_closing_and_reopening_before_arrival_hears_the_frame_once() {
         let rec = recorder(&sim, r);
         assert_eq!(rec.received().len(), 1, "exactly one delivery");
         assert!(rec.received()[0].crc_ok, "no phantom self-interference");
-        assert_eq!(rec.syncs(), 1, "exactly one sync edge");
+        assert_eq!(locks(&ring, r), 1, "exactly one lock");
         rx_log(&sim, r)
     });
 }
@@ -671,6 +776,7 @@ fn receiver_opening_after_tx_start_hears_the_in_flight_frame() {
     // id reserved at transmit, when `start_rx` opens the receiver.
     in_both_modes(|mode| {
         let mut sim = long_range_world(mode);
+        let ring = lock_ring(&mut sim);
         far_tx(&mut sim);
         let mut rx = Recorder::default();
         rx.on_timer_rx
@@ -687,7 +793,7 @@ fn receiver_opening_after_tx_start_hears_the_in_flight_frame() {
             "the late edge must catch the frame"
         );
         assert!(rec.received()[0].crc_ok);
-        assert_eq!(rec.syncs(), 1);
+        assert_eq!(locks(&ring, r), 1);
         rx_log(&sim, r)
     });
 }

@@ -509,14 +509,11 @@ fn a_receiver_refiltering_mid_flight_releases_the_deferred_edge() {
     }
 }
 
-/// The `SyncDetected` events in node `node`'s part of a scripted log.
-fn syncs_of(log: &[String], node: usize) -> usize {
-    log.iter()
-        .skip_while(|l| **l != format!("--- node {node}"))
-        .skip(1)
-        .take_while(|l| !l.starts_with("--- node"))
-        .filter(|l| l.starts_with("SyncDetected"))
-        .count()
+/// The `RxLock` records of node `node` in a scripted log: one per lock and
+/// one per relock.
+fn locks_of(log: &[String], node: usize) -> usize {
+    let record = format!("node: Some({node}), event: RxLock ");
+    log.iter().filter(|l| l.contains(&record)).count()
 }
 
 #[test]
@@ -524,7 +521,7 @@ fn a_receiver_opening_at_a_frames_exact_arrival_instant_matches_the_oracle() {
     // The receiver at the origin stays idle until exactly the instant the
     // far AAS[1] frame arrives, then opens for AAS[1]. Its timer was set
     // before the frame left, so it fires before the frame's own edge, and
-    // `start_rx` locks late onto the frame: one `SyncDetected`, and the
+    // `start_rx` locks late onto the frame: one `RxLock`, and the
     // frame's edge, keyed after the timer, must not draw it again.
     //
     // With `near`, a 1 m transmitter's AAS[1] frame arrived 1 µs earlier,
@@ -557,7 +554,7 @@ fn a_receiver_opening_at_a_frames_exact_arrival_instant_matches_the_oracle() {
             },
             &[0, 1, 2][..if near { 3 } else { 2 }],
         );
-        assert_eq!(syncs_of(&outcome.log, 0), 1, "near frame: {near}");
+        assert_eq!(locks_of(&outcome.log, 0), 1, "near frame: {near}");
         let far_frame = outcome.rows[0].1;
         let (heard, scheduled) = if near { (0, 1) } else { (1, 0) };
         assert_eq!(
@@ -812,11 +809,7 @@ fn deferred_edges_on_a_tied_grid_match_the_broadcast_oracle() {
             "deferred delivery diverged from the broadcast oracle (seed {seed}, retune {retune})"
         );
         // A retuning receiver abandons most receptions before their end.
-        let heard = if retune {
-            "SyncDetected"
-        } else {
-            "FrameReceived"
-        };
+        let heard = if retune { "RxLock" } else { "FrameReceived" };
         assert!(
             broadcast.iter().any(|l| l.contains(heard)),
             "world must hear frames (seed {seed}, retune {retune})"

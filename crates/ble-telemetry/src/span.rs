@@ -3,7 +3,7 @@
 //! A *span* is a named interval with a begin and an end, carrying both the
 //! simulation-time duration (deterministic, byte-identical across
 //! equally-seeded runs) and a wall-clock duration read through an injected
-//! clock (see [`SpanTracker::set_clock`]) so profiling never leaks
+//! clock (see [`crate::Telemetry::set_span_clock`]) so profiling never leaks
 //! `std::time` into this crate (lint rule R8 — the only sanctioned clock
 //! lives in `bench::wallclock`). Airtime spans carry simulated time only
 //! (see [`SpanKind::wall_timed`]).

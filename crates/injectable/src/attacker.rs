@@ -40,6 +40,18 @@ fn assumed_master_frame(phy: ble_phy::PhyMode) -> Duration {
     phy.airtime_for_pdu(2)
 }
 
+/// Extra lead time when opening a passive observation window.
+const LISTEN_MARGIN: Duration = Duration::from_micros(150);
+
+/// How long an observation window stays open past the predicted anchor.
+const EVENT_GUARD: Duration = Duration::from_micros(2_500);
+
+/// Standard deviation (µs) of direct response-timestamp measurement.
+const TIMESTAMP_NOISE_US: f64 = 0.3;
+
+/// Consecutive missed events before the connection is declared lost.
+const MAX_MISSED_EVENTS: u32 = 24;
+
 /// Timer purposes (low byte; high bits carry a generation counter).
 const T_EVENT: u64 = 0xA0;
 const T_CLOSE: u64 = 0xA1;
@@ -51,23 +63,13 @@ const T_RESYNC: u64 = 0xA3;
 pub struct AttackerConfig {
     /// Only attack connections whose Slave has this address.
     pub target_slave: Option<DeviceAddress>,
-    /// Extra lead time when opening a passive observation window.
-    pub listen_margin: Duration,
-    /// How long an observation window stays open past the predicted anchor.
-    pub event_guard: Duration,
     /// Standard deviation (µs) of the sniffer's anchor timestamp
     /// measurement error (radio timestamp quantisation + IRQ latency).
     pub anchor_noise_us: f64,
-    /// Standard deviation (µs) of direct response-timestamp measurement.
-    pub timestamp_noise_us: f64,
-    /// Consecutive missed events before the connection is declared lost.
-    pub max_missed_events: u32,
     /// Inject on every Nth connection event (1 = every event). Larger
     /// values interleave passive observation events, keeping the legitimate
     /// Master fed with Slave responses during long attack campaigns.
     pub inject_gap_events: u32,
-    /// Return to scanning after losing a connection.
-    pub auto_rescan: bool,
     /// Bounded-retry resynchronisation policy (campaign length, backoff,
     /// retry budget). The default keeps the machinery dormant in healthy
     /// runs; tighten it for impaired-medium experiments.
@@ -78,13 +80,8 @@ impl Default for AttackerConfig {
     fn default() -> Self {
         AttackerConfig {
             target_slave: None,
-            listen_margin: Duration::from_micros(150),
-            event_guard: Duration::from_micros(2_500),
             anchor_noise_us: 4.0,
-            timestamp_noise_us: 0.3,
-            max_missed_events: 24,
             inject_gap_events: 1,
-            auto_rescan: true,
             resync: ResyncPolicy::default(),
         }
     }
@@ -152,10 +149,6 @@ pub enum MissionState {
     /// A role has been hijacked; the inner Link Layer is in control.
     TakenOver,
 }
-
-/// Marker type re-exported for documentation purposes: the injection logic
-/// lives inside [`Attacker`].
-pub struct Injector;
 
 #[derive(Clone, Copy)]
 enum Phase {
@@ -436,9 +429,7 @@ impl Attacker {
             self.span_scan = ctx.span_enter(SpanKind::AttackerScan, 0);
         }
         self.phase = Phase::Scanning { channel_pos };
-        if ctx.is_receiving() {
-            ctx.stop_rx();
-        }
+        ctx.stop_rx();
         ctx.start_rx(
             Channel::ADVERTISING[channel_pos],
             AccessFilter::One(ble_phy::AccessAddress::ADVERTISING),
@@ -459,24 +450,15 @@ impl Attacker {
         {
             self.mission_state = MissionState::Injecting;
         }
-        if self.cfg.auto_rescan {
-            self.resync.begin_campaign();
-            self.begin_scan_span(ctx);
-            self.scan(ctx, 0);
-        } else {
-            self.phase = Phase::Idle;
-            if ctx.is_receiving() {
-                ctx.stop_rx();
-            }
-        }
+        self.resync.begin_campaign();
+        self.begin_scan_span(ctx);
+        self.scan(ctx, 0);
     }
 
     /// A scan campaign's hop budget ran out: back off (radio quiet) before
     /// the next campaign, or give up once retries are exhausted.
     fn campaign_expired(&mut self, ctx: &mut NodeCtx<'_>) {
-        if ctx.is_receiving() {
-            ctx.stop_rx();
-        }
+        ctx.stop_rx();
         let backoff = self.resync.campaign_failed();
         let campaigns = self.resync.campaigns();
         ctx.emit(|| TelemetryEvent::ResyncFailed { campaigns, backoff });
@@ -539,7 +521,7 @@ impl Attacker {
             self.phase = Phase::InjectArmed { plan };
             self.arm_from(ctx, anchor, delay, T_EVENT);
         } else {
-            let lead = plan.widening + self.cfg.listen_margin;
+            let lead = plan.widening + LISTEN_MARGIN;
             let reference = anchor.saturating_sub(lead);
             invariant_window!(reference, anchor, "observe window opens before the anchor");
             self.phase = Phase::ObserveArmed { plan };
@@ -551,16 +533,13 @@ impl Attacker {
         let Some(conn) = self.conn.as_ref() else {
             return;
         };
-        if ctx.is_receiving() {
-            ctx.stop_rx();
-        }
+        ctx.stop_rx();
         ctx.start_rx(
             plan.channel,
             AccessFilter::One(conn.params.access_address),
             conn.params.crc_init,
         );
-        let close =
-            plan.widening * 2 + self.cfg.listen_margin + plan.window_extra + self.cfg.event_guard;
+        let close = plan.widening * 2 + LISTEN_MARGIN + plan.window_extra + EVENT_GUARD;
         let now = ctx.now();
         self.phase = Phase::Observing { plan, frames: 0 };
         self.arm_from(ctx, now, close, T_CLOSE);
@@ -622,9 +601,7 @@ impl Attacker {
         };
         let pdu = DataPdu::encode_pdu(llid, nesn_a, sn_a, false, payload);
         let frame = RawFrame::new(conn.params.access_address, pdu, conn.params.crc_init);
-        if ctx.is_receiving() {
-            ctx.stop_rx();
-        }
+        ctx.stop_rx();
         // One injection window per attempt: transmit → listen → verdict. A
         // stale window (an attempt whose verdict never arrived) closes here.
         ctx.span_exit(self.span_inject);
@@ -696,7 +673,7 @@ impl Attacker {
             self.schedule_event(ctx);
             return;
         };
-        let noise_ns = (ctx.rng().normal(0.0, self.cfg.timestamp_noise_us) * 1_000.0) as i64;
+        let noise_ns = (ctx.rng().normal(0.0, TIMESTAMP_NOISE_US) * 1_000.0) as i64;
         let response = ObservedResponse {
             t_s: frame.start.offset_ns(noise_ns),
             sn_s: pdu.header.sn,
@@ -975,13 +952,11 @@ impl Attacker {
         let Phase::Observing { frames, .. } = self.phase else {
             return;
         };
-        if ctx.is_receiving() {
-            ctx.stop_rx();
-        }
+        ctx.stop_rx();
         if frames == 0 {
             if let Some(conn) = self.conn.as_mut() {
                 conn.missed_event();
-                if conn.missed_streak > self.cfg.max_missed_events {
+                if conn.missed_streak > MAX_MISSED_EVENTS {
                     ctx.emit(|| TelemetryEvent::SnifferLost {
                         reason: LossReason::MissedEvents,
                     });
@@ -1069,9 +1044,7 @@ impl RadioListener for Attacker {
                         Phase::Observing { .. } => self.close_observe_window(ctx),
                         Phase::InjectListening { attempt } => {
                             // No response at all.
-                            if ctx.is_receiving() {
-                                ctx.stop_rx();
-                            }
+                            ctx.stop_rx();
                             if matches!(self.mission, Mission::HijackSlave { .. }) {
                                 // Possibly a successful eviction: verify.
                                 self.pending_terminate = Some(attempt);
@@ -1083,7 +1056,7 @@ impl RadioListener for Attacker {
                                     match self.conn.as_mut() {
                                         Some(conn) => {
                                             conn.missed_event();
-                                            conn.missed_streak > self.cfg.max_missed_events
+                                            conn.missed_streak > MAX_MISSED_EVENTS
                                         }
                                         None => false,
                                     }
@@ -1135,14 +1108,11 @@ impl RadioListener for Attacker {
                 Phase::Observing { .. } => self.handle_observe_frame(ctx, frame),
                 Phase::InjectListening { attempt } => {
                     let attempt = *attempt;
-                    if ctx.is_receiving() {
-                        ctx.stop_rx();
-                    }
+                    ctx.stop_rx();
                     self.handle_injection_response(ctx, attempt, &frame);
                 }
                 _ => {}
             },
-            RadioEvent::SyncDetected { .. } => {}
         }
     }
 }

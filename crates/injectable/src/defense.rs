@@ -210,9 +210,7 @@ impl InjectionDetector {
 
     fn scan(&mut self, ctx: &mut NodeCtx<'_>, pos: usize) {
         self.scanning_pos = pos;
-        if ctx.is_receiving() {
-            ctx.stop_rx();
-        }
+        ctx.stop_rx();
         ctx.start_rx(
             Channel::ADVERTISING[pos],
             AccessFilter::One(ble_phy::AccessAddress::ADVERTISING),
@@ -242,9 +240,7 @@ impl InjectionDetector {
         let Some(conn) = self.conn.as_ref() else {
             return;
         };
-        if ctx.is_receiving() {
-            ctx.stop_rx();
-        }
+        ctx.stop_rx();
         ctx.start_rx(
             conn.current_channel,
             AccessFilter::One(conn.params.access_address),
@@ -255,9 +251,7 @@ impl InjectionDetector {
     }
 
     fn close_window(&mut self, ctx: &mut NodeCtx<'_>) {
-        if ctx.is_receiving() {
-            ctx.stop_rx();
-        }
+        ctx.stop_rx();
         self.analyse_window(ctx);
         let lost = {
             let Some(conn) = self.conn.as_mut() else {

@@ -14,7 +14,7 @@
 //!
 //! * [`ConnectionSniffer`] — captures `CONNECT_REQ`, follows the hop
 //!   sequence, tracks anchors and the Slave's SN/NESN state;
-//! * [`Injector`] logic inside [`Attacker`] — computes the injection point,
+//! * the injector inside [`Attacker`] — computes the injection point,
 //!   forges frames, retries once per connection event;
 //! * [`heuristic`] — the paper's success-detection formula (eq. 7);
 //! * the four attack scenarios of §VI: ATT injection ([`Mission::InjectAtt`]
@@ -41,7 +41,7 @@ mod resync;
 mod stats;
 mod tracked;
 
-pub use attacker::{Attacker, AttackerConfig, Injector, Mission, MissionState};
+pub use attacker::{Attacker, AttackerConfig, Mission, MissionState};
 pub use defense::{Alert, DetectorConfig, InjectionDetector};
 pub use heuristic::{injection_succeeded, InjectionAttempt, ObservedResponse};
 pub use mitm::{new_handoff, MitmHandoff, MitmShared, MitmSlaveHalf, RewriteRule};

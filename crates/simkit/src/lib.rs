@@ -1,9 +1,9 @@
 //! Discrete-event simulation kernel used by the InjectaBLE reproduction.
 //!
 //! This crate is protocol-agnostic: it provides nanosecond-resolution virtual
-//! time ([`Instant`], [`Duration`]), a cancellable min-heap event queue
-//! ([`EventQueue`]), drifting sleep-clock models ([`DriftClock`]) and
-//! deterministic randomness plumbing ([`SimRng`]).
+//! time ([`Instant`], [`Duration`]), a min-heap event queue ([`EventQueue`]),
+//! drifting sleep-clock models ([`DriftClock`]) and deterministic randomness
+//! plumbing ([`SimRng`]).
 //!
 //! The Bluetooth Low Energy attack studied in the paper is fundamentally a
 //! *timing race*: the window-widening mechanism of the BLE Link Layer exists

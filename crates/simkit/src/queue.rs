@@ -1,15 +1,13 @@
-//! Cancellable discrete-event queue with reservable event ids.
+//! Discrete-event queue with reservable event ids.
 
 use std::cmp::Ordering;
-#[allow(clippy::disallowed_types)]
-// xtask-allow: R7 — membership-only tombstone set behind the deterministic IdHasher below; iteration order is never observed
-use std::collections::{BinaryHeap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::BinaryHeap;
 
 use crate::time::Instant;
 
-/// Identifier of a scheduled event, usable to cancel it before it fires.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+/// Identifier of a scheduled event: its place among events at the same
+/// instant (see [`EventQueue::has_fired`]).
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub struct EventId(u64);
 
 /// A block of consecutive event ids from [`EventQueue::reserve`], indexed
@@ -27,34 +25,6 @@ impl ReservedIds {
         Some(EventId(self.first + i))
     }
 }
-
-/// Identity hasher for [`EventId`] tombstones. Ids are already unique
-/// sequence numbers, and the tombstone lookup sits on the hot `pop` path —
-/// SipHash would cost more than the heap operation it guards.
-#[derive(Default)]
-struct IdHasher(u64);
-
-impl Hasher for IdHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        // Only reached if a caller hashes something other than the u64 id;
-        // fold bytes so the hasher still works, if slowly.
-        for &b in bytes {
-            self.0 = self.0.rotate_left(8) ^ u64::from(b);
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = n;
-    }
-}
-
-#[allow(clippy::disallowed_types)]
-// xtask-allow: R7 — tombstones are only inserted/probed/removed by unique EventId; nothing ever iterates the set
-type IdTombstones = HashSet<EventId, BuildHasherDefault<IdHasher>>;
 
 struct Entry<E> {
     at: Instant,
@@ -84,8 +54,7 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// A min-heap of timestamped events with stable FIFO ordering for ties and
-/// O(log n) cancellation via tombstones.
+/// A min-heap of timestamped events with stable FIFO ordering for ties.
 ///
 /// The queue tracks the current simulation time: popping an event advances
 /// `now` to that event's timestamp, and scheduling in the past is clamped to
@@ -104,16 +73,14 @@ impl<E> Ord for Entry<E> {
 /// use simkit::{Duration, EventQueue};
 ///
 /// let mut q = EventQueue::new();
-/// let a = q.schedule_after(Duration::from_micros(10), 'a');
-/// let _b = q.schedule_after(Duration::from_micros(5), 'b');
-/// q.cancel(a);
+/// q.schedule_after(Duration::from_micros(10), 'a');
+/// q.schedule_after(Duration::from_micros(5), 'b');
 /// let fired: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-/// assert_eq!(fired, vec!['b']);
+/// assert_eq!(fired, vec!['b', 'a']);
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
-    cancelled: IdTombstones,
     next_id: u64,
     now: Instant,
     /// Every key `(now, id)` with `id` below this has fired (or been passed
@@ -142,7 +109,6 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            cancelled: IdTombstones::default(),
             next_id: 0,
             now: Instant::ZERO,
             fired_below: 0,
@@ -216,41 +182,22 @@ impl<E> EventQueue<E> {
         self.schedule_at(self.now + delay, event)
     }
 
-    /// Cancels a previously scheduled event. Cancelling an event that has
-    /// already fired (or was already cancelled) is a harmless no-op.
-    pub fn cancel(&mut self, id: EventId) {
-        self.cancelled.insert(id);
-    }
-
     /// Removes and returns the earliest pending event, advancing `now` to its
-    /// timestamp. Cancelled events are skipped silently.
+    /// timestamp.
     pub fn pop(&mut self) -> Option<(Instant, E)> {
-        while let Some(entry) = self.heap.pop() {
-            if !self.cancelled.is_empty() && self.cancelled.remove(&entry.id) {
-                continue;
-            }
-            debug_assert!(
-                !self.has_fired(entry.at, entry.id),
-                "event queue time went backwards"
-            );
-            self.now = entry.at;
-            self.fired_below = entry.id.0 + 1;
-            return Some((entry.at, entry.event));
-        }
-        None
+        let entry = self.heap.pop()?;
+        debug_assert!(
+            !self.has_fired(entry.at, entry.id),
+            "event queue time went backwards"
+        );
+        self.now = entry.at;
+        self.fired_below = entry.id.0 + 1;
+        Some((entry.at, entry.event))
     }
 
-    /// The timestamp of the earliest live pending event, if any.
-    pub fn peek_time(&mut self) -> Option<Instant> {
-        while let Some(entry) = self.heap.peek() {
-            if self.cancelled.contains(&entry.id) {
-                let entry = self.heap.pop().expect("peeked entry exists");
-                self.cancelled.remove(&entry.id);
-                continue;
-            }
-            return Some(entry.at);
-        }
-        None
+    /// The timestamp of the earliest pending event, if any.
+    pub fn peek_time(&self) -> Option<Instant> {
+        self.heap.peek().map(|entry| entry.at)
     }
 
     /// Advances `now` to `t` without firing anything. Intended for "run
@@ -260,7 +207,7 @@ impl<E> EventQueue<E> {
     ///
     /// # Panics
     ///
-    /// Panics if a live event is pending at or before `t`.
+    /// Panics if an event is pending at or before `t`.
     pub fn advance_to(&mut self, t: Instant) {
         if t < self.now {
             return;
@@ -275,19 +222,18 @@ impl<E> EventQueue<E> {
         self.fired_below = self.next_id;
     }
 
-    /// Number of live pending events.
+    /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len() - self.cancelled.len()
+        self.heap.len()
     }
 
-    /// Whether no live events remain.
+    /// Whether no events remain.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// The deepest the underlying heap has been since construction,
-    /// counting cancelled entries not yet popped — the queue's memory
-    /// high-water mark.
+    /// The deepest the underlying heap has been since construction — the
+    /// queue's memory high-water mark.
     pub fn high_water(&self) -> u64 {
         self.high_water
     }
@@ -296,7 +242,6 @@ impl<E> EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Duration;
 
     #[test]
     fn pops_in_time_order() {
@@ -340,27 +285,6 @@ mod tests {
     }
 
     #[test]
-    fn cancellation_skips_events() {
-        let mut q = EventQueue::new();
-        let a = q.schedule_after(Duration::from_micros(1), "a");
-        q.schedule_after(Duration::from_micros(2), "b");
-        q.cancel(a);
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop().map(|(_, e)| e), Some("b"));
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn cancel_after_fire_is_noop() {
-        let mut q = EventQueue::new();
-        let a = q.schedule_after(Duration::ZERO, "a");
-        assert!(q.pop().is_some());
-        q.cancel(a);
-        q.schedule_after(Duration::ZERO, "b");
-        assert_eq!(q.pop().map(|(_, e)| e), Some("b"));
-    }
-
-    #[test]
     fn high_water_tracks_the_deepest_heap() {
         let mut q = EventQueue::new();
         assert_eq!(q.high_water(), 0);
@@ -369,10 +293,20 @@ mod tests {
         }
         while q.pop().is_some() {}
         q.schedule_at(Instant::from_micros(9), 9);
-        assert_eq!(q.high_water(), 5);
-        let a = q.schedule_at(Instant::from_micros(10), 10);
-        q.cancel(a);
         assert_eq!(q.high_water(), 5, "a drained queue keeps its mark");
+    }
+
+    #[test]
+    fn peek_time_reads_the_earliest_event_without_popping_it() {
+        let mut q = EventQueue::new();
+        assert_eq!(q.peek_time(), None);
+        q.schedule_at(Instant::from_micros(7), 'b');
+        q.schedule_at(Instant::from_micros(3), 'a');
+        assert_eq!(q.peek_time(), Some(Instant::from_micros(3)));
+        assert_eq!((q.len(), q.now()), (2, Instant::ZERO));
+        assert_eq!(q.pop(), Some((Instant::from_micros(3), 'a')));
+        assert_eq!(q.peek_time(), Some(Instant::from_micros(7)));
+        assert_eq!(q.len(), 1);
     }
 
     fn drain<E>(q: &mut EventQueue<E>) -> Vec<(Instant, E)> {
@@ -486,15 +420,5 @@ mod tests {
         let mut q = EventQueue::new();
         q.schedule_at(Instant::from_micros(2), ());
         q.advance_to(Instant::from_micros(2));
-    }
-
-    #[test]
-    fn peek_time_skips_cancelled() {
-        let mut q = EventQueue::new();
-        let a = q.schedule_at(Instant::from_micros(1), "a");
-        q.schedule_at(Instant::from_micros(7), "b");
-        q.cancel(a);
-        assert_eq!(q.peek_time(), Some(Instant::from_micros(7)));
-        assert!(!q.is_empty());
     }
 }

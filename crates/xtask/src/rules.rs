@@ -94,7 +94,7 @@ impl RuleSet {
     }
 
     /// Adds the no-`Vec<u8>`-field rule: frame-facing structs must carry
-    /// their bytes in the inline [`Pdu`] buffer, not on the heap.
+    /// their bytes in the inline `ble_phy::Pdu` buffer, not on the heap.
     pub fn with_r6(mut self) -> Self {
         self.r6 = true;
         self
@@ -172,7 +172,7 @@ pub struct WaiverEntry {
 }
 
 /// Collects every waiver comment in a file for the audit listing, keeping
-/// the reason text (unlike [`collect_waivers`], which only needs the
+/// the reason text (unlike `collect_waivers`, which only needs the
 /// silenced coordinates).
 pub fn collect_waiver_entries(src: &str) -> Vec<WaiverEntry> {
     let mut out = Vec::new();
